@@ -22,8 +22,10 @@ Timing artifacts
 Speed benches persist their measurements as machine-readable JSON
 (``BENCH_<name>.json``, via the ``bench_json`` fixture) so the performance
 trajectory is tracked across PRs instead of living only in transient pytest
-output.  Artifacts land next to this file by default; ``REPRO_BENCH_DIR``
-redirects them.  ``REPRO_BENCH_RELAX=1`` relaxes the speedup *assertions*
+output.  Artifacts land in the git-ignored ``.bench-out/`` at the repository
+root by default, so a bench run never rewrites the committed references next
+to this file (compare against them with ``benchmarks/trend.py``);
+``REPRO_BENCH_DIR`` redirects them.  ``REPRO_BENCH_RELAX=1`` relaxes the speedup *assertions*
 (for CI smoke runs on noisy/tiny machines) while still exercising the bench
 code and writing the JSON.
 """
@@ -47,7 +49,11 @@ SCALE = os.environ.get("REPRO_SCALE", "small")
 
 RELAX_TIMING = os.environ.get("REPRO_BENCH_RELAX", "") not in ("", "0")
 
-BENCH_OUT_DIR = Path(os.environ.get("REPRO_BENCH_DIR", os.path.dirname(__file__)))
+#: Default home of fresh artifacts (git-ignored); the committed references
+#: in this directory change only when someone copies a run over them.
+DEFAULT_BENCH_OUT = Path(__file__).resolve().parent.parent / ".bench-out"
+
+BENCH_OUT_DIR = Path(os.environ.get("REPRO_BENCH_DIR") or DEFAULT_BENCH_OUT)
 
 _SIZING = {
     # scale: (n_accesses, target_instr, warmup_instr, combos_per_class,

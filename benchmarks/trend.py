@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Bench trend gate: compare fresh ``BENCH_*.json`` against committed refs.
 
-Usage (after running the speed benches, which write the current artifacts)::
+Usage (after running the speed benches, which write the current artifacts
+to the git-ignored ``.bench-out/`` unless ``REPRO_BENCH_DIR`` says otherwise)::
 
-    PYTHONPATH=src python benchmarks/trend.py \\
-        --ref benchmarks --current "$REPRO_BENCH_DIR"
+    PYTHONPATH=src python benchmarks/trend.py [--current DIR]
 
 Exits non-zero when a bench's ``geomean_speedup`` regressed past the noise
 tolerance — unless ``REPRO_BENCH_RELAX`` is set (CI smoke runs on shared
@@ -37,6 +37,8 @@ from repro.analysis.trend import (
 )
 
 BENCH_DIR = Path(__file__).resolve().parent
+#: Where the bench fixtures write fresh artifacts by default.
+DEFAULT_CURRENT = BENCH_DIR.parent / ".bench-out"
 
 
 def main(argv=None) -> int:
@@ -47,10 +49,10 @@ def main(argv=None) -> int:
              "(default: this benchmarks/ directory)",
     )
     parser.add_argument(
-        "--current", default=os.environ.get("REPRO_BENCH_DIR") or None,
+        "--current", default=os.environ.get("REPRO_BENCH_DIR") or str(DEFAULT_CURRENT),
         metavar="DIR",
-        help="directory holding the fresh artifacts (default: $REPRO_BENCH_DIR; "
-             "required when that is unset)",
+        help="directory holding the fresh artifacts (default: $REPRO_BENCH_DIR, "
+             "else .bench-out/ at the repository root)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="FRAC",
@@ -66,11 +68,10 @@ def main(argv=None) -> int:
              "one JSON line to the given trajectory file",
     )
     args = parser.parse_args(argv)
-    if args.current is None:
+    if not Path(args.current).is_dir():
         parser.error(
-            "--current DIR is required (or set REPRO_BENCH_DIR): run the speed "
-            "benches with REPRO_BENCH_DIR pointing somewhere other than the "
-            "committed refs, then compare that directory"
+            f"no fresh artifacts in {args.current}: run the speed benches "
+            "first, or pass --current DIR"
         )
     if Path(args.current).resolve() == Path(args.ref).resolve():
         # Comparing a directory against itself always passes — refuse the

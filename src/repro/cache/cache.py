@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-import numpy as np
-
 from ..common.config import CacheGeometry
 from ..common.stats import StatGroup
 from ..mem.address import AddressMap
@@ -52,14 +50,6 @@ class SetAssocCache:
         # defaultdict directly is observably identical).
         self._index_mask = geometry.num_sets - 1
         self._counters = self.stats.counters
-        # Bulk-probe membership table (built lazily by membership_table()):
-        # an int64 [num_sets, assoc] snapshot of resident block addresses,
-        # -1 where a way is empty (trace addresses are validated >= 0).
-        # Mutations mark only the touched set dirty; the epoch counts
-        # membership changes so batched window plans know when to re-probe.
-        self._bulk_table: np.ndarray | None = None
-        self._bulk_dirty: set[int] = set()
-        self.membership_epoch = 0
 
     # -- geometry helpers --------------------------------------------------
 
@@ -117,9 +107,6 @@ class SetAssocCache:
         self._counters["fills"] += 1
         if victim is not None:
             self._counters["evictions"] += 1
-        self.membership_epoch += 1
-        if self._bulk_table is not None:
-            self._bulk_dirty.add(idx)
         return victim
 
     def invalidate(self, block_addr: int, set_index: Optional[int] = None) -> Optional[CacheLine]:
@@ -128,23 +115,13 @@ class SetAssocCache:
         line = self.sets[idx].invalidate(block_addr)
         if line is not None:
             self.stats.add("invalidations")
-            self.membership_epoch += 1
-            if self._bulk_table is not None:
-                self._bulk_dirty.add(idx)
         return line
 
     def remove_line(self, set_index: int, line: CacheLine) -> None:
-        """Remove a specific resident *line* from the set at *set_index*.
-
-        The membership-tracked twin of ``LruSet.remove`` — schemes must use
-        this (not the raw set) so bulk membership tables stay coherent.
-        """
+        """Remove a specific resident *line* from the set at *set_index*."""
         self.sets[set_index].remove(line)
-        self.membership_epoch += 1
-        if self._bulk_table is not None:
-            self._bulk_dirty.add(set_index)
 
-    # -- bulk / inspection ---------------------------------------------------
+    # -- inspection ------------------------------------------------------------
 
     def resident(self) -> Iterator[CacheLine]:
         """Iterate over every resident line (MRU-first within each set)."""
@@ -162,41 +139,6 @@ class SetAssocCache:
     def clear(self) -> None:
         for lruset in self.sets:
             lruset.clear()
-        self.membership_epoch += 1
-        self._bulk_table = None
-        self._bulk_dirty.clear()
-
-    def membership_table(self) -> np.ndarray:
-        """Current residency as an int64 ``[num_sets, assoc]`` address table.
-
-        Empty ways hold ``-1`` (trace block addresses are validated >= 0, so
-        the sentinel can't collide).  The table is built lazily and patched
-        set-by-set from the dirty list, so steady-state refresh cost is
-        proportional to membership churn, not cache size.  Callers must not
-        mutate the returned array; it is re-used across calls.  Recency moves
-        (``lookup``/``touch``) do not change membership and leave both the
-        table and ``membership_epoch`` untouched.
-        """
-        table = self._bulk_table
-        if table is None:
-            table = np.full(
-                (self.geometry.num_sets, self.geometry.assoc), -1, dtype=np.int64
-            )
-            for idx, lruset in enumerate(self.sets):
-                addrs = lruset._addrs
-                if addrs:
-                    table[idx, : len(addrs)] = addrs
-            self._bulk_table = table
-            self._bulk_dirty.clear()
-        elif self._bulk_dirty:
-            for idx in self._bulk_dirty:
-                row = table[idx]
-                row[:] = -1
-                addrs = self.sets[idx]._addrs
-                if addrs:
-                    row[: len(addrs)] = addrs
-            self._bulk_dirty.clear()
-        return table
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         g = self.geometry

@@ -73,10 +73,11 @@ sharded store of checksummed records; the manifest is stamped with the
 scenario's content hash) and ``--resume`` (skip tasks already completed
 in the store — refused when the store was produced by a different
 scenario).  The same three commands take ``--sim-core
-{auto,fast,batch,compiled,reference}`` (select the stepping loop; every
-core is bit-identical, see ``docs/architecture.md``; ``auto`` picks the
-measured best core per scheme) and ``--profile PATH`` (cProfile the
-execution phase).  ``run`` and ``sweep`` also take
+{auto,fast,compiled,reference}`` (select the stepping loop; every core is
+bit-identical, see ``docs/architecture.md``; ``auto`` picks the measured
+best core per scheme; the removed ``batch`` core is still accepted, with a
+deprecation warning, as an alias of ``auto``) and ``--profile PATH``
+(cProfile the execution phase).  ``run`` and ``sweep`` also take
 ``--snug-monitor`` (SNUG classifies sets from an online streaming demand
 monitor; a plan property, so it behaves identically under every backend) —
 see :mod:`repro.engine`.  Every backend produces bit-identical results to
@@ -111,7 +112,7 @@ from .experiments.characterization import (
     survey_26,
 )
 from .experiments.performance import FigureData, render_figure
-from .experiments.runner import SIM_CORES, ComboResult
+from .experiments.runner import SIM_CORES, ComboResult, normalize_sim_core
 from .scenario import (
     EngineOptions,
     Scenario,
@@ -187,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
              "warning)",
     )
     engine_flags.add_argument(
-        "--sim-core", choices=SIM_CORES, default=None,
-        help="stepping loop: fast (scalar event loop), batch (vectorized "
-             "quiescent-run stepping; wins on hit-dominated workloads), "
-             "compiled (SoA state + per-scheme kernels; wins on the paper's "
-             "miss-heavy mixes), reference (the seed loop), or auto (pick "
-             "the measured best core per scheme); all cores produce "
-             "bit-identical results, so this never changes what a run "
-             "computes",
+        "--sim-core", choices=SIM_CORES, default=None, type=normalize_sim_core,
+        help="stepping loop: compiled (the native C kernel; systems it "
+             "declines run on the fast loop, with a one-line notice "
+             "naming why), fast (scalar Python event loop), reference (the "
+             "seed loop), or auto (compiled for the five kernel schemes, "
+             "fast for the rest); all cores produce bit-identical results, "
+             "so this never changes what a run computes ('batch' is a "
+             "deprecated alias of auto)",
     )
     engine_flags.add_argument(
         "--profile", default=None, metavar="PATH",
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
              "simulation (0 = run the job's tasks in-process)",
     )
     p_serve.add_argument(
-        "--sim-core", choices=SIM_CORES, default=None,
+        "--sim-core", choices=SIM_CORES, default=None, type=normalize_sim_core,
         help="stepping loop for served jobs (bit-identical by contract, "
              "so it never changes what a job computes)",
     )

@@ -1,13 +1,13 @@
-"""Native (C) tier of the compiled simulation core.
+"""Native (C) kernel of the compiled simulation core.
 
-The compiled core has three tiers per scheme — Numba JIT array kernel,
-this native C kernel, and the interpreted SoA driver — all bit-identical.
-This module owns the middle tier: a single C translation unit (embedded
-below as a string) holding one structure-of-arrays event loop for all five
-kernel schemes, compiled **on first use with the system C compiler** (no
-new package is installed; the toolchain already ships in the image) and
+The executable spec is :mod:`repro.core.reference` plus the schemes'
+``access()``; this module is its production transcription: a single C
+translation unit (embedded below as a string) holding one
+structure-of-arrays event loop for all five kernel schemes, compiled **on
+first use with the system C compiler** (no new package is installed) and
 loaded through :mod:`ctypes`.  The build is cached on disk keyed by a hash
-of the source, so each source revision compiles exactly once per machine.
+of the source, the compiler flags and the resolved compiler path, so each
+revision compiles exactly once per machine and toolchain.
 
 Everything mutable lives in preallocated ``int64`` NumPy arrays passed to C
 as one pointer table; the Python wrapper encodes the live system state into
@@ -18,20 +18,29 @@ insertion order is part of byte-identity.
 
 The kernel is resumable: all loop state (event count, finish countdown,
 round-robin cursors, SNUG stage machinery) lives in the arrays, so the C
-function can return to Python mid-run and be re-entered.  That is how CC's
-random spills stay exact without calling back into Python per draw: coin
-and peer-pick values are prefetched from the scheme's real
-``numpy.random.Generator`` streams into ring buffers (batch draws are
-elementwise-identical to repeated scalar draws), and the kernel exits with
-``RC_RNG`` when a buffer runs low so the wrapper can top it up and resume.
+function can return to Python mid-run and be re-entered.  Two exits use
+that:
 
-Situations the C encoding does not cover return ``None`` from
-:func:`run_kernel` and fall back to the interpreted driver (which handles
-any state):  SNUG with an *attached* online monitor (``scheme.monitor``),
-single-core spill schemes, >64 cores, systems with non-pristine structural
-cache state, and any environment where the shared library cannot be built
-(``REPRO_NO_CKERNEL=1``, no C compiler, or a failed compile — the reason is
-reported via :func:`reason` and surfaces in the one-line fallback notice).
+* ``RC_RNG`` — CC's random spills stay exact without calling back into
+  Python per draw: coin and peer-pick values are prefetched from the
+  scheme's real ``numpy.random.Generator`` streams into ring buffers
+  (batch draws are elementwise-identical to repeated scalar draws), and the
+  kernel exits when a buffer runs low so the wrapper can top it up.
+* ``RC_LATCH`` — SNUG with an attached demand monitor
+  (``scheme.monitor``).  The monitor observes exactly ``(core, trace
+  address)`` on every access, so between two Stage-I latches each core's
+  observed stream is a contiguous, wrapping slice of its own trace.  The
+  kernel stops at each IDENTIFY->GROUP latch *before* the access that
+  crosses it (with the event count rolled back, so budgets and the budget
+  error match the reference); the wrapper feeds each core's slice since the
+  previous hand-off to the monitor, calls ``monitor.latch()``, writes the
+  taker bits into the G/T input array and re-enters.
+
+:func:`decline_reason` names the systems the kernel does not take — no
+library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build), more
+than 64 cores, a spill scheme on one core, or caches that already hold
+state; :class:`~repro.core.compiled.CompiledCmpSystem` runs those on the
+fast loop.
 """
 
 from __future__ import annotations
@@ -41,7 +50,6 @@ import hashlib
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 from typing import List, Optional
 
@@ -51,7 +59,7 @@ from ..cache.block import CacheLine
 from ..schemes.base import Outcome
 from .cmp import CmpSystem, SimResult, budget_exhausted_error
 
-__all__ = ["run_kernel", "reason", "lib_available"]
+__all__ = ["run_kernel", "decline_reason", "reason", "lib_available"]
 
 #: Outcome keys in enum order (the reference core's prepopulated-dict order).
 _OUT_KEYS = tuple(o.value for o in Outcome)
@@ -80,10 +88,10 @@ _RT_KEYS = ("epochs",)
  _P_IMASK, _P_ASSOC, _P_WB_CAP, _P_WB_DRAIN, _P_WB_DIRECT, _P_CSHIFT,
  _P_CMASK, _P_NPER, _P_SPILL_MODE, _P_PSEL_MAX, _P_PSEL_MSB, _P_NSETS,
  _P_MON_MAX, _P_MON_MSB, _P_MON_RESET, _P_PTHR, _P_MON_GROUP, _P_FLIP_EN,
- _P_FLUSH_FLIP, _P_IDENT_CYC, _P_GROUP_CYC, _NPARAMS) = range(39)
+ _P_FLUSH_FLIP, _P_IDENT_CYC, _P_GROUP_CYC, _P_MONITORED, _NPARAMS) = range(40)
 
 (_MS_REMAINING, _MS_EVENTS, _MS_RR, _MS_SPILL_RR, _MS_STAGE, _MS_STAGE_END,
- _MS_EPOCH, _NMS) = range(8)
+ _MS_EPOCH, _MS_GT_READY, _NMS) = range(9)
 
 (_RS_COIN_POS, _RS_COIN_FILL, _RS_PICK_POS, _RS_PICK_FILL, _NRS) = range(5)
 
@@ -92,14 +100,18 @@ _RT_KEYS = ("epochs",)
  _A_KEYS, _A_LADDR, _A_LMETA, _A_OCC, _A_WBADDR, _A_WBTIME, _A_WBHEAD,
  _A_WBLEN, _A_WBNEXT, _A_SLCNT, _A_SLSTAMP, _A_WCNT, _A_WSTAMP, _A_DCNT,
  _A_DSTAMP, _A_BCNT, _A_BSTAMP, _A_RCNT, _A_RSTAMP, _A_STAMP, _A_BANKFREE,
- _A_BUSBUSY, _A_OUTC, _A_WOUT, _A_WLAT, _A_MUT, _A_MS, _A_SETROLE, _A_PSEL,
+ _A_BUSBUSY, _A_OUTC, _A_WOUT, _A_WLAT, _A_MS, _A_SETROLE, _A_PSEL,
  _A_GT, _A_SHADDR, _A_SHLEN, _A_MONVAL, _A_MONMOD, _A_COIN, _A_PICK, _A_RS,
- _A_PEERS, _A_DPARAMS, _NARR) = range(53)
+ _A_PEERS, _A_DPARAMS, _A_GTIN, _NARR) = range(53)
 
-_RC_DONE, _RC_BUDGET, _RC_RNG = 0, 1, 2
+_RC_DONE, _RC_BUDGET, _RC_RNG, _RC_LATCH = 0, 1, 2, 3
 
 #: Ring-buffer capacity for prefetched CC random draws.
 _RNG_CAP = 4096
+
+#: Most addresses handed to a SNUG demand monitor in one call, so its
+#: buffered memory stays bounded however long a stage runs.
+_MONITOR_SLICE = 8192
 
 _C_SOURCE = r"""
 /* Structure-of-arrays event loop for the repro compiled simulation core.
@@ -107,10 +119,11 @@ _C_SOURCE = r"""
  * One translation unit, one exported function:
  *     int64_t run_kernel(void **A);
  * where A is a pointer table whose slot order mirrors the _A_* constants in
- * the Python wrapper.  All semantics transcribe the interpreted SoA driver
- * (core/compiled.py) term for term, stat-counter first-touch order included
- * (the stamp arrays record the global first-touch tick of each counter
- * slot; the Python merge replays them in stamp order).
+ * the Python wrapper.  All semantics transcribe the executable spec
+ * (core/reference.py plus each scheme's access()) term for term,
+ * stat-counter first-touch order included (the stamp arrays record the
+ * global first-touch tick of each counter slot; the Python merge replays
+ * them in stamp order).
  */
 #include <stdint.h>
 
@@ -122,7 +135,7 @@ enum { P_NCORES, P_KIND, P_WARMUP, P_FINISH, P_BUDGET, P_L1, P_LAT_LOCAL,
        P_IMASK, P_ASSOC, P_WB_CAP, P_WB_DRAIN, P_WB_DIRECT, P_CSHIFT,
        P_CMASK, P_NPER, P_SPILL_MODE, P_PSEL_MAX, P_PSEL_MSB, P_NSETS,
        P_MON_MAX, P_MON_MSB, P_MON_RESET, P_PTHR, P_MON_GROUP, P_FLIP_EN,
-       P_FLUSH_FLIP, P_IDENT_CYC, P_GROUP_CYC, NPARAMS };
+       P_FLUSH_FLIP, P_IDENT_CYC, P_GROUP_CYC, P_MONITORED, NPARAMS };
 
 enum { SL_HITS, SL_MISSES, SL_FILLS, SL_EVICT, SL_WB, SL_DRAMF, SL_INVAL,
        SL_FWD, SL_RHIT, SL_CCEV, SL_SPOUT, SL_SPHOST, SL_SPDROP, SL_SPUNPL,
@@ -132,7 +145,7 @@ enum { DR_READS, DR_BUSY, DR_CONFC, DR_CONF, NDR };
 enum { BU_SNOOPS, BU_BUSY, BU_BYTES, BU_QUEUE, BU_TRANSFERS, NBU };
 enum { RT_EPOCHS, NRT };
 enum { MS_REMAINING, MS_EVENTS, MS_RR, MS_SPILL_RR, MS_STAGE, MS_STAGE_END,
-       MS_EPOCH, NMS };
+       MS_EPOCH, MS_GT_READY, NMS };
 enum { RS_COIN_POS, RS_COIN_FILL, RS_PICK_POS, RS_PICK_FILL, NRS };
 
 enum { A_PARAMS, A_OFFS, A_TADDR, A_TGAP, A_TGAPC, A_TWRITE,
@@ -140,11 +153,11 @@ enum { A_PARAMS, A_OFFS, A_TADDR, A_TGAP, A_TGAPC, A_TWRITE,
        A_KEYS, A_LADDR, A_LMETA, A_OCC, A_WBADDR, A_WBTIME, A_WBHEAD,
        A_WBLEN, A_WBNEXT, A_SLCNT, A_SLSTAMP, A_WCNT, A_WSTAMP, A_DCNT,
        A_DSTAMP, A_BCNT, A_BSTAMP, A_RCNT, A_RSTAMP, A_STAMP, A_BANKFREE,
-       A_BUSBUSY, A_OUTC, A_WOUT, A_WLAT, A_MUT, A_MS, A_SETROLE, A_PSEL,
+       A_BUSBUSY, A_OUTC, A_WOUT, A_WLAT, A_MS, A_SETROLE, A_PSEL,
        A_GT, A_SHADDR, A_SHLEN, A_MONVAL, A_MONMOD, A_COIN, A_PICK, A_RS,
-       A_PEERS, A_DPARAMS, NARR };
+       A_PEERS, A_DPARAMS, A_GTIN, NARR };
 
-enum { RC_DONE = 0, RC_BUDGET = 1, RC_RNG = 2 };
+enum { RC_DONE = 0, RC_BUDGET = 1, RC_RNG = 2, RC_LATCH = 3 };
 
 typedef struct {
     i64 *p, *offs, *t_addr, *t_gap, *t_gapc, *t_write;
@@ -153,15 +166,15 @@ typedef struct {
     i64 *wb_addr, *wb_time, *wb_head, *wb_len, *wb_next;
     i64 *slcnt, *slstamp, *wcnt, *wstamp, *dcnt, *dstamp;
     i64 *bcnt, *bstamp, *rcnt, *rstamp, *stamp;
-    i64 *bank_free, *bus_busy, *out_c, *w_out, *w_lat, *mut, *ms;
-    i64 *set_role, *psel, *gt, *sh_addr, *sh_len, *mon_val, *mon_mod;
+    i64 *bank_free, *bus_busy, *out_c, *w_out, *w_lat, *ms;
+    i64 *set_role, *psel, *gt, *gt_in, *sh_addr, *sh_len, *mon_val, *mon_mod;
     double *coin_buf; i64 *pick_buf, *rs, *peers; double *dparams;
     i64 ncores, kind, imask, assoc, nsets, nper, cshift, cmask;
     i64 l1_lat, lat_local, lat_remote, lat_snug, dram_lat;
     i64 banked, dbank_mask, dbank_busy, contention, snoop_cost, line_cost;
     i64 line_bytes, wb_cap, wb_drain, wb_direct, spill_mode;
     i64 psel_max, psel_msb, mon_max, mon_msb, mon_reset, pthr, mon_group;
-    i64 flip_en, flush_flip, ident_cyc, group_cyc;
+    i64 flip_en, flush_flip, ident_cyc, group_cyc, monitored;
     double spill_p;
 } Ctx;
 
@@ -348,7 +361,7 @@ static int shadow_hit(Ctx *C, i64 c, i64 set, i64 addr) {
 }
 
 /* Insert a line at MRU; returns 1 when a victim was evicted (out-params).
- * Bumps fills/evictions and the membership-epoch accumulator. */
+ * Bumps fills/evictions. */
 static int do_fill(Ctx *C, i64 c, i64 set, i64 addr, i64 meta,
                    i64 *vaddr, i64 *vmeta) {
     i64 idx = c * C->nsets + set;
@@ -366,7 +379,6 @@ static int do_fill(Ctx *C, i64 c, i64 set, i64 addr, i64 meta,
     i64 *sc = C->slcnt + c * NSL, *ss = C->slstamp + c * NSL;
     BUMP(sc, ss, SL_FILLS, 1);
     if (evicted) BUMP(sc, ss, SL_EVICT, 1);
-    C->mut[c] += 1;
     return evicted;
 }
 """
@@ -460,8 +472,9 @@ static void snug_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 si,
     }
 }
 
-/* SNUG IDENTIFY->GROUP latch from the per-set demand counters (the
- * attached-monitor case never reaches the C tier). */
+/* SNUG IDENTIFY->GROUP latch.  Each set's new G/T bit comes from the
+ * per-set demand counter's MSB, or from the gt_in array the wrapper filled
+ * from the attached monitor's latch(). */
 static void latch_gt(Ctx *C) {
     for (i64 c = 0; c < C->ncores; c++) {
         i64 *gt = C->gt + c * C->nsets;
@@ -470,7 +483,8 @@ static void latch_gt(Ctx *C) {
         i64 *sc = C->slcnt + c * NSL, *ss = C->slstamp + c * NSL;
         i64 takers = 0;
         for (i64 s = 0; s < C->nsets; s++) {
-            i64 nt = (mv[s] >> C->mon_msb) & 1;
+            i64 nt = C->monitored ? C->gt_in[c * C->nsets + s]
+                                  : (mv[s] >> C->mon_msb) & 1;
             if (nt && !gt[s] && C->flush_flip) {
                 i64 idx = c * C->nsets + s;
                 i64 base = idx * C->assoc;
@@ -479,7 +493,6 @@ static void latch_gt(Ctx *C) {
                 i64 w = 0;
                 for (i64 j = 0; j < occ; j++) {
                     if (lm[j] & 2) {
-                        C->mut[c] += 1;
                         BUMP(sc, ss, SL_CCFLUSH, 1);
                     } else {
                         la[w] = la[j]; lm[w] = lm[j]; w++;
@@ -496,10 +509,17 @@ static void latch_gt(Ctx *C) {
     }
 }
 
-static void advance_stage(Ctx *C, i64 now) {
+/* Apply the stage transitions `now` has crossed.  Returns 1 when a
+ * monitored latch needs the wrapper's G/T bits first (state is left at
+ * that latch, so re-entry resumes there); 0 when all were applied. */
+static int advance_stage(Ctx *C, i64 now) {
     i64 se = C->ms[MS_STAGE_END];
     while (now >= se) {
         if (C->ms[MS_STAGE] == 0) {
+            if (C->monitored) {
+                if (!C->ms[MS_GT_READY]) return 1;
+                C->ms[MS_GT_READY] = 0;
+            }
             latch_gt(C);
             C->ms[MS_STAGE] = 1;
             se += C->group_cyc;
@@ -511,6 +531,7 @@ static void advance_stage(Ctx *C, i64 now) {
         }
         C->ms[MS_STAGE_END] = se;
     }
+    return 0;
 }
 
 /* Demand fill into cid's slice/bank + scheme-specific victim disposal.
@@ -596,11 +617,11 @@ i64 run_kernel(void **A) {
     C->out_c = (i64 *)A[A_OUTC];
     C->w_out = (i64 *)A[A_WOUT];
     C->w_lat = (i64 *)A[A_WLAT];
-    C->mut = (i64 *)A[A_MUT];
     C->ms = (i64 *)A[A_MS];
     C->set_role = (i64 *)A[A_SETROLE];
     C->psel = (i64 *)A[A_PSEL];
     C->gt = (i64 *)A[A_GT];
+    C->gt_in = (i64 *)A[A_GTIN];
     C->sh_addr = (i64 *)A[A_SHADDR];
     C->sh_len = (i64 *)A[A_SHLEN];
     C->mon_val = (i64 *)A[A_MONVAL];
@@ -646,6 +667,7 @@ i64 run_kernel(void **A) {
     C->flush_flip = C->p[P_FLUSH_FLIP];
     C->ident_cyc = C->p[P_IDENT_CYC];
     C->group_cyc = C->p[P_GROUP_CYC];
+    C->monitored = C->p[P_MONITORED];
     C->spill_p = C->dparams[0];
 
     i64 ncores = C->ncores, kind = C->kind;
@@ -725,7 +747,10 @@ i64 run_kernel(void **A) {
                 }
             }
         } else if (kind == 4) {                /* ---- snug ---- */
-            if (issue >= C->ms[MS_STAGE_END]) advance_stage(C, issue);
+            if (issue >= C->ms[MS_STAGE_END] && advance_stage(C, issue)) {
+                C->ms[MS_EVENTS]--;   /* re-counted when the access resumes */
+                return RC_LATCH;
+            }
             i64 si = addr & C->imask;
             i64 way = find_way(C, cid, si, addr);
             i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
@@ -789,7 +814,6 @@ i64 run_kernel(void **A) {
                         i64 *pc = C->slcnt + fpeer * NSL;
                         i64 *ps = C->slstamp + fpeer * NSL;
                         BUMP(pc, ps, SL_INVAL, 1);
-                        C->mut[fpeer] += 1;
                         BUMP(pc, ps, SL_FWD, 1);
                         i64 delay = bus_transfer(C, issue);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
@@ -831,7 +855,6 @@ i64 run_kernel(void **A) {
                         i64 *pc = C->slcnt + fpeer * NSL;
                         i64 *ps = C->slstamp + fpeer * NSL;
                         BUMP(pc, ps, SL_INVAL, 1);
-                        C->mut[fpeer] += 1;
                         BUMP(pc, ps, SL_FWD, 1);
                         i64 delay = bus_transfer(C, issue);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
@@ -886,25 +909,47 @@ _LIB: Optional[ctypes.CDLL] = None
 _REASON: Optional[str] = None
 _TRIED = False
 
+#: Compiler flags of the kernel build (part of the cache key).
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-Wall", "-Wextra", "-Werror")
 
-def _build(cc: str) -> ctypes.CDLL:
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    root = os.environ.get("REPRO_CKERNEL_DIR") or os.path.join(
+
+def _cache_root() -> str:
+    return os.environ.get("REPRO_CKERNEL_DIR") or os.path.join(
         tempfile.gettempdir(),
         "repro-ckernel-%d" % getattr(os, "getuid", lambda: 0)(),
     )
+
+
+def _so_path(root: str, cc: str) -> str:
+    """Cached library path, keyed on source + flags + resolved compiler, so
+    a build with other flags or another toolchain never collides."""
+    key = "\0".join((_C_SOURCE, " ".join(_CFLAGS), os.path.realpath(cc)))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return os.path.join(root, f"repro_ckernel_{digest}.so")
+
+
+def _build(cc: str) -> ctypes.CDLL:
+    root = _cache_root()
     os.makedirs(root, exist_ok=True)
-    so_path = os.path.join(root, f"repro_ckernel_{digest}.so")
+    so_path = _so_path(root, cc)
     if not os.path.exists(so_path):
-        c_path = os.path.join(root, f"repro_ckernel_{digest}.c")
-        tmp_so = os.path.join(root, f".build-{os.getpid()}.so")
-        with open(c_path, "w") as fh:
-            fh.write(_C_SOURCE)
-        subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path],
-            check=True, capture_output=True,
-        )
-        os.replace(tmp_so, so_path)  # atomic: concurrent builders race safely
+        # Source and output are private to this builder: a concurrent first
+        # build of the same revision writes its own files, never ours, and
+        # the atomic rename lets the builders race safely.
+        fd, c_path = tempfile.mkstemp(prefix=".build-", suffix=".c", dir=root)
+        tmp_so = c_path[:-2] + ".so"
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(_C_SOURCE)
+            subprocess.run(
+                [cc, *_CFLAGS, "-o", tmp_so, c_path],
+                check=True, capture_output=True,
+            )
+            os.replace(tmp_so, so_path)
+        finally:
+            for path in (c_path, tmp_so):
+                if os.path.exists(path):
+                    os.unlink(path)
     lib = ctypes.CDLL(so_path)
     lib.run_kernel.restype = ctypes.c_int64
     lib.run_kernel.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
@@ -926,7 +971,7 @@ def _get_lib() -> Optional[ctypes.CDLL]:
     try:
         _LIB = _build(cc)
     except Exception as exc:  # pragma: no cover - toolchain-dependent
-        _REASON = f"C kernel build failed ({type(exc).__name__})"
+        _REASON = f"build failed ({type(exc).__name__})"
         _LIB = None
     return _LIB
 
@@ -937,7 +982,7 @@ def lib_available() -> bool:
 
 
 def reason() -> Optional[str]:
-    """Why the native tier is unavailable (``None`` when it is available)."""
+    """Why the native library is unavailable (``None`` when it is available)."""
     _get_lib()
     return _REASON
 
@@ -971,30 +1016,57 @@ def _fresh_structural(scheme, caches, kind: int) -> bool:
     return True
 
 
+def decline_reason(system: CmpSystem, kind: int) -> Optional[str]:
+    """Why the kernel cannot run *system* (scheme *kind*), or ``None``."""
+    if _get_lib() is None:
+        return f"C kernel unavailable ({reason()})"
+    ncores = len(system.cores)
+    if ncores > 64:
+        return f"{ncores} cores exceed the C kernel's 64-core limit"
+    if kind >= 2 and ncores < 2:
+        return f"spill scheme {system.scheme.name!r} on a single core"
+    scheme = system.scheme
+    if not _fresh_structural(scheme, scheme.banks if kind == 1 else scheme.slices, kind):
+        return "caches, write buffers or shadow sets already hold state"
+    return None
+
+
+def _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc) -> None:
+    """Hand each core's accesses since the previous hand-off to *monitor*.
+
+    Core ``i`` has stepped ``c_acc[i] - fed_acc[i]`` accesses since then:
+    a contiguous, wrapping slice of its trace starting at ``fed_pos[i]``,
+    handed over in slices of at most :data:`_MONITOR_SLICE` addresses.
+    """
+    c_pos, c_acc = c_pos.tolist(), c_acc.tolist()
+    for i, core in enumerate(cores):
+        count = c_acc[i] - fed_acc[i]
+        pos, n, addrs = fed_pos[i], core._n, core._addrs
+        while count > 0:
+            take = min(_MONITOR_SLICE, n - pos, count)
+            monitor.observe_many(i, addrs[pos:pos + take])
+            count -= take
+            pos = (pos + take) % n
+        fed_pos[i], fed_acc[i] = c_pos[i], c_acc[i]
+
+
 def run_kernel(system: CmpSystem, target: int, warmup: int,
-               max_events: Optional[int], kind: int) -> Optional[SimResult]:
+               max_events: Optional[int], kind: int) -> SimResult:
     """Run one simulation through the native kernel.
 
-    Returns ``None`` when the system is not C-encodable (caller falls back
-    to the interpreted driver).  Raises the budget-exhausted error with the
-    live objects fully merged, exactly like the other cores.
+    The caller has checked :func:`decline_reason`.  Raises the
+    budget-exhausted error with the live objects fully merged, exactly
+    like the other cores.
     """
     lib = _get_lib()
-    if lib is None:
-        return None
     from ..schemes.snug import STAGE_IDENTIFY, STAGE_GROUP  # local: no cycle
 
     scheme = system.scheme
     cores = system.cores
     ncores = len(cores)
     config = system.config
-    if ncores > 64 or (kind >= 2 and ncores < 2):
-        return None
-    if kind == 4 and scheme.monitor is not None:
-        return None  # attached online monitor: interpreted driver handles it
     caches = scheme.banks if kind == 1 else scheme.slices
-    if not _fresh_structural(scheme, caches, kind):
-        return None
+    monitor = scheme.monitor if kind == 4 else None
 
     cshift = (ncores - 1).bit_length()
     cmask = (1 << cshift) - 1
@@ -1095,14 +1167,13 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     out_c = np.zeros(4, dtype=np.int64)
     w_out = np.zeros(ncores * 4, dtype=np.int64)
     w_lat = np.zeros(ncores, dtype=np.int64)
-    mut = np.zeros(ncores, dtype=np.int64)
     ms = np.zeros(_NMS, dtype=np.int64)
     ms[_MS_REMAINING] = ncores
     rs = np.zeros(_NRS, dtype=np.int64)
 
     zi = np.zeros(1, dtype=np.int64)
     zd = np.zeros(1, dtype=np.float64)
-    set_role = psel = gt = sh_addr = sh_len = mon_val = mon_mod = zi
+    set_role = psel = gt = gt_in = sh_addr = sh_len = mon_val = mon_mod = zi
     coin_buf, pick_buf, peers_arr = zd, zi, zi
     dparams = np.zeros(1, dtype=np.float64)
     spill_mode = 0
@@ -1161,6 +1232,9 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
         mon_mod = np.array(
             [mc._mod for m in scheme.meta for mc in m.monitors],
             dtype=np.int64)
+        if monitor is not None:
+            p[_P_MONITORED] = 1
+            gt_in = np.zeros(ncores * num_sets, dtype=np.int64)
     p[_P_NSETS] = num_sets  # needed by every kind for set indexing
 
     arrays: List[np.ndarray] = [zi] * _NARR
@@ -1202,7 +1276,6 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     arrays[_A_OUTC] = out_c
     arrays[_A_WOUT] = w_out
     arrays[_A_WLAT] = w_lat
-    arrays[_A_MUT] = mut
     arrays[_A_MS] = ms
     arrays[_A_SETROLE] = set_role
     arrays[_A_PSEL] = psel
@@ -1216,13 +1289,30 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     arrays[_A_RS] = rs
     arrays[_A_PEERS] = peers_arr
     arrays[_A_DPARAMS] = dparams
+    arrays[_A_GTIN] = gt_in
 
     table = (ctypes.c_void_p * _NARR)()
     for slot, arr in enumerate(arrays):
         table[slot] = arr.ctypes.data
 
+    fed_pos = [core.pos for core in cores]
+    fed_acc = [core.accesses for core in cores]
+    latch_error = None
     while True:
         rc = int(lib.run_kernel(table))
+        if rc == _RC_LATCH:
+            # The monitor sees every access before the crossing one, then
+            # latches; its taker bits replace the counter MSBs in latch_gt.
+            _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc)
+            try:
+                vectors = monitor.latch()
+            except Exception as exc:  # merge the live state, then re-raise
+                latch_error = exc
+                break
+            for i, vec in enumerate(vectors):
+                gt_in[i * num_sets:(i + 1) * num_sets] = np.asarray(vec, dtype=bool)
+            ms[_MS_GT_READY] = 1
+            continue
         if rc != _RC_RNG:
             break
         # Top up the RNG rings, preserving unconsumed (already drawn) values
@@ -1242,6 +1332,9 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
         pick_buf[rem:] = scheme._peer_pick.integers(0, nper, size=_RNG_CAP - rem)
         rs[_RS_PICK_POS] = 0
         rs[_RS_PICK_FILL] = _RNG_CAP
+
+    if monitor is not None:
+        _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc)
 
     # -- merge the SoA state back into the live objects ----------------------
     for i, core in enumerate(cores):
@@ -1270,10 +1363,6 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
                     for j in range(o)
                 ]
                 lruset._addrs = row[:o]
-        if mut[c]:
-            cache.membership_epoch += int(mut[c])
-        cache._bulk_table = None
-        cache._bulk_dirty.clear()
         _merge_stamped(cache._counters, _SL_KEYS,
                        slcnt[c * nsl:(c + 1) * nsl],
                        slstamp[c * nsl:(c + 1) * nsl])
@@ -1317,6 +1406,8 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
                 mc._mod = mm_l[c][s]
         _merge_stamped(scheme.stats.counters, _RT_KEYS, rcnt, rstamp)
 
+    if latch_error is not None:
+        raise latch_error
     if rc == _RC_BUDGET:
         raise budget_exhausted_error(budget, cores, finish_at)
 

@@ -39,7 +39,7 @@ __all__ = ["CmpSystem", "SimResult", "budget_exhausted_error"]
 def budget_exhausted_error(budget: int, cores, finish_at: int) -> SimulationError:
     """The "event budget exhausted" error, with per-core progress attached.
 
-    Shared by the fast and batched cores so a stalled run is diagnosable
+    Shared by every core (reference included) so a stalled run is diagnosable
     from the message alone: which cores are short of the target, by how
     much, and how many times each has wrapped its trace.
     """

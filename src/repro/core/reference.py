@@ -27,7 +27,7 @@ from ..common.errors import SimulationError
 from ..schemes.base import L2Scheme, Outcome
 from ..schemes.factory import make_scheme
 from ..workloads.trace import Trace
-from .cmp import SimResult
+from .cmp import SimResult, budget_exhausted_error
 
 __all__ = [
     "ReferenceTraceCore",
@@ -290,9 +290,8 @@ class ReferenceCmpSystem:
         while remaining and heap:
             events += 1
             if events > budget:
-                raise SimulationError(
-                    f"event budget exhausted ({budget}); "
-                    "a core appears unable to reach its instruction target"
+                raise budget_exhausted_error(
+                    budget, self.cores, warmup_instructions + target_instructions
                 )
             _, cid = heapq.heappop(heap)
             core = self.cores[cid]

@@ -13,6 +13,7 @@ paper's per-combination methodology:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -27,6 +28,7 @@ from ..workloads.trace import Trace
 __all__ = [
     "RunPlan",
     "SIM_CORES",
+    "normalize_sim_core",
     "AUTO_CORE_BY_SCHEME",
     "AUTO_DEFAULT_CORE",
     "resolve_auto_core",
@@ -54,18 +56,38 @@ CC_PROBS_FAST: tuple[float, ...] = (0.0, 0.5, 1.0)
 
 
 #: The selectable simulation cores (see :mod:`repro.core`): ``auto`` picks
-#: the best core *per scheme* from the measured selection table below,
-#: ``fast``, ``batch`` and ``compiled`` name the three production loops,
-#: ``reference`` the seed loop every other core is held bit-identical to.
-SIM_CORES: tuple[str, ...] = ("auto", "fast", "batch", "compiled", "reference")
+#: the core *per scheme* from the selection table below, ``compiled`` is
+#: the native C kernel (falling back to the fast loop for systems it
+#: declines), ``fast`` the scalar Python loop, ``reference`` the seed loop
+#: every other core is held bit-identical to.
+SIM_CORES: tuple[str, ...] = ("auto", "fast", "compiled", "reference")
+
+#: Whether the deprecated ``batch`` alias has warned in this process.
+_deprecation_warned = False
+
+
+def normalize_sim_core(name: str) -> str:
+    """*name*, with the removed ``batch`` core mapped to ``auto`` for one
+    release (warning once per process)."""
+    global _deprecation_warned
+    if name != "batch":
+        return name
+    if not _deprecation_warned:
+        _deprecation_warned = True
+        warnings.warn(
+            f"sim_core {name!r} is deprecated and runs as 'auto' "
+            "(bit-identical); it will be rejected in a future release",
+            FutureWarning,
+            stacklevel=3,
+        )
+    return "auto"
+
 
 #: Measured per-scheme core selection for ``sim_core="auto"`` (geomean over
-#: the paper's miss-heavy mixes, BENCH_sim_speed.json).  The compiled SoA
+#: the paper's miss-heavy mixes, BENCH_sim_speed.json).  The compiled
 #: kernels win by ~10-15x for every scheme they cover; ``snug_intra`` has no
-#: compiled kernel (its intra-set semantics dispatch through the generic
-#: loop) and the batched core *regresses* it on these mixes (0.60x for l2s
-#: before the compiled core existed), so anything without a kernel resolves
-#: to the fast scalar loop — never to ``batch``.
+#: kernel (its intra-set semantics dispatch through the generic loop), so
+#: anything without a kernel resolves to the fast scalar loop.
 AUTO_CORE_BY_SCHEME: dict[str, str] = {
     "l2p": "compiled",
     "l2s": "compiled",
@@ -92,8 +114,9 @@ class RunPlan:
     lives on the plan (not the CLI or backend) so it ships to every
     execution backend's workers with the rest of the run sizing.
 
-    ``sim_core`` selects the stepping loop (one of :data:`SIM_CORES`).  All
-    cores are bit-identical at the :class:`~repro.core.cmp.SimResult` level
+    ``sim_core`` selects the stepping loop (one of :data:`SIM_CORES`; the
+    removed ``batch`` core is accepted as a deprecated alias of ``auto``).
+    All cores are bit-identical at the :class:`~repro.core.cmp.SimResult` level
     (the conformance contract), so the choice never changes results — it
     lives on the plan only so it ships to every backend's workers, and is
     excluded from the scenario content hash and the store manifest.
@@ -119,6 +142,7 @@ class RunPlan:
             raise ValueError("run plan sizes must be positive")
         if self.warmup_instructions < 0:
             raise ValueError("warmup must be non-negative")
+        object.__setattr__(self, "sim_core", normalize_sim_core(self.sim_core))
         if self.sim_core not in SIM_CORES:
             raise ValueError(
                 f"sim_core must be one of {', '.join(SIM_CORES)}; "
@@ -153,10 +177,11 @@ def make_system(sim_core: str, config: SystemConfig, scheme, traces) -> CmpSyste
     """Instantiate the requested stepping loop over *scheme* and *traces*.
 
     ``auto`` resolves per scheme through :func:`resolve_auto_core`: the
-    compiled SoA kernels for the five schemes they cover, the fast scalar
-    loop for everything else.  The non-default cores are imported lazily so
-    the common path never pays for them.
+    compiled kernel for the five schemes it covers, the fast scalar loop
+    for everything else.  The non-default cores are imported lazily so the
+    common path never pays for them.
     """
+    sim_core = normalize_sim_core(sim_core)
     if sim_core == "auto":
         sim_core = resolve_auto_core(getattr(scheme, "name", ""))
     if sim_core == "fast":
@@ -165,10 +190,6 @@ def make_system(sim_core: str, config: SystemConfig, scheme, traces) -> CmpSyste
         from ..core.compiled import CompiledCmpSystem
 
         return CompiledCmpSystem(config, scheme, traces)
-    if sim_core == "batch":
-        from ..core.batch import BatchCmpSystem
-
-        return BatchCmpSystem(config, scheme, traces)
     if sim_core == "reference":
         from ..core.reference import ReferenceCmpSystem
 

@@ -54,38 +54,10 @@ class SnoopBus:
             counters["queue_cycles"] += delay
         return delay
 
-    def busy_horizon(self) -> int:
-        """Next time the bus is free (0 = idle since reset).
-
-        The batched core's occupancy invariant: a quiescent run of local
-        hits never occupies the bus, so this horizon must be unchanged
-        across any bulk commit.  Only meaningful under ``model_contention``;
-        without it the bus never queues and the horizon stays 0.
-        """
-        return self._busy_until
-
     def snoop(self, now: int) -> int:
         """Broadcast an address-only transaction (retrieval/spill request)."""
         self._counters["snoops"] += 1
         return self._occupy(now, ADDRESS_BYTES)
-
-    def snoop_many(self, count: int) -> None:
-        """Account *count* address-only snoops at once (bulk fast path).
-
-        Only valid without ``model_contention`` (the caller guarantees it):
-        contention-free snoops are pure counter bumps, so folding *count* of
-        them is observably identical to *count* :meth:`snoop` calls, each of
-        which would have returned 0 delay.
-        """
-        cost = self._cost_cache.get(ADDRESS_BYTES)
-        if cost is None:
-            cost = self._cost_cache[ADDRESS_BYTES] = self.config.transfer_cycles(
-                ADDRESS_BYTES
-            )
-        counters = self._counters
-        counters["snoops"] += count
-        counters["busy_cycles"] += count * cost
-        counters["bytes"] += count * ADDRESS_BYTES
 
     def transfer(self, now: int, nbytes: int) -> int:
         """Move a data payload (cache line) across the bus."""

@@ -96,16 +96,6 @@ class WriteBackBuffer:
             return True
         return False
 
-    def busy_horizon(self) -> int:
-        """Time the buffer next changes state on its own (0 when empty).
-
-        Occupancy probe for the batched core's quiescent-run invariant:
-        local hits neither deposit nor recall entries, so the horizon must
-        be unchanged across a bulk commit (drains are applied lazily by the
-        next deposit/try_read, so pending drains don't mutate state here).
-        """
-        return self._next_drain_at if self._entries else 0
-
     def reset(self) -> None:
         self._entries.clear()
         self._next_drain_at = 0

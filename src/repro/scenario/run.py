@@ -98,7 +98,7 @@ class EngineOptions:
     #: onto the engine path.
     secret: str | None = None
     #: ``--sim-core``: override the plan's stepping loop (``auto``/``fast``/
-    #: ``batch``/``reference``).  Bit-identical by contract, so it neither
+    #: ``compiled``/``reference``).  Bit-identical by contract, so it neither
     #: flips :attr:`engine_requested` nor perturbs the scenario's content
     #: hash — a store written under one core resumes under any other.
     sim_core: str | None = None

@@ -22,9 +22,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from ..cache.block import CacheLine
 from ..cache.cache import SetAssocCache
@@ -35,74 +33,7 @@ from ..interconnect.bus import SnoopBus
 from ..mem.dram import Dram
 from ..mem.writebuffer import WriteBackBuffer
 
-__all__ = ["Outcome", "AccessResult", "L2Scheme", "PrivateL2Base", "bulk_touch_sets"]
-
-
-def bulk_touch_sets(cache: SetAssocCache, addrs: np.ndarray, writes: np.ndarray) -> None:
-    """Recency-commit a run of local hits against *cache* in one pass.
-
-    The final per-set state is exactly what ``len(addrs)`` sequential
-    ``touch()`` calls (plus dirty-bit ORs) would leave: every touched line
-    ends up above every untouched line, touched lines ordered by *last*
-    touch (most recent first), untouched lines keeping their relative
-    order.  Membership is unchanged, so the cache's bulk table and
-    ``membership_epoch`` are deliberately left alone.  Cost is
-    O(unique addrs + touched-set sizes), independent of run length.
-    """
-    is_list = type(addrs) is list
-    n = len(addrs)
-    if n <= 24:
-        # Short runs (the common case at miss-heavy phases): sequential
-        # touches are the definition of the semantics and beat the NumPy
-        # fixed costs below by more than an order of magnitude.  Residency
-        # is pre-verified by the caller's locality scan, so the touch body
-        # is inlined without the membership test; an MRU re-touch of a
-        # clean read moves nothing and costs a single C-level index().
-        mask = cache._index_mask
-        sets = cache.sets
-        alist = addrs if is_list else addrs.tolist()
-        wlist = writes if is_list else writes.tolist()
-        for a, w in zip(alist, wlist):
-            lruset = sets[a & mask]
-            saddrs = lruset._addrs
-            i = saddrs.index(a)
-            if i:
-                lines = lruset._lines
-                line = lines[i]
-                del lines[i]
-                lines.insert(0, line)
-                del saddrs[i]
-                saddrs.insert(0, a)
-                if w:
-                    line.dirty = True
-            elif w:
-                lruset._lines[0].dirty = True
-        return
-    if is_list:
-        addrs = np.asarray(addrs, dtype=np.int64)
-        writes = np.asarray(writes, dtype=bool)
-    rev = addrs[::-1]
-    uniq, first_in_rev = np.unique(rev, return_index=True)
-    mru = uniq[np.argsort(first_in_rev)]  # most recently touched first
-    dirty = set(np.unique(addrs[writes]).tolist()) if writes.any() else ()
-    mask = cache._index_mask
-    by_set: Dict[int, List[int]] = {}
-    for a in mru.tolist():
-        by_set.setdefault(a & mask, []).append(a)
-    for idx, touched in by_set.items():
-        lruset = cache.sets[idx]
-        old_addrs = lruset._addrs
-        line_at = dict(zip(old_addrs, lruset._lines))
-        touched_here = set(touched)
-        new_lines = [line_at[a] for a in touched]
-        new_lines += [
-            line for a, line in zip(old_addrs, lruset._lines) if a not in touched_here
-        ]
-        lruset._lines = new_lines
-        lruset._addrs = [line.addr for line in new_lines]
-        for a in touched:
-            if a in dirty:
-                line_at[a].dirty = True
+__all__ = ["Outcome", "AccessResult", "L2Scheme", "PrivateL2Base"]
 
 
 class Outcome(enum.Enum):
@@ -190,149 +121,6 @@ class L2Scheme(ABC):
     def flat_stats(self) -> dict:
         """All counters of the scheme, flattened."""
         return self.stats.flatten()
-
-    # -- bulk-access protocol (batched simulation core) ---------------------
-    #
-    # The batched core (:mod:`repro.core.batch`) advances a core's
-    # locally-resolvable accesses — fixed-latency local hits — in bulk
-    # between interaction points, falling back to scalar :meth:`access` at
-    # the first access that is not provably local.  A scheme opts in by
-    # setting ``bulk_supported`` and implementing the primitives below;
-    # :meth:`bulk_local` composes them into the one-call fast path.  The
-    # contract is bit-identicality: committing k accesses in bulk must leave
-    # the scheme in exactly the state k scalar ``access()`` calls (each a
-    # local hit) would have.
-
-    #: Whether this scheme implements the bulk-local fast path.
-    bulk_supported: bool = False
-
-    #: If True, bulk-consumable accesses of *different* cores do not commute
-    #: (they touch shared recency state) and must be committed in global
-    #: ``(issue_time, core_id)`` order via :meth:`bulk_commit_interleaved`.
-    #: If False, per-core :meth:`bulk_commit` calls in any core order are
-    #: equivalent (each touches only core-private state plus commutative
-    #: counters).
-    bulk_ordered: bool = False
-
-    #: If True, a scalar access by one core may mutate membership state that
-    #: another core's locality scan depends on (peer spills, shared banks,
-    #: epoch flushes).  The batched core then re-probes every core's
-    #: ``bulk_state_epoch`` after each scalar access.  If False, a core's
-    #: scalar accesses touch only its own slice, so only that core's scan
-    #: can go stale — and only when the access actually changed membership
-    #: (any outcome other than a plain local hit).
-    bulk_cross_core_mutation: bool = True
-
-    #: Whether :meth:`bulk_horizon` can return a finite value (SNUG's stage
-    #: boundary).  False lets the batched core skip the per-phase call.
-    bulk_has_horizon: bool = False
-
-    def bulk_hit_latency(self) -> int:
-        """Fixed below-L1 latency of every bulk-consumable access."""
-        raise NotImplementedError
-
-    def bulk_profile(
-        self, core: int, addrs: np.ndarray
-    ) -> Tuple[np.ndarray, Tuple[Tuple[str, int], ...], Optional[np.ndarray]]:
-        """Static per-access (latency, outcome) profile of *potential* bulk hits.
-
-        Returns ``(latencies, classes, class_ids)`` where ``classes`` is a
-        tuple of ``(outcome_key, latency)`` pairs and ``class_ids`` maps each
-        access to its class index (``None`` means every access is class 0).
-        The profile must be a pure function of ``(core, addr)`` — independent
-        of time and cache state — so the batched core can precompute it per
-        trace position.  It describes what each access *would* cost if it is
-        bulk-consumable; whether it is consumable is a separate question
-        answered by :meth:`bulk_local_mask`.
-        """
-        latency = self.bulk_hit_latency()
-        return (
-            np.full(len(addrs), latency, dtype=np.int64),
-            ((Outcome.LOCAL_HIT.value, latency),),
-            None,
-        )
-
-    def bulk_horizon(self) -> Optional[int]:
-        """Exclusive issue-time bound on bulk consumption, or ``None``.
-
-        Accesses issuing at or after the horizon may trigger scheme-global
-        transitions (SNUG stage latches) and must go through scalar
-        ``access()`` so the transition fires at the exact reference point.
-        """
-        return None
-
-    def bulk_state_epoch(self, core: int) -> int:
-        """Monotone counter invalidating cached locality masks for *core*.
-
-        Any membership change in the state consulted by
-        :meth:`bulk_local_mask` (fills, invalidations, flushes) bumps it;
-        recency-only updates do not.
-        """
-        raise NotImplementedError
-
-    def bulk_local_mask(self, core: int, addrs: np.ndarray) -> np.ndarray:
-        """Boolean vector: which of *addrs* would hit locally right now.
-
-        A pure function of current membership, so it stays valid while
-        ``bulk_state_epoch(core)`` is unchanged — but only the *prefix* up
-        to the first ``False`` (further trimmed by the caller's interaction
-        points) may actually be consumed.
-        """
-        raise NotImplementedError
-
-    def bulk_is_local(self, core: int, addr: int) -> bool:
-        """Scalar twin of :meth:`bulk_local_mask` for one address.
-
-        Cheaper than a one-element mask when extending a locality scan by a
-        few positions; must agree with the mask exactly.
-        """
-        raise NotImplementedError
-
-    def bulk_commit(self, core: int, addrs: np.ndarray, writes: np.ndarray) -> None:
-        """Apply a run of local hits: recency, dirty bits, stats, monitors."""
-        raise NotImplementedError
-
-    def bulk_commit_interleaved(
-        self, cids: Sequence[int], addrs: Sequence[int], writes: Sequence[bool]
-    ) -> None:
-        """Commit hits of *several* cores merged in global issue order.
-
-        Only meaningful for ``bulk_ordered`` schemes; the sequences (plain
-        python lists on the hot path — runs are usually short) hold one
-        entry per access, already sorted by ``(issue_time, core_id)``.
-        """
-        raise NotImplementedError
-
-    def bulk_local(
-        self, core: int, addrs: np.ndarray, writes: np.ndarray, start_time: int
-    ) -> Tuple[int, np.ndarray, Sequence[Outcome]]:
-        """Consume the locally-resolvable prefix of ``(addrs, writes)``.
-
-        Returns ``(n_consumed, latencies, outcomes)``; the first
-        non-local access (index ``n_consumed``) is where the caller falls
-        back to scalar :meth:`access`.  *start_time* is the issue time of
-        ``addrs[0]``; callers that advance time across the run must also
-        enforce :meth:`bulk_horizon` on every consumed access's issue time
-        (the batched core does).
-        """
-        if not self.bulk_supported or len(addrs) == 0:
-            return 0, np.empty(0, dtype=np.int64), []
-        horizon = self.bulk_horizon()
-        if horizon is not None and start_time >= horizon:
-            return 0, np.empty(0, dtype=np.int64), []
-        mask = self.bulk_local_mask(core, addrs)
-        blocked = np.flatnonzero(~mask)
-        n = int(blocked[0]) if blocked.size else len(addrs)
-        if n == 0:
-            return 0, np.empty(0, dtype=np.int64), []
-        self.bulk_commit(core, addrs[:n], writes[:n])
-        latencies, classes, class_ids = self.bulk_profile(core, addrs[:n])
-        members = [Outcome(key) for key, _ in classes]
-        if class_ids is None:
-            outcomes: Sequence[Outcome] = [members[0]] * n
-        else:
-            outcomes = [members[i] for i in class_ids.tolist()]
-        return n, latencies, outcomes
 
 
 class PrivateL2Base(L2Scheme):
@@ -429,36 +217,6 @@ class PrivateL2Base(L2Scheme):
 
     def _on_local_hit(self, core: int, block_addr: int, now: int) -> None:
         """Hook for demand monitors (SNUG) — default: nothing."""
-
-    # -- bulk-access protocol ------------------------------------------------
-
-    bulk_supported = True
-
-    def bulk_hit_latency(self) -> int:
-        return self._local_hit_result.latency
-
-    def bulk_state_epoch(self, core: int) -> int:
-        return self.slices[core].membership_epoch
-
-    def bulk_is_local(self, core: int, addr: int) -> bool:
-        return addr in self.slices[core].sets[addr & self._set_mask]._addrs
-
-    def bulk_local_mask(self, core: int, addrs: np.ndarray) -> np.ndarray:
-        """Local hits are exactly the addrs resident in the core's own slice
-        at their home index — hosted-elsewhere copies (peer slices, flipped
-        sets) miss this probe and correctly fall to the scalar path."""
-        table = self.slices[core].membership_table()
-        rows = table[addrs & self._set_mask]
-        return (rows == addrs[:, None]).any(axis=1)
-
-    def bulk_commit(self, core: int, addrs: np.ndarray, writes: np.ndarray) -> None:
-        cache = self.slices[core]
-        cache._counters["hits"] += len(addrs)
-        bulk_touch_sets(cache, addrs, writes)
-        self._on_bulk_local_hits(core, addrs)
-
-    def _on_bulk_local_hits(self, core: int, addrs: np.ndarray) -> None:
-        """Bulk twin of :meth:`_on_local_hit` — default: nothing."""
 
     def total_resident(self, block_addr: int) -> int:
         """How many slices hold *block_addr* (invariant: <= 1)."""

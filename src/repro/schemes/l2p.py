@@ -17,9 +17,6 @@ class PrivateL2(PrivateL2Base):
     """Strictly private per-core L2 slices."""
 
     name = "l2p"
-    # No spilling, no shared banks: a core's accesses never touch another
-    # core's slice, so cross-core scan invalidation is unnecessary.
-    bulk_cross_core_mutation = False
 
     def __init__(self, config: SystemConfig) -> None:
         super().__init__(config)

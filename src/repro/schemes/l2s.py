@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from ..cache.block import CacheLine
 from ..cache.cache import SetAssocCache
 from ..common.bitops import log2_exact
 from ..common.config import SystemConfig
 from ..mem.writebuffer import WriteBackBuffer
-from .base import AccessResult, L2Scheme, Outcome, bulk_touch_sets
+from .base import AccessResult, L2Scheme, Outcome
 
 __all__ = ["SharedL2"]
 
@@ -47,11 +45,6 @@ class SharedL2(L2Scheme):
         self._bank_stats = [self.stats.child(f"bank_{i}") for i in range(n)]
         lat = config.latency
         self._lat_local, self._lat_remote = lat.l2_local, lat.l2_remote
-        self._bank_mask = n - 1
-        # Remote-hit bulking folds snoops into counter bumps; with a
-        # contention-modelled bus each snoop occupies it, so fall back to
-        # scalar stepping (correctness over speed for the ablation benches).
-        self.bulk_supported = not config.bus.model_contention
         # Hits carry a fixed latency per locality; share the frozen results.
         self._local_hit = AccessResult(lat.l2_local, Outcome.LOCAL_HIT)
         self._remote_hit = AccessResult(lat.l2_remote, Outcome.REMOTE_HIT)
@@ -85,110 +78,6 @@ class SharedL2(L2Scheme):
         stall = self._fill(bank, local_addr, dirty=is_write, owner=core, now=now)
         self._bank_stats[bank].add("dram_fetches")
         return self._mem_result(base + latency + stall)
-
-    # -- bulk-access protocol ------------------------------------------------
-    #
-    # Every *hit* — own-bank or remote — is bulk-consumable: hit latencies
-    # are a pure function of bank routing (10 local / 30 remote) and, with
-    # the default contention-free bus, a remote hit's snoop is a pure
-    # counter bump.  What does NOT commute across cores is recency in the
-    # shared banks, so the scheme declares ``bulk_ordered`` and commits via
-    # :meth:`bulk_commit_interleaved` with all cores' runs merged in global
-    # ``(issue_time, core_id)`` order — per bank, the ordered subsequence of
-    # touches is exactly what the scalar loop would apply.  Under
-    # ``model_contention`` the snoop occupies the bus, so bulking is
-    # disabled entirely and the batched core degenerates to scalar stepping.
-
-    bulk_ordered = True
-
-    def bulk_hit_latency(self) -> int:
-        return self._lat_local
-
-    def bulk_profile(self, core, addrs):
-        own = (addrs & self._bank_mask) == core
-        latencies = np.where(own, self._lat_local, self._lat_remote).astype(np.int64)
-        classes = (
-            (Outcome.LOCAL_HIT.value, self._lat_local),
-            (Outcome.REMOTE_HIT.value, self._lat_remote),
-        )
-        return latencies, classes, (~own).astype(np.int8)
-
-    def bulk_horizon(self):
-        return None
-
-    def bulk_state_epoch(self, core: int) -> int:
-        # Consumability consults *every* bank (a core may hit any of them),
-        # so any bank's membership change must invalidate cached masks.
-        return sum(bank.membership_epoch for bank in self.banks)
-
-    def bulk_is_local(self, core: int, addr: int) -> bool:
-        bank = self.banks[addr & self._bank_mask]
-        local_addr = addr >> self._bank_bits
-        return local_addr in bank.sets[local_addr & bank._index_mask]._addrs
-
-    def bulk_local_mask(self, core: int, addrs: np.ndarray) -> np.ndarray:
-        bank_idx = addrs & self._bank_mask
-        local_addrs = addrs >> self._bank_bits
-        out = np.empty(len(addrs), dtype=bool)
-        for b in range(self.num_banks):
-            sel = bank_idx == b
-            if sel.any():
-                bank = self.banks[b]
-                rows = bank.membership_table()[local_addrs[sel] & bank._index_mask]
-                out[sel] = (rows == local_addrs[sel][:, None]).any(axis=1)
-        return out
-
-    def bulk_commit(self, core: int, addrs, writes) -> None:
-        # A single core's run is trivially in global order already.
-        if type(addrs) is not list:
-            addrs = addrs.tolist()
-            writes = writes.tolist()
-        self.bulk_commit_interleaved([core] * len(addrs), addrs, writes)
-
-    def bulk_commit_interleaved(self, cids, addrs, writes) -> None:
-        # Accepts plain python lists: runs are typically a handful of hits
-        # between misses, where the scalar loop beats any vectorized plan.
-        bank_mask = self._bank_mask
-        bank_bits = self._bank_bits
-        banks = self.banks
-        n_remote = 0
-        if len(addrs) <= 48:
-            for j, a in enumerate(addrs):
-                b = a & bank_mask
-                if b != cids[j]:
-                    n_remote += 1
-                bank = banks[b]
-                la = a >> bank_bits
-                bank._counters["hits"] += 1
-                lruset = bank.sets[la & bank._index_mask]
-                saddrs = lruset._addrs
-                i = saddrs.index(la)
-                if i:
-                    lines = lruset._lines
-                    line = lines[i]
-                    del lines[i]
-                    lines.insert(0, line)
-                    del saddrs[i]
-                    saddrs.insert(0, la)
-                    if writes[j]:
-                        line.dirty = True
-                elif writes[j]:
-                    lruset._lines[0].dirty = True
-        else:
-            addrs_np = np.asarray(addrs, dtype=np.int64)
-            bank_idx = addrs_np & bank_mask
-            local_addrs = addrs_np >> bank_bits
-            writes_np = np.asarray(writes, dtype=bool)
-            n_remote = int((bank_idx != np.asarray(cids, dtype=np.int64)).sum())
-            for b in range(self.num_banks):
-                sel = bank_idx == b
-                count = int(sel.sum())
-                if count:
-                    bank = banks[b]
-                    bank._counters["hits"] += count
-                    bulk_touch_sets(bank, local_addrs[sel], writes_np[sel])
-        if n_remote:
-            self.bus.snoop_many(n_remote)
 
     def _fill(self, bank: int, local_addr: int, *, dirty: bool, owner: int, now: int) -> int:
         victim = self.banks[bank].fill(CacheLine(addr=local_addr, dirty=dirty, owner=owner))

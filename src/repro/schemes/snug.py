@@ -172,7 +172,7 @@ class OnlineDemandMonitor:
             self._flush(core)
 
     def observe_many(self, core: int, block_addrs) -> None:
-        """Record a run of L2 references in one call (batched core).
+        """Record a run of L2 references in one call (compiled core).
 
         Equivalent to calling :meth:`observe` per address: the streaming
         profiler is chunk-boundary-invariant, so flushing a larger buffer
@@ -273,8 +273,10 @@ class SnugCache(PrivateL2Base):
         """Drive G/T classification from *monitor* instead of the counters.
 
         *monitor* must provide ``observe(core, block_addr)`` (called for
-        every L2 reference) and ``latch() -> per-core taker vectors``
-        (called at each Stage-I boundary).  The hardware shadow sets and
+        every L2 reference), its batched twin ``observe_many(core,
+        block_addrs)`` (the compiled core hands over each core's references
+        in runs) and ``latch() -> per-core taker vectors`` (called at each
+        Stage-I boundary).  The hardware shadow sets and
         saturating counters keep running — their statistics stay comparable
         — but their MSBs no longer decide the G/T bits.  Returns ``self``
         so a scheme can be built and monitored in one expression.
@@ -352,45 +354,6 @@ class SnugCache(PrivateL2Base):
     def _on_local_hit(self, core: int, block_addr: int, now: int) -> None:
         if self.stage == STAGE_IDENTIFY or self.snug_cfg.monitor_during_group:
             self.meta[core].monitors[block_addr & self._set_mask].on_real_hit()
-
-    # -- bulk-access protocol ------------------------------------------------
-    #
-    # Local hits never touch shadows, G/T bits or spilling, so the generic
-    # private-slice bulk path applies — with two SNUG-specific additions:
-    # the stage boundary is an interaction point (the latch must fire from
-    # a scalar access at the exact reference time, so bulk consumption stops
-    # at ``_stage_end``), and hits feed the demand machinery (attached
-    # monitor observation + per-set mod-p real-hit ticks).
-
-    bulk_has_horizon = True
-
-    def bulk_horizon(self) -> Optional[int]:
-        return self._stage_end
-
-    def bulk_commit(self, core: int, addrs: np.ndarray, writes: np.ndarray) -> None:
-        # Mirrors the scalar ordering: _begin_access observes every
-        # reference before the hit is processed and counted.
-        if self.monitor is not None:
-            self.monitor.observe_many(core, addrs)
-        super().bulk_commit(core, addrs, writes)
-
-    def _on_bulk_local_hits(self, core: int, addrs: np.ndarray) -> None:
-        # The monitoring gate depends only on the stage, which cannot change
-        # inside a horizon-bounded run; per-set counters see only their own
-        # hit count, so the per-access ticks fold into one call per set.
-        if self.stage == STAGE_IDENTIFY or self.snug_cfg.monitor_during_group:
-            monitors = self.meta[core].monitors
-            if len(addrs) <= 24:
-                mask = self._set_mask
-                alist = addrs if type(addrs) is list else addrs.tolist()
-                for a in alist:
-                    monitors[a & mask].on_real_hit()
-                return
-            sets, counts = np.unique(
-                np.asarray(addrs) & self._set_mask, return_counts=True
-            )
-            for set_index, hits in zip(sets.tolist(), counts.tolist()):
-                monitors[set_index].on_real_hits(hits)
 
     def access(self, core: int, block_addr: int, is_write: bool, now: int) -> AccessResult:
         self._begin_access(core, block_addr, now)

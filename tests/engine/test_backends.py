@@ -10,8 +10,8 @@ factory here.
 
 ``REPRO_SIM_CORE`` (default ``auto``) forces every plan in this file onto
 one stepping loop — CI's backend-conformance matrix re-runs the suite with
-``batch`` and ``reference``, holding each loop to the same byte-identical
-merge contract on every backend.
+``reference`` and ``compiled`` (with and without the native kernel), holding
+each loop to the same byte-identical merge contract on every backend.
 """
 
 from __future__ import annotations

@@ -1,34 +1,28 @@
-"""Non-reference-core conformance: bit-identical to the seed on every path.
+"""Production-core conformance: bit-identical to the seed on every path.
 
-The batched core (:mod:`repro.core.batch`) advances locally-resolvable
-accesses in bulk and falls back to scalar stepping at exactly the first
-non-local access; the compiled core (:mod:`repro.core.compiled`) keeps all
-cache state in flat SoA containers and steps whole runs through per-scheme
-kernels.  Both must match the seed loop kept in :mod:`repro.core.reference`
-term for term.  This suite holds that contract at the
-``SimResult.to_dict()`` level — full dict equality, floats with ``==`` —
-across all six schemes, and on the edge paths where the fast paths degrade
-or interact with other subsystems:
+The compiled core (:mod:`repro.core.compiled`) steps whole runs through the
+native C kernel, and the fast loop (:class:`~repro.core.cmp.CmpSystem`)
+serves every system the kernel declines.  Both must match the seed loop
+kept in :mod:`repro.core.reference` term for term.  This suite holds that
+contract at the ``SimResult.to_dict()`` level — full dict equality, floats
+with ``==`` — across all six schemes, and on the edge paths where the
+kernel interacts with other subsystems:
 
-* ``l2s`` under a contention-modelled bus (the batched core must
-  degenerate to scalar stepping, the compiled kernels model the bus
-  occupancy in-kernel — both still bit-identical);
-* ``cc`` under contention + banked DRAM with ``check_invariants=True``
-  on the batched side (the occupancy models must be untouched by bulk
-  consumption);
-* ``snug`` with an attached :class:`OnlineDemandMonitor` (the observed
-  reference stream must be the same stream, latch for latch; the
-  compiled core falls back to its interpreted driver here);
+* ``l2s`` under a contention-modelled bus and ``cc`` under contention +
+  banked DRAM (occupancy modelled in-kernel);
+* ``snug`` with an attached :class:`OnlineDemandMonitor` (the kernel stops
+  at every Stage-I latch and hands the observed streams to the monitor:
+  same stream, latch for latch, demand vector for demand vector);
 * the budget-exhausted :class:`SimulationError` (same enriched per-core
-  progress message from every production loop);
-* CLI stores written under ``--sim-core batch`` / ``--sim-core compiled``
-  vs ``--sim-core reference`` (byte-identical records, same manifest —
-  the store-level face of the contract).
+  progress message from every loop, the reference included);
+* CLI stores written under ``--sim-core compiled`` and under the
+  deprecated ``--sim-core batch`` alias vs ``--sim-core reference``
+  (byte-identical records, same manifest — the store-level face of the
+  contract).
 
-The compiled core's kernel *tiers* (Numba JIT / native C / interpreted) are
-each bit-identical as well; the interpreted tier is pinned by
-``TestInterpretedFallback`` via subprocesses with the ``REPRO_NO_NUMBA`` /
-``REPRO_NO_CKERNEL`` knobs set.
+``TestInterpretedFallback`` pins the no-library path: with
+``REPRO_NO_CKERNEL=1`` the kernel schemes run on the interpreted fast loop,
+bit-identically, with one notice on stderr.
 """
 
 import dataclasses
@@ -41,18 +35,18 @@ import pytest
 
 from repro.common.config import scaled_config
 from repro.common.errors import SimulationError
-from repro.core.batch import BatchCmpSystem
 from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem
+from repro.experiments import runner
 from repro.schemes.factory import SCHEMES, make_scheme
 from repro.workloads.mixes import build_mix_traces, get_mix
 
 ALL_SCHEMES = sorted(SCHEMES)
 
-#: The production loops held to the conformance contract (the fast scalar
-#: loop rides along in the all-scheme sweep below).
-PRODUCTION_CORES = [BatchCmpSystem, CompiledCmpSystem]
+#: The production loop held to the conformance contract on the edge paths
+#: (the fast scalar loop rides along in the all-scheme sweep below).
+PRODUCTION_CORES = [CompiledCmpSystem]
 
 
 def build(config_mut=None, *, scale="tiny", n_accesses=3_000):
@@ -71,15 +65,17 @@ def run_core(core_cls, cfg, scheme_name, traces, target, warmup, **core_kwargs):
 
 class TestSchemeEquivalence:
     @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
-    def test_batch_matches_reference_tiny(self, scheme_name):
+    def test_batch_matches_reference_tiny(self, scheme_name, monkeypatch):
+        # "batch" names the removed batched core; for one round it is a
+        # deprecated alias of auto, which must warn and stay bit-identical.
         cfg, traces = build()
         ref = run_core(ReferenceCmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
-        # check_invariants asserts around every bulk commit that the
-        # occupancy models (bus, DRAM, write buffers) were not advanced.
-        batch = run_core(
-            BatchCmpSystem, cfg, scheme_name, traces, 30_000, 5_000,
-            check_invariants=True,
-        )
+        monkeypatch.setattr(runner, "_deprecation_warned", False)
+        with pytest.warns(FutureWarning, match="deprecated"):
+            system = runner.make_system(
+                "batch", cfg, make_scheme(scheme_name, cfg), list(traces)
+            )
+        batch = system.run(30_000, warmup_instructions=5_000).to_dict()
         fast = run_core(CmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
         compiled = run_core(
             CompiledCmpSystem, cfg, scheme_name, traces, 30_000, 5_000
@@ -91,10 +87,8 @@ class TestSchemeEquivalence:
     @pytest.mark.parametrize("core_cls", PRODUCTION_CORES)
     @pytest.mark.parametrize("scheme_name", ["l2s", "snug"])
     def test_matches_reference_small(self, core_cls, scheme_name):
-        # Small scale exercises deeper runs (longer quiescent stretches,
-        # more wraps); l2s covers the ordered-merge commit and the compiled
-        # bank-routed probe, snug the stage-horizon clamping and the
-        # compiled stage/shadow/latch machinery.
+        # Small scale exercises deeper runs (more wraps); l2s covers the
+        # bank-routed probe, snug the stage/shadow/latch machinery.
         cfg, traces = build(scale="small", n_accesses=4_000)
         ref = run_core(ReferenceCmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
         out = run_core(core_cls, cfg, scheme_name, traces, 30_000, 5_000)
@@ -109,7 +103,6 @@ class TestEdgePaths:
                 c, bus=dataclasses.replace(c.bus, model_contention=True)
             )
         )
-        assert not make_scheme("l2s", cfg).bulk_supported
         ref = run_core(ReferenceCmpSystem, cfg, "l2s", traces, 20_000, 2_000)
         out = run_core(core_cls, cfg, "l2s", traces, 20_000, 2_000)
         assert out == ref
@@ -123,30 +116,40 @@ class TestEdgePaths:
                 dram=dataclasses.replace(c.dram, model_banks=True),
             )
         )
-        # check_invariants asserts around every bulk commit that the
-        # occupancy models (bus, DRAM, write buffers) were not advanced;
-        # the compiled core has no bulk commits to instrument.
-        kwargs = {"check_invariants": True} if core_cls is BatchCmpSystem else {}
         ref = run_core(ReferenceCmpSystem, cfg, "cc", traces, 20_000, 2_000)
-        out = run_core(core_cls, cfg, "cc", traces, 20_000, 2_000, **kwargs)
+        out = run_core(core_cls, cfg, "cc", traces, 20_000, 2_000)
         assert out == ref
 
-    @pytest.mark.parametrize("core_cls", PRODUCTION_CORES)
-    def test_snug_online_monitor_sees_identical_stream(self, core_cls):
+    @pytest.mark.parametrize("core_cls", [CmpSystem, CompiledCmpSystem])
+    def test_snug_online_monitor_sees_identical_stream(self, core_cls, capsys):
         from repro.schemes.snug import OnlineDemandMonitor
 
-        cfg, traces = build()
+        # Short stages: the run crosses several latches, each one a kernel
+        # exit that hands the observed streams to the monitor.
+        cfg, traces = build(
+            lambda c: dataclasses.replace(
+                c, snug=dataclasses.replace(
+                    c.snug, identify_cycles=4_000, group_cycles=6_000)
+            )
+        )
         results, monitors = [], []
         for cls in (ReferenceCmpSystem, core_cls):
             scheme = make_scheme("snug", cfg)
-            scheme.attach_monitor(
-                OnlineDemandMonitor.from_config(cfg, chunk_accesses=512)
-            )
+            scheme.attach_monitor(OnlineDemandMonitor.from_config(
+                cfg, chunk_accesses=512, record_streams=True
+            ))
             system = cls(cfg, scheme, list(traces))
             results.append(system.run(20_000, warmup_instructions=2_000).to_dict())
             monitors.append(scheme.monitor)
         assert results[0] == results[1]
-        assert monitors[0].latches == monitors[1].latches
+        ref, out = monitors
+        assert ref.latches == out.latches > 2
+        assert ref.epoch_streams == out.epoch_streams
+        for a, b in zip(ref.latched_demand + [ref.last_demand],
+                        out.latched_demand + [out.last_demand]):
+            assert [d.tolist() for d in a] == [d.tolist() for d in b]
+        # Monitored SNUG runs in the kernel: no fallback notice.
+        assert "repro.compiled:" not in capsys.readouterr().err
 
     def test_cc_fractional_spill_rng_stream(self):
         # spill_probability=0.35 draws the spill coin per candidate; the
@@ -164,7 +167,7 @@ class TestEdgePaths:
     def test_budget_exhausted_message_identical(self):
         cfg, traces = build()
         messages = []
-        for core_cls in (CmpSystem, BatchCmpSystem, CompiledCmpSystem):
+        for core_cls in (ReferenceCmpSystem, CmpSystem, CompiledCmpSystem):
             scheme = make_scheme("l2p", cfg)
             with pytest.raises(SimulationError) as exc_info:
                 core_cls(cfg, scheme, list(traces)).run(200_000, max_events=5_000)
@@ -177,8 +180,9 @@ class TestEdgePaths:
 class TestCliStoreConformance:
     @pytest.mark.parametrize("core", ["batch", "compiled"])
     def test_sim_core_stores_byte_identical(self, tmp_path, core):
-        """`--sim-core batch`/`compiled` and `--sim-core reference` persist
-        byte-identical per-task records under one manifest."""
+        """`--sim-core compiled`, the deprecated `--sim-core batch` alias and
+        `--sim-core reference` persist byte-identical per-task records under
+        one manifest."""
         from repro.cli import main
         from repro.engine.store import ResultStore
         from repro.scenario import preset_path
@@ -216,8 +220,8 @@ class TestCliStoreConformance:
 
 #: Runs the five kernel schemes under the compiled core and dumps
 #: ``{"mode": kernel_mode(), "results": {scheme: to_dict()}}`` as JSON —
-#: executed in a subprocess so the ``REPRO_NO_NUMBA``/``REPRO_NO_CKERNEL``
-#: knobs (read at import / first build) take effect.
+#: executed in a subprocess so ``REPRO_NO_CKERNEL`` (read at the first
+#: library load) takes effect.
 _CHILD_SCRIPT = """\
 import json, sys
 from repro.common.config import scaled_config
@@ -237,13 +241,11 @@ json.dump({"mode": kernel_mode(), "results": results}, sys.stdout)
 
 
 class TestInterpretedFallback:
-    """The accelerated tiers are optional; the fallback is bit-identical.
+    """The native library is optional; the fallback is bit-identical.
 
-    With ``REPRO_NO_NUMBA=1`` *and* ``REPRO_NO_CKERNEL=1`` the compiled
-    core runs its pure-Python interpreted kernels and announces that once,
-    in one line on stderr.  With only Numba disabled the native C tier
-    serves, silently.  Either way the results match the reference loop
-    term for term.
+    With ``REPRO_NO_CKERNEL=1`` the compiled core runs every kernel scheme
+    on the interpreted fast loop and says so once, in one line on stderr.
+    The results match the reference loop term for term.
     """
 
     def _run_child(self, **env_knobs):
@@ -266,19 +268,11 @@ class TestInterpretedFallback:
         }))
 
     def test_interpreted_kernels_bit_identical_with_notice(self):
-        payload, stderr = self._run_child(
-            REPRO_NO_NUMBA="1", REPRO_NO_CKERNEL="1"
-        )
-        assert payload["mode"] == "interpreted"
+        payload, stderr = self._run_child(REPRO_NO_CKERNEL="1")
+        assert payload["mode"] == "fast"
         assert payload["results"] == self._reference_results()
         notices = [l for l in stderr.splitlines() if l.startswith("repro.compiled:")]
-        assert len(notices) == 1  # once per process, not once per run
-        assert "disabled by REPRO_NO_NUMBA" in notices[0]
-        assert "using interpreted kernels (bit-identical)" in notices[0]
-
-    def test_no_numba_tier_bit_identical(self):
-        payload, stderr = self._run_child(REPRO_NO_NUMBA="1")
-        assert payload["mode"] in ("compiled-c", "interpreted")
-        assert payload["results"] == self._reference_results()
-        if payload["mode"] == "compiled-c":  # no notice when a fast tier runs
-            assert "repro.compiled:" not in stderr
+        assert notices == [  # once per process, not once per run
+            "repro.compiled: C kernel unavailable (disabled by "
+            "REPRO_NO_CKERNEL); using the fast loop (bit-identical)"
+        ]

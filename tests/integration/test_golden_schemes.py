@@ -6,8 +6,8 @@ from :class:`repro.core.reference.ReferenceCmpSystem` (the seed loop kept
 verbatim as the conformance oracle).  Unlike the combo-level
 ``golden_c4_0_tiny.json`` (metrics and IPC only), these snapshots pin the
 *entire* result — outcome tallies, per-core cycles, window metrics, scheme
-stats — and every production loop (fast, batched and compiled) must
-reproduce them **bit-identically**; floats compare with ``==``.
+stats — and every production loop (fast and compiled) must reproduce
+them **bit-identically**; floats compare with ``==``.
 
 Regenerate (only with a commit explaining the semantic change)::
 
@@ -35,7 +35,6 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import tiny_config
-from repro.core.batch import BatchCmpSystem
 from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
 from repro.schemes.factory import make_scheme
@@ -66,9 +65,7 @@ def load_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEMES))
-@pytest.mark.parametrize(
-    "core_cls", [CmpSystem, BatchCmpSystem, CompiledCmpSystem]
-)
+@pytest.mark.parametrize("core_cls", [CmpSystem, CompiledCmpSystem])
 def test_core_reproduces_golden(name, core_cls):
     config, traces = golden_inputs()
     scheme = make_scheme(name, config, **GOLDEN_SCHEMES[name])

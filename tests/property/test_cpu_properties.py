@@ -1,21 +1,35 @@
-"""Property tests for TraceCore warmup/wrap edge cases and the fast path.
+"""Property tests for TraceCore warmup/wrap edge cases and the production cores.
 
 The fast path (pre-extracted trace columns in :class:`TraceCore`, the
-inlined event loop in :class:`CmpSystem`) must be *bit-identical* to the
-seed implementation preserved in :mod:`repro.core.reference`; these
-properties drive both over random traces and random stepping schedules and
-compare every observable.
+inlined event loop in :class:`CmpSystem`) and the compiled core (the native
+kernel, with the fast loop for systems it declines) must be *bit-identical*
+to the seed implementation preserved in :mod:`repro.core.reference`; these
+properties drive them over random traces, random stepping schedules and
+generated system configurations, and compare every observable.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import tiny_config
+from repro.common.config import (
+    BusConfig,
+    CacheGeometry,
+    CcConfig,
+    DramConfig,
+    DsrConfig,
+    SnugConfig,
+    SystemConfig,
+    WriteBufferConfig,
+)
 from repro.core.cmp import CmpSystem
+from repro.core.compiled import CompiledCmpSystem
 from repro.core.cpu import TraceCore
 from repro.core.reference import ReferenceCmpSystem, ReferenceTraceCore
 from repro.schemes.factory import make_scheme
+from repro.schemes.snug import OnlineDemandMonitor
 from repro.workloads.trace import Trace
 
 # Small random traces: gaps >= 1, modest addresses, arbitrary write flags.
@@ -161,23 +175,108 @@ class TestFastPathEquivalence:
             assert getattr(fast, attr) == getattr(ref, attr), attr
         assert fast.ipc() == ref.ipc()
 
-    @given(st.integers(min_value=0, max_value=2**31 - 1),
-           st.integers(min_value=0, max_value=2000))
-    @settings(max_examples=15, deadline=None)
-    def test_cmp_system_matches_reference(self, seed, warmup):
-        """Full co-scheduled runs produce bit-identical SimResults."""
-        config = tiny_config(seed=3)
-        rng = np.random.default_rng(seed)
-        traces = [
-            Trace(
-                rng.integers(1, 30, 60),
-                rng.integers(0, 128, 60),
-                rng.random(60) < 0.3,
-            ).rebase(i)
-            for i in range(config.num_cores)
-        ]
-        fast = CmpSystem(config, make_scheme("l2p", config), traces)
-        ref = ReferenceCmpSystem(config, make_scheme("l2p", config), traces)
-        a = fast.run(4_000, warmup_instructions=warmup)
-        b = ref.run(4_000, warmup_instructions=warmup)
-        assert a == b
+    @given(st.data())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_cmp_system_matches_reference(self, data):
+        """Generated systems, every scheme (the SNUG family with and without
+        an attached monitor): reference, fast and compiled agree on the
+        result, the monitor's latches and demand, and the budget-exhausted
+        error text."""
+        draw = data.draw
+        config, cc_prob = draw(system_configs())
+        traces = draw(trace_sets(config))
+        chunk = draw(st.sampled_from((1, 7, 8192)))
+        warmup = draw(st.integers(min_value=0, max_value=1_000))
+        max_events = draw(st.sampled_from((None, None, None, 25, 250)))
+        runs = [(name, None) for name in SCHEMES]
+        runs += [("snug", chunk), ("snug_intra", chunk)]
+        for scheme_name, monitor_chunk in runs:
+            outcomes = [
+                run_generated(cls, config, scheme_name, cc_prob, traces,
+                              monitor_chunk, warmup, max_events)
+                for cls in (ReferenceCmpSystem, CmpSystem, CompiledCmpSystem)
+            ]
+            assert outcomes[1] == outcomes[0], scheme_name
+            assert outcomes[2] == outcomes[0], scheme_name
+
+
+SCHEMES = ("l2p", "l2s", "cc", "dsr", "snug", "snug_intra")
+
+
+@st.composite
+def system_configs(draw):
+    """A small :class:`SystemConfig` exercising every modelled knob."""
+    num_sets = draw(st.sampled_from((4, 8, 16)))
+    assoc = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    identify = draw(st.integers(min_value=150, max_value=1_500))
+    group = draw(st.integers(min_value=150, max_value=3_000))
+    cc_prob = draw(st.sampled_from((0.0, 0.35, 1.0)))
+    config = SystemConfig(
+        num_cores=draw(st.sampled_from((4, 2, 8, 1))),
+        l2=CacheGeometry(size_bytes=num_sets * assoc * 64, assoc=assoc),
+        bus=BusConfig(model_contention=draw(st.booleans())),
+        dram=DramConfig(model_banks=draw(st.booleans())),
+        write_buffer=WriteBufferConfig(
+            entries=draw(st.integers(min_value=1, max_value=6)),
+            drain_cycles=draw(st.integers(min_value=1, max_value=400)),
+            direct_read=draw(st.booleans()),
+        ),
+        cc=CcConfig(spill_probability=cc_prob),
+        dsr=DsrConfig(leader_sets_per_policy=1,
+                      psel_bits=draw(st.integers(min_value=1, max_value=6))),
+        snug=SnugConfig(
+            counter_bits=draw(st.integers(min_value=2, max_value=5)),
+            p_threshold=draw(st.sampled_from((1, 2, 4, 8))),
+            identify_cycles=identify,
+            group_cycles=group,
+            flip_enabled=draw(st.booleans()),
+            flush_on_flip_to_taker=draw(st.booleans()),
+            monitor_during_group=draw(st.booleans()),
+        ),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    return config, cc_prob
+
+
+@st.composite
+def trace_sets(draw, config):
+    """Per-core traces: length 1 up, all-write or mixed, private or aliased
+    address spaces, and one gap on core 0 long enough to cross two SNUG
+    latches in a single access."""
+    aliased = draw(st.booleans())
+    all_writes = draw(st.booleans())
+    span = 4 * config.l2.num_sets * config.l2.assoc
+    period = config.snug.identify_cycles + config.snug.group_cycles
+    traces = []
+    for core in range(config.num_cores):
+        n = draw(st.sampled_from((1, 2, 17, 40)))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+        gaps = rng.integers(1, 30, n)
+        if core == 0 and draw(st.booleans()):
+            gaps[rng.integers(n)] = 2 * period + 1
+        writes = np.ones(n, dtype=bool) if all_writes else rng.random(n) < 0.3
+        trace = Trace(gaps, rng.integers(0, span, n), writes)
+        traces.append(trace if aliased else trace.rebase(core))
+    return traces
+
+
+def run_generated(core_cls, config, scheme_name, cc_prob, traces,
+                  monitor_chunk, warmup, max_events):
+    """One run's observables: result (or error text) plus monitor state."""
+    kwargs = {"spill_probability": cc_prob} if scheme_name == "cc" else {}
+    scheme = make_scheme(scheme_name, config, **kwargs)
+    monitor = None
+    if monitor_chunk is not None:
+        monitor = OnlineDemandMonitor.from_config(config, chunk_accesses=monitor_chunk)
+        scheme.attach_monitor(monitor)
+    system = core_cls(config, scheme, list(traces))
+    try:
+        outcome = system.run(
+            2_000, warmup_instructions=warmup, max_events=max_events
+        ).to_dict()
+    except Exception as exc:  # budget errors, and spec errors on 1-core spills
+        outcome = (type(exc).__name__, str(exc))
+    if monitor is not None:
+        outcome = (outcome, monitor.latches,
+                   [d.tolist() for d in monitor.last_demand])
+    return outcome

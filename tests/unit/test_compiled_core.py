@@ -1,31 +1,40 @@
-"""Unit tests for the compiled (SoA + typed-kernel) core's plumbing.
+"""Unit tests for the compiled (native-kernel) core's plumbing.
 
 Whole-system bit-identicality is pinned by
 ``tests/integration/test_batch_conformance.py`` and the golden suites;
-this file localizes regressions in the machinery *around* the kernels:
+this file localizes regressions in the machinery *around* the kernel:
 
-* tier reporting (``kernel_mode`` / ``numba_active``) stays consistent
-  with what actually runs;
-* dispatch falls back to the generic loop for schemes without a kernel
-  (``snug_intra``) and refuses bad run sizing with the same messages as
+* ``kernel_mode`` names the loop that actually serves the kernel schemes;
+* every system the kernel declines runs on the fast loop bit-identically,
+  with one stderr notice per distinct reason per process;
+* dispatch refuses bad run sizing with the same messages as
   :class:`~repro.core.cmp.CmpSystem`;
+* the kernel build is private per builder (a concurrent first build of
+  the same revision cannot truncate another builder's compiler input)
+  and cached per source, flags and compiler;
 * the cProfile execution-phase dump attributes kernel time to a frame
   named ``compiled_kernel__<scheme>`` — without the named wrapper the hot
-  path shows up as one anonymous driver (or vanishes into an njit
-  dispatcher) and ``--profile`` cannot say where the time went.
+  path shows up as one anonymous driver and ``--profile`` cannot say
+  where the time went.
 """
 
 import cProfile
+import dataclasses
+import os
 import pstats
+import shutil
 
 import pytest
 
+from repro.cache.block import CacheLine
 from repro.common.config import tiny_config
-from repro.core import compiled
+from repro.core import _ckernel, compiled
 from repro.core.cmp import CmpSystem
-from repro.core.compiled import CompiledCmpSystem, kernel_mode, numba_active
+from repro.core.compiled import CompiledCmpSystem, kernel_mode
+from repro.core.reference import ReferenceCmpSystem
 from repro.schemes.factory import make_scheme
 from repro.workloads.mixes import build_mix_traces, get_mix
+from repro.workloads.trace import Trace
 
 
 def build(scheme_name):
@@ -36,13 +45,151 @@ def build(scheme_name):
 
 class TestTierReporting:
     def test_kernel_mode_names_a_real_tier(self):
-        assert kernel_mode() in ("jit", "compiled-c", "interpreted")
+        assert kernel_mode() in ("compiled-c", "fast")
 
-    def test_mode_consistent_with_numba_flag(self):
-        if numba_active():
-            assert kernel_mode() == "jit"
-        else:
-            assert kernel_mode() in ("compiled-c", "interpreted")
+    def test_mode_follows_library(self):
+        expected = "compiled-c" if _ckernel.lib_available() else "fast"
+        assert kernel_mode() == expected
+
+
+def _fallback_run(config, scheme_name, traces, capsys, prepare=None, **kwargs):
+    """Run *scheme_name* on the compiled and the reference core; return
+    (compiled result, reference result, notice lines)."""
+    results = []
+    for cls in (CompiledCmpSystem, ReferenceCmpSystem):
+        scheme = make_scheme(scheme_name, config, **kwargs)
+        if prepare is not None:
+            prepare(scheme)
+        system = cls(config, scheme, [t.rebase(i) for i, t in enumerate(traces)])
+        results.append(system.run(4_000, warmup_instructions=500).to_dict())
+    notices = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("repro.compiled:")
+    ]
+    return results[0], results[1], notices
+
+
+def _small_trace(seed=0, n=60):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    return Trace(rng.integers(1, 30, n), rng.integers(0, 128, n), rng.random(n) < 0.3)
+
+
+class TestFallbackReasons:
+    """Each decline is named once, and the fast loop stays bit-identical."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_notices(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_NOTICED", set())
+
+    def test_spill_scheme_on_one_core(self, capsys):
+        config = dataclasses.replace(tiny_config(seed=7), num_cores=1)
+        out, ref, notices = _fallback_run(
+            config, "cc", [_small_trace()], capsys, spill_probability=0.0
+        )
+        assert out == ref
+        assert notices == [
+            "repro.compiled: spill scheme 'cc' on a single core; "
+            "using the fast loop (bit-identical)"
+        ]
+
+    def test_more_than_64_cores(self, capsys):
+        config = dataclasses.replace(tiny_config(seed=7), num_cores=128)
+        traces = [_small_trace(seed=i, n=8) for i in range(128)]
+        out, ref, notices = _fallback_run(config, "l2p", traces, capsys)
+        assert out == ref
+        assert notices == [
+            "repro.compiled: 128 cores exceed the C kernel's 64-core limit; "
+            "using the fast loop (bit-identical)"
+        ]
+
+    def test_prefilled_slice(self, capsys):
+        def prefill(scheme):
+            scheme.slices[0].fill(CacheLine(addr=5, dirty=True, owner=0))
+
+        config = tiny_config(seed=7)
+        traces = [_small_trace(seed=i) for i in range(config.num_cores)]
+        out, ref, notices = _fallback_run(
+            config, "snug", traces, capsys, prepare=prefill
+        )
+        assert out == ref
+        assert notices == [
+            "repro.compiled: caches, write buffers or shadow sets already "
+            "hold state; using the fast loop (bit-identical)"
+        ]
+
+    def test_no_library(self, capsys, monkeypatch):
+        # In-process twin of the REPRO_NO_CKERNEL subprocess test in the
+        # conformance suite: any reason the library is missing is named.
+        monkeypatch.setattr(_ckernel, "_get_lib", lambda: None)
+        monkeypatch.setattr(_ckernel, "_REASON", "no C compiler on PATH")
+        assert kernel_mode() == "fast"
+        config = tiny_config(seed=7)
+        traces = [_small_trace(seed=i) for i in range(config.num_cores)]
+        out, ref, notices = _fallback_run(config, "dsr", traces, capsys)
+        assert out == ref
+        assert notices == [
+            "repro.compiled: C kernel unavailable (no C compiler on PATH); "
+            "using the fast loop (bit-identical)"
+        ]
+
+    def test_notice_once_per_distinct_reason(self, capsys):
+        one_core = dataclasses.replace(tiny_config(seed=7), num_cores=1)
+        for _ in range(2):
+            _fallback_run(one_core, "dsr", [_small_trace()], capsys)
+        _, _, notices = _fallback_run(one_core, "dsr", [_small_trace()], capsys)
+        assert notices == []
+        _, _, notices = _fallback_run(
+            one_core, "cc", [_small_trace()], capsys, spill_probability=0.0
+        )
+        assert len(notices) == 1 and "'cc'" in notices[0]
+
+
+class TestKernelBuild:
+    @pytest.fixture
+    def compiler(self):
+        cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        return cc
+
+    def test_concurrent_first_build_keeps_compiler_input_private(
+        self, tmp_path, monkeypatch, compiler
+    ):
+        """A second builder starting while the first compiles must not
+        write the first one's source: a shared ``.c`` file, rewritten by
+        every builder, was truncated under a running compiler, and the
+        losing process ran without the kernel for its whole lifetime."""
+        monkeypatch.setenv("REPRO_CKERNEL_DIR", str(tmp_path))
+        real_run = _ckernel.subprocess.run
+        sources = []
+
+        def compile_while_another_builds(cmd, **kwargs):
+            sources.append(cmd[-1])
+            if len(sources) == 1:
+                _ckernel._build(compiler)  # the racing builder, start to finish
+            with open(cmd[-1]) as fh:
+                assert fh.read() == _ckernel._C_SOURCE
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(_ckernel.subprocess, "run", compile_while_another_builds)
+        lib = _ckernel._build(compiler)
+        assert lib.run_kernel is not None
+        assert len(sources) == 2 and sources[0] != sources[1]
+        assert sorted(os.listdir(tmp_path)) == [
+            os.path.basename(_ckernel._so_path(str(tmp_path), compiler))
+        ]
+
+    def test_cache_key_covers_flags_and_compiler(self, tmp_path, monkeypatch, compiler):
+        root = str(tmp_path)
+        base = _ckernel._so_path(root, compiler)
+        assert _ckernel._so_path(root, compiler) == base
+        alias = tmp_path / "other-cc"
+        alias.write_text("")
+        assert _ckernel._so_path(root, str(alias)) != base
+        monkeypatch.setattr(_ckernel, "_CFLAGS", _ckernel._CFLAGS + ("-g",))
+        assert _ckernel._so_path(root, compiler) != base
 
 
 class TestDispatchEdges:

@@ -1,6 +1,6 @@
 """Plumbing for the selectable stepping loop and the event-budget valve.
 
-``RunPlan.sim_core`` / ``RunPlan.max_events`` ship the batched-core knobs
+``RunPlan.sim_core`` / ``RunPlan.max_events`` ship the stepping-loop knobs
 to every execution backend with the rest of the run sizing.  The invariants
 this file pins:
 
@@ -13,6 +13,8 @@ this file pins:
   byte-identically (defaults are omitted from ``plan_to_dict``);
 * the CLI flags reach :class:`EngineOptions` without flipping a serial run
   onto the engine path;
+* the removed ``batch`` core is, for one round, a deprecated alias of
+  ``auto`` from CLI flags, scenario files and ``RunPlan`` (warning once);
 * :meth:`SimResult.from_dict` still accepts pre-window-metrics payloads
   (stores migrated from old layouts lack the keys).
 """
@@ -22,10 +24,10 @@ import dataclasses
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.batch import BatchCmpSystem
 from repro.core.cmp import CmpSystem, SimResult
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem
+from repro.experiments import runner
 from repro.experiments.runner import (
     AUTO_CORE_BY_SCHEME,
     AUTO_DEFAULT_CORE,
@@ -63,9 +65,9 @@ class TestPlanSerde:
         assert "sim_core" not in d and "max_events" not in d
 
     def test_round_trip(self):
-        plan = RunPlan(sim_core="batch", max_events=5_000)
+        plan = RunPlan(sim_core="reference", max_events=5_000)
         d = plan_to_dict(plan)
-        assert d["sim_core"] == "batch" and d["max_events"] == 5_000
+        assert d["sim_core"] == "reference" and d["max_events"] == 5_000
         assert plan_from_dict(d) == plan
 
     def test_legacy_dict_parses(self):
@@ -83,7 +85,7 @@ class TestExperimentIdentity:
     def test_sim_core_excluded_from_content_hash(self):
         scenario = scenario_from_flags(scale="tiny", seed=7, mix="c4_0")
         rehomed = dataclasses.replace(
-            scenario, plan=dataclasses.replace(scenario.plan, sim_core="batch")
+            scenario, plan=dataclasses.replace(scenario.plan, sim_core="reference")
         )
         assert scenario.content_hash() == rehomed.content_hash()
 
@@ -103,7 +105,7 @@ class TestExperimentIdentity:
             ParallelRunner(
                 config, RunPlan(sim_core=core), jobs=0
             )._manifest()
-            for core in ("batch", "reference")
+            for core in ("compiled", "reference")
         ]
         assert manifests[0] == manifests[1]
         assert "sim_core" not in manifests[0]["plan"]
@@ -111,12 +113,11 @@ class TestExperimentIdentity:
 
 
 class TestAutoSelectionTable:
-    """``auto`` resolves per scheme from the measured table, never to batch.
+    """``auto`` resolves per scheme from the measured table.
 
-    The batched core regresses l2s to 0.60x on the paper's miss-heavy mixes,
-    which is the bug the table exists to fix: every scheme with a compiled
-    kernel lands on it, everything else (``snug_intra``, unknown names)
-    lands on the fast scalar loop.
+    Every scheme with a compiled kernel lands on it, everything else
+    (``snug_intra``, unknown names) lands on the fast scalar loop; the
+    removed batched core is never named.
     """
 
     def test_every_registered_scheme_resolves(self):
@@ -171,7 +172,6 @@ class TestDispatch:
         expected = {
             "auto": CompiledCmpSystem,  # l2p sits in the selection table
             "fast": CmpSystem,
-            "batch": BatchCmpSystem,
             "compiled": CompiledCmpSystem,
             "reference": ReferenceCmpSystem,
         }
@@ -185,7 +185,7 @@ class TestDispatch:
 
 class TestEngineOptions:
     def test_sim_core_and_profile_do_not_request_engine(self):
-        assert not EngineOptions(sim_core="batch", profile="x.pstats").engine_requested
+        assert not EngineOptions(sim_core="reference", profile="x.pstats").engine_requested
         assert EngineOptions(jobs=2).engine_requested
 
     def test_cli_flags_reach_options(self):
@@ -193,15 +193,59 @@ class TestEngineOptions:
 
         args = build_parser().parse_args(
             ["scenario", "run", "smoke-tiny",
-             "--sim-core", "batch", "--profile", "out.pstats"]
+             "--sim-core", "compiled", "--profile", "out.pstats"]
         )
         options = _engine_options(args)
-        assert options.sim_core == "batch"
+        assert options.sim_core == "compiled"
         assert options.profile == "out.pstats"
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["scenario", "run", "smoke-tiny", "--sim-core", "warp"]
             )
+
+
+class TestDeprecatedBatchAlias:
+    """``batch`` runs as ``auto`` for one round, warning once per process."""
+
+    @pytest.fixture(autouse=True)
+    def _rearm_warning(self, monkeypatch):
+        monkeypatch.setattr(runner, "_deprecation_warned", False)
+
+    def test_run_plan_maps_batch_to_auto_and_warns_once(self):
+        with pytest.warns(FutureWarning, match="'batch' is deprecated"):
+            assert RunPlan(sim_core="batch").sim_core == "auto"
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert RunPlan(sim_core="batch").sim_core == "auto"
+
+    def test_scenario_file_and_cli_accept_batch(self):
+        from repro.cli import build_parser, _engine_options
+
+        with pytest.warns(FutureWarning):
+            assert plan_from_dict({"sim_core": "batch"}).sim_core == "auto"
+        args = build_parser().parse_args(
+            ["scenario", "run", "smoke-tiny", "--sim-core", "batch"]
+        )
+        assert _engine_options(args).sim_core == "auto"
+
+    def test_make_system_treats_batch_as_auto(self):
+        from repro.common.config import tiny_config
+        from repro.schemes.factory import make_scheme
+        from repro.workloads.mixes import build_mix_traces, get_mix
+
+        config = tiny_config(seed=7)
+        traces = build_mix_traces(get_mix("c4_0"), config.l2.num_sets, 200, 0)
+        with pytest.warns(FutureWarning):
+            for name in ("l2p", "snug_intra"):
+                system = make_system(
+                    "batch", config, make_scheme(name, config), list(traces)
+                )
+                auto = make_system(
+                    "auto", config, make_scheme(name, config), list(traces)
+                )
+                assert type(system) is type(auto)
 
 
 class TestSimResultLegacyPayloads:

@@ -190,6 +190,7 @@ class TestTrendScript:
         ref = tmp_path / "ref"
         ref.mkdir()
         monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
+        monkeypatch.setattr(mod, "DEFAULT_CURRENT", tmp_path / "no-bench-out")
         with pytest.raises(SystemExit):
             mod.main(["--ref", str(ref)])  # no current dir anywhere
         with pytest.raises(SystemExit):
