@@ -56,6 +56,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..cache.block import CacheLine
+from ..common.errors import SimulationError
 from ..schemes.base import Outcome
 from .cmp import CmpSystem, SimResult, budget_exhausted_error
 
@@ -103,6 +104,22 @@ _RT_KEYS = ("epochs",)
  _A_BUSBUSY, _A_OUTC, _A_WOUT, _A_WLAT, _A_MS, _A_SETROLE, _A_PSEL,
  _A_GT, _A_SHADDR, _A_SHLEN, _A_MONVAL, _A_MONMOD, _A_COIN, _A_PICK, _A_RS,
  _A_PEERS, _A_DPARAMS, _A_GTIN, _NARR) = range(53)
+
+#: Each pointer-table slot's name, in slot order, for the entry check's
+#: error messages: its ``Ctx`` member in the C source (``p`` is "params").
+_SLOT_NAMES = (
+    "params", "offs", "t_addr", "t_gap", "t_gapc", "t_write",
+    "c_time", "c_pos", "c_instr", "c_wraps", "c_acc", "c_warm", "c_fin",
+    "keys", "line_addr", "line_meta", "occ", "wb_addr", "wb_time", "wb_head",
+    "wb_len", "wb_next", "slcnt", "slstamp", "wcnt", "wstamp", "dcnt",
+    "dstamp", "bcnt", "bstamp", "rcnt", "rstamp", "stamp", "bank_free",
+    "bus_busy", "out_c", "w_out", "w_lat", "ms", "set_role", "psel",
+    "gt", "sh_addr", "sh_len", "mon_val", "mon_mod", "coin_buf", "pick_buf",
+    "rs", "peers", "dparams", "gt_in",
+)
+
+#: Slots the C side reads as ``double``; every other slot is ``int64_t``.
+_FLOAT_SLOTS = (_A_COIN, _A_DPARAMS)
 
 _RC_DONE, _RC_BUDGET, _RC_RNG, _RC_LATCH = 0, 1, 2, 3
 
@@ -1035,19 +1052,104 @@ def _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc) -> None:
     """Hand each core's accesses since the previous hand-off to *monitor*.
 
     Core ``i`` has stepped ``c_acc[i] - fed_acc[i]`` accesses since then:
-    a contiguous, wrapping slice of its trace starting at ``fed_pos[i]``,
-    handed over in slices of at most :data:`_MONITOR_SLICE` addresses.
+    a contiguous, wrapping slice of its trace's address column starting at
+    ``fed_pos[i]``, handed over in slices of at most :data:`_MONITOR_SLICE`
+    addresses.
     """
     c_pos, c_acc = c_pos.tolist(), c_acc.tolist()
     for i, core in enumerate(cores):
         count = c_acc[i] - fed_acc[i]
-        pos, n, addrs = fed_pos[i], core._n, core._addrs
+        pos, n, addrs = fed_pos[i], core._n, core.trace.addrs
         while count > 0:
             take = min(_MONITOR_SLICE, n - pos, count)
             monitor.observe_many(i, addrs[pos:pos + take])
             count -= take
             pos = (pos + take) % n
         fed_pos[i], fed_acc[i] = c_pos[i], c_acc[i]
+
+
+def _slot_minima(p: np.ndarray, offs: np.ndarray, rs: np.ndarray) -> List[int]:
+    """The fewest elements the C side may touch through each slot, implied
+    by the params (plus ``offs`` for the trace columns and the ring fill
+    levels in ``rs`` for the CC draw buffers)."""
+    ncores, kind, nsets = int(p[_P_NCORES]), int(p[_P_KIND]), int(p[_P_NSETS])
+    sets = ncores * nsets
+    lines = sets * int(p[_P_ASSOC])
+    need = [1] * _NARR
+    need[_A_PARAMS] = _NPARAMS
+    need[_A_OFFS] = ncores + 1
+    need[_A_MS] = _NMS
+    need[_A_RS] = _NRS
+    for slot in (_A_TADDR, _A_TGAP, _A_TGAPC, _A_TWRITE):
+        need[slot] = int(offs[ncores])
+    for slot in (_A_CTIME, _A_CPOS, _A_CINSTR, _A_CWRAPS, _A_CACC, _A_CWARM,
+                 _A_CFIN, _A_KEYS, _A_WBHEAD, _A_WBLEN, _A_WBNEXT, _A_WLAT):
+        need[slot] = ncores
+    need[_A_LADDR] = need[_A_LMETA] = lines
+    need[_A_OCC] = sets
+    need[_A_WBADDR] = need[_A_WBTIME] = ncores * max(1, int(p[_P_WB_CAP]))
+    need[_A_SLCNT] = need[_A_SLSTAMP] = ncores * len(_SL_KEYS)
+    need[_A_WCNT] = need[_A_WSTAMP] = ncores * len(_WB_KEYS)
+    need[_A_DCNT] = need[_A_DSTAMP] = len(_DR_KEYS)
+    need[_A_BCNT] = need[_A_BSTAMP] = len(_BU_KEYS)
+    need[_A_RCNT] = need[_A_RSTAMP] = len(_RT_KEYS)
+    if p[_P_BANKED]:
+        need[_A_BANKFREE] = int(p[_P_DBANK_MASK]) + 1
+    need[_A_OUTC] = len(_OUT_KEYS)
+    need[_A_WOUT] = ncores * len(_OUT_KEYS)
+    if kind >= 2:
+        need[_A_PEERS] = ncores * int(p[_P_NPER])
+    if kind == 2:
+        need[_A_PICK] = max(1, int(rs[_RS_PICK_FILL]))
+        need[_A_COIN] = max(1, int(rs[_RS_COIN_FILL]))
+    elif kind == 3:
+        need[_A_SETROLE], need[_A_PSEL] = nsets, ncores
+    elif kind == 4:
+        need[_A_GT] = need[_A_SHLEN] = need[_A_MONVAL] = need[_A_MONMOD] = sets
+        need[_A_SHADDR] = lines
+        if p[_P_MONITORED]:
+            need[_A_GTIN] = sets
+    return need
+
+
+def _pointer_table(arrays: List[np.ndarray]) -> ctypes.Array:
+    """The kernel's pointer table, after checking every slot at entry.
+
+    The C side trusts each pointer blindly, so each slot must be
+    C-contiguous, hold the element type the C side reads (``double`` for
+    the coin ring and ``dparams``, ``int64_t`` elsewhere), and be at least
+    as long as the params imply (:func:`_slot_minima`).  A slot that is
+    not raises :class:`SimulationError` naming it, before any C code runs.
+    """
+
+    def check(slot: int, need: int) -> None:
+        arr, name = arrays[slot], _SLOT_NAMES[slot]
+        dtype = np.float64 if slot in _FLOAT_SLOTS else np.int64
+        if arr.dtype != dtype:
+            raise SimulationError(
+                f"C kernel slot {name!r}: dtype {arr.dtype}, the kernel "
+                f"reads {np.dtype(dtype)}")
+        if not arr.flags.c_contiguous:
+            raise SimulationError(f"C kernel slot {name!r} is not C-contiguous")
+        if arr.size < need:
+            raise SimulationError(
+                f"C kernel slot {name!r}: {arr.size} elements, the params "
+                f"imply at least {need}")
+
+    # The slots the minima are read from come first.
+    check(_A_PARAMS, _NPARAMS)
+    ncores = int(arrays[_A_PARAMS][_P_NCORES])
+    if not 1 <= ncores <= 64:
+        raise SimulationError(
+            f"C kernel slot 'params': {ncores} cores, the kernel takes 1-64")
+    check(_A_OFFS, ncores + 1)
+    check(_A_RS, _NRS)
+    need = _slot_minima(arrays[_A_PARAMS], arrays[_A_OFFS], arrays[_A_RS])
+    table = (ctypes.c_void_p * _NARR)()
+    for slot, arr in enumerate(arrays):
+        check(slot, need[slot])
+        table[slot] = arr.ctypes.data
+    return table
 
 
 def run_kernel(system: CmpSystem, target: int, warmup: int,
@@ -1108,20 +1210,14 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     p[_P_CSHIFT] = cshift
     p[_P_CMASK] = cmask
 
+    # Trace columns: each core's NumPy columns, concatenated core by core.
     offs = np.zeros(ncores + 1, dtype=np.int64)
-    for i, core in enumerate(cores):
-        offs[i + 1] = offs[i] + core._n
-    total = int(offs[-1])
-    t_addr = np.empty(total, dtype=np.int64)
-    t_gap = np.empty(total, dtype=np.int64)
-    t_gapc = np.empty(total, dtype=np.int64)
-    t_write = np.empty(total, dtype=np.int64)
-    for i, core in enumerate(cores):
-        lo, hi = int(offs[i]), int(offs[i + 1])
-        t_gap[lo:hi] = core._gaps
-        t_gapc[lo:hi] = core._gap_cycles
-        t_addr[lo:hi] = core._addrs
-        t_write[lo:hi] = [1 if w else 0 for w in core._writes]
+    np.cumsum([core._n for core in cores], out=offs[1:])
+    t_addr = np.concatenate([core.trace.addrs for core in cores])
+    t_gap = np.concatenate([core.trace.gaps for core in cores])
+    t_gapc = np.concatenate([core.gap_cycles for core in cores])
+    t_write = np.concatenate([core.trace.writes for core in cores],
+                             dtype=np.int64)
 
     c_time = np.array([c.time for c in cores], dtype=np.int64)
     c_pos = np.array([c.pos for c in cores], dtype=np.int64)
@@ -1135,8 +1231,8 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
         [-1 if c.finish_time is None else c.finish_time for c in cores],
         dtype=np.int64)
     keys = np.array(
-        [((cores[i].time + cores[i]._gap_cycles[cores[i].pos]) << cshift) | i
-         for i in range(ncores)], dtype=np.int64)
+        [(core.peek_issue_time() << cshift) | i for i, core in enumerate(cores)],
+        dtype=np.int64)
 
     line_addr = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
     line_meta = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
@@ -1291,9 +1387,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     arrays[_A_DPARAMS] = dparams
     arrays[_A_GTIN] = gt_in
 
-    table = (ctypes.c_void_p * _NARR)()
-    for slot, arr in enumerate(arrays):
-        table[slot] = arr.ctypes.data
+    table = _pointer_table(arrays)
 
     fed_pos = [core.pos for core in cores]
     fed_acc = [core.accesses for core in cores]
@@ -1345,24 +1439,28 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
         core.accesses = int(c_acc[i])
         core.warmup_end_time = int(c_warm[i]) if c_warm[i] >= 0 else None
         core.finish_time = int(c_fin[i]) if c_fin[i] >= 0 else None
-    la_l = line_addr.reshape(ncores, num_sets, assoc).tolist()
-    lm_l = line_meta.reshape(ncores, num_sets, assoc).tolist()
+    # Lines: line_meta packs dirty | cc << 1 | f << 2 | owner << 3.  Each
+    # field becomes its own nested list of plain Python values, and each
+    # set's lines are one map(CacheLine, ...) over its rows, which stops at
+    # the shortest column: the set's `o` resident ways.
+    shape = (ncores, num_sets, assoc)
+    addr_l = line_addr.reshape(shape).tolist()
+    dirty_l = (line_meta & 1).astype(bool).reshape(shape).tolist()
+    cc_l = (line_meta & 2).astype(bool).reshape(shape).tolist()
+    f_l = (line_meta & 4).astype(bool).reshape(shape).tolist()
+    owner_l = (line_meta >> 3).reshape(shape).tolist()
     occ_l = occ.reshape(ncores, num_sets).tolist()
     for c, cache in enumerate(caches):
-        sets = cache.sets
-        rows, mrows, occs = la_l[c], lm_l[c], occ_l[c]
-        for s in range(num_sets):
-            o = occs[s]
+        lrusets = cache.sets
+        addrs, dirty, cc, f = addr_l[c], dirty_l[c], cc_l[c], f_l[c]
+        owner = owner_l[c]
+        for s, o in enumerate(occ_l[c]):
             if o:
-                row, mrow = rows[s], mrows[s]
-                lruset = sets[s]
-                lruset._lines = [
-                    CacheLine(addr=row[j], dirty=bool(mrow[j] & 1),
-                              cc=bool(mrow[j] & 2), f=bool(mrow[j] & 4),
-                              owner=mrow[j] >> 3)
-                    for j in range(o)
-                ]
-                lruset._addrs = row[:o]
+                row = addrs[s][:o]
+                lruset = lrusets[s]
+                lruset._lines = list(
+                    map(CacheLine, row, dirty[s], cc[s], f[s], owner[s]))
+                lruset._addrs = row
         _merge_stamped(cache._counters, _SL_KEYS,
                        slcnt[c * nsl:(c + 1) * nsl],
                        slstamp[c * nsl:(c + 1) * nsl])

@@ -10,15 +10,19 @@ exactly like the paper's fixed-window methodology.
 
 Fast path
 ---------
-:meth:`CmpSystem.run` inlines the trace-stepping of
-:class:`~repro.core.cpu.TraceCore` into its event loop: the per-access
-record fetch reads the core's pre-extracted plain-``int`` columns directly,
-bound methods (``heappush``/``heappop``/``scheme.access``) are cached in
-locals, and outcome tallies read the member's ``_value_`` attribute instead
-of the ``.value`` descriptor.  Every arithmetic expression matches the
-reference implementation in :mod:`repro.core.reference` term-for-term, so
-the produced :class:`SimResult` is bit-identical (asserted by the property
-and determinism suites).
+:meth:`CmpSystem.run` is the Python loop behind the fast core and behind
+every system the compiled kernel declines.  It inlines the trace-stepping
+of :class:`~repro.core.cpu.TraceCore` into its event loop: the per-access
+record fetch reads the core's plain-``int`` list columns, which the run
+builds up front with :meth:`TraceCore.ensure_lists
+<repro.core.cpu.TraceCore.ensure_lists>` (a run the kernel takes reads the
+cores' NumPy columns instead and never builds them).  Bound methods
+(``heappush``/``heappop``/``scheme.access``) are cached in locals, and
+outcome tallies read the member's ``_value_`` attribute instead of the
+``.value`` descriptor.  Every arithmetic expression matches the reference
+implementation in :mod:`repro.core.reference` term-for-term, so the
+produced :class:`SimResult` is bit-identical (asserted by the property and
+determinism suites).
 """
 
 from __future__ import annotations
@@ -184,6 +188,8 @@ class CmpSystem:
         window_outcomes = [{o.value: 0 for o in Outcome} for _ in self.cores]
         window_latency = [0 for _ in self.cores]
         cores = self.cores
+        for core in cores:
+            core.ensure_lists()
         heap: List[tuple[int, int]] = [
             (core.peek_issue_time(), core.core_id) for core in cores
         ]

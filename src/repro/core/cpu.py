@@ -14,20 +14,27 @@ the paper's fixed-cycle detailed-simulation window.
 
 Fast path
 ---------
-The per-access loop is the hottest code in the package.  Indexing the trace's
-NumPy arrays record-by-record boxes a NumPy scalar per field per access
-(three boxed scalars plus ``int()``/``bool()`` conversions each step), which
-dominated the seed implementation.  The constructor therefore pre-extracts
-the columns to flat Python lists **once per run** (``Trace.as_lists``) and
-pre-scales the gap column by ``base_cpi`` so the stepping methods are pure
-list-indexing on plain ints.  The arithmetic is unchanged expression-for-
-expression, so results are bit-identical to the reference implementation in
-:mod:`repro.core.reference` (asserted by the property suite).
+A core keeps its trace as NumPy columns plus one pre-scaled gap column,
+``gap_cycles = (trace.gaps * base_cpi).astype(np.int64)``: building a core
+is a single vectorized expression, and the compiled kernel
+(:mod:`repro.core._ckernel`) concatenates these columns straight into its
+input arrays.  That expression truncates the same IEEE product
+``int(gap * base_cpi)`` does, so it is bit-identical to the reference.
+
+The Python loops (:meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`,
+:meth:`next_access`) instead index plain-``int`` lists: indexing a NumPy
+array record by record boxes a NumPy scalar per field per access, which
+dominated the seed implementation.  :meth:`ensure_lists` builds those list
+columns on first use, once per core, so a run the kernel takes never pays
+for them.  The arithmetic matches :mod:`repro.core.reference` expression
+for expression (asserted by the property suite).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
+
+import numpy as np
 
 from ..workloads.trace import Trace
 
@@ -63,11 +70,12 @@ class TraceCore:
         "warmup_end_time",
         "finish_time",
         "accesses",
+        "gap_cycles",
+        "_n",
         "_gaps",
         "_gap_cycles",
         "_addrs",
         "_writes",
-        "_n",
     )
 
     def __init__(
@@ -93,24 +101,32 @@ class TraceCore:
         self.warmup_end_time: Optional[int] = None
         self.finish_time: Optional[int] = None
         self.accesses = 0
-        # Fast-path columns: plain Python ints/bools, extracted once.  The
-        # pre-scaled gap keeps `int(gap * base_cpi)` out of the per-access
-        # loop; the expression matches the reference implementation exactly.
-        self._gaps, self._addrs, self._writes = trace.as_lists()
-        self._gap_cycles = [int(gap * base_cpi) for gap in self._gaps]
-        self._n = len(self._gaps)
+        # Issue delay of every record in cycles: the vectorized form of the
+        # reference's per-access `int(gap * base_cpi)`, truncation included.
+        self.gap_cycles = (trace.gaps * base_cpi).astype(np.int64)
+        self._n = len(trace)
+        # Plain-list columns for the Python loops, built by ensure_lists().
+        self._gaps = self._gap_cycles = self._addrs = self._writes = None
+
+    def ensure_lists(self) -> None:
+        """Build the plain-``int`` list columns the Python loops index
+        (``_gaps``, ``_gap_cycles``, ``_addrs``, ``_writes``), once."""
+        if self._gaps is None:
+            self._gaps, self._addrs, self._writes = self.trace.as_lists()
+            self._gap_cycles = self.gap_cycles.tolist()
 
     # -- trace stepping --------------------------------------------------
 
     def peek_issue_time(self) -> int:
         """Time at which the next L2 access will be issued."""
-        return self.time + self._gap_cycles[self.pos]
+        return self.time + int(self.gap_cycles[self.pos])
 
     def next_access(self) -> Tuple[int, int, bool]:
         """Consume the next record; return ``(issue_time, block_addr, is_write)``.
 
         The caller must complete the access via :meth:`complete`.
         """
+        self.ensure_lists()
         pos = self.pos
         issue = self.time + self._gap_cycles[pos]
         addr = self._addrs[pos]

@@ -158,6 +158,21 @@ def draw_demand_map(bands: Tuple[Band, ...], num_sets: int, rng: np.random.Gener
     return w
 
 
+def _set_ranks(sets: np.ndarray, num_sets: int) -> np.ndarray:
+    """Each access's rank among the earlier accesses to the same set.
+
+    A stable sort groups the accesses by set while keeping trace order
+    within each group, so an access's rank is its distance from the start
+    of its group.
+    """
+    order = np.argsort(sets, kind="stable")
+    counts = np.bincount(sets, minlength=num_sets)
+    group_start = np.cumsum(counts) - counts
+    ranks = np.empty_like(sets)
+    ranks[order] = np.arange(len(sets)) - group_start[sets[order]]
+    return ranks
+
+
 def _generate_phase(
     phase: Phase,
     num_sets: int,
@@ -170,29 +185,20 @@ def _generate_phase(
     sets = rng.integers(0, num_sets, size=n_accesses)
     kind = rng.random(n_accesses)
     rand_pick = rng.random(n_accesses)
-    stream_cut = phase.stream_frac
-    random_cut = phase.stream_frac + phase.random_frac
+    stream = kind < phase.stream_frac
+    cyclic = kind >= phase.stream_frac + phase.random_frac
 
-    cyc_ptr = np.zeros(num_sets, dtype=np.int64)
-    stream_ptr = np.full(num_sets, _STREAM_TAG_BASE, dtype=np.int64)
-    addrs = np.empty(n_accesses, dtype=np.int64)
-
-    # Hot loop: per-access pattern dispatch with per-set pointer state.
-    # Arrays are pre-drawn above so the loop is branch + arithmetic only.
-    for i in range(n_accesses):
-        s = int(sets[i])
-        k = kind[i]
-        if k < stream_cut:
-            tag = int(stream_ptr[s])
-            stream_ptr[s] += 1
-        elif k < random_cut:
-            tag = int(rand_pick[i] * wmap[s])
-        else:
-            tag = int(cyc_ptr[s])
-            nxt = tag + 1
-            cyc_ptr[s] = 0 if nxt >= wmap[s] else nxt
-        addrs[i] = tag * num_sets + s
-    return addrs
+    # Hot loop, vectorized: each access's tag is a closed form of the draws
+    # above.  Random accesses scale their pick by W_s and truncate.  A set's
+    # stream pointer and cyclic pointer each advance by one per access of
+    # their pattern to that set, so the access of rank n among the earlier
+    # same-set accesses of its pattern reads BASE + n (stream) or n mod W_s
+    # (the cyclic walk over the working set).
+    tags = (rand_pick * wmap[sets]).astype(np.int64)
+    tags[stream] = _STREAM_TAG_BASE + _set_ranks(sets[stream], num_sets)
+    cyc_sets = sets[cyclic]
+    tags[cyclic] = _set_ranks(cyc_sets, num_sets) % wmap[cyc_sets]
+    return tags * num_sets + sets
 
 
 def generate_trace(

@@ -147,9 +147,10 @@ class Trace:
     def as_lists(self) -> Tuple[list, list, list]:
         """The three columns as plain Python lists (``gaps, addrs, writes``).
 
-        The timing core consumes these instead of the NumPy arrays: per-access
-        ``ndarray`` indexing boxes a NumPy scalar on every record, which
-        dominates the event loop.  One bulk ``tolist()`` per run replaces
-        millions of per-access conversions.
+        The Python event loop consumes these instead of the NumPy arrays:
+        per-access ``ndarray`` indexing boxes a NumPy scalar on every
+        record, which dominates that loop.  One bulk ``tolist()`` per core
+        replaces millions of per-access conversions.  The compiled kernel
+        reads the arrays themselves and never calls this.
         """
         return self.gaps.tolist(), self.addrs.tolist(), self.writes.tolist()

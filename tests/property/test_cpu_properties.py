@@ -1,11 +1,12 @@
 """Property tests for TraceCore warmup/wrap edge cases and the production cores.
 
-The fast path (pre-extracted trace columns in :class:`TraceCore`, the
-inlined event loop in :class:`CmpSystem`) and the compiled core (the native
-kernel, with the fast loop for systems it declines) must be *bit-identical*
-to the seed implementation preserved in :mod:`repro.core.reference`; these
-properties drive them over random traces, random stepping schedules and
-generated system configurations, and compare every observable.
+The fast path (the list columns :class:`TraceCore` builds for the inlined
+event loop in :class:`CmpSystem`) and the compiled core (the native kernel
+over the cores' NumPy columns, with the fast loop for systems it declines)
+must be *bit-identical* to the seed implementation preserved in
+:mod:`repro.core.reference`; these properties drive them over random
+traces, random stepping schedules and generated system configurations
+(``base_cpi`` included), and compare every observable.
 """
 
 import dataclasses
@@ -234,6 +235,9 @@ def system_configs(draw):
             monitor_during_group=draw(st.booleans()),
         ),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
+        # Non-integer CPIs exercise the truncation of the pre-scaled gap
+        # column the compiled kernel reads.
+        base_cpi=draw(st.sampled_from((1.0, 0.5, 1.37, 2.0, 3.3))),
     )
     return config, cc_prob
 

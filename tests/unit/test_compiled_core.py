@@ -7,6 +7,9 @@ this file localizes regressions in the machinery *around* the kernel:
 * ``kernel_mode`` names the loop that actually serves the kernel schemes;
 * every system the kernel declines runs on the fast loop bit-identically,
   with one stderr notice per distinct reason per process;
+* the compiled path stays array-native: a kernel run reads the cores'
+  NumPy columns and never builds the list columns the Python loop needs;
+* the pointer table is checked slot by slot before the kernel runs;
 * dispatch refuses bad run sizing with the same messages as
   :class:`~repro.core.cmp.CmpSystem`;
 * the kernel build is private per builder (a concurrent first build of
@@ -22,17 +25,22 @@ import cProfile
 import dataclasses
 import os
 import pstats
+import re
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.cache.block import CacheLine
 from repro.common.config import tiny_config
+from repro.common.errors import SimulationError
 from repro.core import _ckernel, compiled
 from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem, kernel_mode
+from repro.core.cpu import TraceCore
 from repro.core.reference import ReferenceCmpSystem
 from repro.schemes.factory import make_scheme
+from repro.schemes.snug import OnlineDemandMonitor
 from repro.workloads.mixes import build_mix_traces, get_mix
 from repro.workloads.trace import Trace
 
@@ -52,21 +60,31 @@ class TestTierReporting:
         assert kernel_mode() == expected
 
 
-def _fallback_run(config, scheme_name, traces, capsys, prepare=None, **kwargs):
-    """Run *scheme_name* on the compiled and the reference core; return
-    (compiled result, reference result, notice lines)."""
-    results = []
+def _run_pair(config, scheme_name, traces, prepare=None, **kwargs):
+    """Run *scheme_name* over *traces* on the compiled and the reference
+    core; return (compiled system, compiled result, reference result)."""
+    systems, results = [], []
     for cls in (CompiledCmpSystem, ReferenceCmpSystem):
         scheme = make_scheme(scheme_name, config, **kwargs)
         if prepare is not None:
             prepare(scheme)
-        system = cls(config, scheme, [t.rebase(i) for i, t in enumerate(traces)])
+        system = cls(config, scheme, list(traces))
         results.append(system.run(4_000, warmup_instructions=500).to_dict())
+        systems.append(system)
+    return systems[0], results[0], results[1]
+
+
+def _fallback_run(config, scheme_name, traces, capsys, prepare=None, **kwargs):
+    """:func:`_run_pair` on core-rebased traces; return (compiled result,
+    reference result, notice lines)."""
+    _, out, ref = _run_pair(config, scheme_name,
+                            [t.rebase(i) for i, t in enumerate(traces)],
+                            prepare, **kwargs)
     notices = [
         line for line in capsys.readouterr().err.splitlines()
         if line.startswith("repro.compiled:")
     ]
-    return results[0], results[1], notices
+    return out, ref, notices
 
 
 def _small_trace(seed=0, n=60):
@@ -144,6 +162,113 @@ class TestFallbackReasons:
             one_core, "cc", [_small_trace()], capsys, spill_probability=0.0
         )
         assert len(notices) == 1 and "'cc'" in notices[0]
+
+
+needs_kernel = pytest.mark.skipif(
+    not _ckernel.lib_available(), reason="C kernel unavailable"
+)
+
+
+def _attach_monitor(scheme):
+    scheme.attach_monitor(OnlineDemandMonitor.from_config(scheme.config))
+
+
+#: (scheme, prepare, factory kwargs): every kernel scheme, CC on its
+#: random-draw ring, and SNUG on the demand-monitor hand-off.
+KERNEL_RUNS = [
+    ("l2p", None, {}),
+    ("l2s", None, {}),
+    ("cc", None, {"spill_probability": 0.5}),
+    ("dsr", None, {}),
+    ("snug", None, {}),
+    ("snug", _attach_monitor, {}),
+]
+
+
+class TestArrayNative:
+    """The kernel reads the cores' NumPy columns; only the Python loop
+    builds the plain-list columns."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("scheme_name,prepare,kwargs", KERNEL_RUNS)
+    def test_compiled_run_never_builds_list_columns(
+        self, monkeypatch, scheme_name, prepare, kwargs
+    ):
+        def refuse(core):
+            raise AssertionError("list columns built on the compiled path")
+
+        monkeypatch.setattr(TraceCore, "ensure_lists", refuse)
+        config, _, traces = build(scheme_name)
+        # Short SNUG stages, so the monitored run crosses latches.
+        config = dataclasses.replace(config, snug=dataclasses.replace(
+            config.snug, identify_cycles=4_000, group_cycles=6_000))
+        system, out, ref = _run_pair(config, scheme_name, traces, prepare, **kwargs)
+        assert out == ref
+        assert all(core._gaps is None for core in system.cores)
+        if prepare is not None:
+            assert system.scheme.monitor.latches > 0
+
+    @pytest.mark.parametrize("scheme_name,cores,kwargs", [
+        ("snug_intra", 4, {}),
+        ("cc", 1, {"spill_probability": 0.0}),
+    ])
+    def test_fallback_run_builds_list_columns(self, scheme_name, cores, kwargs):
+        config = dataclasses.replace(tiny_config(seed=7), num_cores=cores)
+        traces = [_small_trace(seed=i).rebase(i) for i in range(cores)]
+        system, out, ref = _run_pair(config, scheme_name, traces, **kwargs)
+        assert out == ref
+        assert all(core._gaps is not None for core in system.cores)
+
+
+class TestPointerTableCheck:
+    """A slot the C side would misread is refused, by name, before the
+    kernel runs."""
+
+    def test_slot_names_and_dtypes_follow_the_c_entry(self):
+        # run_kernel's C entry loads slot A_X into Ctx member x as i64* or
+        # double*; the check's names and dtypes must say the same, in order.
+        source = _ckernel._C_SOURCE
+        order = re.search(r"enum \{ (A_PARAMS.*?), NARR \}", source, re.S).group(1)
+        loads = {
+            slot: (member, ctype) for member, ctype, slot in re.findall(
+                r"C->(\w+) = \((i64|double) \*\)A\[(A_\w+)\]", source)
+        }
+        slots = [name.strip() for name in order.split(",")]
+        assert len(slots) == len(_ckernel._SLOT_NAMES) == _ckernel._NARR
+        for index, slot in enumerate(slots):
+            member, ctype = loads[slot]
+            assert _ckernel._SLOT_NAMES[index] == (
+                "params" if member == "p" else member), slot
+            assert (index in _ckernel._FLOAT_SLOTS) == (ctype == "double"), slot
+
+    @needs_kernel
+    @pytest.mark.parametrize("slot,corrupt,message", [
+        (_ckernel._A_TADDR, lambda a: a[:-1],
+         r"slot 't_addr': 3999 elements, the params imply at least 4000"),
+        (_ckernel._A_COIN, lambda a: a.astype(np.int64),
+         r"slot 'coin_buf': dtype int64, the kernel reads float64"),
+        (_ckernel._A_LMETA, lambda a: np.zeros(2 * a.size, np.int64)[::2],
+         r"slot 'line_meta' is not C-contiguous"),
+        (_ckernel._A_PARAMS,
+         lambda a: np.where(np.arange(a.size) == _ckernel._P_NCORES, 65, a),
+         r"slot 'params': 65 cores, the kernel takes 1-64"),
+    ])
+    def test_bad_slot_is_refused_by_name(self, monkeypatch, slot, corrupt, message):
+        real_table = _ckernel._pointer_table
+
+        def corrupted_table(arrays):
+            arrays[slot] = corrupt(arrays[slot])
+            return real_table(arrays)
+
+        def kernel(table):
+            raise AssertionError("the kernel ran on an unchecked table")
+
+        monkeypatch.setattr(_ckernel, "_pointer_table", corrupted_table)
+        monkeypatch.setattr(_ckernel._get_lib(), "run_kernel", kernel)
+        config, _, traces = build("cc")
+        scheme = make_scheme("cc", config, spill_probability=0.5)
+        with pytest.raises(SimulationError, match=message):
+            CompiledCmpSystem(config, scheme, traces).run(10_000)
 
 
 class TestKernelBuild:
