@@ -72,12 +72,13 @@ processes), ``--store DIR`` (persist per-task results in a durable
 sharded store of checksummed records; the manifest is stamped with the
 scenario's content hash) and ``--resume`` (skip tasks already completed
 in the store — refused when the store was produced by a different
-scenario).  The same three commands take ``--sim-core
-{auto,fast,compiled,reference}`` (select the stepping loop; every core is
-bit-identical, see ``docs/architecture.md``; ``auto`` picks the measured
-best core per scheme; the removed ``batch`` core is still accepted, with a
-deprecation warning, as an alias of ``auto``) and ``--profile PATH``
-(cProfile the execution phase).  ``run`` and ``sweep`` also take
+scenario).  The same three commands take ``--sim-core {auto,reference}``
+(select the stepping loop; both are bit-identical, see
+``docs/architecture.md``; ``auto`` runs each system on the native C
+kernel, or on the fast Python loop when the kernel declines it, naming
+why on stderr; the removed ``batch``, ``fast`` and ``compiled`` cores are
+still accepted, with a deprecation warning, as aliases of ``auto``) and
+``--profile PATH`` (cProfile the execution phase).  ``run`` and ``sweep`` also take
 ``--snug-monitor`` (SNUG classifies sets from an online streaming demand
 monitor; a plan property, so it behaves identically under every backend) —
 see :mod:`repro.engine`.  Every backend produces bit-identical results to
@@ -189,13 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_flags.add_argument(
         "--sim-core", choices=SIM_CORES, default=None, type=normalize_sim_core,
-        help="stepping loop: compiled (the native C kernel; systems it "
-             "declines run on the fast loop, with a one-line notice "
-             "naming why), fast (scalar Python event loop), reference (the "
-             "seed loop), or auto (compiled for the five kernel schemes, "
-             "fast for the rest); all cores produce bit-identical results, "
-             "so this never changes what a run computes ('batch' is a "
-             "deprecated alias of auto)",
+        help="stepping loop: auto (the native C kernel; systems it "
+             "declines run on the fast Python loop, with a one-line notice "
+             "naming why) or reference (the seed loop); both produce "
+             "bit-identical results, so this never changes what a run "
+             "computes ('batch', 'fast' and 'compiled' are deprecated "
+             "aliases of auto)",
     )
     engine_flags.add_argument(
         "--profile", default=None, metavar="PATH",

@@ -9,12 +9,22 @@ loaded through :mod:`ctypes`.  The build is cached on disk keyed by a hash
 of the source, the compiler flags and the resolved compiler path, so each
 revision compiles exactly once per machine and toolchain.
 
-Everything mutable lives in preallocated ``int64`` NumPy arrays passed to C
-as one pointer table; the Python wrapper encodes the live system state into
-the arrays, runs the kernel, and merges the arrays back into the real
-objects — including stat-counter *first-touch order*, reproduced via stamp
-arrays, because ``SimResult.to_dict()`` round-trips through JSON where dict
-insertion order is part of byte-identity.
+The kernel's interface is declared once, in Python: the scalar inputs
+(:data:`_PARAMS`), the array inputs (:data:`_SLOTS`, plus the ``double``
+ring ``coin_buf``), the index names of the ``ms`` and ``rs`` arrays and of
+the return codes, and the stat-counter keys.  :func:`_c_interface` emits
+the C enums and the ``Ctx`` struct from those tables into the source, and
+:class:`_Ctx` takes its :mod:`ctypes` fields from the same tables, so the
+two sides cannot drift apart.  The wrapper sets the scalars by name, binds
+each array by slot name after checking it (:func:`_bind_arrays`), and
+passes the struct by reference.
+
+Everything mutable lives in preallocated ``int64`` NumPy arrays; the
+wrapper encodes the live system state into them, runs the kernel, and
+merges the arrays back into the real objects — including stat-counter
+*first-touch order*, reproduced via stamp arrays, because
+``SimResult.to_dict()`` round-trips through JSON where dict insertion
+order is part of byte-identity.
 
 The kernel is resumable: all loop state (event count, finish countdown,
 round-robin cursors, SNUG stage machinery) lives in the arrays, so the C
@@ -51,7 +61,8 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import List, Optional
+from enum import IntEnum
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -68,8 +79,10 @@ _OUT_KEYS = tuple(o.value for o in Outcome)
 #: Address-only snoop payload (mirrors ``interconnect.bus.ADDRESS_BYTES``).
 _ADDRESS_BYTES = 8
 
-# -- slot layouts (must mirror the C enums below, order included) -------------
+# -- the kernel interface: declared here, generated for C and ctypes ----------
 
+#: Stat-counter keys per counter row, in slot order.  The C enums take the
+#: upper-cased keys (``SL_HITS``, ..., ``DR_BANK_CONFLICT_CYCLES``).
 _SL_KEYS = (
     "hits", "misses", "fills", "evictions", "writebacks", "dram_fetches",
     "invalidations", "forwards", "remote_hits", "cc_evicted", "spills_out",
@@ -83,45 +96,69 @@ _DR_KEYS = ("reads", "busy_cycles", "bank_conflict_cycles", "bank_conflicts")
 _BU_KEYS = ("snoops", "busy_cycles", "bytes", "queue_cycles", "transfers")
 _RT_KEYS = ("epochs",)
 
-(_P_NCORES, _P_KIND, _P_WARMUP, _P_FINISH, _P_BUDGET, _P_L1, _P_LAT_LOCAL,
- _P_LAT_REMOTE, _P_LAT_SNUG, _P_DRAM_LAT, _P_BANKED, _P_DBANK_MASK,
- _P_DBANK_BUSY, _P_CONTENTION, _P_SNOOP_COST, _P_LINE_COST, _P_LINE_BYTES,
- _P_IMASK, _P_ASSOC, _P_WB_CAP, _P_WB_DRAIN, _P_WB_DIRECT, _P_CSHIFT,
- _P_CMASK, _P_NPER, _P_SPILL_MODE, _P_PSEL_MAX, _P_PSEL_MSB, _P_NSETS,
- _P_MON_MAX, _P_MON_MSB, _P_MON_RESET, _P_PTHR, _P_MON_GROUP, _P_FLIP_EN,
- _P_FLUSH_FLIP, _P_IDENT_CYC, _P_GROUP_CYC, _P_MONITORED, _NPARAMS) = range(40)
+#: Slots of the ``ms`` loop-state array, the ``rs`` RNG-ring cursors, and
+#: the kernel's return codes.
+_MS = IntEnum("_MS", "REMAINING EVENTS RR SPILL_RR STAGE STAGE_END EPOCH "
+                     "GT_READY", start=0)
+_RS = IntEnum("_RS", "COIN_POS COIN_FILL PICK_POS PICK_FILL", start=0)
+_RC = IntEnum("_RC", "DONE BUDGET RNG LATCH", start=0)
 
-(_MS_REMAINING, _MS_EVENTS, _MS_RR, _MS_SPILL_RR, _MS_STAGE, _MS_STAGE_END,
- _MS_EPOCH, _MS_GT_READY, _NMS) = range(9)
-
-(_RS_COIN_POS, _RS_COIN_FILL, _RS_PICK_POS, _RS_PICK_FILL, _NRS) = range(5)
-
-(_A_PARAMS, _A_OFFS, _A_TADDR, _A_TGAP, _A_TGAPC, _A_TWRITE,
- _A_CTIME, _A_CPOS, _A_CINSTR, _A_CWRAPS, _A_CACC, _A_CWARM, _A_CFIN,
- _A_KEYS, _A_LADDR, _A_LMETA, _A_OCC, _A_WBADDR, _A_WBTIME, _A_WBHEAD,
- _A_WBLEN, _A_WBNEXT, _A_SLCNT, _A_SLSTAMP, _A_WCNT, _A_WSTAMP, _A_DCNT,
- _A_DSTAMP, _A_BCNT, _A_BSTAMP, _A_RCNT, _A_RSTAMP, _A_STAMP, _A_BANKFREE,
- _A_BUSBUSY, _A_OUTC, _A_WOUT, _A_WLAT, _A_MS, _A_SETROLE, _A_PSEL,
- _A_GT, _A_SHADDR, _A_SHLEN, _A_MONVAL, _A_MONMOD, _A_COIN, _A_PICK, _A_RS,
- _A_PEERS, _A_DPARAMS, _A_GTIN, _NARR) = range(53)
-
-#: Each pointer-table slot's name, in slot order, for the entry check's
-#: error messages: its ``Ctx`` member in the C source (``p`` is "params").
-_SLOT_NAMES = (
-    "params", "offs", "t_addr", "t_gap", "t_gapc", "t_write",
-    "c_time", "c_pos", "c_instr", "c_wraps", "c_acc", "c_warm", "c_fin",
-    "keys", "line_addr", "line_meta", "occ", "wb_addr", "wb_time", "wb_head",
-    "wb_len", "wb_next", "slcnt", "slstamp", "wcnt", "wstamp", "dcnt",
-    "dstamp", "bcnt", "bstamp", "rcnt", "rstamp", "stamp", "bank_free",
-    "bus_busy", "out_c", "w_out", "w_lat", "ms", "set_role", "psel",
-    "gt", "sh_addr", "sh_len", "mon_val", "mon_mod", "coin_buf", "pick_buf",
-    "rs", "peers", "dparams", "gt_in",
+#: Scalar inputs: ``int64_t`` members of ``Ctx``, read by value.  The one
+#: ``double`` scalar, CC's spill probability, follows them as ``spill_p``.
+_PARAMS = (
+    "ncores", "kind", "warmup", "finish_at", "budget", "l1_lat", "lat_local",
+    "lat_remote", "lat_snug", "dram_lat", "banked", "dbank_mask",
+    "dbank_busy", "contention", "snoop_cost", "line_cost", "line_bytes",
+    "imask", "assoc", "wb_cap", "wb_drain", "wb_direct", "cshift", "cmask",
+    "nper", "spill_mode", "psel_max", "psel_msb", "nsets", "mon_max",
+    "mon_msb", "mon_reset", "pthr", "mon_group", "flip_en", "flush_flip",
+    "ident_cyc", "group_cyc", "monitored",
 )
 
-#: Slots the C side reads as ``double``; every other slot is ``int64_t``.
-_FLOAT_SLOTS = (_A_COIN, _A_DPARAMS)
+#: Array inputs: ``int64_t *`` members of ``Ctx``.  The one ``double *``
+#: slot, CC's coin ring, follows them as ``coin_buf``.
+_SLOTS = (
+    "offs", "t_addr", "t_gap", "t_gapc", "t_write",
+    "c_time", "c_pos", "c_instr", "c_wraps", "c_acc", "c_warm", "c_fin",
+    "keys", "line_addr", "line_meta", "occ",
+    "wb_addr", "wb_time", "wb_head", "wb_len", "wb_next",
+    "slcnt", "slstamp", "wcnt", "wstamp", "dcnt", "dstamp",
+    "bcnt", "bstamp", "rcnt", "rstamp", "stamp",
+    "bank_free", "bus_busy", "out_c", "w_out", "w_lat", "ms",
+    "set_role", "psel", "gt", "gt_in", "sh_addr", "sh_len", "mon_val",
+    "mon_mod", "pick_buf", "rs", "peers",
+)
+_ALL_SLOTS = (*_SLOTS, "coin_buf")
 
-_RC_DONE, _RC_BUDGET, _RC_RNG, _RC_LATCH = 0, 1, 2, 3
+
+def _c_interface() -> str:
+    """The C enums and the ``Ctx`` struct, generated from the tables above."""
+    enums = (("SL", _SL_KEYS), ("WB", _WB_KEYS), ("DR", _DR_KEYS),
+             ("BU", _BU_KEYS), ("RT", _RT_KEYS), ("MS", _MS.__members__),
+             ("RS", _RS.__members__), ("RC", _RC.__members__))
+    lines = [
+        "enum { %s, N%s };" % (
+            ", ".join(f"{prefix}_{name.upper()}" for name in names), prefix)
+        for prefix, names in enums
+    ]
+    lines.append("typedef struct {")
+    lines += [f"    i64 {name};" for name in _PARAMS]
+    lines.append("    double spill_p;")
+    lines += [f"    i64 *{name};" for name in _SLOTS]
+    lines.append("    double *coin_buf;")
+    lines.append("} Ctx;")
+    return "\n".join(lines) + "\n"
+
+
+class _Ctx(ctypes.Structure):
+    """The kernel's input, laid out as the generated C ``Ctx``."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in _PARAMS]
+        + [("spill_p", ctypes.c_double)]
+        + [(name, ctypes.c_void_p) for name in _ALL_SLOTS]
+    )
+
 
 #: Ring-buffer capacity for prefetched CC random draws.
 _RNG_CAP = 4096
@@ -134,9 +171,10 @@ _C_SOURCE = r"""
 /* Structure-of-arrays event loop for the repro compiled simulation core.
  *
  * One translation unit, one exported function:
- *     int64_t run_kernel(void **A);
- * where A is a pointer table whose slot order mirrors the _A_* constants in
- * the Python wrapper.  All semantics transcribe the executable spec
+ *     int64_t run_kernel(const Ctx *in);
+ * The enums and the Ctx struct below are generated from the Python tables
+ * in _ckernel.py, which fill Ctx: scalar inputs by value, array inputs as
+ * pointers.  All semantics transcribe the executable spec
  * (core/reference.py plus each scheme's access()) term for term,
  * stat-counter first-touch order included (the stamp arrays record the
  * global first-touch tick of each counter slot; the Python merge replays
@@ -146,55 +184,7 @@ _C_SOURCE = r"""
 
 typedef int64_t i64;
 
-enum { P_NCORES, P_KIND, P_WARMUP, P_FINISH, P_BUDGET, P_L1, P_LAT_LOCAL,
-       P_LAT_REMOTE, P_LAT_SNUG, P_DRAM_LAT, P_BANKED, P_DBANK_MASK,
-       P_DBANK_BUSY, P_CONTENTION, P_SNOOP_COST, P_LINE_COST, P_LINE_BYTES,
-       P_IMASK, P_ASSOC, P_WB_CAP, P_WB_DRAIN, P_WB_DIRECT, P_CSHIFT,
-       P_CMASK, P_NPER, P_SPILL_MODE, P_PSEL_MAX, P_PSEL_MSB, P_NSETS,
-       P_MON_MAX, P_MON_MSB, P_MON_RESET, P_PTHR, P_MON_GROUP, P_FLIP_EN,
-       P_FLUSH_FLIP, P_IDENT_CYC, P_GROUP_CYC, P_MONITORED, NPARAMS };
-
-enum { SL_HITS, SL_MISSES, SL_FILLS, SL_EVICT, SL_WB, SL_DRAMF, SL_INVAL,
-       SL_FWD, SL_RHIT, SL_CCEV, SL_SPOUT, SL_SPHOST, SL_SPDROP, SL_SPUNPL,
-       SL_SPHOSTF, SL_SHHIT, SL_CCFLUSH, SL_TAKERS, NSL };
-enum { WB_DRAINED, WB_MERGED, WB_FULL, WB_STALLC, WB_DEP, WB_DIRECT, NWB };
-enum { DR_READS, DR_BUSY, DR_CONFC, DR_CONF, NDR };
-enum { BU_SNOOPS, BU_BUSY, BU_BYTES, BU_QUEUE, BU_TRANSFERS, NBU };
-enum { RT_EPOCHS, NRT };
-enum { MS_REMAINING, MS_EVENTS, MS_RR, MS_SPILL_RR, MS_STAGE, MS_STAGE_END,
-       MS_EPOCH, MS_GT_READY, NMS };
-enum { RS_COIN_POS, RS_COIN_FILL, RS_PICK_POS, RS_PICK_FILL, NRS };
-
-enum { A_PARAMS, A_OFFS, A_TADDR, A_TGAP, A_TGAPC, A_TWRITE,
-       A_CTIME, A_CPOS, A_CINSTR, A_CWRAPS, A_CACC, A_CWARM, A_CFIN,
-       A_KEYS, A_LADDR, A_LMETA, A_OCC, A_WBADDR, A_WBTIME, A_WBHEAD,
-       A_WBLEN, A_WBNEXT, A_SLCNT, A_SLSTAMP, A_WCNT, A_WSTAMP, A_DCNT,
-       A_DSTAMP, A_BCNT, A_BSTAMP, A_RCNT, A_RSTAMP, A_STAMP, A_BANKFREE,
-       A_BUSBUSY, A_OUTC, A_WOUT, A_WLAT, A_MS, A_SETROLE, A_PSEL,
-       A_GT, A_SHADDR, A_SHLEN, A_MONVAL, A_MONMOD, A_COIN, A_PICK, A_RS,
-       A_PEERS, A_DPARAMS, A_GTIN, NARR };
-
-enum { RC_DONE = 0, RC_BUDGET = 1, RC_RNG = 2, RC_LATCH = 3 };
-
-typedef struct {
-    i64 *p, *offs, *t_addr, *t_gap, *t_gapc, *t_write;
-    i64 *c_time, *c_pos, *c_instr, *c_wraps, *c_acc, *c_warm, *c_fin, *keys;
-    i64 *line_addr, *line_meta, *occ;
-    i64 *wb_addr, *wb_time, *wb_head, *wb_len, *wb_next;
-    i64 *slcnt, *slstamp, *wcnt, *wstamp, *dcnt, *dstamp;
-    i64 *bcnt, *bstamp, *rcnt, *rstamp, *stamp;
-    i64 *bank_free, *bus_busy, *out_c, *w_out, *w_lat, *ms;
-    i64 *set_role, *psel, *gt, *gt_in, *sh_addr, *sh_len, *mon_val, *mon_mod;
-    double *coin_buf; i64 *pick_buf, *rs, *peers; double *dparams;
-    i64 ncores, kind, imask, assoc, nsets, nper, cshift, cmask;
-    i64 l1_lat, lat_local, lat_remote, lat_snug, dram_lat;
-    i64 banked, dbank_mask, dbank_busy, contention, snoop_cost, line_cost;
-    i64 line_bytes, wb_cap, wb_drain, wb_direct, spill_mode;
-    i64 psel_max, psel_msb, mon_max, mon_msb, mon_reset, pthr, mon_group;
-    i64 flip_en, flush_flip, ident_cyc, group_cyc, monitored;
-    double spill_p;
-} Ctx;
-
+""" + _c_interface() + r"""
 /* Bump counter slot `idx` of (cnt, stp) by v, stamping on first touch. */
 #define BUMP(cnt, stp, idx, v) do { \
         if ((stp)[idx] < 0) (stp)[idx] = (*C->stamp)++; \
@@ -203,27 +193,27 @@ typedef struct {
 
 static i64 bus_snoop(Ctx *C, i64 now) {
     BUMP(C->bcnt, C->bstamp, BU_SNOOPS, 1);
-    BUMP(C->bcnt, C->bstamp, BU_BUSY, C->snoop_cost);
+    BUMP(C->bcnt, C->bstamp, BU_BUSY_CYCLES, C->snoop_cost);
     BUMP(C->bcnt, C->bstamp, BU_BYTES, 8);
     if (!C->contention) return 0;
     i64 bu = *C->bus_busy;
     i64 start = bu > now ? bu : now;
     i64 delay = start - now;
     *C->bus_busy = start + C->snoop_cost;
-    if (delay) BUMP(C->bcnt, C->bstamp, BU_QUEUE, delay);
+    if (delay) BUMP(C->bcnt, C->bstamp, BU_QUEUE_CYCLES, delay);
     return delay;
 }
 
 static i64 bus_transfer(Ctx *C, i64 now) {
     BUMP(C->bcnt, C->bstamp, BU_TRANSFERS, 1);
-    BUMP(C->bcnt, C->bstamp, BU_BUSY, C->line_cost);
+    BUMP(C->bcnt, C->bstamp, BU_BUSY_CYCLES, C->line_cost);
     BUMP(C->bcnt, C->bstamp, BU_BYTES, C->line_bytes);
     if (!C->contention) return 0;
     i64 bu = *C->bus_busy;
     i64 start = bu > now ? bu : now;
     i64 delay = start - now;
     *C->bus_busy = start + C->line_cost;
-    if (delay) BUMP(C->bcnt, C->bstamp, BU_QUEUE, delay);
+    if (delay) BUMP(C->bcnt, C->bstamp, BU_QUEUE_CYCLES, delay);
     return delay;
 }
 
@@ -237,12 +227,12 @@ static i64 mem_fetch(Ctx *C, i64 addr, i64 now) {
         i64 qd = start - now;
         C->bank_free[bank] = start + C->dbank_busy;
         if (qd) {
-            BUMP(C->dcnt, C->dstamp, DR_CONFC, qd);
-            BUMP(C->dcnt, C->dstamp, DR_CONF, 1);
+            BUMP(C->dcnt, C->dstamp, DR_BANK_CONFLICT_CYCLES, qd);
+            BUMP(C->dcnt, C->dstamp, DR_BANK_CONFLICTS, 1);
             latency += qd;
         }
     }
-    BUMP(C->dcnt, C->dstamp, DR_BUSY, latency);
+    BUMP(C->dcnt, C->dstamp, DR_BUSY_CYCLES, latency);
     return latency;
 }
 
@@ -272,15 +262,15 @@ static i64 wb_deposit(Ctx *C, i64 c, i64 baddr, i64 now) {
         stall = wait - now;
         head = (head + 1) % cap; len--;
         BUMP(wc, ws, WB_DRAINED, 1);
-        BUMP(wc, ws, WB_FULL, 1);
-        BUMP(wc, ws, WB_STALLC, stall);
+        BUMP(wc, ws, WB_FULL_STALLS, 1);
+        BUMP(wc, ws, WB_STALL_CYCLES, stall);
         nd = wait + C->wb_drain;
     } else if (!len) {
         nd = now + C->wb_drain;
     }
     i64 tail = (head + len) % cap;
     wa[tail] = baddr; wt[tail] = now; len++;
-    BUMP(wc, ws, WB_DEP, 1);
+    BUMP(wc, ws, WB_DEPOSITS, 1);
     C->wb_head[c] = head; C->wb_len[c] = len; C->wb_next[c] = nd;
     return stall;
 }
@@ -310,7 +300,7 @@ static int wb_try_read(Ctx *C, i64 c, i64 baddr, i64 now) {
                 wa[a] = wa[b]; wt[a] = wt[b];
             }
             C->wb_len[c] = len - 1;
-            BUMP(wc, ws, WB_DIRECT, 1);
+            BUMP(wc, ws, WB_DIRECT_READS, 1);
             return 1;
         }
     }
@@ -395,7 +385,7 @@ static int do_fill(Ctx *C, i64 c, i64 set, i64 addr, i64 meta,
     C->occ[idx] = occ + 1;
     i64 *sc = C->slcnt + c * NSL, *ss = C->slstamp + c * NSL;
     BUMP(sc, ss, SL_FILLS, 1);
-    if (evicted) BUMP(sc, ss, SL_EVICT, 1);
+    if (evicted) BUMP(sc, ss, SL_EVICTIONS, 1);
     return evicted;
 }
 """
@@ -411,12 +401,12 @@ static void cc_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
                      &hva, &hvm);
     i64 *hc = C->slcnt + host * NSL, *hs = C->slstamp + host * NSL;
     i64 *oc = C->slcnt + owner * NSL, *os = C->slstamp + owner * NSL;
-    BUMP(oc, os, SL_SPOUT, 1);
-    BUMP(hc, hs, SL_SPHOST, 1);
+    BUMP(oc, os, SL_SPILLS_OUT, 1);
+    BUMP(hc, hs, SL_SPILLS_HOSTED, 1);
     if (ev) {
-        if (hvm & 2) BUMP(hc, hs, SL_CCEV, 1);
+        if (hvm & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
         else if (hvm & 1) {
-            BUMP(hc, hs, SL_WB, 1);
+            BUMP(hc, hs, SL_WRITEBACKS, 1);
             wb_deposit(C, host, hva, now);
         }
     }
@@ -431,7 +421,7 @@ static void dsr_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
         if (!((C->psel[p] >> C->psel_msb) & 1)) recv[nr++] = p;
     }
     i64 *oc = C->slcnt + owner * NSL, *os = C->slstamp + owner * NSL;
-    if (!nr) { BUMP(oc, os, SL_SPDROP, 1); return; }
+    if (!nr) { BUMP(oc, os, SL_SPILLS_DROPPED, 1); return; }
     i64 host = recv[C->ms[MS_RR] % nr];
     C->ms[MS_RR]++;
     bus_snoop(C, now);
@@ -440,12 +430,12 @@ static void dsr_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
     int ev = do_fill(C, host, vaddr & C->imask, vaddr, 2 | (vowner << 3),
                      &hva, &hvm);
     i64 *hc = C->slcnt + host * NSL, *hs = C->slstamp + host * NSL;
-    BUMP(oc, os, SL_SPOUT, 1);
-    BUMP(hc, hs, SL_SPHOST, 1);
+    BUMP(oc, os, SL_SPILLS_OUT, 1);
+    BUMP(hc, hs, SL_SPILLS_HOSTED, 1);
     if (ev) {
-        if (hvm & 2) BUMP(hc, hs, SL_CCEV, 1);
+        if (hvm & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
         else if (hvm & 1) {
-            BUMP(hc, hs, SL_WB, 1);
+            BUMP(hc, hs, SL_WRITEBACKS, 1);
             wb_deposit(C, host, hva, now);
         }
     }
@@ -468,19 +458,19 @@ static void snug_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 si,
         }
     }
     i64 *oc = C->slcnt + owner * NSL, *os = C->slstamp + owner * NSL;
-    if (cand_peer < 0) { BUMP(oc, os, SL_SPUNPL, 1); return; }
+    if (cand_peer < 0) { BUMP(oc, os, SL_SPILLS_UNPLACED, 1); return; }
     bus_transfer(C, now);
     i64 hva = 0, hvm = 0;
     int ev = do_fill(C, cand_peer, cand_idx, vaddr,
                      2 | (cand_f ? 4 : 0) | (vowner << 3), &hva, &hvm);
     i64 *pc = C->slcnt + cand_peer * NSL, *ps = C->slstamp + cand_peer * NSL;
-    BUMP(oc, os, SL_SPOUT, 1);
-    BUMP(pc, ps, SL_SPHOST, 1);
-    if (cand_f) BUMP(pc, ps, SL_SPHOSTF, 1);
+    BUMP(oc, os, SL_SPILLS_OUT, 1);
+    BUMP(pc, ps, SL_SPILLS_HOSTED, 1);
+    if (cand_f) BUMP(pc, ps, SL_SPILLS_HOSTED_FLIPPED, 1);
     if (ev) {
-        if (hvm & 2) BUMP(pc, ps, SL_CCEV, 1);
+        if (hvm & 2) BUMP(pc, ps, SL_CC_EVICTED, 1);
         else if (hvm & 1) {
-            BUMP(pc, ps, SL_WB, 1);
+            BUMP(pc, ps, SL_WRITEBACKS, 1);
             wb_deposit(C, cand_peer, hva, now);
         } else {
             i64 hvsi = hva & C->imask;
@@ -510,7 +500,7 @@ static void latch_gt(Ctx *C) {
                 i64 w = 0;
                 for (i64 j = 0; j < occ; j++) {
                     if (lm[j] & 2) {
-                        BUMP(sc, ss, SL_CCFLUSH, 1);
+                        BUMP(sc, ss, SL_CC_FLUSHED, 1);
                     } else {
                         la[w] = la[j]; lm[w] = lm[j]; w++;
                     }
@@ -522,7 +512,7 @@ static void latch_gt(Ctx *C) {
             mv[s] = C->mon_reset;
             mm[s] = 0;
         }
-        BUMP(sc, ss, SL_TAKERS, takers);
+        BUMP(sc, ss, SL_TAKER_SETS_LATCHED, takers);
     }
 }
 
@@ -561,14 +551,14 @@ static i64 fill_dispose(Ctx *C, i64 cid, i64 addr, i64 dirty, i64 now) {
     i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
     if (C->kind == 1) {
         if (vm & 1) {
-            BUMP(sc, ss, SL_WB, 1);
+            BUMP(sc, ss, SL_WRITEBACKS, 1);
             return wb_deposit(C, cid, va, now);
         }
         return 0;
     }
-    if (vm & 2) { BUMP(sc, ss, SL_CCEV, 1); return 0; }
+    if (vm & 2) { BUMP(sc, ss, SL_CC_EVICTED, 1); return 0; }
     if (vm & 1) {
-        BUMP(sc, ss, SL_WB, 1);
+        BUMP(sc, ss, SL_WRITEBACKS, 1);
         return wb_deposit(C, cid, va, now);
     }
     if (C->kind == 2) {
@@ -593,104 +583,12 @@ static i64 fill_dispose(Ctx *C, i64 cid, i64 addr, i64 dirty, i64 now) {
     return 0;
 }
 
-i64 run_kernel(void **A) {
-    Ctx ctx;
+i64 run_kernel(const Ctx *in) {
+    Ctx ctx = *in;  /* a local copy: no store through a state array aliases it */
     Ctx *C = &ctx;
-    C->p = (i64 *)A[A_PARAMS];
-    C->offs = (i64 *)A[A_OFFS];
-    C->t_addr = (i64 *)A[A_TADDR];
-    C->t_gap = (i64 *)A[A_TGAP];
-    C->t_gapc = (i64 *)A[A_TGAPC];
-    C->t_write = (i64 *)A[A_TWRITE];
-    C->c_time = (i64 *)A[A_CTIME];
-    C->c_pos = (i64 *)A[A_CPOS];
-    C->c_instr = (i64 *)A[A_CINSTR];
-    C->c_wraps = (i64 *)A[A_CWRAPS];
-    C->c_acc = (i64 *)A[A_CACC];
-    C->c_warm = (i64 *)A[A_CWARM];
-    C->c_fin = (i64 *)A[A_CFIN];
-    C->keys = (i64 *)A[A_KEYS];
-    C->line_addr = (i64 *)A[A_LADDR];
-    C->line_meta = (i64 *)A[A_LMETA];
-    C->occ = (i64 *)A[A_OCC];
-    C->wb_addr = (i64 *)A[A_WBADDR];
-    C->wb_time = (i64 *)A[A_WBTIME];
-    C->wb_head = (i64 *)A[A_WBHEAD];
-    C->wb_len = (i64 *)A[A_WBLEN];
-    C->wb_next = (i64 *)A[A_WBNEXT];
-    C->slcnt = (i64 *)A[A_SLCNT];
-    C->slstamp = (i64 *)A[A_SLSTAMP];
-    C->wcnt = (i64 *)A[A_WCNT];
-    C->wstamp = (i64 *)A[A_WSTAMP];
-    C->dcnt = (i64 *)A[A_DCNT];
-    C->dstamp = (i64 *)A[A_DSTAMP];
-    C->bcnt = (i64 *)A[A_BCNT];
-    C->bstamp = (i64 *)A[A_BSTAMP];
-    C->rcnt = (i64 *)A[A_RCNT];
-    C->rstamp = (i64 *)A[A_RSTAMP];
-    C->stamp = (i64 *)A[A_STAMP];
-    C->bank_free = (i64 *)A[A_BANKFREE];
-    C->bus_busy = (i64 *)A[A_BUSBUSY];
-    C->out_c = (i64 *)A[A_OUTC];
-    C->w_out = (i64 *)A[A_WOUT];
-    C->w_lat = (i64 *)A[A_WLAT];
-    C->ms = (i64 *)A[A_MS];
-    C->set_role = (i64 *)A[A_SETROLE];
-    C->psel = (i64 *)A[A_PSEL];
-    C->gt = (i64 *)A[A_GT];
-    C->gt_in = (i64 *)A[A_GTIN];
-    C->sh_addr = (i64 *)A[A_SHADDR];
-    C->sh_len = (i64 *)A[A_SHLEN];
-    C->mon_val = (i64 *)A[A_MONVAL];
-    C->mon_mod = (i64 *)A[A_MONMOD];
-    C->coin_buf = (double *)A[A_COIN];
-    C->pick_buf = (i64 *)A[A_PICK];
-    C->rs = (i64 *)A[A_RS];
-    C->peers = (i64 *)A[A_PEERS];
-    C->dparams = (double *)A[A_DPARAMS];
-
-    C->ncores = C->p[P_NCORES];
-    C->kind = C->p[P_KIND];
-    C->imask = C->p[P_IMASK];
-    C->assoc = C->p[P_ASSOC];
-    C->nsets = C->p[P_NSETS];
-    C->nper = C->p[P_NPER];
-    C->cshift = C->p[P_CSHIFT];
-    C->cmask = C->p[P_CMASK];
-    C->l1_lat = C->p[P_L1];
-    C->lat_local = C->p[P_LAT_LOCAL];
-    C->lat_remote = C->p[P_LAT_REMOTE];
-    C->lat_snug = C->p[P_LAT_SNUG];
-    C->dram_lat = C->p[P_DRAM_LAT];
-    C->banked = C->p[P_BANKED];
-    C->dbank_mask = C->p[P_DBANK_MASK];
-    C->dbank_busy = C->p[P_DBANK_BUSY];
-    C->contention = C->p[P_CONTENTION];
-    C->snoop_cost = C->p[P_SNOOP_COST];
-    C->line_cost = C->p[P_LINE_COST];
-    C->line_bytes = C->p[P_LINE_BYTES];
-    C->wb_cap = C->p[P_WB_CAP];
-    C->wb_drain = C->p[P_WB_DRAIN];
-    C->wb_direct = C->p[P_WB_DIRECT];
-    C->spill_mode = C->p[P_SPILL_MODE];
-    C->psel_max = C->p[P_PSEL_MAX];
-    C->psel_msb = C->p[P_PSEL_MSB];
-    C->mon_max = C->p[P_MON_MAX];
-    C->mon_msb = C->p[P_MON_MSB];
-    C->mon_reset = C->p[P_MON_RESET];
-    C->pthr = C->p[P_PTHR];
-    C->mon_group = C->p[P_MON_GROUP];
-    C->flip_en = C->p[P_FLIP_EN];
-    C->flush_flip = C->p[P_FLUSH_FLIP];
-    C->ident_cyc = C->p[P_IDENT_CYC];
-    C->group_cyc = C->p[P_GROUP_CYC];
-    C->monitored = C->p[P_MONITORED];
-    C->spill_p = C->dparams[0];
 
     i64 ncores = C->ncores, kind = C->kind;
-    i64 budget = C->p[P_BUDGET];
-    i64 finish_at = C->p[P_FINISH];
-    i64 warmup = C->p[P_WARMUP];
+    i64 budget = C->budget, finish_at = C->finish_at, warmup = C->warmup;
 
     while (C->ms[MS_REMAINING]) {
         if (kind == 2 && C->spill_mode) {
@@ -732,7 +630,7 @@ i64 run_kernel(void **A) {
                 } else {
                     latency = mem_fetch(C, addr, issue);
                     stall = fill_dispose(C, cid, addr, is_write, issue);
-                    BUMP(sc, ss, SL_DRAMF, 1);
+                    BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                     latency += stall; okey = 3;
                 }
             }
@@ -759,7 +657,7 @@ i64 run_kernel(void **A) {
                 } else {
                     i64 lat = mem_fetch(C, addr, issue);
                     stall = fill_dispose(C, bank, la, is_write, issue);
-                    BUMP(sc, ss, SL_DRAMF, 1);
+                    BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                     latency = base + lat + stall; okey = 3;
                 }
             }
@@ -791,7 +689,7 @@ i64 run_kernel(void **A) {
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     if (shadow_hit(C, cid, si, addr)) {
-                        BUMP(sc, ss, SL_SHHIT, 1);
+                        BUMP(sc, ss, SL_SHADOW_HITS, 1);
                         if (C->ms[MS_STAGE] == 0 || C->mon_group) {
                             if (C->mon_val[midx] < C->mon_max)
                                 C->mon_val[midx]++;
@@ -830,16 +728,16 @@ i64 run_kernel(void **A) {
                         remove_way(C, fpeer, fidx, fway);
                         i64 *pc = C->slcnt + fpeer * NSL;
                         i64 *ps = C->slstamp + fpeer * NSL;
-                        BUMP(pc, ps, SL_INVAL, 1);
-                        BUMP(pc, ps, SL_FWD, 1);
+                        BUMP(pc, ps, SL_INVALIDATIONS, 1);
+                        BUMP(pc, ps, SL_FORWARDS, 1);
                         i64 delay = bus_transfer(C, issue);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
-                        BUMP(sc, ss, SL_RHIT, 1);
+                        BUMP(sc, ss, SL_REMOTE_HITS, 1);
                         latency = C->lat_snug + delay + stall; okey = 2;
                     } else {
                         latency = mem_fetch(C, addr, issue);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
-                        BUMP(sc, ss, SL_DRAMF, 1);
+                        BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                         latency += stall; okey = 3;
                     }
                 }
@@ -871,11 +769,11 @@ i64 run_kernel(void **A) {
                         remove_way(C, fpeer, set, fway);
                         i64 *pc = C->slcnt + fpeer * NSL;
                         i64 *ps = C->slstamp + fpeer * NSL;
-                        BUMP(pc, ps, SL_INVAL, 1);
-                        BUMP(pc, ps, SL_FWD, 1);
+                        BUMP(pc, ps, SL_INVALIDATIONS, 1);
+                        BUMP(pc, ps, SL_FORWARDS, 1);
                         i64 delay = bus_transfer(C, issue);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
-                        BUMP(sc, ss, SL_RHIT, 1);
+                        BUMP(sc, ss, SL_REMOTE_HITS, 1);
                         latency = C->lat_remote + delay + stall; okey = 2;
                     } else {
                         if (kind == 3) {
@@ -888,7 +786,7 @@ i64 run_kernel(void **A) {
                         }
                         latency = mem_fetch(C, addr, issue);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
-                        BUMP(sc, ss, SL_DRAMF, 1);
+                        BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                         latency += stall; okey = 3;
                     }
                 }
@@ -969,7 +867,7 @@ def _build(cc: str) -> ctypes.CDLL:
                     os.unlink(path)
     lib = ctypes.CDLL(so_path)
     lib.run_kernel.restype = ctypes.c_int64
-    lib.run_kernel.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
+    lib.run_kernel.argtypes = [ctypes.POINTER(_Ctx)]
     return lib
 
 
@@ -1068,63 +966,63 @@ def _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc) -> None:
         fed_pos[i], fed_acc[i] = c_pos[i], c_acc[i]
 
 
-def _slot_minima(p: np.ndarray, offs: np.ndarray, rs: np.ndarray) -> List[int]:
+def _slot_minima(ctx: _Ctx, offs: np.ndarray, rs: np.ndarray) -> Dict[str, int]:
     """The fewest elements the C side may touch through each slot, implied
-    by the params (plus ``offs`` for the trace columns and the ring fill
-    levels in ``rs`` for the CC draw buffers)."""
-    ncores, kind, nsets = int(p[_P_NCORES]), int(p[_P_KIND]), int(p[_P_NSETS])
-    sets = ncores * nsets
-    lines = sets * int(p[_P_ASSOC])
-    need = [1] * _NARR
-    need[_A_PARAMS] = _NPARAMS
-    need[_A_OFFS] = ncores + 1
-    need[_A_MS] = _NMS
-    need[_A_RS] = _NRS
-    for slot in (_A_TADDR, _A_TGAP, _A_TGAPC, _A_TWRITE):
-        need[slot] = int(offs[ncores])
-    for slot in (_A_CTIME, _A_CPOS, _A_CINSTR, _A_CWRAPS, _A_CACC, _A_CWARM,
-                 _A_CFIN, _A_KEYS, _A_WBHEAD, _A_WBLEN, _A_WBNEXT, _A_WLAT):
-        need[slot] = ncores
-    need[_A_LADDR] = need[_A_LMETA] = lines
-    need[_A_OCC] = sets
-    need[_A_WBADDR] = need[_A_WBTIME] = ncores * max(1, int(p[_P_WB_CAP]))
-    need[_A_SLCNT] = need[_A_SLSTAMP] = ncores * len(_SL_KEYS)
-    need[_A_WCNT] = need[_A_WSTAMP] = ncores * len(_WB_KEYS)
-    need[_A_DCNT] = need[_A_DSTAMP] = len(_DR_KEYS)
-    need[_A_BCNT] = need[_A_BSTAMP] = len(_BU_KEYS)
-    need[_A_RCNT] = need[_A_RSTAMP] = len(_RT_KEYS)
-    if p[_P_BANKED]:
-        need[_A_BANKFREE] = int(p[_P_DBANK_MASK]) + 1
-    need[_A_OUTC] = len(_OUT_KEYS)
-    need[_A_WOUT] = ncores * len(_OUT_KEYS)
+    by the scalar inputs (plus ``offs`` for the trace columns and the ring
+    fill levels in ``rs`` for the CC draw buffers)."""
+    ncores, kind = ctx.ncores, ctx.kind
+    sets = ncores * ctx.nsets
+    lines = sets * ctx.assoc
+    need = dict.fromkeys(_ALL_SLOTS, 1)
+    need["offs"] = ncores + 1
+    need["ms"] = len(_MS)
+    need["rs"] = len(_RS)
+    for name in ("t_addr", "t_gap", "t_gapc", "t_write"):
+        need[name] = int(offs[ncores])
+    for name in ("c_time", "c_pos", "c_instr", "c_wraps", "c_acc", "c_warm",
+                 "c_fin", "keys", "wb_head", "wb_len", "wb_next", "w_lat"):
+        need[name] = ncores
+    need["line_addr"] = need["line_meta"] = lines
+    need["occ"] = sets
+    need["wb_addr"] = need["wb_time"] = ncores * max(1, ctx.wb_cap)
+    need["slcnt"] = need["slstamp"] = ncores * len(_SL_KEYS)
+    need["wcnt"] = need["wstamp"] = ncores * len(_WB_KEYS)
+    need["dcnt"] = need["dstamp"] = len(_DR_KEYS)
+    need["bcnt"] = need["bstamp"] = len(_BU_KEYS)
+    need["rcnt"] = need["rstamp"] = len(_RT_KEYS)
+    if ctx.banked:
+        need["bank_free"] = ctx.dbank_mask + 1
+    need["out_c"] = len(_OUT_KEYS)
+    need["w_out"] = ncores * len(_OUT_KEYS)
     if kind >= 2:
-        need[_A_PEERS] = ncores * int(p[_P_NPER])
+        need["peers"] = ncores * ctx.nper
     if kind == 2:
-        need[_A_PICK] = max(1, int(rs[_RS_PICK_FILL]))
-        need[_A_COIN] = max(1, int(rs[_RS_COIN_FILL]))
+        need["pick_buf"] = max(1, int(rs[_RS.PICK_FILL]))
+        need["coin_buf"] = max(1, int(rs[_RS.COIN_FILL]))
     elif kind == 3:
-        need[_A_SETROLE], need[_A_PSEL] = nsets, ncores
+        need["set_role"], need["psel"] = ctx.nsets, ncores
     elif kind == 4:
-        need[_A_GT] = need[_A_SHLEN] = need[_A_MONVAL] = need[_A_MONMOD] = sets
-        need[_A_SHADDR] = lines
-        if p[_P_MONITORED]:
-            need[_A_GTIN] = sets
+        need["gt"] = need["sh_len"] = need["mon_val"] = need["mon_mod"] = sets
+        need["sh_addr"] = lines
+        if ctx.monitored:
+            need["gt_in"] = sets
     return need
 
 
-def _pointer_table(arrays: List[np.ndarray]) -> ctypes.Array:
-    """The kernel's pointer table, after checking every slot at entry.
+def _bind_arrays(ctx: _Ctx, arrays: Dict[str, np.ndarray]) -> None:
+    """Point each array member of *ctx* at its slot in *arrays*, after
+    checking every slot at entry.
 
     The C side trusts each pointer blindly, so each slot must be
     C-contiguous, hold the element type the C side reads (``double`` for
-    the coin ring and ``dparams``, ``int64_t`` elsewhere), and be at least
-    as long as the params imply (:func:`_slot_minima`).  A slot that is
-    not raises :class:`SimulationError` naming it, before any C code runs.
+    ``coin_buf``, ``int64_t`` elsewhere), and be at least as long as the
+    scalar inputs imply (:func:`_slot_minima`).  A slot that is not raises
+    :class:`SimulationError` naming it, before any C code runs.
     """
 
-    def check(slot: int, need: int) -> None:
-        arr, name = arrays[slot], _SLOT_NAMES[slot]
-        dtype = np.float64 if slot in _FLOAT_SLOTS else np.int64
+    def check(name: str, need: int) -> None:
+        arr = arrays[name]
+        dtype = np.float64 if name == "coin_buf" else np.int64
         if arr.dtype != dtype:
             raise SimulationError(
                 f"C kernel slot {name!r}: dtype {arr.dtype}, the kernel "
@@ -1136,28 +1034,25 @@ def _pointer_table(arrays: List[np.ndarray]) -> ctypes.Array:
                 f"C kernel slot {name!r}: {arr.size} elements, the params "
                 f"imply at least {need}")
 
-    # The slots the minima are read from come first.
-    check(_A_PARAMS, _NPARAMS)
-    ncores = int(arrays[_A_PARAMS][_P_NCORES])
-    if not 1 <= ncores <= 64:
+    # The core count and the slots the minima are read from come first.
+    if not 1 <= ctx.ncores <= 64:
         raise SimulationError(
-            f"C kernel slot 'params': {ncores} cores, the kernel takes 1-64")
-    check(_A_OFFS, ncores + 1)
-    check(_A_RS, _NRS)
-    need = _slot_minima(arrays[_A_PARAMS], arrays[_A_OFFS], arrays[_A_RS])
-    table = (ctypes.c_void_p * _NARR)()
-    for slot, arr in enumerate(arrays):
-        check(slot, need[slot])
-        table[slot] = arr.ctypes.data
-    return table
+            f"C kernel param 'ncores': {ctx.ncores} cores, the kernel takes 1-64")
+    check("offs", ctx.ncores + 1)
+    check("rs", len(_RS))
+    need = _slot_minima(ctx, arrays["offs"], arrays["rs"])
+    for name in _ALL_SLOTS:
+        check(name, need[name])
+        setattr(ctx, name, arrays[name].ctypes.data)
 
 
-def run_kernel(system: CmpSystem, target: int, warmup: int,
-               max_events: Optional[int], kind: int) -> SimResult:
+def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
+               kind: int) -> SimResult:
     """Run one simulation through the native kernel.
 
-    The caller has checked :func:`decline_reason`.  Raises the
-    budget-exhausted error with the live objects fully merged, exactly
+    The caller has checked :func:`decline_reason` and started the run
+    (:meth:`CmpSystem._start_run`, which gives the event *budget*).  Raises
+    the budget-exhausted error with the live objects fully merged, exactly
     like the other cores.
     """
     lib = _get_lib()
@@ -1171,13 +1066,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     monitor = scheme.monitor if kind == 4 else None
 
     cshift = (ncores - 1).bit_length()
-    cmask = (1 << cshift) - 1
     finish_at = warmup + target
-    budget = max_events if max_events is not None else 0
-    if budget <= 0:
-        mean_gap = max(1.0, float(min(c.trace.mean_gap for c in cores)))
-        budget = int(ncores * (target + warmup) / mean_gap * 50) + 10_000
-
     geo = config.l2
     num_sets = geo.num_sets
     assoc = geo.assoc
@@ -1185,30 +1074,21 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     dram = scheme.dram
     bus = scheme.bus
 
-    p = np.zeros(_NPARAMS, dtype=np.int64)
-    p[_P_NCORES] = ncores
-    p[_P_KIND] = kind
-    p[_P_WARMUP] = warmup
-    p[_P_FINISH] = finish_at
-    p[_P_BUDGET] = budget
-    p[_P_L1] = config.latency.l1_hit
-    p[_P_LAT_LOCAL] = config.latency.l2_local
-    p[_P_LAT_REMOTE] = config.latency.l2_remote
-    p[_P_DRAM_LAT] = dram._latency
-    p[_P_BANKED] = 1 if dram._model_banks else 0
-    p[_P_DBANK_MASK] = dram.config.num_banks - 1
-    p[_P_DBANK_BUSY] = dram.config.bank_busy_cycles
-    p[_P_CONTENTION] = 1 if bus.config.model_contention else 0
-    p[_P_SNOOP_COST] = bus.config.transfer_cycles(_ADDRESS_BYTES)
-    p[_P_LINE_COST] = bus.config.transfer_cycles(geo.line_bytes)
-    p[_P_LINE_BYTES] = geo.line_bytes
-    p[_P_IMASK] = num_sets - 1
-    p[_P_ASSOC] = assoc
-    p[_P_WB_CAP] = wb_cfg.entries
-    p[_P_WB_DRAIN] = wb_cfg.drain_cycles
-    p[_P_WB_DIRECT] = 1 if wb_cfg.direct_read else 0
-    p[_P_CSHIFT] = cshift
-    p[_P_CMASK] = cmask
+    ctx = _Ctx(
+        ncores=ncores, kind=kind, warmup=warmup, finish_at=finish_at,
+        budget=budget, l1_lat=config.latency.l1_hit,
+        lat_local=config.latency.l2_local,
+        lat_remote=config.latency.l2_remote, dram_lat=dram._latency,
+        banked=dram._model_banks, dbank_mask=dram.config.num_banks - 1,
+        dbank_busy=dram.config.bank_busy_cycles,
+        contention=bus.config.model_contention,
+        snoop_cost=bus.config.transfer_cycles(_ADDRESS_BYTES),
+        line_cost=bus.config.transfer_cycles(geo.line_bytes),
+        line_bytes=geo.line_bytes, imask=num_sets - 1, assoc=assoc,
+        nsets=num_sets, wb_cap=wb_cfg.entries,
+        wb_drain=wb_cfg.drain_cycles, wb_direct=wb_cfg.direct_read,
+        cshift=cshift, cmask=(1 << cshift) - 1,
+    )
 
     # Trace columns: each core's NumPy columns, concatenated core by core.
     offs = np.zeros(ncores + 1, dtype=np.int64)
@@ -1263,60 +1143,56 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     out_c = np.zeros(4, dtype=np.int64)
     w_out = np.zeros(ncores * 4, dtype=np.int64)
     w_lat = np.zeros(ncores, dtype=np.int64)
-    ms = np.zeros(_NMS, dtype=np.int64)
-    ms[_MS_REMAINING] = ncores
-    rs = np.zeros(_NRS, dtype=np.int64)
+    ms = np.zeros(len(_MS), dtype=np.int64)
+    ms[_MS.REMAINING] = ncores
+    rs = np.zeros(len(_RS), dtype=np.int64)
 
     zi = np.zeros(1, dtype=np.int64)
-    zd = np.zeros(1, dtype=np.float64)
     set_role = psel = gt = gt_in = sh_addr = sh_len = mon_val = mon_mod = zi
-    coin_buf, pick_buf, peers_arr = zd, zi, zi
-    dparams = np.zeros(1, dtype=np.float64)
+    pick_buf, peers = zi, zi
+    coin_buf = np.zeros(1, dtype=np.float64)
     spill_mode = 0
 
     if kind >= 2:
-        nper = ncores - 1
-        p[_P_NPER] = nper
-        peers_arr = np.array(
+        nper = ctx.nper = ncores - 1
+        peers = np.array(
             [pp for row in scheme._peers for pp in row], dtype=np.int64)
     if kind == 2:
-        spill_p = scheme.spill_probability
-        dparams[0] = spill_p
+        spill_p = ctx.spill_p = scheme.spill_probability
         spill_mode = 0 if spill_p <= 0.0 else (1 if spill_p >= 1.0 else 2)
-        p[_P_SPILL_MODE] = spill_mode
+        ctx.spill_mode = spill_mode
         if spill_mode:
             pick_buf = np.empty(_RNG_CAP, dtype=np.int64)
             pick_buf[:] = scheme._peer_pick.integers(0, nper, size=_RNG_CAP)
-            rs[_RS_PICK_FILL] = _RNG_CAP
+            rs[_RS.PICK_FILL] = _RNG_CAP
             if spill_mode == 2:
                 coin_buf = np.empty(_RNG_CAP, dtype=np.float64)
                 coin_buf[:] = scheme._coin.random(size=_RNG_CAP)
-                rs[_RS_COIN_FILL] = _RNG_CAP
+                rs[_RS.COIN_FILL] = _RNG_CAP
     elif kind == 3:
         psel_bits = config.dsr.psel_bits
-        p[_P_PSEL_MAX] = (1 << psel_bits) - 1
-        p[_P_PSEL_MSB] = psel_bits - 1
+        ctx.psel_max = (1 << psel_bits) - 1
+        ctx.psel_msb = psel_bits - 1
         set_role = np.array(scheme.set_role, dtype=np.int64)
         psel = np.array([pc.value for pc in scheme.psel], dtype=np.int64)
-        ms[_MS_RR] = scheme._rr
+        ms[_MS.RR] = scheme._rr
     elif kind == 4:
         snug_cfg = scheme.snug_cfg
-        p[_P_LAT_SNUG] = config.latency.l2_remote_snug
-        p[_P_NSETS] = num_sets
         mon_bits = snug_cfg.counter_bits
-        p[_P_MON_MAX] = (1 << mon_bits) - 1
-        p[_P_MON_MSB] = mon_bits - 1
-        p[_P_MON_RESET] = (1 << (mon_bits - 1)) - 1
-        p[_P_PTHR] = snug_cfg.p_threshold
-        p[_P_MON_GROUP] = 1 if snug_cfg.monitor_during_group else 0
-        p[_P_FLIP_EN] = 1 if snug_cfg.flip_enabled else 0
-        p[_P_FLUSH_FLIP] = 1 if snug_cfg.flush_on_flip_to_taker else 0
-        p[_P_IDENT_CYC] = snug_cfg.identify_cycles
-        p[_P_GROUP_CYC] = snug_cfg.group_cycles
-        ms[_MS_STAGE] = 0 if scheme.stage == STAGE_IDENTIFY else 1
-        ms[_MS_STAGE_END] = scheme._stage_end
-        ms[_MS_EPOCH] = scheme.epoch
-        ms[_MS_SPILL_RR] = scheme._spill_rr
+        ctx.lat_snug = config.latency.l2_remote_snug
+        ctx.mon_max = (1 << mon_bits) - 1
+        ctx.mon_msb = mon_bits - 1
+        ctx.mon_reset = (1 << (mon_bits - 1)) - 1
+        ctx.pthr = snug_cfg.p_threshold
+        ctx.mon_group = snug_cfg.monitor_during_group
+        ctx.flip_en = snug_cfg.flip_enabled
+        ctx.flush_flip = snug_cfg.flush_on_flip_to_taker
+        ctx.ident_cyc = snug_cfg.identify_cycles
+        ctx.group_cyc = snug_cfg.group_cycles
+        ms[_MS.STAGE] = 0 if scheme.stage == STAGE_IDENTIFY else 1
+        ms[_MS.STAGE_END] = scheme._stage_end
+        ms[_MS.EPOCH] = scheme.epoch
+        ms[_MS.SPILL_RR] = scheme._spill_rr
         gt = np.array(
             [1 if t else 0 for m in scheme.meta for t in m.gt_taker],
             dtype=np.int64)
@@ -1329,72 +1205,30 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
             [mc._mod for m in scheme.meta for mc in m.monitors],
             dtype=np.int64)
         if monitor is not None:
-            p[_P_MONITORED] = 1
+            ctx.monitored = 1
             gt_in = np.zeros(ncores * num_sets, dtype=np.int64)
-    p[_P_NSETS] = num_sets  # needed by every kind for set indexing
 
-    arrays: List[np.ndarray] = [zi] * _NARR
-    arrays[_A_PARAMS] = p
-    arrays[_A_OFFS] = offs
-    arrays[_A_TADDR] = t_addr
-    arrays[_A_TGAP] = t_gap
-    arrays[_A_TGAPC] = t_gapc
-    arrays[_A_TWRITE] = t_write
-    arrays[_A_CTIME] = c_time
-    arrays[_A_CPOS] = c_pos
-    arrays[_A_CINSTR] = c_instr
-    arrays[_A_CWRAPS] = c_wraps
-    arrays[_A_CACC] = c_acc
-    arrays[_A_CWARM] = c_warm
-    arrays[_A_CFIN] = c_fin
-    arrays[_A_KEYS] = keys
-    arrays[_A_LADDR] = line_addr
-    arrays[_A_LMETA] = line_meta
-    arrays[_A_OCC] = occ
-    arrays[_A_WBADDR] = wb_addr
-    arrays[_A_WBTIME] = wb_time
-    arrays[_A_WBHEAD] = wb_head
-    arrays[_A_WBLEN] = wb_len
-    arrays[_A_WBNEXT] = wb_next
-    arrays[_A_SLCNT] = slcnt
-    arrays[_A_SLSTAMP] = slstamp
-    arrays[_A_WCNT] = wcnt
-    arrays[_A_WSTAMP] = wstamp
-    arrays[_A_DCNT] = dcnt
-    arrays[_A_DSTAMP] = dstamp
-    arrays[_A_BCNT] = bcnt
-    arrays[_A_BSTAMP] = bstamp
-    arrays[_A_RCNT] = rcnt
-    arrays[_A_RSTAMP] = rstamp
-    arrays[_A_STAMP] = stamp
-    arrays[_A_BANKFREE] = bank_free
-    arrays[_A_BUSBUSY] = bus_busy
-    arrays[_A_OUTC] = out_c
-    arrays[_A_WOUT] = w_out
-    arrays[_A_WLAT] = w_lat
-    arrays[_A_MS] = ms
-    arrays[_A_SETROLE] = set_role
-    arrays[_A_PSEL] = psel
-    arrays[_A_GT] = gt
-    arrays[_A_SHADDR] = sh_addr
-    arrays[_A_SHLEN] = sh_len
-    arrays[_A_MONVAL] = mon_val
-    arrays[_A_MONMOD] = mon_mod
-    arrays[_A_COIN] = coin_buf
-    arrays[_A_PICK] = pick_buf
-    arrays[_A_RS] = rs
-    arrays[_A_PEERS] = peers_arr
-    arrays[_A_DPARAMS] = dparams
-    arrays[_A_GTIN] = gt_in
-
-    table = _pointer_table(arrays)
+    _bind_arrays(ctx, dict(
+        offs=offs, t_addr=t_addr, t_gap=t_gap, t_gapc=t_gapc, t_write=t_write,
+        c_time=c_time, c_pos=c_pos, c_instr=c_instr, c_wraps=c_wraps,
+        c_acc=c_acc, c_warm=c_warm, c_fin=c_fin, keys=keys,
+        line_addr=line_addr, line_meta=line_meta, occ=occ,
+        wb_addr=wb_addr, wb_time=wb_time, wb_head=wb_head, wb_len=wb_len,
+        wb_next=wb_next, slcnt=slcnt, slstamp=slstamp, wcnt=wcnt,
+        wstamp=wstamp, dcnt=dcnt, dstamp=dstamp, bcnt=bcnt, bstamp=bstamp,
+        rcnt=rcnt, rstamp=rstamp, stamp=stamp, bank_free=bank_free,
+        bus_busy=bus_busy, out_c=out_c, w_out=w_out, w_lat=w_lat, ms=ms,
+        set_role=set_role, psel=psel, gt=gt, gt_in=gt_in, sh_addr=sh_addr,
+        sh_len=sh_len, mon_val=mon_val, mon_mod=mon_mod, pick_buf=pick_buf,
+        rs=rs, peers=peers, coin_buf=coin_buf,
+    ))
 
     fed_pos = [core.pos for core in cores]
     fed_acc = [core.accesses for core in cores]
     latch_error = None
     while True:
-        rc = int(lib.run_kernel(table))
-        if rc == _RC_LATCH:
+        rc = lib.run_kernel(ctypes.byref(ctx))
+        if rc == _RC.LATCH:
             # The monitor sees every access before the crossing one, then
             # latches; its taker bits replace the counter MSBs in latch_gt.
             _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc)
@@ -1405,27 +1239,27 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
                 break
             for i, vec in enumerate(vectors):
                 gt_in[i * num_sets:(i + 1) * num_sets] = np.asarray(vec, dtype=bool)
-            ms[_MS_GT_READY] = 1
+            ms[_MS.GT_READY] = 1
             continue
-        if rc != _RC_RNG:
+        if rc != _RC.RNG:
             break
         # Top up the RNG rings, preserving unconsumed (already drawn) values
         # so the consumption sequence matches scalar draw order exactly.
         if spill_mode == 2:
-            pos, fill = int(rs[_RS_COIN_POS]), int(rs[_RS_COIN_FILL])
+            pos, fill = int(rs[_RS.COIN_POS]), int(rs[_RS.COIN_FILL])
             rem = fill - pos
             if rem:
                 coin_buf[:rem] = coin_buf[pos:fill]
             coin_buf[rem:] = scheme._coin.random(size=_RNG_CAP - rem)
-            rs[_RS_COIN_POS] = 0
-            rs[_RS_COIN_FILL] = _RNG_CAP
-        pos, fill = int(rs[_RS_PICK_POS]), int(rs[_RS_PICK_FILL])
+            rs[_RS.COIN_POS] = 0
+            rs[_RS.COIN_FILL] = _RNG_CAP
+        pos, fill = int(rs[_RS.PICK_POS]), int(rs[_RS.PICK_FILL])
         rem = fill - pos
         if rem:
             pick_buf[:rem] = pick_buf[pos:fill]
         pick_buf[rem:] = scheme._peer_pick.integers(0, nper, size=_RNG_CAP - rem)
-        rs[_RS_PICK_POS] = 0
-        rs[_RS_PICK_FILL] = _RNG_CAP
+        rs[_RS.PICK_POS] = 0
+        rs[_RS.PICK_FILL] = _RNG_CAP
 
     if monitor is not None:
         _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc)
@@ -1480,14 +1314,14 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     if bus.config.model_contention:
         bus._busy_until = int(bus_busy[0])
     if kind == 3:
-        scheme._rr = int(ms[_MS_RR])
+        scheme._rr = int(ms[_MS.RR])
         for i, pc in enumerate(scheme.psel):
             pc.value = int(psel[i])
     elif kind == 4:
-        scheme.stage = STAGE_IDENTIFY if ms[_MS_STAGE] == 0 else STAGE_GROUP
-        scheme._stage_end = int(ms[_MS_STAGE_END])
-        scheme.epoch = int(ms[_MS_EPOCH])
-        scheme._spill_rr = int(ms[_MS_SPILL_RR])
+        scheme.stage = STAGE_IDENTIFY if ms[_MS.STAGE] == 0 else STAGE_GROUP
+        scheme._stage_end = int(ms[_MS.STAGE_END])
+        scheme.epoch = int(ms[_MS.EPOCH])
+        scheme._spill_rr = int(ms[_MS.SPILL_RR])
         sh_l = sh_addr.reshape(ncores, num_sets, assoc).tolist()
         shlen_l = sh_len.reshape(ncores, num_sets).tolist()
         gt_l = gt.reshape(ncores, num_sets).tolist()
@@ -1506,7 +1340,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
 
     if latch_error is not None:
         raise latch_error
-    if rc == _RC_BUDGET:
+    if rc == _RC.BUDGET:
         raise budget_exhausted_error(budget, cores, finish_at)
 
     final_now = max(core.time for core in cores)

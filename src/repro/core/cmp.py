@@ -10,11 +10,10 @@ exactly like the paper's fixed-window methodology.
 
 Fast path
 ---------
-:meth:`CmpSystem.run` is the Python loop behind the fast core and behind
-every system the compiled kernel declines.  It inlines the trace-stepping
-of :class:`~repro.core.cpu.TraceCore` into its event loop: the per-access
-record fetch reads the core's plain-``int`` list columns, which the run
-builds up front with :meth:`TraceCore.ensure_lists
+:meth:`CmpSystem.run` is the Python loop behind every system the compiled
+kernel declines.  It steps each core's trace inline in its event loop: the
+per-access record fetch reads the core's plain-``int`` list columns, which
+the run builds up front with :meth:`TraceCore.ensure_lists
 <repro.core.cpu.TraceCore.ensure_lists>` (a run the kernel takes reads the
 cores' NumPy columns instead and never builds them).  Bound methods
 (``heappush``/``heappop``/``scheme.access``) are cached in locals, and
@@ -22,7 +21,9 @@ outcome tallies read the member's ``_value_`` attribute instead of the
 ``.value`` descriptor.  Every arithmetic expression matches the reference
 implementation in :mod:`repro.core.reference` term-for-term, so the
 produced :class:`SimResult` is bit-identical (asserted by the property and
-determinism suites).
+determinism suites).  The run's preamble — sizing checks, each core's
+measurement window and the event budget — is :meth:`CmpSystem._start_run`,
+shared with the compiled kernel.
 """
 
 from __future__ import annotations
@@ -153,6 +154,34 @@ class CmpSystem:
             for i, trace in enumerate(traces)
         ]
 
+    def _start_run(
+        self,
+        target_instructions: int,
+        warmup_instructions: int,
+        max_events: int | None,
+    ) -> int:
+        """Check the run sizing, open every core's measurement window, and
+        return the event budget — the preamble both the fast loop and the
+        compiled kernel run."""
+        if target_instructions < 1:
+            raise SimulationError("target_instructions must be positive")
+        if warmup_instructions < 0:
+            raise SimulationError("warmup_instructions must be non-negative")
+        for core in self.cores:
+            core.target_instructions = target_instructions
+            core.warmup_instructions = warmup_instructions
+            if warmup_instructions == 0:
+                core.warmup_end_time = 0
+        budget = max_events if max_events is not None else 0
+        if budget <= 0:
+            # Worst case CPI ~ DRAM latency per access; bound generously.
+            # Trace.mean_gap is cached on the trace, so repeated runs over
+            # the same traces skip the NumPy reduction.
+            mean_gap = max(1.0, float(min(c.trace.mean_gap for c in self.cores)))
+            total = target_instructions + warmup_instructions
+            budget = int(len(self.cores) * total / mean_gap * 50) + 10_000
+        return budget
+
     def run(
         self,
         target_instructions: int,
@@ -174,16 +203,9 @@ class CmpSystem:
             Safety valve on total processed accesses (defaults to a generous
             multiple of the expected access count).
         """
-        if target_instructions < 1:
-            raise SimulationError("target_instructions must be positive")
-        if warmup_instructions < 0:
-            raise SimulationError("warmup_instructions must be non-negative")
-        for core in self.cores:
-            core.target_instructions = target_instructions
-            core.warmup_instructions = warmup_instructions
-            if warmup_instructions == 0:
-                core.warmup_end_time = 0
-
+        budget = self._start_run(
+            target_instructions, warmup_instructions, max_events
+        )
         outcome_counts = {o.value: 0 for o in Outcome}
         window_outcomes = [{o.value: 0 for o in Outcome} for _ in self.cores]
         window_latency = [0 for _ in self.cores]
@@ -195,14 +217,6 @@ class CmpSystem:
         ]
         heapq.heapify(heap)
         remaining = len(cores)
-        budget = max_events if max_events is not None else 0
-        if budget <= 0:
-            # Worst case CPI ~ DRAM latency per access; bound generously.
-            # Trace.mean_gap is cached on the trace, so repeated runs over
-            # the same traces skip the NumPy reduction.
-            mean_gap = max(1.0, float(min(c.trace.mean_gap for c in cores)))
-            total = target_instructions + warmup_instructions
-            budget = int(len(cores) * total / mean_gap * 50) + 10_000
 
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -218,7 +232,7 @@ class CmpSystem:
             core = cores[cid]
             was_done = core.finish_time is not None
             warmed = core.warmup_end_time is not None
-            # -- TraceCore.next_access, inlined on the plain-int columns --
+            # -- step the trace, on the plain-int columns --
             pos = core.pos
             issue = core.time + core._gap_cycles[pos]
             result = scheme_access(cid, core._addrs[pos], core._writes[pos], issue)
@@ -238,7 +252,7 @@ class CmpSystem:
             if warmed and not was_done:
                 window_outcomes[cid][outcome_key] += 1
                 window_latency[cid] += latency
-            # -- TraceCore.complete, inlined --
+            # -- complete the access: clock, warmup and finish edges --
             now = issue + core.l1_latency + latency
             core.time = now
             if not warmed and core.instructions >= core.warmup_instructions:

@@ -1,7 +1,8 @@
 """Compiled simulation core: the native kernel, with the fast loop as fallback.
 
-:class:`CompiledCmpSystem` is a drop-in :class:`~repro.core.cmp.CmpSystem`
-whose ``run()`` hands the whole run to the C kernel in
+:class:`CompiledCmpSystem` is the production system behind
+``--sim-core auto``: a drop-in :class:`~repro.core.cmp.CmpSystem` whose
+``run()`` hands the whole run to the C kernel in
 :mod:`repro.core._ckernel`: all mutable state (per-set LRU columns,
 write-buffer rings, DRAM/bus occupancy, saturating counters, DSR duels,
 SNUG stage/shadow/latch machinery, per-core cursors) is encoded into flat
@@ -11,9 +12,12 @@ stat-counter *first-touch order* included, because ``SimResult.to_dict()``
 round-trips through JSON where dict insertion order is part of
 byte-identity.
 
-Systems the kernel does not take run on :meth:`CmpSystem.run` (the fast
-Python loop, bit-identical by the same contract), and each distinct reason
-is announced once per process on stderr::
+This is the one place that decides which loop runs a system.  Each run
+picks the kernel or :meth:`CmpSystem.run` (the fast Python loop,
+bit-identical by the same contract) from what it can observe: the exact
+scheme type, the core count, whether the library is available, and
+whether the caches already hold state.  Each distinct fallback reason is
+announced once per process on stderr::
 
     repro.compiled: <reason>; using the fast loop (bit-identical)
 
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import sys
 
-from ..common.errors import SimulationError
 from ..schemes.cc import CooperativeCaching
 from ..schemes.dsr import DynamicSpillReceive
 from ..schemes.l2p import PrivateL2
@@ -62,17 +65,14 @@ def _fallback_notice(reason: str) -> None:
 
 
 # -- dispatch ----------------------------------------------------------------
-#
-# Exact-type keying (not isinstance): SnugIntraCache subclasses SnugCache
-# with different access semantics, so it must fall through to the fast loop.
 
-_KIND_BY_TYPE = {
-    PrivateL2: 0,
-    SharedL2: 1,
-    CooperativeCaching: 2,
-    DynamicSpillReceive: 3,
-    SnugCache: 4,
-}
+#: The schemes the kernel steps; a scheme's index here is the kernel's
+#: ``kind``.  Dispatch compares exact types (not isinstance):
+#: SnugIntraCache subclasses SnugCache with different access semantics, so
+#: it must fall through to the fast loop.
+_KERNEL_SCHEMES = (
+    PrivateL2, SharedL2, CooperativeCaching, DynamicSpillReceive, SnugCache,
+)
 
 
 def _named_entry(name, fn):
@@ -91,17 +91,15 @@ def _named_entry(name, fn):
 
 
 def _make_impl(kind):
-    def impl(system, target, warmup, max_events):
-        return _ckernel.run_kernel(system, target, warmup, max_events, kind)
+    def impl(system, target, warmup, budget):
+        return _ckernel.run_kernel(system, target, warmup, budget, kind)
     return impl
 
 
-_KIND_NAMES = {0: "l2p", 1: "l2s", 2: "cc", 3: "dsr", 4: "snug"}
-
-_ENTRIES = {
-    kind: _named_entry(f"compiled_kernel__{name}", _make_impl(kind))
-    for kind, name in _KIND_NAMES.items()
-}
+_ENTRIES = tuple(
+    _named_entry(f"compiled_kernel__{cls.name}", _make_impl(kind))
+    for kind, cls in enumerate(_KERNEL_SCHEMES)
+)
 
 
 class CompiledCmpSystem(CmpSystem):
@@ -120,11 +118,12 @@ class CompiledCmpSystem(CmpSystem):
         warmup_instructions: int = 0,
         max_events: int | None = None,
     ) -> SimResult:
-        kind = _KIND_BY_TYPE.get(type(self.scheme))
-        if kind is None:
-            reason = f"no kernel for scheme {self.scheme.name!r}"
-        else:
+        scheme_type = type(self.scheme)
+        if scheme_type in _KERNEL_SCHEMES:
+            kind = _KERNEL_SCHEMES.index(scheme_type)
             reason = _ckernel.decline_reason(self, kind)
+        else:
+            reason = f"no kernel for scheme {self.scheme.name!r}"
         if reason is not None:
             _fallback_notice(reason)
             return super().run(
@@ -132,15 +131,9 @@ class CompiledCmpSystem(CmpSystem):
                 warmup_instructions=warmup_instructions,
                 max_events=max_events,
             )
-        if target_instructions < 1:
-            raise SimulationError("target_instructions must be positive")
-        if warmup_instructions < 0:
-            raise SimulationError("warmup_instructions must be non-negative")
-        for core in self.cores:
-            core.target_instructions = target_instructions
-            core.warmup_instructions = warmup_instructions
-            if warmup_instructions == 0:
-                core.warmup_end_time = 0
+        budget = self._start_run(
+            target_instructions, warmup_instructions, max_events
+        )
         return _ENTRIES[kind](
-            self, target_instructions, warmup_instructions, max_events
+            self, target_instructions, warmup_instructions, budget
         )

@@ -21,18 +21,20 @@ is a single vectorized expression, and the compiled kernel
 input arrays.  That expression truncates the same IEEE product
 ``int(gap * base_cpi)`` does, so it is bit-identical to the reference.
 
-The Python loops (:meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`,
-:meth:`next_access`) instead index plain-``int`` lists: indexing a NumPy
-array record by record boxes a NumPy scalar per field per access, which
-dominated the seed implementation.  :meth:`ensure_lists` builds those list
-columns on first use, once per core, so a run the kernel takes never pays
-for them.  The arithmetic matches :mod:`repro.core.reference` expression
-for expression (asserted by the property suite).
+The Python loop (:meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`,
+which steps the cores inline) instead indexes plain-``int`` lists:
+indexing a NumPy array record by record boxes a NumPy scalar per field per
+access, which dominated the seed implementation.  :meth:`ensure_lists`
+builds those list columns on first use, once per core, so a run the kernel
+takes never pays for them.  The arithmetic matches
+:mod:`repro.core.reference` expression for expression (asserted by the
+property suite).  The stepping itself is specified, method by method, by
+:class:`~repro.core.reference.ReferenceTraceCore`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -105,11 +107,11 @@ class TraceCore:
         # reference's per-access `int(gap * base_cpi)`, truncation included.
         self.gap_cycles = (trace.gaps * base_cpi).astype(np.int64)
         self._n = len(trace)
-        # Plain-list columns for the Python loops, built by ensure_lists().
+        # Plain-list columns for the Python loop, built by ensure_lists().
         self._gaps = self._gap_cycles = self._addrs = self._writes = None
 
     def ensure_lists(self) -> None:
-        """Build the plain-``int`` list columns the Python loops index
+        """Build the plain-``int`` list columns the Python loop indexes
         (``_gaps``, ``_gap_cycles``, ``_addrs``, ``_writes``), once."""
         if self._gaps is None:
             self._gaps, self._addrs, self._writes = self.trace.as_lists()
@@ -121,52 +123,7 @@ class TraceCore:
         """Time at which the next L2 access will be issued."""
         return self.time + int(self.gap_cycles[self.pos])
 
-    def next_access(self) -> Tuple[int, int, bool]:
-        """Consume the next record; return ``(issue_time, block_addr, is_write)``.
-
-        The caller must complete the access via :meth:`complete`.
-        """
-        self.ensure_lists()
-        pos = self.pos
-        issue = self.time + self._gap_cycles[pos]
-        addr = self._addrs[pos]
-        write = self._writes[pos]
-        self.instructions += self._gaps[pos]
-        self.accesses += 1
-        pos += 1
-        if pos >= self._n:
-            pos = 0
-            self.wraps += 1
-        self.pos = pos
-        return issue, addr, write
-
-    def complete(self, issue_time: int, l2_latency: int) -> None:
-        """Finish the in-flight access: advance the core clock."""
-        self.time = issue_time + self.l1_latency + l2_latency
-        if self.warmup_end_time is None:
-            if self.warmup_instructions == 0:
-                self.warmup_end_time = 0  # no warmup: window starts at t=0
-            elif self.instructions >= self.warmup_instructions:
-                self.warmup_end_time = self.time
-        if (
-            self.finish_time is None
-            and self.warmup_end_time is not None
-            and self.target_instructions is not None
-            and self.instructions >= self.warmup_instructions + self.target_instructions
-        ):
-            self.finish_time = self.time
-
     # -- measurement -------------------------------------------------------
-
-    @property
-    def warmed_up(self) -> bool:
-        """True once the warmup section has been executed."""
-        return self.warmup_end_time is not None
-
-    @property
-    def done(self) -> bool:
-        """True once the measurement target has been crossed."""
-        return self.finish_time is not None
 
     def ipc(self) -> float:
         """Instructions per cycle over the (post-warmup) measurement window.

@@ -21,6 +21,7 @@ from ..analysis.metrics import average_weighted_speedup, fair_speedup, normalize
 from ..common.config import SystemConfig
 from ..common.errors import ConfigError, EngineError
 from ..core.cmp import CmpSystem, SimResult
+from ..core.compiled import CompiledCmpSystem
 from ..schemes.factory import make_scheme
 from ..workloads.mixes import WorkloadMix
 from ..workloads.trace import Trace
@@ -29,9 +30,6 @@ __all__ = [
     "RunPlan",
     "SIM_CORES",
     "normalize_sim_core",
-    "AUTO_CORE_BY_SCHEME",
-    "AUTO_DEFAULT_CORE",
-    "resolve_auto_core",
     "ComboResult",
     "make_system",
     "run_traces",
@@ -55,22 +53,25 @@ CC_PROBS_FULL: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
 CC_PROBS_FAST: tuple[float, ...] = (0.0, 0.5, 1.0)
 
 
-#: The selectable simulation cores (see :mod:`repro.core`): ``auto`` picks
-#: the core *per scheme* from the selection table below, ``compiled`` is
-#: the native C kernel (falling back to the fast loop for systems it
-#: declines), ``fast`` the scalar Python loop, ``reference`` the seed loop
+#: The selectable simulation cores (see :mod:`repro.core`): ``auto`` is
+#: the production system, which runs each system on the native C kernel or,
+#: for systems the kernel declines, on the fast Python loop (deciding per
+#: run, see :mod:`repro.core.compiled`); ``reference`` is the seed loop
 #: every other core is held bit-identical to.
-SIM_CORES: tuple[str, ...] = ("auto", "fast", "compiled", "reference")
+SIM_CORES: tuple[str, ...] = ("auto", "reference")
 
-#: Whether the deprecated ``batch`` alias has warned in this process.
+#: Removed core names that run as ``auto`` for one more release.
+_DEPRECATED_CORES: tuple[str, ...] = ("batch", "fast", "compiled")
+
+#: Whether a deprecated core name has warned in this process.
 _deprecation_warned = False
 
 
 def normalize_sim_core(name: str) -> str:
-    """*name*, with the removed ``batch`` core mapped to ``auto`` for one
-    release (warning once per process)."""
+    """*name*, with the removed ``batch``, ``fast`` and ``compiled`` cores
+    mapped to ``auto`` for one release (warning once per process)."""
     global _deprecation_warned
-    if name != "batch":
+    if name not in _DEPRECATED_CORES:
         return name
     if not _deprecation_warned:
         _deprecation_warned = True
@@ -81,26 +82,6 @@ def normalize_sim_core(name: str) -> str:
             stacklevel=3,
         )
     return "auto"
-
-
-#: Measured per-scheme core selection for ``sim_core="auto"`` (geomean over
-#: the paper's miss-heavy mixes, BENCH_sim_speed.json).  The compiled
-#: kernels win by ~10-15x for every scheme they cover; ``snug_intra`` has no
-#: kernel (its intra-set semantics dispatch through the generic loop), so
-#: anything without a kernel resolves to the fast scalar loop.
-AUTO_CORE_BY_SCHEME: dict[str, str] = {
-    "l2p": "compiled",
-    "l2s": "compiled",
-    "cc": "compiled",
-    "dsr": "compiled",
-    "snug": "compiled",
-}
-AUTO_DEFAULT_CORE: str = "fast"
-
-
-def resolve_auto_core(scheme_name: str) -> str:
-    """The concrete core ``sim_core="auto"`` picks for *scheme_name*."""
-    return AUTO_CORE_BY_SCHEME.get(scheme_name, AUTO_DEFAULT_CORE)
 
 
 @dataclass(frozen=True)
@@ -115,7 +96,8 @@ class RunPlan:
     execution backend's workers with the rest of the run sizing.
 
     ``sim_core`` selects the stepping loop (one of :data:`SIM_CORES`; the
-    removed ``batch`` core is accepted as a deprecated alias of ``auto``).
+    removed ``batch``, ``fast`` and ``compiled`` cores are accepted as
+    deprecated aliases of ``auto``).
     All cores are bit-identical at the :class:`~repro.core.cmp.SimResult` level
     (the conformance contract), so the choice never changes results — it
     lives on the plan only so it ships to every backend's workers, and is
@@ -176,19 +158,12 @@ class ComboResult:
 def make_system(sim_core: str, config: SystemConfig, scheme, traces) -> CmpSystem:
     """Instantiate the requested stepping loop over *scheme* and *traces*.
 
-    ``auto`` resolves per scheme through :func:`resolve_auto_core`: the
-    compiled kernel for the five schemes it covers, the fast scalar loop
-    for everything else.  The non-default cores are imported lazily so the
-    common path never pays for them.
+    ``auto`` always builds :class:`~repro.core.compiled.CompiledCmpSystem`,
+    whose ``run`` picks the kernel or the fast loop for each run.  The
+    reference core is imported lazily so the common path never pays for it.
     """
     sim_core = normalize_sim_core(sim_core)
     if sim_core == "auto":
-        sim_core = resolve_auto_core(getattr(scheme, "name", ""))
-    if sim_core == "fast":
-        return CmpSystem(config, scheme, traces)
-    if sim_core == "compiled":
-        from ..core.compiled import CompiledCmpSystem
-
         return CompiledCmpSystem(config, scheme, traces)
     if sim_core == "reference":
         from ..core.reference import ReferenceCmpSystem

@@ -97,8 +97,8 @@ class EngineOptions:
     #: via ``--secret-file`` in a wrapper script) must not flip a serial run
     #: onto the engine path.
     secret: str | None = None
-    #: ``--sim-core``: override the plan's stepping loop (``auto``/``fast``/
-    #: ``compiled``/``reference``).  Bit-identical by contract, so it neither
+    #: ``--sim-core``: override the plan's stepping loop (``auto`` or
+    #: ``reference``).  Bit-identical by contract, so it neither
     #: flips :attr:`engine_requested` nor perturbs the scenario's content
     #: hash — a store written under one core resumes under any other.
     sim_core: str | None = None

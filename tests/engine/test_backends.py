@@ -9,8 +9,8 @@ or duplicating a task.  A new backend added to
 factory here.
 
 ``REPRO_SIM_CORE`` (default ``auto``) forces every plan in this file onto
-one stepping loop — CI's backend-conformance matrix re-runs the suite with
-``reference`` and ``compiled`` (with and without the native kernel), holding
+one stepping loop — CI's backend-conformance matrix re-runs the suite under
+``auto`` (with and without the native kernel) and ``reference``, holding
 each loop to the same byte-identical merge contract on every backend.
 """
 

@@ -15,8 +15,8 @@ kernel interacts with other subsystems:
   same stream, latch for latch, demand vector for demand vector);
 * the budget-exhausted :class:`SimulationError` (same enriched per-core
   progress message from every loop, the reference included);
-* CLI stores written under ``--sim-core compiled`` and under the
-  deprecated ``--sim-core batch`` alias vs ``--sim-core reference``
+* CLI stores written under ``--sim-core auto`` and under the
+  deprecated ``--sim-core compiled`` alias vs ``--sim-core reference``
   (byte-identical records, same manifest — the store-level face of the
   contract).
 
@@ -178,9 +178,9 @@ class TestEdgePaths:
 
 
 class TestCliStoreConformance:
-    @pytest.mark.parametrize("core", ["batch", "compiled"])
+    @pytest.mark.parametrize("core", ["auto", "compiled"])
     def test_sim_core_stores_byte_identical(self, tmp_path, core):
-        """`--sim-core compiled`, the deprecated `--sim-core batch` alias and
+        """`--sim-core auto`, the deprecated `--sim-core compiled` alias and
         `--sim-core reference` persist byte-identical per-task records under
         one manifest."""
         from repro.cli import main
@@ -211,10 +211,10 @@ class TestCliStoreConformance:
 
         store = tmp_path / "store"
         assert main(["scenario", "run", str(preset_path("smoke-tiny")),
-                     "--jobs", "0", "--sim-core", "compiled",
+                     "--jobs", "0", "--sim-core", "auto",
                      "--store", str(store)]) == 0
         assert main(["scenario", "run", str(preset_path("smoke-tiny")),
-                     "--jobs", "0", "--sim-core", "fast",
+                     "--jobs", "0", "--sim-core", "reference",
                      "--store", str(store), "--resume"]) == 0
 
 

@@ -1,12 +1,15 @@
-"""Property tests for TraceCore warmup/wrap edge cases and the production cores.
+"""Property tests for trace-core warmup/wrap edge cases and the production cores.
 
-The fast path (the list columns :class:`TraceCore` builds for the inlined
-event loop in :class:`CmpSystem`) and the compiled core (the native kernel
-over the cores' NumPy columns, with the fast loop for systems it declines)
+The warmup and wrap-around properties drive the stepping spec,
+:class:`~repro.core.reference.ReferenceTraceCore`, over random traces and
+stepping schedules.  The production loops — the fast path (the list
+columns :class:`~repro.core.cpu.TraceCore` builds for the inlined event
+loop in :class:`CmpSystem`) and the compiled core (the native kernel over
+the cores' NumPy columns, with the fast loop for systems it declines) —
 must be *bit-identical* to the seed implementation preserved in
-:mod:`repro.core.reference`; these properties drive them over random
-traces, random stepping schedules and generated system configurations
-(``base_cpi`` included), and compare every observable.
+:mod:`repro.core.reference`; the differential property drives them over
+generated system configurations (``base_cpi`` included) and compares
+every observable.
 """
 
 import dataclasses
@@ -27,7 +30,6 @@ from repro.common.config import (
 )
 from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
-from repro.core.cpu import TraceCore
 from repro.core.reference import ReferenceCmpSystem, ReferenceTraceCore
 from repro.schemes.factory import make_scheme
 from repro.schemes.snug import OnlineDemandMonitor
@@ -63,7 +65,7 @@ class TestWrapAround:
     @settings(max_examples=60, deadline=None)
     def test_pos_and_wraps_track_consumed_records(self, rows, steps, latency):
         trace = mk_trace(rows)
-        core = TraceCore(0, trace)
+        core = ReferenceTraceCore(0, trace)
         drive(core, steps, latency)
         assert core.pos == steps % len(trace)
         assert core.wraps == steps // len(trace)
@@ -73,7 +75,7 @@ class TestWrapAround:
     @settings(max_examples=40, deadline=None)
     def test_wrapped_replay_repeats_records(self, rows, rounds):
         trace = mk_trace(rows)
-        core = TraceCore(0, trace)
+        core = ReferenceTraceCore(0, trace)
         n = len(trace)
         first, later = [], []
         for i in range(n * rounds):
@@ -87,7 +89,7 @@ class TestWrapAround:
     @settings(max_examples=60, deadline=None)
     def test_instructions_sum_consumed_gaps(self, rows, steps, latency):
         trace = mk_trace(rows)
-        core = TraceCore(0, trace)
+        core = ReferenceTraceCore(0, trace)
         drive(core, steps, latency)
         gaps = list(trace.gaps)
         expected = sum(int(gaps[i % len(gaps)]) for i in range(steps))
@@ -99,7 +101,7 @@ class TestWarmupWindow:
     @settings(max_examples=60, deadline=None)
     def test_no_warmup_window_starts_at_zero(self, rows, target):
         """warmup == 0: the IPC window opens at t=0, before any access."""
-        core = TraceCore(0, mk_trace(rows))
+        core = ReferenceTraceCore(0, mk_trace(rows))
         core.target_instructions = target
         core.warmup_instructions = 0
         issue, _, _ = core.next_access()
@@ -113,7 +115,7 @@ class TestWarmupWindow:
     @settings(max_examples=60, deadline=None)
     def test_warmup_excluded_from_window(self, rows, warmup, target):
         """warmup > 0: the window spans [warmup_end_time, finish_time]."""
-        core = TraceCore(0, mk_trace(rows))
+        core = ReferenceTraceCore(0, mk_trace(rows))
         core.target_instructions = target
         core.warmup_instructions = warmup
         for _ in range(1000):
@@ -131,7 +133,7 @@ class TestWarmupWindow:
         """One big access can cross warmup *and* target: both latch at its
         completion time, giving the minimal window of max(window, 1)."""
         trace = Trace(np.array([100]), np.array([0]), np.array([False]))
-        core = TraceCore(0, trace)
+        core = ReferenceTraceCore(0, trace)
         core.target_instructions = 10
         core.warmup_instructions = 10
         issue, _, _ = core.next_access()  # 100 instructions >= 10 + 10
@@ -145,7 +147,7 @@ class TestWarmupWindow:
     def test_single_access_crossing_property(self, warmup, target):
         gap = warmup + target  # always crosses both on the first access
         trace = Trace(np.array([gap, gap]), np.array([0, 1]), np.array([False, False]))
-        core = TraceCore(0, trace)
+        core = ReferenceTraceCore(0, trace)
         core.target_instructions = target
         core.warmup_instructions = warmup
         issue, _, _ = core.next_access()
@@ -154,28 +156,6 @@ class TestWarmupWindow:
 
 
 class TestFastPathEquivalence:
-    @given(trace_rows, st.integers(min_value=0, max_value=120),
-           st.integers(min_value=0, max_value=60),
-           st.floats(min_value=0.25, max_value=4.0))
-    @settings(max_examples=60, deadline=None)
-    def test_tracecore_matches_reference(self, rows, steps, latency, cpi):
-        trace = mk_trace(rows)
-        fast = TraceCore(0, trace, base_cpi=cpi, l1_latency=1)
-        ref = ReferenceTraceCore(0, trace, base_cpi=cpi, l1_latency=1)
-        for core in (fast, ref):
-            core.target_instructions = 50
-            core.warmup_instructions = 25
-        for _ in range(steps):
-            assert fast.peek_issue_time() == ref.peek_issue_time()
-            a, b = fast.next_access(), ref.next_access()
-            assert a == b
-            fast.complete(a[0], latency)
-            ref.complete(b[0], latency)
-        for attr in ("time", "instructions", "pos", "wraps", "accesses",
-                     "warmup_end_time", "finish_time"):
-            assert getattr(fast, attr) == getattr(ref, attr), attr
-        assert fast.ipc() == ref.ipc()
-
     @given(st.data())
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_cmp_system_matches_reference(self, data):

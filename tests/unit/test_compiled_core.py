@@ -9,7 +9,8 @@ this file localizes regressions in the machinery *around* the kernel:
   with one stderr notice per distinct reason per process;
 * the compiled path stays array-native: a kernel run reads the cores'
   NumPy columns and never builds the list columns the Python loop needs;
-* the pointer table is checked slot by slot before the kernel runs;
+* every array slot (and the core count) is checked by name before the
+  kernel runs;
 * dispatch refuses bad run sizing with the same messages as
   :class:`~repro.core.cmp.CmpSystem`;
 * the kernel build is private per builder (a concurrent first build of
@@ -25,7 +26,6 @@ import cProfile
 import dataclasses
 import os
 import pstats
-import re
 import shutil
 
 import numpy as np
@@ -220,50 +220,39 @@ class TestArrayNative:
         assert all(core._gaps is not None for core in system.cores)
 
 
+def _set_slot(name, corrupt):
+    """Corrupt array slot *name* before the entry check sees it."""
+    def apply(ctx, arrays):
+        arrays[name] = corrupt(arrays[name])
+    return apply
+
+
 class TestPointerTableCheck:
     """A slot the C side would misread is refused, by name, before the
     kernel runs."""
 
-    def test_slot_names_and_dtypes_follow_the_c_entry(self):
-        # run_kernel's C entry loads slot A_X into Ctx member x as i64* or
-        # double*; the check's names and dtypes must say the same, in order.
-        source = _ckernel._C_SOURCE
-        order = re.search(r"enum \{ (A_PARAMS.*?), NARR \}", source, re.S).group(1)
-        loads = {
-            slot: (member, ctype) for member, ctype, slot in re.findall(
-                r"C->(\w+) = \((i64|double) \*\)A\[(A_\w+)\]", source)
-        }
-        slots = [name.strip() for name in order.split(",")]
-        assert len(slots) == len(_ckernel._SLOT_NAMES) == _ckernel._NARR
-        for index, slot in enumerate(slots):
-            member, ctype = loads[slot]
-            assert _ckernel._SLOT_NAMES[index] == (
-                "params" if member == "p" else member), slot
-            assert (index in _ckernel._FLOAT_SLOTS) == (ctype == "double"), slot
-
     @needs_kernel
-    @pytest.mark.parametrize("slot,corrupt,message", [
-        (_ckernel._A_TADDR, lambda a: a[:-1],
+    @pytest.mark.parametrize("corrupt,message", [
+        (_set_slot("t_addr", lambda a: a[:-1]),
          r"slot 't_addr': 3999 elements, the params imply at least 4000"),
-        (_ckernel._A_COIN, lambda a: a.astype(np.int64),
+        (_set_slot("coin_buf", lambda a: a.astype(np.int64)),
          r"slot 'coin_buf': dtype int64, the kernel reads float64"),
-        (_ckernel._A_LMETA, lambda a: np.zeros(2 * a.size, np.int64)[::2],
+        (_set_slot("line_meta", lambda a: np.zeros(2 * a.size, np.int64)[::2]),
          r"slot 'line_meta' is not C-contiguous"),
-        (_ckernel._A_PARAMS,
-         lambda a: np.where(np.arange(a.size) == _ckernel._P_NCORES, 65, a),
-         r"slot 'params': 65 cores, the kernel takes 1-64"),
-    ])
-    def test_bad_slot_is_refused_by_name(self, monkeypatch, slot, corrupt, message):
-        real_table = _ckernel._pointer_table
+        (lambda ctx, arrays: setattr(ctx, "ncores", 65),
+         r"param 'ncores': 65 cores, the kernel takes 1-64"),
+    ], ids=["t_addr", "coin_buf", "line_meta", "ncores"])
+    def test_bad_slot_is_refused_by_name(self, monkeypatch, corrupt, message):
+        real_bind = _ckernel._bind_arrays
 
-        def corrupted_table(arrays):
-            arrays[slot] = corrupt(arrays[slot])
-            return real_table(arrays)
+        def corrupted_bind(ctx, arrays):
+            corrupt(ctx, arrays)
+            return real_bind(ctx, arrays)
 
-        def kernel(table):
-            raise AssertionError("the kernel ran on an unchecked table")
+        def kernel(ctx):
+            raise AssertionError("the kernel ran on an unchecked input")
 
-        monkeypatch.setattr(_ckernel, "_pointer_table", corrupted_table)
+        monkeypatch.setattr(_ckernel, "_bind_arrays", corrupted_bind)
         monkeypatch.setattr(_ckernel._get_lib(), "run_kernel", kernel)
         config, _, traces = build("cc")
         scheme = make_scheme("cc", config, spill_probability=0.5)

@@ -13,8 +13,11 @@ this file pins:
   byte-identically (defaults are omitted from ``plan_to_dict``);
 * the CLI flags reach :class:`EngineOptions` without flipping a serial run
   onto the engine path;
-* the removed ``batch`` core is, for one round, a deprecated alias of
-  ``auto`` from CLI flags, scenario files and ``RunPlan`` (warning once);
+* ``auto`` always builds the compiled system, which picks the kernel or
+  the fast loop per run and names every fallback on stderr;
+* the removed ``batch``, ``fast`` and ``compiled`` cores are, for one
+  round, deprecated aliases of ``auto`` from CLI flags, scenario files and
+  ``RunPlan`` (warning once);
 * :meth:`SimResult.from_dict` still accepts pre-window-metrics payloads
   (stores migrated from old layouts lack the keys).
 """
@@ -23,21 +26,24 @@ import dataclasses
 
 import pytest
 
+from repro.common.config import tiny_config
 from repro.common.errors import ConfigError
-from repro.core.cmp import CmpSystem, SimResult
+from repro.core import compiled
+from repro.core.cmp import SimResult
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem
 from repro.experiments import runner
 from repro.experiments.runner import (
-    AUTO_CORE_BY_SCHEME,
-    AUTO_DEFAULT_CORE,
     SIM_CORES,
     RunPlan,
     make_system,
-    resolve_auto_core,
+    run_traces,
 )
 from repro.scenario.model import plan_from_dict, plan_to_dict
 from repro.scenario.run import EngineOptions, scenario_from_flags
+from repro.schemes.factory import make_scheme
+from repro.schemes.snug import SnugCache
+from repro.workloads.mixes import build_mix_traces, get_mix
 
 
 class TestRunPlanFields:
@@ -105,76 +111,84 @@ class TestExperimentIdentity:
             ParallelRunner(
                 config, RunPlan(sim_core=core), jobs=0
             )._manifest()
-            for core in ("compiled", "reference")
+            for core in ("auto", "reference")
         ]
         assert manifests[0] == manifests[1]
         assert "sim_core" not in manifests[0]["plan"]
         assert "max_events" in manifests[0]["plan"]
 
 
-class TestAutoSelectionTable:
-    """``auto`` resolves per scheme from the measured table.
+def _mix_traces(n=200):
+    config = tiny_config(seed=7)
+    return config, build_mix_traces(get_mix("c4_0"), config.l2.num_sets, n, 0)
 
-    Every scheme with a compiled kernel lands on it, everything else
-    (``snug_intra``, unknown names) lands on the fast scalar loop; the
-    removed batched core is never named.
-    """
+
+def _notices(capsys):
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("repro.compiled:")]
+
+
+class _OutOfTreeSnug(SnugCache):
+    """A SnugCache subclass the kernel has never seen."""
+
+    name = "snug_out_of_tree"
+
+
+class TestAutoSelectionTable:
+    """``auto`` always builds the compiled system; each run picks the
+    kernel or the fast loop, and names every fallback once on stderr."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_notices(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_NOTICED", set())
 
     def test_every_registered_scheme_resolves(self):
         from repro.schemes.factory import SCHEMES
 
-        expected = {
-            "l2p": "compiled",
-            "l2s": "compiled",
-            "cc": "compiled",
-            "dsr": "compiled",
-            "snug": "compiled",
-            "snug_intra": "fast",
-        }
-        assert set(expected) == set(SCHEMES)
-        for name, core in expected.items():
-            assert resolve_auto_core(name) == core, name
+        config, traces = _mix_traces()
+        for name in SCHEMES:
+            system = make_system(
+                "auto", config, make_scheme(name, config), list(traces)
+            )
+            assert type(system) is CompiledCmpSystem, name
 
-    def test_unknown_scheme_gets_default(self):
-        assert resolve_auto_core("out_of_tree") == AUTO_DEFAULT_CORE == "fast"
+    def test_unknown_scheme_gets_default(self, capsys):
+        # An out-of-tree subclass has no kernel (exact-type dispatch): it
+        # runs on the fast loop, bit-identically, and the notice names it.
+        config, traces = _mix_traces(1_000)
+        results = [
+            cls(config, _OutOfTreeSnug(config), list(traces))
+            .run(10_000, warmup_instructions=1_000).to_dict()
+            for cls in (CompiledCmpSystem, ReferenceCmpSystem)
+        ]
+        assert results[0] == results[1]
+        assert _notices(capsys) == [
+            "repro.compiled: no kernel for scheme 'snug_out_of_tree'; "
+            "using the fast loop (bit-identical)"
+        ]
 
-    def test_table_never_selects_batch(self):
-        # The l2s regression guard: no scheme may auto-resolve to batch.
-        assert "batch" not in AUTO_CORE_BY_SCHEME.values()
-        assert AUTO_DEFAULT_CORE != "batch"
-
-    def test_table_only_names_real_cores(self):
-        for core in {*AUTO_CORE_BY_SCHEME.values(), AUTO_DEFAULT_CORE}:
-            assert core in SIM_CORES and core != "auto"
-
-    def test_auto_dispatches_through_table(self):
-        from repro.common.config import tiny_config
-        from repro.schemes.factory import make_scheme
-        from repro.workloads.mixes import build_mix_traces, get_mix
-
-        config = tiny_config(seed=7)
-        traces = build_mix_traces(get_mix("c4_0"), config.l2.num_sets, 200, 0)
-        by_core = {"compiled": CompiledCmpSystem, "fast": CmpSystem}
-        for name in ("l2p", "l2s", "cc", "dsr", "snug", "snug_intra"):
-            scheme = make_scheme(name, config)
-            system = make_system("auto", config, scheme, list(traces))
-            assert type(system) is by_core[resolve_auto_core(name)], name
+    def test_auto_dispatches_through_table(self, capsys):
+        # snug_intra under auto: the fast loop, the reference's result,
+        # and one notice however many runs take it.
+        config, traces = _mix_traces(1_000)
+        results = [
+            run_traces("snug_intra", config, traces, 10_000, 1_000,
+                       sim_core=core).to_dict()
+            for core in ("auto", "auto", "reference")
+        ]
+        assert results[0] == results[1] == results[2]
+        assert _notices(capsys) == [
+            "repro.compiled: no kernel for scheme 'snug_intra'; "
+            "using the fast loop (bit-identical)"
+        ]
 
 
 class TestDispatch:
     def test_make_system_selects_core(self):
-        from repro.common.config import tiny_config
         from repro.schemes.l2p import PrivateL2
-        from repro.workloads.mixes import build_mix_traces, get_mix
 
-        config = tiny_config(seed=7)
-        traces = build_mix_traces(get_mix("c4_0"), config.l2.num_sets, 200, 0)
-        expected = {
-            "auto": CompiledCmpSystem,  # l2p sits in the selection table
-            "fast": CmpSystem,
-            "compiled": CompiledCmpSystem,
-            "reference": ReferenceCmpSystem,
-        }
+        config, traces = _mix_traces()
+        expected = {"auto": CompiledCmpSystem, "reference": ReferenceCmpSystem}
         assert set(expected) == set(SIM_CORES)
         for name, cls in expected.items():
             system = make_system(name, config, PrivateL2(config), list(traces))
@@ -193,10 +207,10 @@ class TestEngineOptions:
 
         args = build_parser().parse_args(
             ["scenario", "run", "smoke-tiny",
-             "--sim-core", "compiled", "--profile", "out.pstats"]
+             "--sim-core", "reference", "--profile", "out.pstats"]
         )
         options = _engine_options(args)
-        assert options.sim_core == "compiled"
+        assert options.sim_core == "reference"
         assert options.profile == "out.pstats"
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -204,48 +218,49 @@ class TestEngineOptions:
             )
 
 
+DEPRECATED_CORES = ("batch", "fast", "compiled")
+
+
 class TestDeprecatedBatchAlias:
-    """``batch`` runs as ``auto`` for one round, warning once per process."""
+    """``batch``, ``fast`` and ``compiled`` run as ``auto`` for one round,
+    warning once per process."""
 
     @pytest.fixture(autouse=True)
     def _rearm_warning(self, monkeypatch):
         monkeypatch.setattr(runner, "_deprecation_warned", False)
 
-    def test_run_plan_maps_batch_to_auto_and_warns_once(self):
-        with pytest.warns(FutureWarning, match="'batch' is deprecated"):
-            assert RunPlan(sim_core="batch").sim_core == "auto"
+    def test_run_plan_maps_batch_to_auto_and_warns_once(self, monkeypatch):
         import warnings
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert RunPlan(sim_core="batch").sim_core == "auto"
+        for name in DEPRECATED_CORES:
+            monkeypatch.setattr(runner, "_deprecation_warned", False)
+            with pytest.warns(FutureWarning, match=f"'{name}' is deprecated"):
+                assert RunPlan(sim_core=name).sim_core == "auto"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert RunPlan(sim_core=name).sim_core == "auto"
 
     def test_scenario_file_and_cli_accept_batch(self):
         from repro.cli import build_parser, _engine_options
 
         with pytest.warns(FutureWarning):
-            assert plan_from_dict({"sim_core": "batch"}).sim_core == "auto"
-        args = build_parser().parse_args(
-            ["scenario", "run", "smoke-tiny", "--sim-core", "batch"]
-        )
-        assert _engine_options(args).sim_core == "auto"
+            for name in DEPRECATED_CORES:
+                assert plan_from_dict({"sim_core": name}).sim_core == "auto"
+        for name in DEPRECATED_CORES:
+            args = build_parser().parse_args(
+                ["scenario", "run", "smoke-tiny", "--sim-core", name]
+            )
+            assert _engine_options(args).sim_core == "auto"
 
     def test_make_system_treats_batch_as_auto(self):
-        from repro.common.config import tiny_config
-        from repro.schemes.factory import make_scheme
-        from repro.workloads.mixes import build_mix_traces, get_mix
-
-        config = tiny_config(seed=7)
-        traces = build_mix_traces(get_mix("c4_0"), config.l2.num_sets, 200, 0)
+        config, traces = _mix_traces()
         with pytest.warns(FutureWarning):
-            for name in ("l2p", "snug_intra"):
-                system = make_system(
-                    "batch", config, make_scheme(name, config), list(traces)
-                )
-                auto = make_system(
-                    "auto", config, make_scheme(name, config), list(traces)
-                )
-                assert type(system) is type(auto)
+            for core in DEPRECATED_CORES:
+                for name in ("l2p", "snug_intra"):
+                    system = make_system(
+                        core, config, make_scheme(name, config), list(traces)
+                    )
+                    assert type(system) is CompiledCmpSystem
 
 
 class TestSimResultLegacyPayloads:
