@@ -1,7 +1,7 @@
 """Shared sizing and fixtures for the benchmark harness.
 
-Every bench regenerates one of the paper's tables/figures (see DESIGN.md's
-per-experiment index) and asserts its qualitative *shape*.  The ``REPRO_SCALE``
+Every bench regenerates one of the paper's tables/figures (see
+``docs/paper_map.md``) and asserts its qualitative *shape*.  The ``REPRO_SCALE``
 environment variable selects the cost/fidelity point:
 
 =========  ==========================  ==========================

@@ -226,7 +226,8 @@ class SnugConfig:
         restricts grouping to same-index peers (used by the ablation bench).
     flush_on_flip_to_taker:
         Invalidate hosted cooperative blocks when their set flips
-        giver->taker at an epoch boundary (see DESIGN.md).
+        giver->taker at an epoch boundary (see "Epoch boundary hygiene" in
+        :mod:`repro.schemes.snug`).
     monitor_during_group:
         Keep the demand monitors sampling during Stage II as well (G/T bits
         still latch only at Stage I boundaries).  The paper samples only in

@@ -3,7 +3,7 @@
 The executable spec is :mod:`repro.core.reference` plus the schemes'
 ``access()``; this module is its production transcription: a single C
 translation unit (embedded below as a string) holding one
-structure-of-arrays event loop for all five kernel schemes, compiled **on
+structure-of-arrays event loop for all six schemes, compiled **on
 first use with the system C compiler** (no new package is installed) and
 loaded through :mod:`ctypes`.  The build is cached on disk keyed by a hash
 of the source, the compiler flags and the resolved compiler path, so each
@@ -36,7 +36,7 @@ that:
   scheme's real ``numpy.random.Generator`` streams into ring buffers
   (batch draws are elementwise-identical to repeated scalar draws), and the
   kernel exits when a buffer runs low so the wrapper can top it up.
-* ``RC_LATCH`` — SNUG with an attached demand monitor
+* ``RC_LATCH`` — SNUG or SNUG-Intra with an attached demand monitor
   (``scheme.monitor``).  The monitor observes exactly ``(core, trace
   address)`` on every access, so between two Stage-I latches each core's
   observed stream is a contiguous, wrapping slice of its own trace.  The
@@ -58,6 +58,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -88,7 +89,7 @@ _SL_KEYS = (
     "invalidations", "forwards", "remote_hits", "cc_evicted", "spills_out",
     "spills_hosted", "spills_dropped", "spills_unplaced",
     "spills_hosted_flipped", "shadow_hits", "cc_flushed",
-    "taker_sets_latched",
+    "taker_sets_latched", "intra_hits", "spills_intra",
 )
 _WB_KEYS = ("drained", "merged", "full_stalls", "stall_cycles", "deposits",
             "direct_reads")
@@ -174,11 +175,13 @@ _C_SOURCE = r"""
  *     int64_t run_kernel(const Ctx *in);
  * The enums and the Ctx struct below are generated from the Python tables
  * in _ckernel.py, which fill Ctx: scalar inputs by value, array inputs as
- * pointers.  All semantics transcribe the executable spec
- * (core/reference.py plus each scheme's access()) term for term,
- * stat-counter first-touch order included (the stamp arrays record the
- * global first-touch tick of each counter slot; the Python merge replays
- * them in stamp order).
+ * pointers.  `kind` selects the scheme: 0 l2p, 1 l2s, 2 cc, 3 dsr, 4 snug,
+ * 5 snug_intra (its index in compiled._KERNEL_SCHEMES); kind 5 is kind 4
+ * plus the local flipped-set retrieval and spill.  All semantics transcribe
+ * the executable spec (core/reference.py plus each scheme's access()) term
+ * for term, stat-counter first-touch order included (the stamp arrays
+ * record the global first-touch tick of each counter slot; the Python
+ * merge replays them in stamp order).
  */
 #include <stdint.h>
 
@@ -315,6 +318,14 @@ static i64 find_way(Ctx *C, i64 c, i64 set, i64 addr) {
     return -1;
 }
 
+/* The way holding addr as a hosted (CC) line in c's set, or -1. */
+static i64 hosted_way(Ctx *C, i64 c, i64 set, i64 addr) {
+    i64 w = find_way(C, c, set, addr);
+    if (w >= 0 && !(C->line_meta[(c * C->nsets + set) * C->assoc + w] & 2))
+        return -1;
+    return w;
+}
+
 static void touch_mru(Ctx *C, i64 c, i64 set, i64 way) {
     if (!way) return;
     i64 base = (c * C->nsets + set) * C->assoc;
@@ -441,6 +452,20 @@ static void dsr_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
     }
 }
 
+/* SnugCache._dispose_host_victim: a victim displaced by hosting a spill
+ * into host's set hidx never cascades another spill. */
+static void dispose_host_victim(Ctx *C, i64 host, i64 hidx, i64 hva, i64 hvm,
+                                i64 now) {
+    i64 *hc = C->slcnt + host * NSL, *hs = C->slstamp + host * NSL;
+    if (hvm & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
+    else if (hvm & 1) {
+        BUMP(hc, hs, SL_WRITEBACKS, 1);
+        wb_deposit(C, host, hva, now);
+    } else if ((hva & C->imask) == hidx) {
+        shadow_record(C, host, hidx, hva);
+    }
+}
+
 static void snug_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 si,
                        i64 now) {
     bus_snoop(C, now);
@@ -467,16 +492,46 @@ static void snug_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 si,
     BUMP(oc, os, SL_SPILLS_OUT, 1);
     BUMP(pc, ps, SL_SPILLS_HOSTED, 1);
     if (cand_f) BUMP(pc, ps, SL_SPILLS_HOSTED_FLIPPED, 1);
-    if (ev) {
-        if (hvm & 2) BUMP(pc, ps, SL_CC_EVICTED, 1);
-        else if (hvm & 1) {
-            BUMP(pc, ps, SL_WRITEBACKS, 1);
-            wb_deposit(C, cand_peer, hva, now);
-        } else {
-            i64 hvsi = hva & C->imask;
-            if (hvsi == cand_idx) shadow_record(C, cand_peer, hvsi, hva);
+    if (ev) dispose_host_victim(C, cand_peer, cand_idx, hva, hvm, now);
+}
+
+/* SnugIntraCache._spill: the owner's own flipped giver set first (a CC|f
+ * line the owner keeps, no bus traffic), else the inter-cache spill. */
+static void snug_intra_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner,
+                             i64 si, i64 now) {
+    i64 flipped = si ^ 1;
+    if (C->flip_en && !C->gt[owner * C->nsets + flipped]) {
+        i64 hva = 0, hvm = 0;
+        int ev = do_fill(C, owner, flipped, vaddr, 2 | 4 | (owner << 3),
+                         &hva, &hvm);
+        i64 *oc = C->slcnt + owner * NSL, *os = C->slstamp + owner * NSL;
+        BUMP(oc, os, SL_SPILLS_INTRA, 1);
+        if (ev) dispose_host_victim(C, owner, flipped, hva, hvm, now);
+        return;
+    }
+    snug_spill(C, owner, vaddr, vowner, si, now);
+}
+
+/* SnugCache._retrieve: the first peer holding a hosted (CC) copy of addr
+ * in a giver set at si or, with flipping, si ^ 1 (G/T-gated: taker sets
+ * are never probed), or -1.  The copy's set and way go to *fidx, *fway. */
+static i64 snug_retrieve(Ctx *C, i64 cid, i64 si, i64 addr, i64 *fidx,
+                         i64 *fway) {
+    i64 flipped = si ^ 1;
+    i64 *pl = C->peers + cid * C->nper;
+    for (i64 j = 0; j < C->nper; j++) {
+        i64 peer = pl[j];
+        i64 *gt = C->gt + peer * C->nsets;
+        if (!gt[si]) {
+            i64 w = hosted_way(C, peer, si, addr);
+            if (w >= 0) { *fidx = si; *fway = w; return peer; }
+        }
+        if (C->flip_en && !gt[flipped]) {
+            i64 w = hosted_way(C, peer, flipped, addr);
+            if (w >= 0) { *fidx = flipped; *fway = w; return peer; }
         }
     }
+    return -1;
 }
 
 /* SNUG IDENTIFY->GROUP latch.  Each set's new G/T bit comes from the
@@ -574,11 +629,15 @@ static i64 fill_dispose(Ctx *C, i64 cid, i64 addr, i64 dirty, i64 now) {
         else if (role == 2) spills = 0;
         else spills = (C->psel[cid] >> C->psel_msb) != 0;
         if (spills) dsr_spill(C, cid, va, vm >> 3, now);
-    } else if (C->kind == 4) {
+    } else if (C->kind == 4 || C->kind == 5) {
         i64 vsi = va & C->imask;
         shadow_record(C, cid, vsi, va);
-        if (C->ms[MS_STAGE] == 1 && C->gt[cid * C->nsets + vsi])
-            snug_spill(C, cid, va, vm >> 3, vsi, now);
+        if (C->ms[MS_STAGE] == 1 && C->gt[cid * C->nsets + vsi]) {
+            if (C->kind == 5)
+                snug_intra_spill(C, cid, va, vm >> 3, vsi, now);
+            else
+                snug_spill(C, cid, va, vm >> 3, vsi, now);
+        }
     }
     return 0;
 }
@@ -661,7 +720,7 @@ i64 run_kernel(const Ctx *in) {
                     latency = base + lat + stall; okey = 3;
                 }
             }
-        } else if (kind == 4) {                /* ---- snug ---- */
+        } else if (kind == 4 || kind == 5) {   /* ---- snug, snug_intra ---- */
             if (issue >= C->ms[MS_STAGE_END] && advance_stage(C, issue)) {
                 C->ms[MS_EVENTS]--;   /* re-counted when the access resumes */
                 return RC_LATCH;
@@ -700,45 +759,40 @@ i64 run_kernel(const Ctx *in) {
                             } else C->mon_mod[midx] = m;
                         }
                     }
-                    bus_snoop(C, issue);
-                    i64 flipped = si ^ 1;
-                    i64 fpeer = -1, fidx = -1, fway = -1;
-                    i64 *pl = C->peers + cid * C->nper;
-                    for (i64 j = 0; j < C->nper; j++) {
-                        i64 peer = pl[j];
-                        i64 *gt = C->gt + peer * C->nsets;
-                        if (!gt[si]) {
-                            i64 w = find_way(C, peer, si, addr);
-                            if (w >= 0 &&
-                                (C->line_meta[(peer * C->nsets + si)
-                                              * C->assoc + w] & 2)) {
-                                fpeer = peer; fidx = si; fway = w; break;
-                            }
-                        }
-                        if (C->flip_en && !gt[flipped]) {
-                            i64 w = find_way(C, peer, flipped, addr);
-                            if (w >= 0 &&
-                                (C->line_meta[(peer * C->nsets + flipped)
-                                              * C->assoc + w] & 2)) {
-                                fpeer = peer; fidx = flipped; fway = w; break;
-                            }
-                        }
-                    }
-                    if (fpeer >= 0) {
-                        remove_way(C, fpeer, fidx, fway);
-                        i64 *pc = C->slcnt + fpeer * NSL;
-                        i64 *ps = C->slstamp + fpeer * NSL;
-                        BUMP(pc, ps, SL_INVALIDATIONS, 1);
-                        BUMP(pc, ps, SL_FORWARDS, 1);
-                        i64 delay = bus_transfer(C, issue);
+                    /* SnugIntraCache: a hosted copy in the core's own
+                     * flipped giver set is a local hit. */
+                    i64 iway = kind == 5 && C->flip_en &&
+                               !C->gt[cid * C->nsets + (si ^ 1)]
+                        ? hosted_way(C, cid, si ^ 1, addr) : -1;
+                    if (iway >= 0) {
+                        remove_way(C, cid, si ^ 1, iway);
+                        BUMP(sc, ss, SL_INVALIDATIONS, 1);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
-                        BUMP(sc, ss, SL_REMOTE_HITS, 1);
-                        latency = C->lat_snug + delay + stall; okey = 2;
+                        BUMP(sc, ss, SL_INTRA_HITS, 1);
+                        latency = C->lat_local + stall; okey = 0;
                     } else {
-                        latency = mem_fetch(C, addr, issue);
-                        stall = fill_dispose(C, cid, addr, is_write, issue);
-                        BUMP(sc, ss, SL_DRAM_FETCHES, 1);
-                        latency += stall; okey = 3;
+                        bus_snoop(C, issue);
+                        i64 fidx = -1, fway = -1;
+                        i64 fpeer = snug_retrieve(C, cid, si, addr, &fidx,
+                                                  &fway);
+                        if (fpeer >= 0) {
+                            remove_way(C, fpeer, fidx, fway);
+                            i64 *pc = C->slcnt + fpeer * NSL;
+                            i64 *ps = C->slstamp + fpeer * NSL;
+                            BUMP(pc, ps, SL_INVALIDATIONS, 1);
+                            BUMP(pc, ps, SL_FORWARDS, 1);
+                            i64 delay = bus_transfer(C, issue);
+                            stall = fill_dispose(C, cid, addr, is_write,
+                                                 issue);
+                            BUMP(sc, ss, SL_REMOTE_HITS, 1);
+                            latency = C->lat_snug + delay + stall; okey = 2;
+                        } else {
+                            latency = mem_fetch(C, addr, issue);
+                            stall = fill_dispose(C, cid, addr, is_write,
+                                                 issue);
+                            BUMP(sc, ss, SL_DRAM_FETCHES, 1);
+                            latency += stall; okey = 3;
+                        }
                     }
                 }
             }
@@ -828,6 +882,14 @@ _TRIED = False
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-Wall", "-Wextra", "-Werror")
 
 
+def _cflags() -> tuple:
+    """The effective build flags: :data:`_CFLAGS`, then the extra flags in
+    ``REPRO_CKERNEL_CFLAGS`` (a sanitizer build, for instance).  Later
+    flags win, so ``-O1`` there overrides the default ``-O2``."""
+    extra = shlex.split(os.environ.get("REPRO_CKERNEL_CFLAGS", ""))
+    return (*_CFLAGS, *extra)
+
+
 def _cache_root() -> str:
     return os.environ.get("REPRO_CKERNEL_DIR") or os.path.join(
         tempfile.gettempdir(),
@@ -836,9 +898,10 @@ def _cache_root() -> str:
 
 
 def _so_path(root: str, cc: str) -> str:
-    """Cached library path, keyed on source + flags + resolved compiler, so
-    a build with other flags or another toolchain never collides."""
-    key = "\0".join((_C_SOURCE, " ".join(_CFLAGS), os.path.realpath(cc)))
+    """Cached library path, keyed on source + effective flags + resolved
+    compiler, so a build with other flags or another toolchain never
+    collides."""
+    key = "\0".join((_C_SOURCE, " ".join(_cflags()), os.path.realpath(cc)))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return os.path.join(root, f"repro_ckernel_{digest}.so")
 
@@ -857,7 +920,7 @@ def _build(cc: str) -> ctypes.CDLL:
             with os.fdopen(fd, "w") as fh:
                 fh.write(_C_SOURCE)
             subprocess.run(
-                [cc, *_CFLAGS, "-o", tmp_so, c_path],
+                [cc, *_cflags(), "-o", tmp_so, c_path],
                 check=True, capture_output=True,
             )
             os.replace(tmp_so, so_path)
@@ -923,7 +986,7 @@ def _fresh_structural(scheme, caches, kind: int) -> bool:
     for wbuf in scheme.wbufs:
         if wbuf._entries:
             return False
-    if kind == 4:
+    if kind >= 4:
         for m in scheme.meta:
             for sh in m.shadows:
                 if sh._tags:
@@ -1001,7 +1064,7 @@ def _slot_minima(ctx: _Ctx, offs: np.ndarray, rs: np.ndarray) -> Dict[str, int]:
         need["coin_buf"] = max(1, int(rs[_RS.COIN_FILL]))
     elif kind == 3:
         need["set_role"], need["psel"] = ctx.nsets, ncores
-    elif kind == 4:
+    elif kind >= 4:
         need["gt"] = need["sh_len"] = need["mon_val"] = need["mon_mod"] = sets
         need["sh_addr"] = lines
         if ctx.monitored:
@@ -1063,7 +1126,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
     ncores = len(cores)
     config = system.config
     caches = scheme.banks if kind == 1 else scheme.slices
-    monitor = scheme.monitor if kind == 4 else None
+    monitor = scheme.monitor if kind >= 4 else None
 
     cshift = (ncores - 1).bit_length()
     finish_at = warmup + target
@@ -1176,7 +1239,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         set_role = np.array(scheme.set_role, dtype=np.int64)
         psel = np.array([pc.value for pc in scheme.psel], dtype=np.int64)
         ms[_MS.RR] = scheme._rr
-    elif kind == 4:
+    elif kind >= 4:  # the SNUG family: snug, snug_intra
         snug_cfg = scheme.snug_cfg
         mon_bits = snug_cfg.counter_bits
         ctx.lat_snug = config.latency.l2_remote_snug
@@ -1317,7 +1380,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         scheme._rr = int(ms[_MS.RR])
         for i, pc in enumerate(scheme.psel):
             pc.value = int(psel[i])
-    elif kind == 4:
+    elif kind >= 4:
         scheme.stage = STAGE_IDENTIFY if ms[_MS.STAGE] == 0 else STAGE_GROUP
         scheme._stage_end = int(ms[_MS.STAGE_END])
         scheme.epoch = int(ms[_MS.EPOCH])

@@ -23,10 +23,10 @@ announced once per process on stderr::
 
 The reasons are: no kernel library (``REPRO_NO_CKERNEL=1``, no C compiler,
 or a failed build), more than 64 cores, a spill scheme on one core,
-caches that already hold state, and a scheme without a kernel.  Dispatch
-is keyed by *exact* scheme type, so ``snug_intra`` (a
-:class:`~repro.schemes.snug.SnugCache` subclass with different intra-set
-semantics) and any out-of-tree subclass take the fast loop.
+caches that already hold state, and a scheme without a kernel.  All six
+registered schemes have a kernel.  Dispatch is keyed by *exact* scheme
+type, so an out-of-tree subclass of a kernel scheme (whose ``access()``
+the kernel has never seen) takes the fast loop.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from ..schemes.dsr import DynamicSpillReceive
 from ..schemes.l2p import PrivateL2
 from ..schemes.l2s import SharedL2
 from ..schemes.snug import SnugCache
+from ..schemes.snug_intra import SnugIntraCache
 from . import _ckernel
 from .cmp import CmpSystem, SimResult
 
@@ -67,11 +68,12 @@ def _fallback_notice(reason: str) -> None:
 # -- dispatch ----------------------------------------------------------------
 
 #: The schemes the kernel steps; a scheme's index here is the kernel's
-#: ``kind``.  Dispatch compares exact types (not isinstance):
-#: SnugIntraCache subclasses SnugCache with different access semantics, so
-#: it must fall through to the fast loop.
+#: ``kind``.  Dispatch compares exact types (not isinstance): a subclass
+#: may change ``access()`` (SnugIntraCache does, over SnugCache, and has
+#: its own kind), so an unlisted subclass falls through to the fast loop.
 _KERNEL_SCHEMES = (
     PrivateL2, SharedL2, CooperativeCaching, DynamicSpillReceive, SnugCache,
+    SnugIntraCache,
 )
 
 

@@ -1,4 +1,7 @@
-"""Experiment drivers: one per table/figure of the paper (see DESIGN.md)."""
+"""Experiment entry points, one per table/figure of the paper.
+
+``docs/paper_map.md`` maps each to its figure and benchmark.
+"""
 
 from .ablation import (
     AblationPoint,

@@ -1,4 +1,4 @@
-"""Ablation studies on SNUG's design choices (DESIGN.md per-experiment index).
+"""Ablation studies on SNUG's design choices (rows of ``docs/paper_map.md``).
 
 Three studies, each varying one knob the paper fixes:
 

@@ -23,7 +23,7 @@ Operation alternates between two globally-synchronized stages (Figure 5):
   most one unambiguous probe per peer; the forwarding peer invalidates its
   hosted copy.
 
-Epoch boundary hygiene (see DESIGN.md): hosted cooperative blocks whose set
+Epoch boundary hygiene: hosted cooperative blocks whose set
 flips giver→taker would become unreachable under the G/T-gated lookup while
 still occupying capacity; we invalidate them at the flip (``cc_flushed``),
 preserving the "every on-chip block is reachable" invariant that the

@@ -1,7 +1,8 @@
 """Synthetic workload generation with *controlled set-level capacity demand*.
 
-This module is the substitution for SPEC CPU2000 reference traces (see
-DESIGN.md).  A workload is described by a :class:`WorkloadSpec`: one or more
+This module is the substitution for SPEC CPU2000 reference traces (see the
+workloads section of ``docs/architecture.md``).  A workload is described by
+a :class:`WorkloadSpec`: one or more
 :class:`Phase` s, each assigning every cache set a **working-set size**
 ``W_s`` drawn from weighted :class:`Band` s.  Within a set, accesses follow a
 mixture of three per-set reference patterns whose LRU stack distances are

@@ -10,9 +10,10 @@ kernel interacts with other subsystems:
 
 * ``l2s`` under a contention-modelled bus and ``cc`` under contention +
   banked DRAM (occupancy modelled in-kernel);
-* ``snug`` with an attached :class:`OnlineDemandMonitor` (the kernel stops
-  at every Stage-I latch and hands the observed streams to the monitor:
-  same stream, latch for latch, demand vector for demand vector);
+* ``snug`` and ``snug_intra`` with an attached
+  :class:`OnlineDemandMonitor` (the kernel stops at every Stage-I latch and
+  hands the observed streams to the monitor: same stream, latch for latch,
+  demand vector for demand vector);
 * the budget-exhausted :class:`SimulationError` (same enriched per-core
   progress message from every loop, the reference included);
 * CLI stores written under ``--sim-core auto`` and under the
@@ -21,7 +22,7 @@ kernel interacts with other subsystems:
   contract).
 
 ``TestInterpretedFallback`` pins the no-library path: with
-``REPRO_NO_CKERNEL=1`` the kernel schemes run on the interpreted fast loop,
+``REPRO_NO_CKERNEL=1`` all six schemes run on the interpreted fast loop,
 bit-identically, with one notice on stderr.
 """
 
@@ -35,6 +36,7 @@ import pytest
 
 from repro.common.config import scaled_config
 from repro.common.errors import SimulationError
+from repro.core import compiled as compiled_core
 from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem
@@ -85,10 +87,11 @@ class TestSchemeEquivalence:
         assert compiled == ref
 
     @pytest.mark.parametrize("core_cls", PRODUCTION_CORES)
-    @pytest.mark.parametrize("scheme_name", ["l2s", "snug"])
+    @pytest.mark.parametrize("scheme_name", ["l2s", "snug", "snug_intra"])
     def test_matches_reference_small(self, core_cls, scheme_name):
         # Small scale exercises deeper runs (more wraps); l2s covers the
-        # bank-routed probe, snug the stage/shadow/latch machinery.
+        # bank-routed probe, snug the stage/shadow/latch machinery, and
+        # snug_intra its local flipped-set retrieval and spill on top.
         cfg, traces = build(scale="small", n_accesses=4_000)
         ref = run_core(ReferenceCmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
         out = run_core(core_cls, cfg, scheme_name, traces, 30_000, 5_000)
@@ -121,8 +124,14 @@ class TestEdgePaths:
         assert out == ref
 
     @pytest.mark.parametrize("core_cls", [CmpSystem, CompiledCmpSystem])
-    def test_snug_online_monitor_sees_identical_stream(self, core_cls, capsys):
+    @pytest.mark.parametrize("scheme_name", ["snug", "snug_intra"])
+    def test_snug_online_monitor_sees_identical_stream(
+        self, scheme_name, core_cls, capsys, monkeypatch
+    ):
         from repro.schemes.snug import OnlineDemandMonitor
+
+        # Notices print once per process: start from none announced.
+        monkeypatch.setattr(compiled_core, "_NOTICED", set())
 
         # Short stages: the run crosses several latches, each one a kernel
         # exit that hands the observed streams to the monitor.
@@ -134,7 +143,7 @@ class TestEdgePaths:
         )
         results, monitors = [], []
         for cls in (ReferenceCmpSystem, core_cls):
-            scheme = make_scheme("snug", cfg)
+            scheme = make_scheme(scheme_name, cfg)
             scheme.attach_monitor(OnlineDemandMonitor.from_config(
                 cfg, chunk_accesses=512, record_streams=True
             ))
@@ -148,8 +157,10 @@ class TestEdgePaths:
         for a, b in zip(ref.latched_demand + [ref.last_demand],
                         out.latched_demand + [out.last_demand]):
             assert [d.tolist() for d in a] == [d.tolist() for d in b]
-        # Monitored SNUG runs in the kernel: no fallback notice.
-        assert "repro.compiled:" not in capsys.readouterr().err
+        # Monitored SNUG and SNUG-Intra run in the kernel whenever the
+        # library is there: no fallback notice.
+        if compiled_core.kernel_mode() == "compiled-c":
+            assert "repro.compiled:" not in capsys.readouterr().err
 
     def test_cc_fractional_spill_rng_stream(self):
         # spill_probability=0.35 draws the spill coin per candidate; the
@@ -218,7 +229,7 @@ class TestCliStoreConformance:
                      "--store", str(store), "--resume"]) == 0
 
 
-#: Runs the five kernel schemes under the compiled core and dumps
+#: Runs all six schemes under the compiled core and dumps
 #: ``{"mode": kernel_mode(), "results": {scheme: to_dict()}}`` as JSON —
 #: executed in a subprocess so ``REPRO_NO_CKERNEL`` (read at the first
 #: library load) takes effect.
@@ -226,13 +237,13 @@ _CHILD_SCRIPT = """\
 import json, sys
 from repro.common.config import scaled_config
 from repro.core.compiled import CompiledCmpSystem, kernel_mode
-from repro.schemes.factory import make_scheme
+from repro.schemes.factory import SCHEMES, make_scheme
 from repro.workloads.mixes import build_mix_traces, get_mix
 
 cfg = scaled_config("tiny", seed=7)
 traces = build_mix_traces(get_mix("c4_0"), cfg.l2.num_sets, 3000, seed=0)
 results = {}
-for name in ("l2p", "l2s", "cc", "dsr", "snug"):
+for name in sorted(SCHEMES):
     scheme = make_scheme(name, cfg)
     system = CompiledCmpSystem(cfg, scheme, list(traces))
     results[name] = system.run(30000, warmup_instructions=5000).to_dict()
@@ -243,8 +254,8 @@ json.dump({"mode": kernel_mode(), "results": results}, sys.stdout)
 class TestInterpretedFallback:
     """The native library is optional; the fallback is bit-identical.
 
-    With ``REPRO_NO_CKERNEL=1`` the compiled core runs every kernel scheme
-    on the interpreted fast loop and says so once, in one line on stderr.
+    With ``REPRO_NO_CKERNEL=1`` the compiled core runs every scheme on the
+    interpreted fast loop and says so once, in one line on stderr.
     The results match the reference loop term for term.
     """
 
@@ -264,7 +275,7 @@ class TestInterpretedFallback:
         cfg, traces = build()
         return json.loads(json.dumps({
             name: run_core(ReferenceCmpSystem, cfg, name, traces, 30_000, 5_000)
-            for name in ("l2p", "l2s", "cc", "dsr", "snug")
+            for name in ALL_SCHEMES
         }))
 
     def test_interpreted_kernels_bit_identical_with_notice(self):

@@ -37,7 +37,7 @@ import pytest
 from repro.common.config import tiny_config
 from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
-from repro.schemes.factory import make_scheme
+from repro.schemes.factory import SCHEMES, make_scheme
 from repro.workloads.mixes import build_mix_traces, get_mix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -50,6 +50,7 @@ GOLDEN_SCHEMES = {
     "cc": {"spill_probability": 0.5},
     "dsr": {},
     "snug": {},
+    "snug_intra": {},
 }
 
 
@@ -79,7 +80,7 @@ def test_core_reproduces_golden(name, core_cls):
     )
 
 
-def test_goldens_cover_all_five_schemes():
-    assert set(GOLDEN_SCHEMES) == {"l2p", "l2s", "cc", "dsr", "snug"}
+def test_goldens_cover_every_scheme():
+    assert set(GOLDEN_SCHEMES) == set(SCHEMES)
     for name in GOLDEN_SCHEMES:
         assert (DATA_DIR / f"golden_scheme_{name}_tiny.json").exists()

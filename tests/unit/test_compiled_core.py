@@ -35,7 +35,6 @@ from repro.cache.block import CacheLine
 from repro.common.config import tiny_config
 from repro.common.errors import SimulationError
 from repro.core import _ckernel, compiled
-from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem, kernel_mode
 from repro.core.cpu import TraceCore
 from repro.core.reference import ReferenceCmpSystem
@@ -174,7 +173,7 @@ def _attach_monitor(scheme):
 
 
 #: (scheme, prepare, factory kwargs): every kernel scheme, CC on its
-#: random-draw ring, and SNUG on the demand-monitor hand-off.
+#: random-draw ring, and SNUG and SNUG-Intra on the demand-monitor hand-off.
 KERNEL_RUNS = [
     ("l2p", None, {}),
     ("l2s", None, {}),
@@ -182,6 +181,8 @@ KERNEL_RUNS = [
     ("dsr", None, {}),
     ("snug", None, {}),
     ("snug", _attach_monitor, {}),
+    ("snug_intra", None, {}),
+    ("snug_intra", _attach_monitor, {}),
 ]
 
 
@@ -208,14 +209,11 @@ class TestArrayNative:
         if prepare is not None:
             assert system.scheme.monitor.latches > 0
 
-    @pytest.mark.parametrize("scheme_name,cores,kwargs", [
-        ("snug_intra", 4, {}),
-        ("cc", 1, {"spill_probability": 0.0}),
-    ])
-    def test_fallback_run_builds_list_columns(self, scheme_name, cores, kwargs):
-        config = dataclasses.replace(tiny_config(seed=7), num_cores=cores)
-        traces = [_small_trace(seed=i).rebase(i) for i in range(cores)]
-        system, out, ref = _run_pair(config, scheme_name, traces, **kwargs)
+    def test_fallback_run_builds_list_columns(self):
+        # CC on one core is declined, so it runs on the fast loop.
+        config = dataclasses.replace(tiny_config(seed=7), num_cores=1)
+        traces = [_small_trace().rebase(0)]
+        system, out, ref = _run_pair(config, "cc", traces, spill_probability=0.0)
         assert out == ref
         assert all(core._gaps is not None for core in system.cores)
 
@@ -303,22 +301,15 @@ class TestKernelBuild:
         alias.write_text("")
         assert _ckernel._so_path(root, str(alias)) != base
         monkeypatch.setattr(_ckernel, "_CFLAGS", _ckernel._CFLAGS + ("-g",))
-        assert _ckernel._so_path(root, compiler) != base
+        with_g = _ckernel._so_path(root, compiler)
+        assert with_g != base
+        # Extra flags from the environment (a sanitizer build) key it too.
+        monkeypatch.setenv("REPRO_CKERNEL_CFLAGS", "-O1 -fsanitize=address")
+        assert _ckernel._cflags()[-2:] == ("-O1", "-fsanitize=address")
+        assert _ckernel._so_path(root, compiler) not in (base, with_g)
 
 
 class TestDispatchEdges:
-    def test_snug_intra_falls_back_to_generic_loop(self):
-        # No kernel for snug_intra (exact-type dispatch): the compiled
-        # system must run it through the inherited loop, bit-identically.
-        cfg, scheme, traces = build("snug_intra")
-        res = CompiledCmpSystem(cfg, scheme, traces).run(
-            10_000, warmup_instructions=1_000
-        )
-        ref = CmpSystem(cfg, make_scheme("snug_intra", cfg), list(traces)).run(
-            10_000, warmup_instructions=1_000
-        )
-        assert res.to_dict() == ref.to_dict()
-
     def test_run_sizing_validated(self):
         from repro.common.errors import SimulationError
 
@@ -331,7 +322,7 @@ class TestDispatchEdges:
 
 
 class TestProfileLabeling:
-    @pytest.mark.parametrize("scheme_name", ["l2p", "cc"])
+    @pytest.mark.parametrize("scheme_name", ["l2p", "cc", "snug_intra"])
     def test_kernel_time_appears_under_named_frame(self, scheme_name):
         cfg, scheme, traces = build(scheme_name)
         system = CompiledCmpSystem(cfg, scheme, traces)

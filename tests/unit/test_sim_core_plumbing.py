@@ -28,7 +28,7 @@ import pytest
 
 from repro.common.config import tiny_config
 from repro.common.errors import ConfigError
-from repro.core import compiled
+from repro.core import _ckernel, compiled
 from repro.core.cmp import SimResult
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem
@@ -167,20 +167,19 @@ class TestAutoSelectionTable:
             "using the fast loop (bit-identical)"
         ]
 
+    @pytest.mark.skipif(not _ckernel.lib_available(),
+                        reason="C kernel unavailable")
     def test_auto_dispatches_through_table(self, capsys):
-        # snug_intra under auto: the fast loop, the reference's result,
-        # and one notice however many runs take it.
+        # snug_intra under auto: the kernel (kind 5), the reference's
+        # result, and no fallback notice.
         config, traces = _mix_traces(1_000)
         results = [
             run_traces("snug_intra", config, traces, 10_000, 1_000,
                        sim_core=core).to_dict()
-            for core in ("auto", "auto", "reference")
+            for core in ("auto", "reference")
         ]
-        assert results[0] == results[1] == results[2]
-        assert _notices(capsys) == [
-            "repro.compiled: no kernel for scheme 'snug_intra'; "
-            "using the fast loop (bit-identical)"
-        ]
+        assert results[0] == results[1]
+        assert _notices(capsys) == []
 
 
 class TestDispatch:
