@@ -19,11 +19,31 @@ re-references and cold misses alike fall off the histogram.  By the LRU
 inclusion property, the top ``d`` entries of the unbounded Mattson stack —
 the ``d`` most-recently-used distinct addresses — fully determine every
 distance that can still matter.  So the only state carried between chunks is
-each set's bounded stack (at most ``depth`` addresses, MRU first).
+each set's bounded stack (at most ``depth`` addresses, MRU first), held in
+two arrays: ``stk`` (one ``depth``-wide row per set) and ``lens`` (each
+row's live entries).
 
-Each chunk is then profiled by **replaying the carry as a synthetic
-prefix**: the carried stack of every set touched by the chunk is prepended
-in LRU→MRU order and the batch kernel runs over ``prefix + chunk``.
+The step: bounded LRU stacks in C
+---------------------------------
+When the compiled kernel library is loaded
+(:func:`repro.core._ckernel.lib_available`), each chunk is stepped through
+those stacks by the library's ``profile_feed``
+(:func:`repro.core._ckernel.profile_feed`): each address is looked up in
+its set's row, MRU first; a hit at position ``p`` bumps bin ``p`` of that
+set's histogram; hit or miss, the address moves to the front, and a miss on
+a full row drops the LRU entry.  That is the per-access Mattson stack of
+:mod:`repro.cache.stackdist` cut off at ``depth`` — exact, by the argument
+above — at ``O(depth)`` work per reference and no allocation.  In
+fixed-interval mode each chunk is cut at interval boundaries, so every
+piece is stepped into its own interval's histogram.
+
+Without the library: replaying the carry as a prefix
+----------------------------------------------------
+Without the library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed
+build), each chunk is profiled by the vectorized batch kernel instead, by
+**replaying the carry as a synthetic prefix**: the carried stack of every
+set touched by the chunk is read from ``stk`` in LRU→MRU order, prepended,
+and the batch kernel runs over ``prefix + chunk``.
 
 * A prefix reference is the first occurrence of its address in the combined
   array, so the kernel scores it as a cold miss — it contributes nothing to
@@ -39,6 +59,10 @@ in LRU→MRU order and the batch kernel runs over ``prefix + chunk``.
   addresses referenced since its last occurrence: distance ``> depth`` in
   the full stream, cold miss in the replay — identical histogram either way.
 
+The touched sets' new stacks are then read off ``prefix + chunk`` and
+written back into ``stk`` and ``lens``, and the chunk's hits are tallied
+into intervals in one pass.
+
 Two interval disciplines share the machinery: **fixed intervals** (an
 interval closes every ``interval_accesses`` references, as in
 :func:`~repro.cache.stackdist_fast.profile_stream`; completed slices are
@@ -49,7 +73,7 @@ SNUG's online demand monitors cut at Stage-I epoch boundaries).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -102,9 +126,9 @@ class StreamingProfiler:
 
     Notes
     -----
-    Peak memory is one chunk plus the carried bounded stacks
-    (``<= num_sets * depth`` addresses) plus the open interval's histogram —
-    constant in the total stream length.
+    Peak memory is one chunk plus the carried bounded stacks (``num_sets *
+    depth`` addresses) plus the open interval's histogram — constant in the
+    total stream length.
     """
 
     def __init__(
@@ -127,9 +151,11 @@ class StreamingProfiler:
         self.interval_accesses = interval_accesses
         self.max_intervals = max_intervals
         self._mask = num_sets - 1
-        #: Carried bounded stacks: set index -> up to ``depth`` addresses,
-        #: MRU first (same orientation as ``StackDistanceSet._stack``).
-        self._stacks: Dict[int, List[int]] = {}
+        #: Carried bounded stacks: row ``s`` holds set ``s``'s most recently
+        #: used distinct addresses, MRU first (the orientation of
+        #: ``StackDistanceSet._stack``); ``_lens[s]`` of them are live.
+        self._stk = np.zeros(num_sets * depth, dtype=np.int64)
+        self._lens = np.zeros(num_sets, dtype=np.int64)
         self._open_hist = np.zeros((num_sets, depth), dtype=np.int64)
         self._consumed = 0
         self._emitted = 0
@@ -169,23 +195,51 @@ class StreamingProfiler:
         n = addrs.size
         if n == 0 or self.done:
             return self._empty()
+        # Imported here: repro.core imports schemes.snug, which imports us.
+        from ..core import _ckernel
 
-        # Replay the carried stacks of the touched sets as a cold prefix.
+        if _ckernel.lib_available():
+            out = self._step(addrs, _ckernel.profile_feed)
+        else:
+            out = self._replay(addrs)
+        self._consumed += n
+        return out
+
+    def _step(self, addrs: np.ndarray, profile_feed) -> DemandProfile:
+        """Step the carried stacks over the chunk in C (*profile_feed*),
+        closing fixed intervals at their boundaries."""
+        carry = (self._mask, self.depth, self._stk, self._lens)
+        ia = self.interval_accesses
+        if ia is None:
+            profile_feed(addrs, *carry, self._open_hist)
+            return self._empty()
+        closed: List[np.ndarray] = []
+        start, n = 0, addrs.size
+        while start < n and not self.done:
+            stop = min(n, start + ia - (self._consumed + start) % ia)
+            profile_feed(addrs[start:stop], *carry, self._open_hist)
+            start = stop
+            if (self._consumed + stop) % ia == 0:
+                closed.append(self._open_hist)
+                self._open_hist = np.zeros((self.num_sets, self.depth), dtype=np.int64)
+                self._emitted += 1
+        return DemandProfile(hist=np.stack(closed)) if closed else self._empty()
+
+    def _replay(self, addrs: np.ndarray) -> DemandProfile:
+        """Profile the chunk with the batch kernel, the touched sets'
+        carried stacks replayed as a cold prefix (the no-library path)."""
+        depth = self.depth
         touched = np.unique(addrs & self._mask)
-        prefix_parts = [
-            self._stacks[s][::-1] for s in touched.tolist() if s in self._stacks
-        ]
-        prefix = (
-            np.concatenate([np.asarray(p, dtype=np.int64) for p in prefix_parts])
-            if prefix_parts
-            else np.zeros(0, dtype=np.int64)
-        )
+        lens = self._lens[touched]
+        # Each touched set's live row, read back to front (LRU first).
+        last = np.repeat(touched * depth + lens - 1, lens)
+        back = np.arange(last.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        prefix = self._stk[last - back]
         combined = np.concatenate([prefix, addrs])
         dist = stack_distances(combined, self.num_sets)[prefix.size :]
 
         out = self._tally(addrs, dist)
-        self._update_stacks(combined, touched)
-        self._consumed += n
+        self._store_stacks(combined, touched)
         return out
 
     def _tally(self, addrs: np.ndarray, dist: np.ndarray) -> DemandProfile:
@@ -222,23 +276,28 @@ class StreamingProfiler:
         )
         return DemandProfile(hist=emitted.copy())
 
-    def _update_stacks(self, combined: np.ndarray, touched: np.ndarray) -> None:
-        """Recompute the touched sets' bounded stacks from ``prefix + chunk``.
+    def _store_stacks(self, combined: np.ndarray, touched: np.ndarray) -> None:
+        """Write the touched sets' new bounded stacks, from ``prefix +
+        chunk``, into the carry.
 
         A set's new stack is its ``depth`` most-recently-used distinct
         addresses — computed in one pass: last occurrence of every distinct
         address (first occurrence in the reversed array), grouped by set,
-        most recent first.
+        most recent first.  Every distinct address lies in a touched set,
+        and every touched set has one.
         """
+        depth = self.depth
         rev = combined[::-1]
         uniq, first_rev = np.unique(rev, return_index=True)
         order = np.lexsort((first_rev, uniq & self._mask))
         uniq = uniq[order]
         uniq_sets = uniq & self._mask
         starts = np.searchsorted(uniq_sets, touched, side="left")
-        ends = np.searchsorted(uniq_sets, touched, side="right")
-        for s, lo, hi in zip(touched.tolist(), starts.tolist(), ends.tolist()):
-            self._stacks[s] = uniq[lo : min(hi, lo + self.depth)].tolist()
+        counts = np.diff(np.append(starts, uniq.size))
+        rank = np.arange(uniq.size) - np.repeat(starts, counts)
+        keep = rank < depth
+        self._stk[uniq_sets[keep] * depth + rank[keep]] = uniq[keep]
+        self._lens[touched] = np.minimum(counts, depth)
 
     def cut(self) -> np.ndarray:
         """Close the open interval (caller-cut mode); return its histogram.

@@ -46,6 +46,13 @@ that:
   previous hand-off to the monitor, calls ``monitor.latch()``, writes the
   taker bits into the G/T input array and re-enters.
 
+The same translation unit holds the streaming stack-distance profiler's
+step, ``profile_feed`` (:func:`profile_feed` checks its arrays and calls
+it): :class:`~repro.cache.stackdist_stream.StreamingProfiler` steps its
+bounded per-set LRU stacks through it whenever the library is loaded —
+in every monitored SNUG run's online demand monitor, and in
+``characterize_stream``.
+
 :func:`decline_reason` names the systems the kernel does not take — no
 library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build), more
 than 64 cores, a spill scheme on one core, or caches that already hold
@@ -72,7 +79,8 @@ from ..common.errors import SimulationError
 from ..schemes.base import Outcome
 from .cmp import CmpSystem, SimResult, budget_exhausted_error
 
-__all__ = ["run_kernel", "decline_reason", "reason", "lib_available"]
+__all__ = ["run_kernel", "profile_feed", "decline_reason", "reason",
+           "lib_available"]
 
 #: Outcome keys in enum order (the reference core's prepopulated-dict order).
 _OUT_KEYS = tuple(o.value for o in Outcome)
@@ -164,15 +172,16 @@ class _Ctx(ctypes.Structure):
 #: Ring-buffer capacity for prefetched CC random draws.
 _RNG_CAP = 4096
 
-#: Most addresses handed to a SNUG demand monitor in one call, so its
-#: buffered memory stays bounded however long a stage runs.
+#: Most addresses handed to a SNUG demand monitor in one call, so the chunk
+#: its profiler steps stays bounded however long a stage runs.
 _MONITOR_SLICE = 8192
 
 _C_SOURCE = r"""
 /* Structure-of-arrays event loop for the repro compiled simulation core.
  *
- * One translation unit, one exported function:
+ * One translation unit, two exported functions:
  *     int64_t run_kernel(const Ctx *in);
+ *     void profile_feed(...);   (the streaming profiler's step, at the end)
  * The enums and the Ctx struct below are generated from the Python tables
  * in _ckernel.py, which fill Ctx: scalar inputs by value, array inputs as
  * pointers.  `kind` selects the scheme: 0 l2p, 1 l2s, 2 cc, 3 dsr, 4 snug,
@@ -870,6 +879,25 @@ i64 run_kernel(const Ctx *in) {
     }
     return RC_DONE;
 }
+
+/* StreamingProfiler's step over n addresses: each set s keeps a bounded LRU
+ * stack in row s of stk (depth wide, MRU first, len[s] live entries).  A
+ * hit at position p bumps hist[s * depth + p]; hit or miss, the address
+ * moves to the front, and a miss on a full row drops its LRU entry. */
+void profile_feed(const i64 *addrs, i64 n, i64 mask, i64 depth, i64 *stk,
+                  i64 *len, i64 *hist) {
+    for (i64 i = 0; i < n; i++) {
+        i64 a = addrs[i], s = a & mask;
+        i64 *row = stk + s * depth;
+        i64 l = len[s], p = 0;
+        while (p < l && row[p] != a) p++;
+        if (p < l) hist[s * depth + p]++;
+        else if (l < depth) len[s] = l + 1;
+        else p = depth - 1;
+        for (i64 j = p; j > 0; j--) row[j] = row[j - 1];
+        row[0] = a;
+    }
+}
 """
 
 # -- build & load -------------------------------------------------------------
@@ -931,6 +959,11 @@ def _build(cc: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(so_path)
     lib.run_kernel.restype = ctypes.c_int64
     lib.run_kernel.argtypes = [ctypes.POINTER(_Ctx)]
+    lib.profile_feed.restype = None
+    lib.profile_feed.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    ]
     return lib
 
 
@@ -1072,6 +1105,21 @@ def _slot_minima(ctx: _Ctx, offs: np.ndarray, rs: np.ndarray) -> Dict[str, int]:
     return need
 
 
+def _check_array(label: str, arr: np.ndarray, dtype, need: int,
+                 implied_by: str) -> None:
+    """Refuse an array the C side would misread: it must hold *dtype*, be
+    C-contiguous and have at least *need* elements.  The error names the
+    array by *label*."""
+    if arr.dtype != dtype:
+        raise SimulationError(
+            f"{label}: dtype {arr.dtype}, the kernel reads {np.dtype(dtype)}")
+    if not arr.flags.c_contiguous:
+        raise SimulationError(f"{label} is not C-contiguous")
+    if arr.size < need:
+        raise SimulationError(
+            f"{label}: {arr.size} elements, {implied_by} imply at least {need}")
+
+
 def _bind_arrays(ctx: _Ctx, arrays: Dict[str, np.ndarray]) -> None:
     """Point each array member of *ctx* at its slot in *arrays*, after
     checking every slot at entry.
@@ -1084,18 +1132,9 @@ def _bind_arrays(ctx: _Ctx, arrays: Dict[str, np.ndarray]) -> None:
     """
 
     def check(name: str, need: int) -> None:
-        arr = arrays[name]
         dtype = np.float64 if name == "coin_buf" else np.int64
-        if arr.dtype != dtype:
-            raise SimulationError(
-                f"C kernel slot {name!r}: dtype {arr.dtype}, the kernel "
-                f"reads {np.dtype(dtype)}")
-        if not arr.flags.c_contiguous:
-            raise SimulationError(f"C kernel slot {name!r} is not C-contiguous")
-        if arr.size < need:
-            raise SimulationError(
-                f"C kernel slot {name!r}: {arr.size} elements, the params "
-                f"imply at least {need}")
+        _check_array(f"C kernel slot {name!r}", arrays[name], dtype, need,
+                     "the params")
 
     # The core count and the slots the minima are read from come first.
     if not 1 <= ctx.ncores <= 64:
@@ -1107,6 +1146,40 @@ def _bind_arrays(ctx: _Ctx, arrays: Dict[str, np.ndarray]) -> None:
     for name in _ALL_SLOTS:
         check(name, need[name])
         setattr(ctx, name, arrays[name].ctypes.data)
+
+
+def profile_feed(addrs: np.ndarray, mask: int, depth: int, stk: np.ndarray,
+                 lens: np.ndarray, hist: np.ndarray) -> None:
+    """Step a streaming profiler's bounded per-set LRU stacks over *addrs*
+    in C, bumping the hit-position histogram *hist*.
+
+    Row ``s`` of *stk* (``depth`` wide, MRU first) holds set ``s``'s stack,
+    with ``lens[s]`` live entries; ``hist[s, p]`` counts hits at stack
+    position ``p`` (see :mod:`repro.cache.stackdist_stream`).  The C side
+    indexes rows by ``addr & mask`` and by the ``lens`` entries, so every
+    array is checked first, as :func:`_bind_arrays` checks the kernel's
+    slots: ``int64``, C-contiguous, *stk* and *hist* at least
+    ``num_sets * depth`` elements and *lens* at least ``num_sets``, with
+    every ``lens`` entry in ``[0, depth]``.  A failure raises
+    :class:`SimulationError` naming the argument, before any C code runs.
+    """
+    if mask < 0 or depth < 1:
+        raise SimulationError(
+            f"C profiler geometry: mask {mask}, depth {depth}; the profiler "
+            "takes mask >= 0 and depth >= 1")
+    num_sets = mask + 1
+    for name, arr, need in (("addrs", addrs, 0),
+                            ("stk", stk, num_sets * depth),
+                            ("lens", lens, num_sets),
+                            ("hist", hist, num_sets * depth)):
+        _check_array(f"C profiler argument {name!r}", arr, np.int64, need,
+                     "mask and depth")
+    if lens.min() < 0 or lens.max() > depth:
+        raise SimulationError(
+            f"C profiler argument 'lens': entries span [{lens.min()}, "
+            f"{lens.max()}], the rows hold [0, {depth}]")
+    _get_lib().profile_feed(addrs.ctypes.data, addrs.size, mask, depth,
+                            stk.ctypes.data, lens.ctypes.data, hist.ctypes.data)
 
 
 def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,

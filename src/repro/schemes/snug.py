@@ -109,8 +109,10 @@ class OnlineDemandMonitor:
         Classification threshold: ``block_required > taker_demand`` marks a
         set taker.  The natural value is the baseline associativity.
     chunk_accesses:
-        Buffered references per slice before a chunk is pushed into the
-        profiler (bounds the monitor's memory).
+        References :meth:`observe` buffers per slice before pushing them
+        into the profiler as one chunk (bounds the buffer's memory).  It
+        bounds only that per-access buffer: :meth:`observe_many` hands
+        each run to the profiler as it comes.
     record_streams:
         Keep each epoch's raw per-slice reference streams *and* the
         per-latch demand history (test hook: lets the suite replay the
@@ -175,20 +177,17 @@ class OnlineDemandMonitor:
         """Record a run of L2 references in one call (compiled core).
 
         Equivalent to calling :meth:`observe` per address: the streaming
-        profiler is chunk-boundary-invariant, so flushing a larger buffer
-        once yields the same profile as flushing at every chunk crossing.
+        profiler is chunk-boundary-invariant, so after flushing whatever
+        :meth:`observe` has buffered, the run goes to the profiler as one
+        chunk of its own, an array run without a copy.
         """
-        if len(block_addrs) == 0:
+        addrs = np.asarray(block_addrs, dtype=np.int64)
+        if addrs.size == 0:
             return
-        buf = self._buffers[core]
-        if isinstance(block_addrs, np.ndarray):
-            buf.extend(block_addrs.tolist())
-        elif type(block_addrs) is list:
-            buf.extend(block_addrs)
-        else:
-            buf.extend(int(a) for a in block_addrs)
-        if len(buf) >= self.chunk_accesses:
-            self._flush(core)
+        self._flush(core)
+        self._profilers[core].feed(addrs)
+        if self.record_streams:
+            self._open_streams[core].extend(addrs.tolist())
 
     def _flush(self, core: int) -> None:
         buf = self._buffers[core]

@@ -2,13 +2,20 @@
 
 The tiny geometry (16 sets, 4-way, 64 B lines) keeps hand-computed addresses
 readable: block address ``tag * 16 + set`` lives in set ``set``.
+
+:func:`on_both_profiler_steps` runs a streaming-profiler test once per
+profiler step: the C step and the no-library prefix replay.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
+import pytest
+
 from repro.common.config import CacheGeometry, DsrConfig, SnugConfig, SystemConfig
+from repro.core import _ckernel
 from repro.mem.address import core_address_base
 
 NUM_SETS = 16
@@ -40,3 +47,21 @@ def fill_set(scheme, core: int, set_index: int, n: int, t0: int = 0, start_tag: 
         res = scheme.access(core, addr(core, set_index, start_tag + k), False, now)
         now += res.latency + 1
     return now
+
+
+def on_both_profiler_steps(test):
+    """Run *test* once per streaming-profiler step: the C step when the
+    kernel library is built, then the no-library prefix replay (forced by
+    patching the library lookup away).  The test keeps its name and
+    signature, so fixtures and Hypothesis draws reach it; each draw is
+    checked on both steps."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        if _ckernel.lib_available():
+            test(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_ckernel, "_get_lib", lambda: None)
+            test(*args, **kwargs)
+
+    return run

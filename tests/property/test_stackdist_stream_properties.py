@@ -6,7 +6,8 @@ exactly the histograms :func:`repro.cache.stackdist_fast.profile_stream`
 computes over the whole stream at once (which the existing property suite
 ties to the per-access Mattson spec) — for every chunking, interval length,
 depth and set count.  Caller-cut mode is held to the reference profiler's
-``end_interval`` at arbitrary cut points.
+``end_interval`` at arbitrary cut points.  Every draw is checked on both
+profiler steps: the C step and the no-library prefix replay.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.cache.stackdist import StackDistanceProfiler
 from repro.cache.stackdist_fast import profile_stream
 from repro.cache.stackdist_stream import StreamingProfiler, profile_chunks
+from tests.helpers import on_both_profiler_steps
 
 # Small universes force deep reuse (carry-heavy chunks); large ones force
 # cold-miss streams — both chunk-boundary regimes get exercised.
@@ -38,11 +40,13 @@ def cut_into_chunks(addrs, sizes):
 @given(
     addrs=streams,
     sizes=st.lists(st.integers(1, 120), min_size=1, max_size=6),
-    log_sets=st.integers(0, 4),
+    # Up to the published 1,024 sets.
+    log_sets=st.integers(0, 10),
     depth=st.integers(1, 40),
     interval_accesses=st.integers(1, 120),
 )
 @settings(max_examples=80, deadline=None)
+@on_both_profiler_steps
 def test_streaming_bit_identical_to_batch(addrs, sizes, log_sets, depth, interval_accesses):
     num_sets = 1 << log_sets
     addrs = np.array(addrs, dtype=np.int64)
@@ -63,6 +67,7 @@ def test_streaming_bit_identical_to_batch(addrs, sizes, log_sets, depth, interva
     max_intervals=st.integers(0, 8),
 )
 @settings(max_examples=40, deadline=None)
+@on_both_profiler_steps
 def test_streaming_max_intervals_matches_batch(
     addrs, sizes, log_sets, depth, interval_accesses, max_intervals
 ):
@@ -89,6 +94,7 @@ def test_streaming_max_intervals_matches_batch(
     depth=st.integers(1, 24),
 )
 @settings(max_examples=40, deadline=None)
+@on_both_profiler_steps
 def test_caller_cut_matches_reference_profiler(addrs, sizes, log_sets, depth):
     """cut() at arbitrary chunk boundaries == the spec's end_interval."""
     num_sets = 1 << log_sets

@@ -390,14 +390,44 @@ class TestCommands:
         assert main(argv) == 0
         assert "1 cache hit(s)" in capsys.readouterr().out
 
-    def test_sweep_socket_cli_end_to_end(self, capsys):
+    def test_sweep_socket_cli_end_to_end(self, capsys, monkeypatch):
         """Acceptance: a socket-backend sweep driven purely through the CLI
-        completes against two real `repro worker` subprocesses."""
+        completes against two real `repro worker` subprocesses, and each
+        worker processes chunks.
+
+        The coordinator hands no worker a second chunk before both workers
+        have their first (the sweep has four).  Otherwise the first worker
+        to connect can drain the whole sweep before the second one has
+        started; the coordinator then closes its listener, and the late
+        worker cannot connect."""
         import os
+        import re
         import socket as socketlib
         import subprocess
         import sys
         import threading
+        import time
+
+        from repro.engine.backends import socket as socket_backend
+
+        real_claim = socket_backend._SweepState.claim
+        served = set()  # handler threads (one per worker) given a chunk
+
+        def claim_after_both_workers_got_one(state):
+            me = threading.get_ident()
+            with state.cond:
+                deadline = time.monotonic() + 120
+                while (me in served and len(served) < 2
+                       and time.monotonic() < deadline):
+                    state.cond.wait(0.05)
+            claimed = real_claim(state)
+            with state.cond:
+                served.add(me)
+            return claimed
+
+        monkeypatch.setattr(
+            socket_backend._SweepState, "claim", claim_after_both_workers_got_one
+        )
 
         probe = socketlib.socket()
         probe.bind(("127.0.0.1", 0))
@@ -436,7 +466,7 @@ class TestCommands:
         assert f"repro worker --connect 127.0.0.1:{port}" in out
         for w, text in zip(workers, worker_out):
             assert w.returncode == 0, text
-            assert "processed" in text
+            assert re.search(r"processed [1-9]\d* chunk", text), text
 
 
 class TestServiceParser:

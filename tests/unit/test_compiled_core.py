@@ -10,7 +10,8 @@ this file localizes regressions in the machinery *around* the kernel:
 * the compiled path stays array-native: a kernel run reads the cores'
   NumPy columns and never builds the list columns the Python loop needs;
 * every array slot (and the core count) is checked by name before the
-  kernel runs;
+  kernel runs, and every array of the streaming profiler's C step before
+  that step runs;
 * dispatch refuses bad run sizing with the same messages as
   :class:`~repro.core.cmp.CmpSystem`;
 * the kernel build is private per builder (a concurrent first build of
@@ -32,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.cache.block import CacheLine
+from repro.cache.stackdist_stream import StreamingProfiler
 from repro.common.config import tiny_config
 from repro.common.errors import SimulationError
 from repro.core import _ckernel, compiled
@@ -93,13 +95,21 @@ def _small_trace(seed=0, n=60):
     return Trace(rng.integers(1, 30, n), rng.integers(0, 128, n), rng.random(n) < 0.3)
 
 
+needs_kernel = pytest.mark.skipif(
+    not _ckernel.lib_available(), reason="C kernel unavailable"
+)
+
+
 class TestFallbackReasons:
-    """Each decline is named once, and the fast loop stays bit-identical."""
+    """Each decline is named once, and the fast loop stays bit-identical.
+    Without the library every run is declined for that reason alone, so
+    the other notices need the kernel."""
 
     @pytest.fixture(autouse=True)
     def _fresh_notices(self, monkeypatch):
         monkeypatch.setattr(compiled, "_NOTICED", set())
 
+    @needs_kernel
     def test_spill_scheme_on_one_core(self, capsys):
         config = dataclasses.replace(tiny_config(seed=7), num_cores=1)
         out, ref, notices = _fallback_run(
@@ -111,6 +121,7 @@ class TestFallbackReasons:
             "using the fast loop (bit-identical)"
         ]
 
+    @needs_kernel
     def test_more_than_64_cores(self, capsys):
         config = dataclasses.replace(tiny_config(seed=7), num_cores=128)
         traces = [_small_trace(seed=i, n=8) for i in range(128)]
@@ -121,6 +132,7 @@ class TestFallbackReasons:
             "using the fast loop (bit-identical)"
         ]
 
+    @needs_kernel
     def test_prefilled_slice(self, capsys):
         def prefill(scheme):
             scheme.slices[0].fill(CacheLine(addr=5, dirty=True, owner=0))
@@ -151,6 +163,7 @@ class TestFallbackReasons:
             "using the fast loop (bit-identical)"
         ]
 
+    @needs_kernel
     def test_notice_once_per_distinct_reason(self, capsys):
         one_core = dataclasses.replace(tiny_config(seed=7), num_cores=1)
         for _ in range(2):
@@ -161,11 +174,6 @@ class TestFallbackReasons:
             one_core, "cc", [_small_trace()], capsys, spill_probability=0.0
         )
         assert len(notices) == 1 and "'cc'" in notices[0]
-
-
-needs_kernel = pytest.mark.skipif(
-    not _ckernel.lib_available(), reason="C kernel unavailable"
-)
 
 
 def _attach_monitor(scheme):
@@ -227,7 +235,7 @@ def _set_slot(name, corrupt):
 
 class TestPointerTableCheck:
     """A slot the C side would misread is refused, by name, before the
-    kernel runs."""
+    kernel runs; so is a bad argument of the streaming profiler's C step."""
 
     @needs_kernel
     @pytest.mark.parametrize("corrupt,message", [
@@ -256,6 +264,30 @@ class TestPointerTableCheck:
         scheme = make_scheme("cc", config, spill_probability=0.5)
         with pytest.raises(SimulationError, match=message):
             CompiledCmpSystem(config, scheme, traces).run(10_000)
+
+    @needs_kernel
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda prof: setattr(prof, "_stk", prof._stk[:-1]),
+         r"argument 'stk': 63 elements, mask and depth imply at least 64"),
+        (lambda prof: setattr(prof, "_open_hist",
+                              prof._open_hist.astype(np.int32)),
+         r"argument 'hist': dtype int32, the kernel reads int64"),
+        (lambda prof: setattr(prof, "_lens", np.zeros(32, np.int64)[::2]),
+         r"argument 'lens' is not C-contiguous"),
+        (lambda prof: prof._lens.__setitem__(15, 5),
+         r"argument 'lens': entries span \[0, 5\], the rows hold \[0, 4\]"),
+    ], ids=["stk", "hist", "lens_strided", "lens_entry"])
+    def test_bad_profiler_argument_is_refused_by_name(
+        self, monkeypatch, corrupt, message
+    ):
+        def profile_feed(*args):
+            raise AssertionError("the profiler step ran on an unchecked input")
+
+        monkeypatch.setattr(_ckernel._get_lib(), "profile_feed", profile_feed)
+        profiler = StreamingProfiler(16, 4)
+        corrupt(profiler)
+        with pytest.raises(SimulationError, match=message):
+            profiler.feed(np.arange(100))
 
 
 class TestKernelBuild:
@@ -322,6 +354,7 @@ class TestDispatchEdges:
 
 
 class TestProfileLabeling:
+    @needs_kernel
     @pytest.mark.parametrize("scheme_name", ["l2p", "cc", "snug_intra"])
     def test_kernel_time_appears_under_named_frame(self, scheme_name):
         cfg, scheme, traces = build(scheme_name)
@@ -336,6 +369,7 @@ class TestProfileLabeling:
         names = {func[2] for func in stats.stats}
         assert f"compiled_kernel__{scheme_name}" in names
 
+    @needs_kernel
     def test_profile_dump_file_contains_kernel_row(self, tmp_path):
         # The CLI --profile path: dump_stats + pstats.Stats(path) must
         # surface the same named row the operator greps for.
