@@ -9,8 +9,7 @@ taker/giver adjacency is plentiful and every avoided bus round-trip saves
 import pytest
 
 from repro.analysis.report import render_table
-from repro.core.cmp import CmpSystem
-from repro.schemes.factory import make_scheme
+from repro.experiments.runner import run_traces
 from repro.workloads.mixes import build_mix_traces, get_mix
 
 
@@ -24,12 +23,8 @@ def test_extension_intra_cache_grouping(benchmark, scale):
     def run_all():
         out = {}
         for name in ("l2p", "snug", "snug_intra"):
-            scheme = make_scheme(name, cfg)
-            res = CmpSystem(cfg, scheme, traces).run(
-                plan.target_instructions,
-                warmup_instructions=plan.warmup_instructions,
-            )
-            out[name] = res
+            out[name] = run_traces(name, cfg, traces, plan.target_instructions,
+                                   plan.warmup_instructions)
         return out
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -4,14 +4,11 @@ Not a paper artefact — this is the engineering benchmark guarding against
 performance regressions of the hot access path.  pytest-benchmark's timing
 statistics are the product here; the printed rate contextualizes them.
 
-``test_sim_core_speedups`` pits the production stepping loops against the
-seed implementation preserved in :mod:`repro.core.reference` and persists
-three series to ``BENCH_sim_speed.json`` (see ``docs/benchmarks.md`` for
-the headline history):
+``test_sim_core_speedups`` pits the production core against the seed
+implementation preserved in :mod:`repro.core.reference` and persists two
+series to ``BENCH_sim_speed.json`` (see ``docs/benchmarks.md`` for the
+headline history):
 
-* ``fast_mix`` — the fast scalar loop on a paper contention mix; the
-  original fast-path contract (>= 1.5x on L2P, >= 1.35x geomean) still
-  gates here.
 * ``compiled_quiescent`` — the compiled core on a resident-working-set
   workload (~99% local hits after one cold lap), over the five paper
   schemes; gates at >= 4.0x over the seed loop.  Same workload
@@ -23,8 +20,8 @@ the headline history):
   actually runs, and it gates at >= 4.0x over the seed loop (measured
   ~10-15x per scheme with the native C kernel).
 
-Every loop is held bit-identical to the reference inside the bench — a
-speedup from a wrong result would be worthless.
+The compiled core is held bit-identical to the reference inside the
+bench — a speedup from a wrong result would be worthless.
 """
 
 import math
@@ -33,7 +30,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem, reference_system
 from repro.schemes.factory import make_scheme, scheme_names
@@ -56,7 +52,7 @@ def test_access_path_speed(benchmark, scale, scheme_name):
 
     def run():
         scheme = make_scheme(scheme_name, cfg)
-        return CmpSystem(cfg, scheme, traces).run(target)
+        return CompiledCmpSystem(cfg, scheme, traces).run(target)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     accesses = sum(result.accesses)
@@ -100,21 +96,20 @@ def quiescent_traces(cfg, n_accesses: int = 10_000):
     return traces
 
 
-def _series(cfg, traces, target, core_cls, *, check_against_seed=True,
-            schemes=None):
-    """Per-scheme best-of-3 timings of *core_cls* vs the seed loop."""
+def _series(cfg, traces, target):
+    """Per-scheme best-of-3 timings of the compiled core vs the seed loop."""
     timings = {}
-    for name in (schemes if schemes is not None else scheme_names()):
+    for name in KERNEL_SCHEMES:
         seed_t, seed_res = _best_of(
             lambda: reference_system(cfg, name, traces).run(target)
         )
         core_t, core_res = _best_of(
-            lambda: core_cls(cfg, make_scheme(name, cfg), traces).run(target)
+            lambda: CompiledCmpSystem(cfg, make_scheme(name, cfg), traces)
+            .run(target)
         )
-        if check_against_seed:
-            assert core_res.to_dict() == seed_res.to_dict(), (
-                f"{core_cls.__name__} diverged from the reference on {name}"
-            )
+        assert core_res.to_dict() == seed_res.to_dict(), (
+            f"the compiled core diverged from the reference on {name}"
+        )
         timings[name] = {
             "seed_s": seed_t,
             "core_s": core_t,
@@ -135,7 +130,7 @@ def _print_series(label, timings):
 
 @pytest.mark.benchmark(group="sim-speed")
 def test_sim_core_speedups(scale, bench_json, relax_timing):
-    """Production loops vs the preserved seed loop (three series)."""
+    """The compiled core vs the preserved seed loop (two series)."""
     cfg = scale.config
     mix_traces = build_mix_traces(get_mix("c4_0"), cfg.l2.num_sets,
                                   min(scale.plan.n_accesses, 10_000), seed=0)
@@ -144,14 +139,9 @@ def test_sim_core_speedups(scale, bench_json, relax_timing):
     q_target = min(scale.plan.target_instructions, 240_000)
 
     print()
-    fast_mix = _series(cfg, mix_traces, mix_target, CmpSystem,
-                       check_against_seed=False)
-    fast_geomean = _print_series("fast_mix", fast_mix)
-    compiled_q = _series(cfg, q_traces, q_target, CompiledCmpSystem,
-                         schemes=KERNEL_SCHEMES)
+    compiled_q = _series(cfg, q_traces, q_target)
     quiescent_geomean = _print_series("compiled_quiescent", compiled_q)
-    compiled_mix = _series(cfg, mix_traces, mix_target, CompiledCmpSystem,
-                           schemes=KERNEL_SCHEMES)
+    compiled_mix = _series(cfg, mix_traces, mix_target)
     compiled_mix_geomean = _print_series("compiled_mix", compiled_mix)
 
     bench_json("sim_speed", {
@@ -161,7 +151,6 @@ def test_sim_core_speedups(scale, bench_json, relax_timing):
         "geomean_speedup": compiled_mix_geomean,
         "headline": "compiled_mix",
         "series": {
-            "fast_mix": {"schemes": fast_mix, "geomean_speedup": fast_geomean},
             "compiled_quiescent": {"schemes": compiled_q,
                                    "geomean_speedup": quiescent_geomean},
             "compiled_mix": {"schemes": compiled_mix,
@@ -171,12 +160,6 @@ def test_sim_core_speedups(scale, bench_json, relax_timing):
 
     if relax_timing:
         pytest.skip("REPRO_BENCH_RELAX set: speedups recorded, assertions skipped")
-    # The original fast-path contract, unchanged.
-    fast_speedups = {n: t["speedup"] for n, t in fast_mix.items()}
-    assert fast_speedups["l2p"] >= 1.5, (
-        f"l2p single-run speedup {fast_speedups['l2p']:.2f}x < 1.5x")
-    assert fast_geomean >= 1.35, f"geomean speedup {fast_geomean:.2f}x regressed"
-    assert all(s > 1.1 for s in fast_speedups.values()), fast_speedups
     # The quiescent-regime contract: >= 4x over the seed loop.
     assert quiescent_geomean >= 4.0, (
         f"compiled quiescent geomean {quiescent_geomean:.2f}x < 4.0x")
@@ -193,6 +176,5 @@ def test_production_cores_bit_identical_on_quiescent(scale):
     target = min(scale.plan.target_instructions, 40_000)
     for name in scheme_names():
         ref = ReferenceCmpSystem(cfg, make_scheme(name, cfg), traces).run(target)
-        for core_cls in (CmpSystem, CompiledCmpSystem):
-            out = core_cls(cfg, make_scheme(name, cfg), traces).run(target)
-            assert out.to_dict() == ref.to_dict(), (name, core_cls.__name__)
+        out = CompiledCmpSystem(cfg, make_scheme(name, cfg), traces).run(target)
+        assert out.to_dict() == ref.to_dict(), name

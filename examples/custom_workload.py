@@ -14,10 +14,8 @@ Run:  python examples/custom_workload.py
 
 import numpy as np
 
-from repro import RunPlan, fast_config
+from repro import RunPlan, fast_config, run_traces
 from repro.analysis.report import render_table
-from repro.core.cmp import CmpSystem
-from repro.schemes.factory import make_scheme
 from repro.workloads.synthetic import Band, Phase, WorkloadSpec, generate_trace
 
 
@@ -55,10 +53,8 @@ def main() -> None:
     rows = []
     baseline = None
     for name in ("l2p", "dsr", "snug"):
-        scheme = make_scheme(name, config)
-        res = CmpSystem(config, scheme, traces).run(
-            plan.target_instructions, warmup_instructions=plan.warmup_instructions
-        )
+        res = run_traces(name, config, traces, plan.target_instructions,
+                         plan.warmup_instructions)
         if baseline is None:
             baseline = res.throughput
         rows.append([name, res.throughput / baseline])

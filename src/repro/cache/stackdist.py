@@ -17,7 +17,7 @@ per-access stack walk, kept deliberately simple.  Production callers go
 through :mod:`repro.cache.stackdist_fast`, which computes bit-identical
 per-interval histograms for a whole stream in vectorized NumPy passes (the
 same spec/fast-path split as :mod:`repro.core.reference` vs
-:mod:`repro.core.cmp`).
+:mod:`repro.core.compiled`).
 """
 
 from __future__ import annotations

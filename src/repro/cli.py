@@ -75,13 +75,12 @@ in the store — refused when the store was produced by a different
 scenario).  The same three commands take ``--sim-core {auto,reference}``
 (select the stepping loop; both are bit-identical, see
 ``docs/architecture.md``; ``auto`` runs each system on the native C
-kernel, or on the fast Python loop when the kernel declines it, naming
-why on stderr; the removed ``batch``, ``fast`` and ``compiled`` cores are
-still accepted, with a deprecation warning, as aliases of ``auto``) and
-``--profile PATH`` (cProfile the execution phase).  ``run`` and ``sweep`` also take
-``--snug-monitor`` (SNUG classifies sets from an online streaming demand
-monitor; a plan property, so it behaves identically under every backend) —
-see :mod:`repro.engine`.  Every backend produces bit-identical results to
+kernel, or on the reference loop — the executable spec — when the kernel
+declines it, naming why on stderr) and ``--profile PATH`` (cProfile the
+execution phase).  ``run`` and ``sweep`` also take ``--snug-monitor``
+(SNUG classifies sets from an online streaming demand monitor; a plan
+property, so it behaves identically under every backend) — see
+:mod:`repro.engine`.  Every backend produces bit-identical results to
 the serial path.
 
 Trace provisioning everywhere is two-tier: ``--trace-cache DIR`` (default
@@ -113,7 +112,7 @@ from .experiments.characterization import (
     survey_26,
 )
 from .experiments.performance import FigureData, render_figure
-from .experiments.runner import SIM_CORES, ComboResult, normalize_sim_core
+from .experiments.runner import SIM_CORES, ComboResult
 from .scenario import (
     EngineOptions,
     Scenario,
@@ -189,13 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
              "warning)",
     )
     engine_flags.add_argument(
-        "--sim-core", choices=SIM_CORES, default=None, type=normalize_sim_core,
+        "--sim-core", choices=SIM_CORES, default=None,
         help="stepping loop: auto (the native C kernel; systems it "
-             "declines run on the fast Python loop, with a one-line notice "
-             "naming why) or reference (the seed loop); both produce "
-             "bit-identical results, so this never changes what a run "
-             "computes ('batch', 'fast' and 'compiled' are deprecated "
-             "aliases of auto)",
+             "declines run on the reference loop, with a one-line notice "
+             "naming why) or reference (the reference loop, the executable "
+             "spec, for every run); both produce bit-identical results, so "
+             "this never changes what a run computes",
     )
     engine_flags.add_argument(
         "--profile", default=None, metavar="PATH",
@@ -444,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
              "simulation (0 = run the job's tasks in-process)",
     )
     p_serve.add_argument(
-        "--sim-core", choices=SIM_CORES, default=None, type=normalize_sim_core,
+        "--sim-core", choices=SIM_CORES, default=None,
         help="stepping loop for served jobs (bit-identical by contract, "
              "so it never changes what a job computes)",
     )

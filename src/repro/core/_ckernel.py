@@ -57,7 +57,7 @@ in every monitored SNUG run's online demand monitor, and in
 library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build), more
 than 64 cores, a spill scheme on one core, or caches that already hold
 state; :class:`~repro.core.compiled.CompiledCmpSystem` runs those on the
-fast loop.
+reference loop (:mod:`repro.core.reference`).
 """
 
 from __future__ import annotations

@@ -8,33 +8,25 @@ count; cores that reach the target early *keep running* (their cache
 pressure must not vanish), but their IPC is measured at the crossing point,
 exactly like the paper's fixed-window methodology.
 
-Fast path
----------
-:meth:`CmpSystem.run` is the Python loop behind every system the compiled
-kernel declines.  It steps each core's trace inline in its event loop: the
-per-access record fetch reads the core's plain-``int`` list columns, which
-the run builds up front with :meth:`TraceCore.ensure_lists
-<repro.core.cpu.TraceCore.ensure_lists>` (a run the kernel takes reads the
-cores' NumPy columns instead and never builds them).  Bound methods
-(``heappush``/``heappop``/``scheme.access``) are cached in locals, and
-outcome tallies read the member's ``_value_`` attribute instead of the
-``.value`` descriptor.  Every arithmetic expression matches the reference
-implementation in :mod:`repro.core.reference` term-for-term, so the
-produced :class:`SimResult` is bit-identical (asserted by the property and
-determinism suites).  The run's preamble — sizing checks, each core's
-measurement window and the event budget — is :meth:`CmpSystem._start_run`,
-shared with the compiled kernel.
+One Python loop
+---------------
+:meth:`CmpSystem.run` runs the executable spec,
+:class:`~repro.core.reference.ReferenceCmpSystem`, over the system's
+scheme and traces: it is the loop behind every system the compiled kernel
+declines (:class:`~repro.core.compiled.CompiledCmpSystem` falls back to it
+through ``super().run()``), so a declined run is the spec itself.  The
+kernel's run preamble — sizing checks, each core's measurement window and
+the event budget — is :meth:`CmpSystem._start_run`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..common.config import SystemConfig
 from ..common.errors import SimulationError
-from ..schemes.base import L2Scheme, Outcome
+from ..schemes.base import L2Scheme
 from ..workloads.trace import Trace
 from .cpu import TraceCore
 
@@ -130,7 +122,13 @@ class SimResult:
 
 
 class CmpSystem:
-    """Quad-core (or any power-of-two) CMP bound to one L2 scheme."""
+    """Quad-core (or any power-of-two) CMP bound to one L2 scheme.
+
+    :meth:`run` is the reference loop.  The production system is the
+    :class:`~repro.core.compiled.CompiledCmpSystem` subclass, which
+    :func:`~repro.experiments.runner.make_system` (``auto``) and
+    :func:`~repro.experiments.runner.run_traces` build.
+    """
 
     def __init__(
         self,
@@ -161,8 +159,7 @@ class CmpSystem:
         max_events: int | None,
     ) -> int:
         """Check the run sizing, open every core's measurement window, and
-        return the event budget — the preamble both the fast loop and the
-        compiled kernel run."""
+        return the event budget — the compiled kernel's run preamble."""
         if target_instructions < 1:
             raise SimulationError("target_instructions must be positive")
         if warmup_instructions < 0:
@@ -202,81 +199,21 @@ class CmpSystem:
         max_events:
             Safety valve on total processed accesses (defaults to a generous
             multiple of the expected access count).
+
+        The run is the executable spec's: a
+        :class:`~repro.core.reference.ReferenceCmpSystem` over this
+        system's scheme and traces (imported here, because
+        :mod:`repro.core.reference` imports this module).  It steps its
+        own cores, so this system's :class:`TraceCore` s stay as built;
+        the result carries every per-core figure.
         """
-        budget = self._start_run(
-            target_instructions, warmup_instructions, max_events
+        from .reference import ReferenceCmpSystem
+
+        spec = ReferenceCmpSystem(
+            self.config, self.scheme, [core.trace for core in self.cores]
         )
-        outcome_counts = {o.value: 0 for o in Outcome}
-        window_outcomes = [{o.value: 0 for o in Outcome} for _ in self.cores]
-        window_latency = [0 for _ in self.cores]
-        cores = self.cores
-        for core in cores:
-            core.ensure_lists()
-        heap: List[tuple[int, int]] = [
-            (core.peek_issue_time(), core.core_id) for core in cores
-        ]
-        heapq.heapify(heap)
-        remaining = len(cores)
-
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        scheme_access = self.scheme.access
-        finish_at = warmup_instructions + target_instructions
-
-        events = 0
-        while remaining and heap:
-            events += 1
-            if events > budget:
-                raise budget_exhausted_error(budget, cores, finish_at)
-            cid = heappop(heap)[1]
-            core = cores[cid]
-            was_done = core.finish_time is not None
-            warmed = core.warmup_end_time is not None
-            # -- step the trace, on the plain-int columns --
-            pos = core.pos
-            issue = core.time + core._gap_cycles[pos]
-            result = scheme_access(cid, core._addrs[pos], core._writes[pos], issue)
-            latency = result.latency
-            core.instructions += core._gaps[pos]
-            core.accesses += 1
-            pos += 1
-            if pos >= core._n:
-                pos = 0
-                core.wraps += 1
-            core.pos = pos
-            # ``_value_`` is the member's plain instance attribute; going
-            # through ``.value`` would pay a Python-level descriptor call,
-            # and keying by the member itself would pay Enum.__hash__.
-            outcome_key = result.outcome._value_
-            outcome_counts[outcome_key] += 1
-            if warmed and not was_done:
-                window_outcomes[cid][outcome_key] += 1
-                window_latency[cid] += latency
-            # -- complete the access: clock, warmup and finish edges --
-            now = issue + core.l1_latency + latency
-            core.time = now
-            if not warmed and core.instructions >= core.warmup_instructions:
-                core.warmup_end_time = now
-            if (
-                not was_done
-                and core.warmup_end_time is not None
-                and core.instructions >= finish_at
-            ):
-                core.finish_time = now
-                remaining -= 1
-            if remaining:
-                heappush(heap, (now + core._gap_cycles[pos], cid))
-
-        final_now = max(core.time for core in self.cores)
-        self.scheme.finalize(final_now)
-        return SimResult(
-            scheme=self.scheme.name,
-            ipc=[core.ipc() for core in self.cores],
-            instructions=[core.instructions for core in self.cores],
-            cycles=[core.finish_time or core.time for core in self.cores],
-            accesses=[core.accesses for core in self.cores],
-            outcome_counts=outcome_counts,
-            stats=self.scheme.flat_stats(),
-            window_outcomes=window_outcomes,
-            window_latency=window_latency,
+        return spec.run(
+            target_instructions,
+            warmup_instructions=warmup_instructions,
+            max_events=max_events,
         )

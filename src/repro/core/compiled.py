@@ -1,4 +1,4 @@
-"""Compiled simulation core: the native kernel, with the fast loop as fallback.
+"""Compiled simulation core: the native kernel, with the spec as fallback.
 
 :class:`CompiledCmpSystem` is the production system behind
 ``--sim-core auto``: a drop-in :class:`~repro.core.cmp.CmpSystem` whose
@@ -13,20 +13,20 @@ round-trips through JSON where dict insertion order is part of
 byte-identity.
 
 This is the one place that decides which loop runs a system.  Each run
-picks the kernel or :meth:`CmpSystem.run` (the fast Python loop,
-bit-identical by the same contract) from what it can observe: the exact
-scheme type, the core count, whether the library is available, and
-whether the caches already hold state.  Each distinct fallback reason is
-announced once per process on stderr::
+picks the kernel or :meth:`CmpSystem.run` (the reference loop of
+:mod:`repro.core.reference`, the executable spec itself) from what it can
+observe: the exact scheme type, the core count, whether the library is
+available, and whether the caches already hold state.  Each distinct
+fallback reason is announced once per process on stderr::
 
-    repro.compiled: <reason>; using the fast loop (bit-identical)
+    repro.compiled: <reason>; using the reference loop (bit-identical)
 
 The reasons are: no kernel library (``REPRO_NO_CKERNEL=1``, no C compiler,
 or a failed build), more than 64 cores, a spill scheme on one core,
 caches that already hold state, and a scheme without a kernel.  All six
 registered schemes have a kernel.  Dispatch is keyed by *exact* scheme
 type, so an out-of-tree subclass of a kernel scheme (whose ``access()``
-the kernel has never seen) takes the fast loop.
+the kernel has never seen) takes the reference loop.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ _NOTICED: set = set()
 
 def kernel_mode() -> str:
     """Which loop serves the kernel schemes: ``"compiled-c"`` when the
-    native library is available, ``"fast"`` when it is not."""
-    return "compiled-c" if _ckernel.lib_available() else "fast"
+    native library is available, ``"reference"`` when it is not."""
+    return "compiled-c" if _ckernel.lib_available() else "reference"
 
 
 def _fallback_notice(reason: str) -> None:
@@ -60,7 +60,7 @@ def _fallback_notice(reason: str) -> None:
         return
     _NOTICED.add(reason)
     print(
-        f"repro.compiled: {reason}; using the fast loop (bit-identical)",
+        f"repro.compiled: {reason}; using the reference loop (bit-identical)",
         file=sys.stderr,
     )
 
@@ -70,7 +70,8 @@ def _fallback_notice(reason: str) -> None:
 #: The schemes the kernel steps; a scheme's index here is the kernel's
 #: ``kind``.  Dispatch compares exact types (not isinstance): a subclass
 #: may change ``access()`` (SnugIntraCache does, over SnugCache, and has
-#: its own kind), so an unlisted subclass falls through to the fast loop.
+#: its own kind), so an unlisted subclass falls through to the reference
+#: loop.
 _KERNEL_SCHEMES = (
     PrivateL2, SharedL2, CooperativeCaching, DynamicSpillReceive, SnugCache,
     SnugIntraCache,
@@ -110,7 +111,8 @@ class CompiledCmpSystem(CmpSystem):
     Produces bit-identical :class:`SimResult`\\ s (the conformance suites
     assert term-for-term ``to_dict()`` equality against
     ``core/reference.py``).  Systems the kernel declines run on the
-    inherited fast loop, with a one-line notice naming the reason.
+    inherited :meth:`CmpSystem.run`, the reference loop, with a one-line
+    notice naming the reason.
     """
 
     def run(

@@ -12,24 +12,17 @@ The trace wraps around when exhausted so co-scheduled cores keep exerting
 cache pressure until every core reaches the measurement target — mirroring
 the paper's fixed-cycle detailed-simulation window.
 
-Fast path
----------
+Trace columns
+-------------
 A core keeps its trace as NumPy columns plus one pre-scaled gap column,
 ``gap_cycles = (trace.gaps * base_cpi).astype(np.int64)``: building a core
 is a single vectorized expression, and the compiled kernel
 (:mod:`repro.core._ckernel`) concatenates these columns straight into its
 input arrays.  That expression truncates the same IEEE product
 ``int(gap * base_cpi)`` does, so it is bit-identical to the reference.
-
-The Python loop (:meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`,
-which steps the cores inline) instead indexes plain-``int`` lists:
-indexing a NumPy array record by record boxes a NumPy scalar per field per
-access, which dominated the seed implementation.  :meth:`ensure_lists`
-builds those list columns on first use, once per core, so a run the kernel
-takes never pays for them.  The arithmetic matches
-:mod:`repro.core.reference` expression for expression (asserted by the
-property suite).  The stepping itself is specified, method by method, by
-:class:`~repro.core.reference.ReferenceTraceCore`.
+The stepping itself is specified, method by method, by
+:class:`~repro.core.reference.ReferenceTraceCore`, which is also what
+steps the cores of a run the kernel declines.
 """
 
 from __future__ import annotations
@@ -74,10 +67,6 @@ class TraceCore:
         "accesses",
         "gap_cycles",
         "_n",
-        "_gaps",
-        "_gap_cycles",
-        "_addrs",
-        "_writes",
     )
 
     def __init__(
@@ -107,15 +96,6 @@ class TraceCore:
         # reference's per-access `int(gap * base_cpi)`, truncation included.
         self.gap_cycles = (trace.gaps * base_cpi).astype(np.int64)
         self._n = len(trace)
-        # Plain-list columns for the Python loop, built by ensure_lists().
-        self._gaps = self._gap_cycles = self._addrs = self._writes = None
-
-    def ensure_lists(self) -> None:
-        """Build the plain-``int`` list columns the Python loop indexes
-        (``_gaps``, ``_gap_cycles``, ``_addrs``, ``_writes``), once."""
-        if self._gaps is None:
-            self._gaps, self._addrs, self._writes = self.trace.as_lists()
-            self._gap_cycles = self.gap_cycles.tolist()
 
     # -- trace stepping --------------------------------------------------
 

@@ -1,19 +1,23 @@
-"""Reference (pre-optimization) implementations of the timing hot path.
+"""The executable spec of the timing hot path: the seed loop, kept as is.
 
-The production :class:`~repro.core.cpu.TraceCore` and
-:class:`~repro.core.cmp.CmpSystem` run a fast path: trace columns are
-pre-extracted to plain Python lists and the event loop caches attribute
-lookups in locals.  This module preserves the original, straightforward
-implementation — per-access NumPy indexing and plain method dispatch — as an
-**executable specification**:
+:class:`ReferenceCmpSystem` and :class:`ReferenceTraceCore` are the
+original, straightforward implementation — per-access NumPy indexing and
+plain method dispatch.  Together with the schemes' ``access()`` they are
+the **executable specification** every other execution is held to,
+bit-identical at the :class:`~repro.core.cmp.SimResult` level:
 
-* the equivalence tests (``tests/property/test_cpu_properties.py``,
-  ``tests/engine/test_determinism.py``) assert that the fast path produces
-  **bit-identical** :class:`~repro.core.cmp.SimResult` s, and
-* the speed benchmark (``benchmarks/test_bench_sim_speed.py``) measures the
-  fast path's speedup against this baseline.
-
-Nothing outside tests and benchmarks should import this module.
+* this is the one Python loop.  :meth:`CmpSystem.run
+  <repro.core.cmp.CmpSystem.run>` runs it, so every system the compiled
+  kernel declines runs this code, and so does ``--sim-core reference``
+  (:func:`repro.experiments.runner.make_system`);
+* the golden snapshots (``tests/integration/test_golden_schemes.py``),
+  the conformance suite (``tests/integration/test_batch_conformance.py``)
+  and the differential property test
+  (``tests/property/test_cpu_properties.py``) hold the compiled kernel to
+  it;
+* the speed benchmark (``benchmarks/test_bench_sim_speed.py``) measures
+  the kernel against :func:`reference_system`, this loop over the seed's
+  :class:`ReferenceLruSet` scans.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ paper's per-combination methodology:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -29,7 +28,6 @@ from ..workloads.trace import Trace
 __all__ = [
     "RunPlan",
     "SIM_CORES",
-    "normalize_sim_core",
     "ComboResult",
     "make_system",
     "run_traces",
@@ -55,33 +53,10 @@ CC_PROBS_FAST: tuple[float, ...] = (0.0, 0.5, 1.0)
 
 #: The selectable simulation cores (see :mod:`repro.core`): ``auto`` is
 #: the production system, which runs each system on the native C kernel or,
-#: for systems the kernel declines, on the fast Python loop (deciding per
-#: run, see :mod:`repro.core.compiled`); ``reference`` is the seed loop
-#: every other core is held bit-identical to.
+#: for systems the kernel declines, on the reference loop (deciding per
+#: run, see :mod:`repro.core.compiled`); ``reference`` is that loop, the
+#: executable spec the kernel is held bit-identical to, for every run.
 SIM_CORES: tuple[str, ...] = ("auto", "reference")
-
-#: Removed core names that run as ``auto`` for one more release.
-_DEPRECATED_CORES: tuple[str, ...] = ("batch", "fast", "compiled")
-
-#: Whether a deprecated core name has warned in this process.
-_deprecation_warned = False
-
-
-def normalize_sim_core(name: str) -> str:
-    """*name*, with the removed ``batch``, ``fast`` and ``compiled`` cores
-    mapped to ``auto`` for one release (warning once per process)."""
-    global _deprecation_warned
-    if name not in _DEPRECATED_CORES:
-        return name
-    if not _deprecation_warned:
-        _deprecation_warned = True
-        warnings.warn(
-            f"sim_core {name!r} is deprecated and runs as 'auto' "
-            "(bit-identical); it will be rejected in a future release",
-            FutureWarning,
-            stacklevel=3,
-        )
-    return "auto"
 
 
 @dataclass(frozen=True)
@@ -95,9 +70,7 @@ class RunPlan:
     lives on the plan (not the CLI or backend) so it ships to every
     execution backend's workers with the rest of the run sizing.
 
-    ``sim_core`` selects the stepping loop (one of :data:`SIM_CORES`; the
-    removed ``batch``, ``fast`` and ``compiled`` cores are accepted as
-    deprecated aliases of ``auto``).
+    ``sim_core`` selects the stepping loop (one of :data:`SIM_CORES`).
     All cores are bit-identical at the :class:`~repro.core.cmp.SimResult` level
     (the conformance contract), so the choice never changes results — it
     lives on the plan only so it ships to every backend's workers, and is
@@ -124,7 +97,6 @@ class RunPlan:
             raise ValueError("run plan sizes must be positive")
         if self.warmup_instructions < 0:
             raise ValueError("warmup must be non-negative")
-        object.__setattr__(self, "sim_core", normalize_sim_core(self.sim_core))
         if self.sim_core not in SIM_CORES:
             raise ValueError(
                 f"sim_core must be one of {', '.join(SIM_CORES)}; "
@@ -159,10 +131,9 @@ def make_system(sim_core: str, config: SystemConfig, scheme, traces) -> CmpSyste
     """Instantiate the requested stepping loop over *scheme* and *traces*.
 
     ``auto`` always builds :class:`~repro.core.compiled.CompiledCmpSystem`,
-    whose ``run`` picks the kernel or the fast loop for each run.  The
+    whose ``run`` picks the kernel or the reference loop for each run.  The
     reference core is imported lazily so the common path never pays for it.
     """
-    sim_core = normalize_sim_core(sim_core)
     if sim_core == "auto":
         return CompiledCmpSystem(config, scheme, traces)
     if sim_core == "reference":

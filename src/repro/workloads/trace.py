@@ -85,10 +85,11 @@ class Trace:
     def mean_gap(self) -> float:
         """Mean inter-access gap in instructions, computed once per trace.
 
-        The event-budget guard of :meth:`repro.core.cmp.CmpSystem.run` reads
-        this on every run; caching turns a per-run NumPy reduction into a
-        dict lookup.  The trace is immutable, so the value can never go
-        stale (stored via ``object.__setattr__`` to respect ``frozen``).
+        The compiled kernel's event-budget guard
+        (:meth:`repro.core.cmp.CmpSystem._start_run`) reads this on every
+        run; caching turns a per-run NumPy reduction into a dict lookup.
+        The trace is immutable, so the value can never go stale (stored
+        via ``object.__setattr__`` to respect ``frozen``).
         """
         cached = self.__dict__.get("_mean_gap")
         if cached is None:
@@ -141,16 +142,3 @@ class Trace:
         return np.bincount(
             (self.addrs & (num_sets - 1)).astype(np.int64), minlength=num_sets
         )
-
-    # -- fast-path export --------------------------------------------------
-
-    def as_lists(self) -> Tuple[list, list, list]:
-        """The three columns as plain Python lists (``gaps, addrs, writes``).
-
-        The Python event loop consumes these instead of the NumPy arrays:
-        per-access ``ndarray`` indexing boxes a NumPy scalar on every
-        record, which dominates that loop.  One bulk ``tolist()`` per core
-        replaces millions of per-access conversions.  The compiled kernel
-        reads the arrays themselves and never calls this.
-        """
-        return self.gaps.tolist(), self.addrs.tolist(), self.writes.tolist()

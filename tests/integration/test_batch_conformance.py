@@ -1,12 +1,13 @@
 """Production-core conformance: bit-identical to the seed on every path.
 
 The compiled core (:mod:`repro.core.compiled`) steps whole runs through the
-native C kernel, and the fast loop (:class:`~repro.core.cmp.CmpSystem`)
-serves every system the kernel declines.  Both must match the seed loop
-kept in :mod:`repro.core.reference` term for term.  This suite holds that
-contract at the ``SimResult.to_dict()`` level — full dict equality, floats
-with ``==`` — across all six schemes, and on the edge paths where the
-kernel interacts with other subsystems:
+native C kernel, and every system the kernel declines runs on
+:meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`, which is the seed
+loop kept in :mod:`repro.core.reference`.  The kernel must match that loop
+term for term.  This suite holds that contract at the
+``SimResult.to_dict()`` level — full dict equality, floats with ``==`` —
+across all six schemes, and on the edge paths where the kernel interacts
+with other subsystems:
 
 * ``l2s`` under a contention-modelled bus and ``cc`` under contention +
   banked DRAM (occupancy modelled in-kernel);
@@ -16,13 +17,12 @@ kernel interacts with other subsystems:
   demand vector for demand vector);
 * the budget-exhausted :class:`SimulationError` (same enriched per-core
   progress message from every loop, the reference included);
-* CLI stores written under ``--sim-core auto`` and under the
-  deprecated ``--sim-core compiled`` alias vs ``--sim-core reference``
-  (byte-identical records, same manifest — the store-level face of the
-  contract).
+* CLI stores written under ``--sim-core auto`` vs ``--sim-core
+  reference`` (byte-identical records, same manifest — the store-level
+  face of the contract).
 
 ``TestInterpretedFallback`` pins the no-library path: with
-``REPRO_NO_CKERNEL=1`` all six schemes run on the interpreted fast loop,
+``REPRO_NO_CKERNEL=1`` all six schemes run on the reference loop,
 bit-identically, with one notice on stderr.
 """
 
@@ -46,8 +46,7 @@ from repro.workloads.mixes import build_mix_traces, get_mix
 
 ALL_SCHEMES = sorted(SCHEMES)
 
-#: The production loop held to the conformance contract on the edge paths
-#: (the fast scalar loop rides along in the all-scheme sweep below).
+#: The production loop held to the conformance contract on the edge paths.
 PRODUCTION_CORES = [CompiledCmpSystem]
 
 
@@ -67,24 +66,16 @@ def run_core(core_cls, cfg, scheme_name, traces, target, warmup, **core_kwargs):
 
 class TestSchemeEquivalence:
     @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
-    def test_batch_matches_reference_tiny(self, scheme_name, monkeypatch):
-        # "batch" names the removed batched core; for one round it is a
-        # deprecated alias of auto, which must warn and stay bit-identical.
+    def test_batch_matches_reference_tiny(self, scheme_name):
+        # Named for the removed batched core; it now holds the production
+        # system, as --sim-core auto builds it, to the reference.
         cfg, traces = build()
         ref = run_core(ReferenceCmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
-        monkeypatch.setattr(runner, "_deprecation_warned", False)
-        with pytest.warns(FutureWarning, match="deprecated"):
-            system = runner.make_system(
-                "batch", cfg, make_scheme(scheme_name, cfg), list(traces)
-            )
-        batch = system.run(30_000, warmup_instructions=5_000).to_dict()
-        fast = run_core(CmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
-        compiled = run_core(
-            CompiledCmpSystem, cfg, scheme_name, traces, 30_000, 5_000
+        system = runner.make_system(
+            "auto", cfg, make_scheme(scheme_name, cfg), list(traces)
         )
-        assert batch == ref
-        assert fast == ref
-        assert compiled == ref
+        out = system.run(30_000, warmup_instructions=5_000).to_dict()
+        assert out == ref
 
     @pytest.mark.parametrize("core_cls", PRODUCTION_CORES)
     @pytest.mark.parametrize("scheme_name", ["l2s", "snug", "snug_intra"])
@@ -123,6 +114,8 @@ class TestEdgePaths:
         out = run_core(core_cls, cfg, "cc", traces, 20_000, 2_000)
         assert out == ref
 
+    # CmpSystem pins the fallback's hand-off to the spec: the monitor
+    # attached to the system's scheme must see the reference's stream.
     @pytest.mark.parametrize("core_cls", [CmpSystem, CompiledCmpSystem])
     @pytest.mark.parametrize("scheme_name", ["snug", "snug_intra"])
     def test_snug_online_monitor_sees_identical_stream(
@@ -178,7 +171,7 @@ class TestEdgePaths:
     def test_budget_exhausted_message_identical(self):
         cfg, traces = build()
         messages = []
-        for core_cls in (ReferenceCmpSystem, CmpSystem, CompiledCmpSystem):
+        for core_cls in (ReferenceCmpSystem, CompiledCmpSystem):
             scheme = make_scheme("l2p", cfg)
             with pytest.raises(SimulationError) as exc_info:
                 core_cls(cfg, scheme, list(traces)).run(200_000, max_events=5_000)
@@ -189,11 +182,10 @@ class TestEdgePaths:
 
 
 class TestCliStoreConformance:
-    @pytest.mark.parametrize("core", ["auto", "compiled"])
+    @pytest.mark.parametrize("core", ["auto"])
     def test_sim_core_stores_byte_identical(self, tmp_path, core):
-        """`--sim-core auto`, the deprecated `--sim-core compiled` alias and
-        `--sim-core reference` persist byte-identical per-task records under
-        one manifest."""
+        """`--sim-core auto` and `--sim-core reference` persist
+        byte-identical per-task records under one manifest."""
         from repro.cli import main
         from repro.engine.store import ResultStore
         from repro.scenario import preset_path
@@ -255,8 +247,8 @@ class TestInterpretedFallback:
     """The native library is optional; the fallback is bit-identical.
 
     With ``REPRO_NO_CKERNEL=1`` the compiled core runs every scheme on the
-    interpreted fast loop and says so once, in one line on stderr.
-    The results match the reference loop term for term.
+    reference loop and says so once, in one line on stderr.  The results
+    match a direct reference run term for term.
     """
 
     def _run_child(self, **env_knobs):
@@ -280,10 +272,10 @@ class TestInterpretedFallback:
 
     def test_interpreted_kernels_bit_identical_with_notice(self):
         payload, stderr = self._run_child(REPRO_NO_CKERNEL="1")
-        assert payload["mode"] == "fast"
+        assert payload["mode"] == "reference"
         assert payload["results"] == self._reference_results()
         notices = [l for l in stderr.splitlines() if l.startswith("repro.compiled:")]
         assert notices == [  # once per process, not once per run
             "repro.compiled: C kernel unavailable (disabled by "
-            "REPRO_NO_CKERNEL); using the fast loop (bit-identical)"
+            "REPRO_NO_CKERNEL); using the reference loop (bit-identical)"
         ]

@@ -6,8 +6,9 @@ from :class:`repro.core.reference.ReferenceCmpSystem` (the seed loop kept
 verbatim as the conformance oracle).  Unlike the combo-level
 ``golden_c4_0_tiny.json`` (metrics and IPC only), these snapshots pin the
 *entire* result — outcome tallies, per-core cycles, window metrics, scheme
-stats — and every production loop (fast and compiled) must reproduce
-them **bit-identically**; floats compare with ``==``.
+stats — and both stepping loops must reproduce them **bit-identically**
+(floats compare with ``==``): the compiled kernel, and ``CmpSystem``,
+whose ``run`` is the reference loop every kernel decline falls back to.
 
 Regenerate (only with a commit explaining the semantic change)::
 

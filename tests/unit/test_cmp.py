@@ -1,4 +1,4 @@
-"""Unit tests for repro.core.cmp (CmpSystem event loop)."""
+"""Unit tests for repro.core.cmp (CmpSystem, whose run is the reference loop)."""
 
 import numpy as np
 import pytest

@@ -5,10 +5,10 @@ Whole-system bit-identicality is pinned by
 this file localizes regressions in the machinery *around* the kernel:
 
 * ``kernel_mode`` names the loop that actually serves the kernel schemes;
-* every system the kernel declines runs on the fast loop bit-identically,
-  with one stderr notice per distinct reason per process;
-* the compiled path stays array-native: a kernel run reads the cores'
-  NumPy columns and never builds the list columns the Python loop needs;
+* every system the kernel declines runs on the reference loop
+  bit-identically, with one stderr notice per distinct reason per process,
+  and the kernel takes the largest core count it is built for (64);
+* a kernel run never falls back to the reference loop, and matches it;
 * every array slot (and the core count) is checked by name before the
   kernel runs, and every array of the streaming profiler's C step before
   that step runs;
@@ -37,10 +37,10 @@ from repro.cache.stackdist_stream import StreamingProfiler
 from repro.common.config import tiny_config
 from repro.common.errors import SimulationError
 from repro.core import _ckernel, compiled
+from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem, kernel_mode
-from repro.core.cpu import TraceCore
 from repro.core.reference import ReferenceCmpSystem
-from repro.schemes.factory import make_scheme
+from repro.schemes.factory import SCHEMES, make_scheme
 from repro.schemes.snug import OnlineDemandMonitor
 from repro.workloads.mixes import build_mix_traces, get_mix
 from repro.workloads.trace import Trace
@@ -54,10 +54,10 @@ def build(scheme_name):
 
 class TestTierReporting:
     def test_kernel_mode_names_a_real_tier(self):
-        assert kernel_mode() in ("compiled-c", "fast")
+        assert kernel_mode() in ("compiled-c", "reference")
 
     def test_mode_follows_library(self):
-        expected = "compiled-c" if _ckernel.lib_available() else "fast"
+        expected = "compiled-c" if _ckernel.lib_available() else "reference"
         assert kernel_mode() == expected
 
 
@@ -101,7 +101,7 @@ needs_kernel = pytest.mark.skipif(
 
 
 class TestFallbackReasons:
-    """Each decline is named once, and the fast loop stays bit-identical.
+    """Each decline is named once, and the reference loop runs it.
     Without the library every run is declined for that reason alone, so
     the other notices need the kernel."""
 
@@ -118,7 +118,7 @@ class TestFallbackReasons:
         assert out == ref
         assert notices == [
             "repro.compiled: spill scheme 'cc' on a single core; "
-            "using the fast loop (bit-identical)"
+            "using the reference loop (bit-identical)"
         ]
 
     @needs_kernel
@@ -129,8 +129,21 @@ class TestFallbackReasons:
         assert out == ref
         assert notices == [
             "repro.compiled: 128 cores exceed the C kernel's 64-core limit; "
-            "using the fast loop (bit-identical)"
+            "using the reference loop (bit-identical)"
         ]
+
+    @needs_kernel
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_64_cores_run_in_the_kernel(self, capsys, scheme_name):
+        # SystemConfig takes power-of-two core counts only, so 64 is the
+        # largest count the kernel takes, and 128 the smallest it declines.
+        config = dataclasses.replace(tiny_config(seed=7), num_cores=64)
+        traces = [_small_trace(seed=i) for i in range(64)]
+        kwargs = {"spill_probability": 0.5} if scheme_name == "cc" else {}
+        out, ref, notices = _fallback_run(config, scheme_name, traces, capsys,
+                                          **kwargs)
+        assert out == ref
+        assert notices == []
 
     @needs_kernel
     def test_prefilled_slice(self, capsys):
@@ -145,7 +158,7 @@ class TestFallbackReasons:
         assert out == ref
         assert notices == [
             "repro.compiled: caches, write buffers or shadow sets already "
-            "hold state; using the fast loop (bit-identical)"
+            "hold state; using the reference loop (bit-identical)"
         ]
 
     def test_no_library(self, capsys, monkeypatch):
@@ -153,14 +166,14 @@ class TestFallbackReasons:
         # conformance suite: any reason the library is missing is named.
         monkeypatch.setattr(_ckernel, "_get_lib", lambda: None)
         monkeypatch.setattr(_ckernel, "_REASON", "no C compiler on PATH")
-        assert kernel_mode() == "fast"
+        assert kernel_mode() == "reference"
         config = tiny_config(seed=7)
         traces = [_small_trace(seed=i) for i in range(config.num_cores)]
         out, ref, notices = _fallback_run(config, "dsr", traces, capsys)
         assert out == ref
         assert notices == [
             "repro.compiled: C kernel unavailable (no C compiler on PATH); "
-            "using the fast loop (bit-identical)"
+            "using the reference loop (bit-identical)"
         ]
 
     @needs_kernel
@@ -194,36 +207,29 @@ KERNEL_RUNS = [
 ]
 
 
-class TestArrayNative:
-    """The kernel reads the cores' NumPy columns; only the Python loop
-    builds the plain-list columns."""
+class TestKernelRuns:
+    """Every kernel scheme, and every kernel exit, stays in the kernel from
+    start to finish and matches the reference loop."""
 
     @needs_kernel
     @pytest.mark.parametrize("scheme_name,prepare,kwargs", KERNEL_RUNS)
-    def test_compiled_run_never_builds_list_columns(
+    def test_runs_in_kernel_and_matches_reference(
         self, monkeypatch, scheme_name, prepare, kwargs
     ):
-        def refuse(core):
-            raise AssertionError("list columns built on the compiled path")
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the compiled run fell back to the spec")
 
-        monkeypatch.setattr(TraceCore, "ensure_lists", refuse)
+        # The reference leg runs ReferenceCmpSystem directly; only the
+        # compiled system's fallback goes through CmpSystem.run.
+        monkeypatch.setattr(CmpSystem, "run", refuse)
         config, _, traces = build(scheme_name)
         # Short SNUG stages, so the monitored run crosses latches.
         config = dataclasses.replace(config, snug=dataclasses.replace(
             config.snug, identify_cycles=4_000, group_cycles=6_000))
         system, out, ref = _run_pair(config, scheme_name, traces, prepare, **kwargs)
         assert out == ref
-        assert all(core._gaps is None for core in system.cores)
         if prepare is not None:
             assert system.scheme.monitor.latches > 0
-
-    def test_fallback_run_builds_list_columns(self):
-        # CC on one core is declined, so it runs on the fast loop.
-        config = dataclasses.replace(tiny_config(seed=7), num_cores=1)
-        traces = [_small_trace().rebase(0)]
-        system, out, ref = _run_pair(config, "cc", traces, spill_probability=0.0)
-        assert out == ref
-        assert all(core._gaps is not None for core in system.cores)
 
 
 def _set_slot(name, corrupt):

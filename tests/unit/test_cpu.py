@@ -2,8 +2,8 @@
 
 The stepping methods (``next_access``/``complete``/``done``) are specified
 by :class:`~repro.core.reference.ReferenceTraceCore`, which these tests
-drive; the production :class:`~repro.core.cpu.TraceCore` steps inline in
-``CmpSystem.run`` and is held to the reference at the ``SimResult`` level
+drive; the production :class:`~repro.core.cpu.TraceCore` is stepped by the
+compiled kernel and is held to the reference at the ``SimResult`` level
 by the property, golden and conformance suites.  Construction and the
 issue-time peek are checked on both.
 """

@@ -14,10 +14,10 @@ this file pins:
 * the CLI flags reach :class:`EngineOptions` without flipping a serial run
   onto the engine path;
 * ``auto`` always builds the compiled system, which picks the kernel or
-  the fast loop per run and names every fallback on stderr;
-* the removed ``batch``, ``fast`` and ``compiled`` cores are, for one
-  round, deprecated aliases of ``auto`` from CLI flags, scenario files and
-  ``RunPlan`` (warning once);
+  the reference loop per run and names every fallback on stderr;
+* the removed ``batch``, ``fast`` and ``compiled`` cores, whose one-round
+  aliases of ``auto`` have expired, are rejected by ``RunPlan``, scenario
+  files, ``make_system`` and the CLI;
 * :meth:`SimResult.from_dict` still accepts pre-window-metrics payloads
   (stores migrated from old layouts lack the keys).
 """
@@ -32,7 +32,6 @@ from repro.core import _ckernel, compiled
 from repro.core.cmp import SimResult
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem
-from repro.experiments import runner
 from repro.experiments.runner import (
     SIM_CORES,
     RunPlan,
@@ -136,7 +135,8 @@ class _OutOfTreeSnug(SnugCache):
 
 class TestAutoSelectionTable:
     """``auto`` always builds the compiled system; each run picks the
-    kernel or the fast loop, and names every fallback once on stderr."""
+    kernel or the reference loop, and names every fallback once on
+    stderr."""
 
     @pytest.fixture(autouse=True)
     def _fresh_notices(self, monkeypatch):
@@ -154,7 +154,7 @@ class TestAutoSelectionTable:
 
     def test_unknown_scheme_gets_default(self, capsys):
         # An out-of-tree subclass has no kernel (exact-type dispatch): it
-        # runs on the fast loop, bit-identically, and the notice names it.
+        # runs on the reference loop, and the notice names it.
         config, traces = _mix_traces(1_000)
         results = [
             cls(config, _OutOfTreeSnug(config), list(traces))
@@ -164,7 +164,7 @@ class TestAutoSelectionTable:
         assert results[0] == results[1]
         assert _notices(capsys) == [
             "repro.compiled: no kernel for scheme 'snug_out_of_tree'; "
-            "using the fast loop (bit-identical)"
+            "using the reference loop (bit-identical)"
         ]
 
     @pytest.mark.skipif(not _ckernel.lib_available(),
@@ -217,49 +217,41 @@ class TestEngineOptions:
             )
 
 
-DEPRECATED_CORES = ("batch", "fast", "compiled")
+REMOVED_CORES = ("batch", "fast", "compiled")
 
 
-class TestDeprecatedBatchAlias:
-    """``batch``, ``fast`` and ``compiled`` run as ``auto`` for one round,
-    warning once per process."""
+class TestRemovedCoreNamesRejected:
+    """``batch``, ``fast`` and ``compiled`` ran as ``auto`` for one round;
+    every entry point now refuses them like any unknown core."""
 
-    @pytest.fixture(autouse=True)
-    def _rearm_warning(self, monkeypatch):
-        monkeypatch.setattr(runner, "_deprecation_warned", False)
+    @pytest.mark.parametrize("name", REMOVED_CORES)
+    def test_run_plan_rejects(self, name):
+        with pytest.raises(
+            ValueError,
+            match=f"sim_core must be one of auto, reference; got '{name}'",
+        ):
+            RunPlan(sim_core=name)
 
-    def test_run_plan_maps_batch_to_auto_and_warns_once(self, monkeypatch):
-        import warnings
+    @pytest.mark.parametrize("name", REMOVED_CORES)
+    def test_scenario_file_rejects(self, name):
+        with pytest.raises(ConfigError, match=f"^plan: sim_core .*'{name}'"):
+            plan_from_dict({"sim_core": name})
 
-        for name in DEPRECATED_CORES:
-            monkeypatch.setattr(runner, "_deprecation_warned", False)
-            with pytest.warns(FutureWarning, match=f"'{name}' is deprecated"):
-                assert RunPlan(sim_core=name).sim_core == "auto"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert RunPlan(sim_core=name).sim_core == "auto"
+    @pytest.mark.parametrize("name", REMOVED_CORES)
+    def test_make_system_rejects(self, name):
+        config, traces = _mix_traces()
+        with pytest.raises(ConfigError, match=f"unknown sim_core '{name}'"):
+            make_system(name, config, make_scheme("l2p", config), list(traces))
 
-    def test_scenario_file_and_cli_accept_batch(self):
-        from repro.cli import build_parser, _engine_options
+    @pytest.mark.parametrize("name", REMOVED_CORES)
+    def test_cli_rejects(self, name, capsys):
+        from repro.cli import build_parser
 
-        with pytest.warns(FutureWarning):
-            for name in DEPRECATED_CORES:
-                assert plan_from_dict({"sim_core": name}).sim_core == "auto"
-        for name in DEPRECATED_CORES:
-            args = build_parser().parse_args(
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
                 ["scenario", "run", "smoke-tiny", "--sim-core", name]
             )
-            assert _engine_options(args).sim_core == "auto"
-
-    def test_make_system_treats_batch_as_auto(self):
-        config, traces = _mix_traces()
-        with pytest.warns(FutureWarning):
-            for core in DEPRECATED_CORES:
-                for name in ("l2p", "snug_intra"):
-                    system = make_system(
-                        core, config, make_scheme(name, config), list(traces)
-                    )
-                    assert type(system) is CompiledCmpSystem
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 class TestSimResultLegacyPayloads:

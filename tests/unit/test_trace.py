@@ -67,13 +67,6 @@ class TestDerived:
             assert h.sum() == len(t)
             assert len(h) == num_sets
 
-    def test_as_lists_plain_python_scalars(self):
-        gaps, addrs, writes = mk().as_lists()
-        assert gaps == [1, 2, 3] and addrs == [10, 20, 10] and writes == [False, True, False]
-        assert all(type(g) is int for g in gaps)
-        assert all(type(a) is int for a in addrs)
-        assert all(type(w) is bool for w in writes)
-
 
 class TestTransforms:
     def test_rebase_offsets_addresses(self):
