@@ -5,11 +5,17 @@ invalidate / victim mechanics plus statistics, while the L2 *schemes*
 (:mod:`repro.schemes`) decide what to do on evictions and misses (spill,
 receive, forward, ...).  Both the private slices of L2P/CC/DSR/SNUG and the
 banks of the shared L2S reuse it unchanged.
+
+A run of the compiled kernel leaves its final lines in flat arrays and
+hands the cache a fill function (:meth:`SetAssocCache.defer_sets`): the
+lines become :class:`~repro.cache.block.CacheLine` objects on the first
+read of :attr:`SetAssocCache.sets`, so a run whose lines nobody reads never
+builds them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ..common.config import CacheGeometry
 from ..common.stats import StatGroup
@@ -50,6 +56,17 @@ class SetAssocCache:
         # defaultdict directly is observably identical).
         self._index_mask = geometry.num_sets - 1
         self._counters = self.stats.counters
+
+    def defer_sets(self, fill: Callable[[], List[LruSet]]) -> None:
+        """Leave the resident lines unbuilt until something reads :attr:`sets`.
+
+        Until then ``sets`` is absent from the instance; its first read
+        stores ``fill()``, the sets with their lines, so every later read
+        is a plain attribute read again.
+        """
+        del self.sets
+        self._pending_fill = fill
+        self.__class__ = _UnbuiltSetsCache
 
     # -- geometry helpers --------------------------------------------------
 
@@ -146,3 +163,27 @@ class SetAssocCache:
             f"SetAssocCache({self.name!r}, {g.size_bytes >> 10}KB, "
             f"{g.assoc}-way, {g.num_sets} sets)"
         )
+
+
+class _UnbuiltSetsCache(SetAssocCache):
+    """A :class:`SetAssocCache` from :meth:`~SetAssocCache.defer_sets` until
+    the first read of ``sets``, which builds them and makes the cache a
+    plain :class:`SetAssocCache` again.
+
+    The ``__getattr__`` hook lives here, not on :class:`SetAssocCache`: a
+    class with the hook loses CPython's specialized instance-attribute
+    reads, which would slow every attribute read of every cache, the
+    reference loop's included.
+    """
+
+    def __getattr__(self, name: str):
+        # Normal lookup missed: only the unbuilt ``sets`` is served here.  It
+        # reads ``__dict__`` alone, so copy and pickle, which probe an
+        # instance before its state is restored, cannot recurse.
+        fill = self.__dict__.pop("_pending_fill", None) if name == "sets" else None
+        if fill is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        sets = self.sets = fill()
+        self.__class__ = SetAssocCache
+        return sets

@@ -20,11 +20,17 @@ each array by slot name after checking it (:func:`_bind_arrays`), and
 passes the struct by reference.
 
 Everything mutable lives in preallocated ``int64`` NumPy arrays; the
-wrapper encodes the live system state into them, runs the kernel, and
-merges the arrays back into the real objects — including stat-counter
-*first-touch order*, reproduced via stamp arrays, because
+wrapper encodes the live system state into them and runs the kernel.  It
+then merges cores, stat counters, write buffers, bus, DRAM, DSR and SNUG
+state back into the real objects at once — stat-counter *first-touch
+order* included, reproduced via stamp arrays, because
 ``SimResult.to_dict()`` round-trips through JSON where dict insertion
-order is part of byte-identity.
+order is part of byte-identity.  The final cache lines stay in the
+``line_addr``/``line_meta``/``occ`` arrays: each slice or bank gets a fill
+function over its views of them (:func:`_fill_lines`, through
+:meth:`~repro.cache.cache.SetAssocCache.defer_sets`) and builds its
+:class:`~repro.cache.block.CacheLine` objects on the first read of its
+``sets``, so a run whose lines nothing reads never decodes them.
 
 The kernel is resumable: all loop state (event count, finish countdown,
 round-robin cursors, SNUG stage machinery) lives in the arrays, so the C
@@ -70,11 +76,13 @@ import shutil
 import subprocess
 import tempfile
 from enum import IntEnum
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..cache.block import CacheLine
+from ..cache.lruset import LruSet
 from ..common.errors import SimulationError
 from ..schemes.base import Outcome
 from .cmp import CmpSystem, SimResult, budget_exhausted_error
@@ -606,11 +614,14 @@ static int advance_stage(Ctx *C, i64 now) {
 }
 
 /* Demand fill into cid's slice/bank + scheme-specific victim disposal.
- * Returns the write-buffer stall, if any. */
-static i64 fill_dispose(Ctx *C, i64 cid, i64 addr, i64 dirty, i64 now) {
+ * The line's owner is the requesting core: cid itself for a private
+ * slice, the requester for an l2s bank.  Returns the write-buffer stall,
+ * if any. */
+static i64 fill_dispose(Ctx *C, i64 cid, i64 owner, i64 addr, i64 dirty,
+                        i64 now) {
     i64 va = 0, vm = 0;
     int ev = do_fill(C, cid, addr & C->imask, addr,
-                     (dirty ? 1 : 0) | (cid << 3), &va, &vm);
+                     (dirty ? 1 : 0) | (owner << 3), &va, &vm);
     if (!ev) return 0;
     i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
     if (C->kind == 1) {
@@ -693,11 +704,11 @@ i64 run_kernel(const Ctx *in) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     latency = mem_fetch(C, addr, issue);
-                    stall = fill_dispose(C, cid, addr, is_write, issue);
+                    stall = fill_dispose(C, cid, cid, addr, is_write, issue);
                     BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                     latency += stall; okey = 3;
                 }
@@ -720,11 +731,11 @@ i64 run_kernel(const Ctx *in) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, bank, la, issue)) {
-                    stall = fill_dispose(C, bank, la, 1, issue);
+                    stall = fill_dispose(C, bank, cid, la, 1, issue);
                     latency = base + stall; okey = 1;
                 } else {
                     i64 lat = mem_fetch(C, addr, issue);
-                    stall = fill_dispose(C, bank, la, is_write, issue);
+                    stall = fill_dispose(C, bank, cid, la, is_write, issue);
                     BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                     latency = base + lat + stall; okey = 3;
                 }
@@ -753,7 +764,7 @@ i64 run_kernel(const Ctx *in) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     if (shadow_hit(C, cid, si, addr)) {
@@ -776,7 +787,8 @@ i64 run_kernel(const Ctx *in) {
                     if (iway >= 0) {
                         remove_way(C, cid, si ^ 1, iway);
                         BUMP(sc, ss, SL_INVALIDATIONS, 1);
-                        stall = fill_dispose(C, cid, addr, is_write, issue);
+                        stall = fill_dispose(C, cid, cid, addr, is_write,
+                                             issue);
                         BUMP(sc, ss, SL_INTRA_HITS, 1);
                         latency = C->lat_local + stall; okey = 0;
                     } else {
@@ -791,13 +803,13 @@ i64 run_kernel(const Ctx *in) {
                             BUMP(pc, ps, SL_INVALIDATIONS, 1);
                             BUMP(pc, ps, SL_FORWARDS, 1);
                             i64 delay = bus_transfer(C, issue);
-                            stall = fill_dispose(C, cid, addr, is_write,
+                            stall = fill_dispose(C, cid, cid, addr, is_write,
                                                  issue);
                             BUMP(sc, ss, SL_REMOTE_HITS, 1);
                             latency = C->lat_snug + delay + stall; okey = 2;
                         } else {
                             latency = mem_fetch(C, addr, issue);
-                            stall = fill_dispose(C, cid, addr, is_write,
+                            stall = fill_dispose(C, cid, cid, addr, is_write,
                                                  issue);
                             BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                             latency += stall; okey = 3;
@@ -818,7 +830,7 @@ i64 run_kernel(const Ctx *in) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     bus_snoop(C, issue);
@@ -835,7 +847,8 @@ i64 run_kernel(const Ctx *in) {
                         BUMP(pc, ps, SL_INVALIDATIONS, 1);
                         BUMP(pc, ps, SL_FORWARDS, 1);
                         i64 delay = bus_transfer(C, issue);
-                        stall = fill_dispose(C, cid, addr, is_write, issue);
+                        stall = fill_dispose(C, cid, cid, addr, is_write,
+                                             issue);
                         BUMP(sc, ss, SL_REMOTE_HITS, 1);
                         latency = C->lat_remote + delay + stall; okey = 2;
                     } else {
@@ -848,7 +861,8 @@ i64 run_kernel(const Ctx *in) {
                             }
                         }
                         latency = mem_fetch(C, addr, issue);
-                        stall = fill_dispose(C, cid, addr, is_write, issue);
+                        stall = fill_dispose(C, cid, cid, addr, is_write,
+                                             issue);
                         BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                         latency += stall; okey = 3;
                     }
@@ -1007,6 +1021,37 @@ def _merge_stamped(counters, keys, cnt_row, stamp_row) -> None:
     touched.sort()
     for _, i in touched:
         counters[keys[i]] += int(cnt_row[i])
+
+
+def _fill_lines(addr: np.ndarray, meta: np.ndarray,
+                occ: np.ndarray) -> List[LruSet]:
+    """One cache's sets, holding its final lines.
+
+    *addr* and *meta* are the cache's ``(num_sets, assoc)`` views of the
+    kernel's ``line_addr`` and ``line_meta`` arrays, and *occ* its
+    ``num_sets`` view of ``occ``; :class:`~repro.cache.cache.SetAssocCache`
+    calls this on the first read of its ``sets``
+    (:meth:`~repro.cache.cache.SetAssocCache.defer_sets`).  ``meta`` packs
+    dirty | cc << 1 | f << 2 | owner << 3.  Each field becomes its own
+    nested list of plain Python values, and each set's lines are one
+    ``map(CacheLine, ...)`` over its rows, which stops at the shortest
+    column: the set's ``o`` resident ways.
+    """
+    num_sets, assoc = addr.shape
+    lrusets = [LruSet(assoc) for _ in range(num_sets)]
+    addrs = addr.tolist()
+    dirty = (meta & 1).astype(bool).tolist()
+    cc = (meta & 2).astype(bool).tolist()
+    f = (meta & 4).astype(bool).tolist()
+    owner = (meta >> 3).tolist()
+    for s, o in enumerate(occ.tolist()):
+        if o:
+            row = addrs[s][:o]
+            lruset = lrusets[s]
+            lruset._lines = list(
+                map(CacheLine, row, dirty[s], cc[s], f[s], owner[s]))
+            lruset._addrs = row
+    return lrusets
 
 
 def _fresh_structural(scheme, caches, kind: int) -> bool:
@@ -1187,9 +1232,10 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
     """Run one simulation through the native kernel.
 
     The caller has checked :func:`decline_reason` and started the run
-    (:meth:`CmpSystem._start_run`, which gives the event *budget*).  Raises
-    the budget-exhausted error with the live objects fully merged, exactly
-    like the other cores.
+    (:meth:`CmpSystem._start_run`, which gives the event *budget*).  Every
+    live object holds its final state when this returns or raises the
+    budget-exhausted error, exactly as after the reference loop: the caches'
+    lines are built on the first read of their ``sets``.
     """
     lib = _get_lib()
     from ..schemes.snug import STAGE_IDENTIFY, STAGE_GROUP  # local: no cycle
@@ -1400,7 +1446,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
     if monitor is not None:
         _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc)
 
-    # -- merge the SoA state back into the live objects ----------------------
+    # -- merge the SoA state back into the live objects (lines deferred) -----
     for i, core in enumerate(cores):
         core.time = int(c_time[i])
         core.pos = int(c_pos[i])
@@ -1409,28 +1455,13 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         core.accesses = int(c_acc[i])
         core.warmup_end_time = int(c_warm[i]) if c_warm[i] >= 0 else None
         core.finish_time = int(c_fin[i]) if c_fin[i] >= 0 else None
-    # Lines: line_meta packs dirty | cc << 1 | f << 2 | owner << 3.  Each
-    # field becomes its own nested list of plain Python values, and each
-    # set's lines are one map(CacheLine, ...) over its rows, which stops at
-    # the shortest column: the set's `o` resident ways.
+    # Lines stay in the arrays: each cache builds its own from its views
+    # on the first read of its sets.
     shape = (ncores, num_sets, assoc)
-    addr_l = line_addr.reshape(shape).tolist()
-    dirty_l = (line_meta & 1).astype(bool).reshape(shape).tolist()
-    cc_l = (line_meta & 2).astype(bool).reshape(shape).tolist()
-    f_l = (line_meta & 4).astype(bool).reshape(shape).tolist()
-    owner_l = (line_meta >> 3).reshape(shape).tolist()
-    occ_l = occ.reshape(ncores, num_sets).tolist()
+    addr_v, meta_v = line_addr.reshape(shape), line_meta.reshape(shape)
+    occ_v = occ.reshape(ncores, num_sets)
     for c, cache in enumerate(caches):
-        lrusets = cache.sets
-        addrs, dirty, cc, f = addr_l[c], dirty_l[c], cc_l[c], f_l[c]
-        owner = owner_l[c]
-        for s, o in enumerate(occ_l[c]):
-            if o:
-                row = addrs[s][:o]
-                lruset = lrusets[s]
-                lruset._lines = list(
-                    map(CacheLine, row, dirty[s], cc[s], f[s], owner[s]))
-                lruset._addrs = row
+        cache.defer_sets(partial(_fill_lines, addr_v[c], meta_v[c], occ_v[c]))
         _merge_stamped(cache._counters, _SL_KEYS,
                        slcnt[c * nsl:(c + 1) * nsl],
                        slstamp[c * nsl:(c + 1) * nsl])

@@ -6,8 +6,12 @@
 :mod:`repro.core._ckernel`: all mutable state (per-set LRU columns,
 write-buffer rings, DRAM/bus occupancy, saturating counters, DSR duels,
 SNUG stage/shadow/latch machinery, per-core cursors) is encoded into flat
-arrays, stepped natively, and merged back into the live objects once at
-the end.  The kernel replicates the reference semantics term for term —
+arrays and stepped natively.  At the end everything but the cache lines
+is merged back into the live objects at once; each cache builds its
+lines from the kernel's arrays on the first read of its ``sets``
+(:meth:`~repro.cache.cache.SetAssocCache.defer_sets`), so a run whose
+lines nothing reads never builds them.  The kernel replicates the
+reference semantics term for term —
 stat-counter *first-touch order* included, because ``SimResult.to_dict()``
 round-trips through JSON where dict insertion order is part of
 byte-identity.

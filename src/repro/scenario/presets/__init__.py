@@ -7,7 +7,8 @@ name from the CLI (``repro scenario run fig9-11-small``).  The catalog:
 ``fig9-11-paper``
     The full Figures 9–11 study at the published Table 4 scale: all 21
     Table 8 combinations, five schemes, the complete CC(Best) probability
-    sweep.  Hours of CPU — the archival preset.
+    sweep.  One to two minutes in one process with the C kernel — the
+    archival preset.
 ``fig9-11-small``
     The same sweep at the laptop ``small`` scale with the fast CC sweep —
     flag-equivalent to ``repro sweep`` (and hash-identical to it).

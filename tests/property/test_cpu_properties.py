@@ -7,7 +7,8 @@ cores' NumPy columns, with the reference loop for systems it declines —
 must be *bit-identical* to the seed implementation preserved in
 :mod:`repro.core.reference`; the differential property drives it over
 generated system configurations (``base_cpi`` included) and compares
-every observable.
+every observable: the result, the demand monitor's state, and the
+scheme's post-run state down to each resident line.
 """
 
 import dataclasses
@@ -28,8 +29,10 @@ from repro.common.config import (
 )
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem, ReferenceTraceCore
+from repro.schemes.dsr import DynamicSpillReceive
 from repro.schemes.factory import make_scheme
-from repro.schemes.snug import OnlineDemandMonitor
+from repro.schemes.l2s import SharedL2
+from repro.schemes.snug import OnlineDemandMonitor, SnugCache
 from repro.workloads.trace import Trace
 
 # Small random traces: gaps >= 1, modest addresses, arbitrary write flags.
@@ -158,8 +161,8 @@ class TestFastPathEquivalence:
     def test_cmp_system_matches_reference(self, data):
         """Generated systems, every scheme (the SNUG family with and without
         an attached monitor): reference and compiled agree on the result,
-        the monitor's latches and demand, and the budget-exhausted error
-        text."""
+        the monitor's latches and demand, the budget-exhausted error text,
+        and the scheme's state after the run (:func:`live_state`)."""
         draw = data.draw
         config, cc_prob = draw(system_configs())
         traces = draw(trace_sets(config))
@@ -240,9 +243,40 @@ def trace_sets(draw, config):
     return traces
 
 
+def live_state(scheme):
+    """The scheme's state as plain values: each cache's resident lines per
+    set (all five fields, MRU first), each write buffer's entries in FIFO
+    order and its next drain time, bus and DRAM-bank occupancy, DSR's
+    PSEL counters and round-robin cursor, and SNUG's stage scalars plus
+    each slice's G/T bits, shadow tags and demand-monitor counters.  The
+    CC random streams are left out: the compiled core draws them ahead in
+    batches, so only the draws consumed are part of the contract."""
+    caches = scheme.banks if isinstance(scheme, SharedL2) else scheme.slices
+    state = {
+        "lines": [[[(line.addr, line.dirty, line.cc, line.f, line.owner)
+                    for line in lruset] for lruset in cache.sets]
+                  for cache in caches],
+        "wbufs": [(list(wbuf._entries.items()), wbuf._next_drain_at)
+                  for wbuf in scheme.wbufs],
+        "bus_busy_until": scheme.bus._busy_until,
+        "dram_bank_free_at": list(scheme.dram._bank_free_at),
+    }
+    if isinstance(scheme, DynamicSpillReceive):
+        state["dsr"] = ([pc.value for pc in scheme.psel], scheme._rr)
+    if isinstance(scheme, SnugCache):
+        state["snug"] = (
+            scheme.stage, scheme._stage_end, scheme.epoch, scheme._spill_rr,
+            [(list(meta.gt_taker), [list(sh._tags) for sh in meta.shadows],
+              [(mc.counter.value, mc._mod) for mc in meta.monitors])
+             for meta in scheme.meta],
+        )
+    return state
+
+
 def run_generated(core_cls, config, scheme_name, cc_prob, traces,
                   monitor_chunk, warmup, max_events):
-    """One run's observables: result (or error text) plus monitor state."""
+    """One run's observables: result (or error text), the scheme's state
+    after the run, and the attached monitor's state."""
     kwargs = {"spill_probability": cc_prob} if scheme_name == "cc" else {}
     scheme = make_scheme(scheme_name, config, **kwargs)
     monitor = None
@@ -256,6 +290,7 @@ def run_generated(core_cls, config, scheme_name, cc_prob, traces,
         ).to_dict()
     except Exception as exc:  # budget errors, and spec errors on 1-core spills
         outcome = (type(exc).__name__, str(exc))
+    outcome = (outcome, live_state(scheme))
     if monitor is not None:
         outcome = (outcome, monitor.latches,
                    [d.tolist() for d in monitor.last_demand])

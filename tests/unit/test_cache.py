@@ -1,5 +1,11 @@
 """Unit tests for repro.cache.cache (SetAssocCache)."""
 
+import copy
+import pickle
+from functools import partial
+
+import pytest
+
 from repro.cache.block import CacheLine
 from repro.cache.cache import SetAssocCache
 from repro.common.config import CacheGeometry
@@ -91,3 +97,44 @@ class TestOccupancy:
         c.fill(CacheLine(addr=48))
         victim = c.fill(CacheLine(addr=64))
         assert victim.addr == 16  # the at_lru line went first
+
+
+def _fill_dirty(addr, calls):
+    """A picklable deferred fill: one dirty line at *addr*'s home set."""
+    calls.append(addr)
+    sets = small_cache().sets
+    sets[addr & 15].insert(CacheLine(addr=addr, dirty=True))
+    return sets
+
+
+class TestDeferredSets:
+    """``defer_sets`` leaves ``sets`` unbuilt until its first read."""
+
+    def deferred(self, calls):
+        c = small_cache()
+        c.defer_sets(partial(_fill_dirty, 5, calls))
+        return c
+
+    def test_first_read_fills_once_and_restores_a_plain_cache(self):
+        calls = []
+        c = self.deferred(calls)
+        assert "sets" not in c.__dict__ and calls == []
+        assert c.lookup(5).dirty
+        assert calls == [5]
+        assert type(c) is SetAssocCache and "sets" in c.__dict__
+        assert c.occupancy() == 1 and calls == [5]
+
+    def test_unknown_attribute_still_raises(self):
+        c = self.deferred([])
+        with pytest.raises(AttributeError, match="no_such"):
+            c.no_such
+        assert "sets" not in c.__dict__
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_build_the_same_lines(self, clone):
+        c = self.deferred([])
+        twin = clone(c)
+        assert [line.addr for line in twin.resident()] == [5]
+        assert [line.addr for line in c.resident()] == [5]

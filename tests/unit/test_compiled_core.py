@@ -9,6 +9,9 @@ this file localizes regressions in the machinery *around* the kernel:
   bit-identically, with one stderr notice per distinct reason per process,
   and the kernel takes the largest core count it is built for (64);
 * a kernel run never falls back to the reference loop, and matches it;
+* a kernel run builds no cache line until something reads a cache's
+  ``sets``; the first read builds them once, as the reference loop leaves
+  them, and a second run on the same system sees them and falls back;
 * every array slot (and the core count) is checked by name before the
   kernel runs, and every array of the streaming profiler's C step before
   that step runs;
@@ -230,6 +233,66 @@ class TestKernelRuns:
         assert out == ref
         if prepare is not None:
             assert system.scheme.monitor.latches > 0
+
+
+def _caches(scheme):
+    return scheme.banks if scheme.name == "l2s" else scheme.slices
+
+
+def _lines(scheme):
+    """Every cache's resident lines, all five fields, MRU first per set."""
+    return [[[dataclasses.astuple(line) for line in lruset]
+             for lruset in cache.sets] for cache in _caches(scheme)]
+
+
+class TestDeferredLines:
+    """A kernel run leaves the caches' lines in its arrays: each cache
+    builds them on the first read of its ``sets``, once, exactly as the
+    reference loop leaves them, and a second run still sees them."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_notices(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_NOTICED", set())
+
+    @needs_kernel
+    @pytest.mark.parametrize("scheme_name,prepare,kwargs", KERNEL_RUNS)
+    def test_lines_built_once_on_first_read(
+        self, monkeypatch, capsys, scheme_name, prepare, kwargs
+    ):
+        fills = []
+        fill_lines = _ckernel._fill_lines
+
+        def counting_fill(addr, meta, occ):
+            fills.append(fill_lines(addr, meta, occ))
+            return fills[-1]
+
+        monkeypatch.setattr(_ckernel, "_fill_lines", counting_fill)
+        config, _, traces = build(scheme_name)
+        systems = []
+        for cls in (CompiledCmpSystem, ReferenceCmpSystem):
+            scheme = make_scheme(scheme_name, config, **kwargs)
+            if prepare is not None:
+                prepare(scheme)
+            systems.append(cls(config, scheme, list(traces)))
+            systems[-1].run(4_000, warmup_instructions=500)
+        system, reference = systems
+        caches = _caches(system.scheme)
+        assert not any("sets" in cache.__dict__ for cache in caches)
+        assert fills == []
+
+        lines = _lines(system.scheme)
+        assert lines == _lines(reference.scheme)
+        assert any(any(sets) for sets in lines)
+        assert _lines(system.scheme) == lines
+        assert [id(sets) for sets in fills] == [id(c.sets) for c in caches]
+
+        system.run(4_000, warmup_instructions=500)
+        notices = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("repro.compiled:")]
+        assert notices == [
+            "repro.compiled: caches, write buffers or shadow sets already "
+            "hold state; using the reference loop (bit-identical)"
+        ]
 
 
 def _set_slot(name, corrupt):
