@@ -18,7 +18,8 @@ headline history):
   committed headline remains comparable).  **This is the headline
   ``geomean_speedup``**: the mix regime is what every sweep and figure
   actually runs, and it gates at >= 4.0x over the seed loop (measured
-  ~10-15x per scheme with the native C kernel).
+  ~47x geomean, 38-63x per scheme, with the native C kernel in one
+  ``REPRO_SCALE=small`` run on a 2-vCPU Intel Xeon KVM guest).
 
 The compiled core is held bit-identical to the reference inside the
 bench — a speedup from a wrong result would be worthless.

@@ -32,6 +32,17 @@ function over its views of them (:func:`_fill_lines`, through
 :class:`~repro.cache.block.CacheLine` objects on the first read of its
 ``sets``, so a run whose lines nothing reads never decodes them.
 
+Each access does little work in C.  The loop keeps every core's next
+trace record in a per-core array and prefetches its set row when the core
+steps; it walks the requester's own set once, moving a hit to MRU in that
+pass or, on a miss, shifting the set one way toward LRU for the demand
+fill; and it skips a peer probe into a set that hosts no cooperatively
+cached line.  A per-set count of hosted lines (slot ``hcnt``) makes that
+skip exact: SNUG's probes accept only hosted lines, and CC's and DSR's
+accept any line but can find only a hosted one when no two cores' traces
+share an address (param ``disjoint``, from each trace's address range), so
+aliased traces probe every peer.
+
 The kernel is resumable: all loop state (event count, finish countdown,
 round-robin cursors, SNUG stage machinery) lives in the arrays, so the C
 function can return to Python mid-run and be re-entered.  Two exits use
@@ -129,7 +140,7 @@ _PARAMS = (
     "imask", "assoc", "wb_cap", "wb_drain", "wb_direct", "cshift", "cmask",
     "nper", "spill_mode", "psel_max", "psel_msb", "nsets", "mon_max",
     "mon_msb", "mon_reset", "pthr", "mon_group", "flip_en", "flush_flip",
-    "ident_cyc", "group_cyc", "monitored",
+    "ident_cyc", "group_cyc", "monitored", "disjoint",
 )
 
 #: Array inputs: ``int64_t *`` members of ``Ctx``.  The one ``double *``
@@ -137,7 +148,7 @@ _PARAMS = (
 _SLOTS = (
     "offs", "t_addr", "t_gap", "t_gapc", "t_write",
     "c_time", "c_pos", "c_instr", "c_wraps", "c_acc", "c_warm", "c_fin",
-    "keys", "line_addr", "line_meta", "occ",
+    "keys", "line_addr", "line_meta", "occ", "hcnt",
     "wb_addr", "wb_time", "wb_head", "wb_len", "wb_next",
     "slcnt", "slstamp", "wcnt", "wstamp", "dcnt", "dstamp",
     "bcnt", "bstamp", "rcnt", "rstamp", "stamp",
@@ -199,6 +210,18 @@ _C_SOURCE = r"""
  * for term, stat-counter first-touch order included (the stamp arrays
  * record the global first-touch tick of each counter slot; the Python
  * merge replays them in stamp order).
+ *
+ * Per access, the loop steps the core with the smallest key.  Its address
+ * and write flag come from run_kernel's per-core next-record arrays
+ * (nx_addr, nx_write: loaded from c_pos on entry, then whenever the core
+ * steps, when its next set row is also prefetched).  The requester's own
+ * set is walked once (lookup): a hit moves the line to MRU in that pass; a
+ * miss shifts the set one way toward LRU and hands the LRU line it pushed
+ * out to the demand fill (fill_dispose, place).  hcnt counts each set's
+ * resident hosted (CC) lines, so a peer probe into a set hosting none is
+ * skipped: always for the SNUG family, whose probes accept only hosted
+ * lines (hosted_way), and for CC/DSR, whose probes accept any line, only
+ * when `disjoint` says no two cores' traces share an address.
  */
 #include <stdint.h>
 
@@ -327,6 +350,7 @@ static int wb_try_read(Ctx *C, i64 c, i64 baddr, i64 now) {
     return 0;
 }
 
+/* Peer probe: the way of c's set holding addr, or -1 (no recency update). */
 static i64 find_way(Ctx *C, i64 c, i64 set, i64 addr) {
     i64 idx = c * C->nsets + set;
     i64 *la = C->line_addr + idx * C->assoc;
@@ -335,21 +359,74 @@ static i64 find_way(Ctx *C, i64 c, i64 set, i64 addr) {
     return -1;
 }
 
-/* The way holding addr as a hosted (CC) line in c's set, or -1. */
+/* The way holding addr as a hosted (CC) line in c's set, or -1.  A set
+ * that hosts no line is not walked. */
 static i64 hosted_way(Ctx *C, i64 c, i64 set, i64 addr) {
+    if (!C->hcnt[c * C->nsets + set]) return -1;
     i64 w = find_way(C, c, set, addr);
     if (w >= 0 && !(C->line_meta[(c * C->nsets + set) * C->assoc + w] & 2))
         return -1;
     return w;
 }
 
-static void touch_mru(Ctx *C, i64 c, i64 set, i64 way) {
-    if (!way) return;
-    i64 base = (c * C->nsets + set) * C->assoc;
+/* The requester's set row idx (core * nsets + set) after a lookup and, on
+ * a miss, the pending demand fill: way 0 of that row is free, and when the
+ * set was full (ev) the lookup pushed out its LRU line (va, vm). */
+typedef struct { i64 idx; int ev; i64 va, vm; } Miss;
+
+/* The requester's own set, walked once.  A hit moves the line to way 0
+ * (MRU) in the same pass and returns 1.  A miss shifts every line one way
+ * toward LRU, freeing way 0 for the demand fill (place), and returns 0
+ * with *m describing that fill.  Nothing reads row idx between the miss
+ * and its fill: every probe in between is of another row. */
+static int lookup(Ctx *C, i64 idx, i64 addr, Miss *m) {
+    i64 base = idx * C->assoc;
     i64 *la = C->line_addr + base, *lm = C->line_meta + base;
-    i64 a = la[way], m = lm[way];
-    for (i64 j = way; j > 0; j--) { la[j] = la[j - 1]; lm[j] = lm[j - 1]; }
-    la[0] = a; lm[0] = m;
+    i64 occ = C->occ[idx];
+    i64 ca = 0, cm = 0;
+    m->idx = idx;
+    if (occ) {
+        ca = la[0]; cm = lm[0];
+        if (ca == addr) return 1;
+        for (i64 j = 1; j < occ; j++) {
+            i64 a = la[j], mt = lm[j];
+            la[j] = ca; lm[j] = cm;
+            if (a == addr) { la[0] = a; lm[0] = mt; return 1; }
+            ca = a; cm = mt;
+        }
+    }
+    m->ev = occ >= C->assoc;
+    m->va = ca; m->vm = cm;
+    if (occ && !m->ev) { la[occ] = ca; lm[occ] = cm; }
+    return 0;
+}
+
+/* Shift row idx one way toward LRU, freeing way 0.  Returns 1 when the set
+ * was full: the LRU line it pushed out goes to *va, *vm. */
+static int shift_lru(Ctx *C, i64 idx, i64 *va, i64 *vm) {
+    i64 base = idx * C->assoc;
+    i64 *la = C->line_addr + base, *lm = C->line_meta + base;
+    i64 occ = C->occ[idx];
+    int ev = occ >= C->assoc;
+    if (ev) { occ--; *va = la[occ]; *vm = lm[occ]; }
+    for (i64 j = occ; j > 0; j--) { la[j] = la[j - 1]; lm[j] = lm[j - 1]; }
+    return ev;
+}
+
+/* Place a line in way 0 of row idx, freed by lookup or shift_lru; when ev,
+ * the line pushed out (meta vm) has left the set.  Keeps occ and the
+ * hosted-line count hcnt, and bumps cache c's fills/evictions. */
+static void place(Ctx *C, i64 c, i64 idx, i64 addr, i64 meta, int ev,
+                  i64 vm) {
+    i64 base = idx * C->assoc;
+    C->line_addr[base] = addr;
+    C->line_meta[base] = meta;
+    C->hcnt[idx] += (meta >> 1) & 1;
+    if (ev) C->hcnt[idx] -= (vm >> 1) & 1;
+    else C->occ[idx]++;
+    i64 *sc = C->slcnt + c * NSL, *ss = C->slstamp + c * NSL;
+    BUMP(sc, ss, SL_FILLS, 1);
+    if (ev) BUMP(sc, ss, SL_EVICTIONS, 1);
 }
 
 static void remove_way(Ctx *C, i64 c, i64 set, i64 way) {
@@ -357,6 +434,7 @@ static void remove_way(Ctx *C, i64 c, i64 set, i64 way) {
     i64 base = idx * C->assoc;
     i64 *la = C->line_addr + base, *lm = C->line_meta + base;
     i64 occ = C->occ[idx];
+    C->hcnt[idx] -= (lm[way] >> 1) & 1;
     for (i64 j = way; j < occ - 1; j++) { la[j] = la[j + 1]; lm[j] = lm[j + 1]; }
     C->occ[idx] = occ - 1;
 }
@@ -395,25 +473,13 @@ static int shadow_hit(Ctx *C, i64 c, i64 set, i64 addr) {
     return 0;
 }
 
-/* Insert a line at MRU; returns 1 when a victim was evicted (out-params).
- * Bumps fills/evictions. */
+/* Insert a line at MRU of another set than the requester's (a spill);
+ * returns 1 when a victim was evicted (out-params). */
 static int do_fill(Ctx *C, i64 c, i64 set, i64 addr, i64 meta,
                    i64 *vaddr, i64 *vmeta) {
     i64 idx = c * C->nsets + set;
-    i64 base = idx * C->assoc;
-    i64 *la = C->line_addr + base, *lm = C->line_meta + base;
-    i64 occ = C->occ[idx];
-    int evicted = 0;
-    if (occ >= C->assoc) {
-        *vaddr = la[occ - 1]; *vmeta = lm[occ - 1];
-        occ--; evicted = 1;
-    }
-    for (i64 j = occ; j > 0; j--) { la[j] = la[j - 1]; lm[j] = lm[j - 1]; }
-    la[0] = addr; lm[0] = meta;
-    C->occ[idx] = occ + 1;
-    i64 *sc = C->slcnt + c * NSL, *ss = C->slstamp + c * NSL;
-    BUMP(sc, ss, SL_FILLS, 1);
-    if (evicted) BUMP(sc, ss, SL_EVICTIONS, 1);
+    int evicted = shift_lru(C, idx, vaddr, vmeta);
+    place(C, c, idx, addr, meta, evicted, *vmeta);
     return evicted;
 }
 """
@@ -578,6 +644,7 @@ static void latch_gt(Ctx *C) {
                     }
                 }
                 C->occ[idx] = w;
+                C->hcnt[idx] = 0;
             }
             gt[s] = nt;
             takers += nt;
@@ -613,16 +680,15 @@ static int advance_stage(Ctx *C, i64 now) {
     return 0;
 }
 
-/* Demand fill into cid's slice/bank + scheme-specific victim disposal.
- * The line's owner is the requesting core: cid itself for a private
- * slice, the requester for an l2s bank.  Returns the write-buffer stall,
- * if any. */
-static i64 fill_dispose(Ctx *C, i64 cid, i64 owner, i64 addr, i64 dirty,
-                        i64 now) {
-    i64 va = 0, vm = 0;
-    int ev = do_fill(C, cid, addr & C->imask, addr,
-                     (dirty ? 1 : 0) | (owner << 3), &va, &vm);
-    if (!ev) return 0;
+/* Demand fill into way 0 of the row the missed lookup *m freed in cid's
+ * slice/bank + scheme-specific victim disposal.  The line's owner is the
+ * requesting core: cid itself for a private slice, the requester for an
+ * l2s bank.  Returns the write-buffer stall, if any. */
+static i64 fill_dispose(Ctx *C, i64 cid, i64 owner, const Miss *m, i64 addr,
+                        i64 dirty, i64 now) {
+    place(C, cid, m->idx, addr, (dirty ? 1 : 0) | (owner << 3), m->ev, m->vm);
+    if (!m->ev) return 0;
+    i64 va = m->va, vm = m->vm;
     i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
     if (C->kind == 1) {
         if (vm & 1) {
@@ -668,6 +734,18 @@ i64 run_kernel(const Ctx *in) {
 
     i64 ncores = C->ncores, kind = C->kind;
     i64 budget = C->budget, finish_at = C->finish_at, warmup = C->warmup;
+    i64 nsets = C->nsets, imask = C->imask, cshift = C->cshift;
+
+    /* Each core's next trace record, read again from c_pos on every entry
+     * (so an RC_RNG or RC_LATCH re-entry resumes exactly), then loaded as
+     * the core steps, with its set row prefetched for the core's next
+     * access. */
+    i64 nx_addr[64], nx_write[64];
+    for (i64 i = 0; i < ncores; i++) {
+        i64 p = C->offs[i] + C->c_pos[i];
+        nx_addr[i] = C->t_addr[p];
+        nx_write[i] = C->t_write[p];
+    }
 
     while (C->ms[MS_REMAINING]) {
         if (kind == 2 && C->spill_mode) {
@@ -681,61 +759,53 @@ i64 run_kernel(const Ctx *in) {
         i64 k = C->keys[0];
         for (i64 i = 1; i < ncores; i++) if (C->keys[i] < k) k = C->keys[i];
         i64 cid = k & C->cmask;
-        i64 issue = k >> C->cshift;
+        i64 issue = k >> cshift;
         int was_done = C->c_fin[cid] >= 0;
         int warmed = C->c_warm[cid] >= 0;
-        i64 pos = C->c_pos[cid];
-        i64 off = C->offs[cid];
-        i64 n = C->offs[cid + 1] - off;
-        i64 addr = C->t_addr[off + pos];
-        i64 is_write = C->t_write[off + pos];
+        i64 addr = nx_addr[cid];
+        i64 is_write = nx_write[cid];
         i64 latency = 0, okey = 0, stall;
+        Miss m;
 
         if (kind == 0) {                       /* ---- l2p ---- */
-            i64 set = addr & C->imask;
-            i64 way = find_way(C, cid, set, addr);
             i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
-            if (way >= 0) {
-                touch_mru(C, cid, set, way);
+            if (lookup(C, cid * nsets + (addr & imask), addr, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
-                if (is_write)
-                    C->line_meta[(cid * C->nsets + set) * C->assoc] |= 1;
+                if (is_write) C->line_meta[m.idx * C->assoc] |= 1;
                 latency = C->lat_local; okey = 0;
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, &m, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     latency = mem_fetch(C, addr, issue);
-                    stall = fill_dispose(C, cid, cid, addr, is_write, issue);
+                    stall = fill_dispose(C, cid, cid, &m, addr, is_write,
+                                         issue);
                     BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                     latency += stall; okey = 3;
                 }
             }
         } else if (kind == 1) {                /* ---- l2s ---- */
             i64 bank = addr & C->cmask;
-            i64 la = addr >> C->cshift;
+            i64 la = addr >> cshift;
             i64 base, rokey;
             if (bank == cid) { base = C->lat_local; rokey = 0; }
             else { base = C->lat_remote; rokey = 2; bus_snoop(C, issue); }
-            i64 set = la & C->imask;
-            i64 way = find_way(C, bank, set, la);
             i64 *sc = C->slcnt + bank * NSL, *ss = C->slstamp + bank * NSL;
-            if (way >= 0) {
-                touch_mru(C, bank, set, way);
+            if (lookup(C, bank * nsets + (la & imask), la, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
-                if (is_write)
-                    C->line_meta[(bank * C->nsets + set) * C->assoc] |= 1;
+                if (is_write) C->line_meta[m.idx * C->assoc] |= 1;
                 latency = base; okey = rokey;
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, bank, la, issue)) {
-                    stall = fill_dispose(C, bank, cid, la, 1, issue);
+                    stall = fill_dispose(C, bank, cid, &m, la, 1, issue);
                     latency = base + stall; okey = 1;
                 } else {
                     i64 lat = mem_fetch(C, addr, issue);
-                    stall = fill_dispose(C, bank, cid, la, is_write, issue);
+                    stall = fill_dispose(C, bank, cid, &m, la, is_write,
+                                         issue);
                     BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                     latency = base + lat + stall; okey = 3;
                 }
@@ -745,26 +815,24 @@ i64 run_kernel(const Ctx *in) {
                 C->ms[MS_EVENTS]--;   /* re-counted when the access resumes */
                 return RC_LATCH;
             }
-            i64 si = addr & C->imask;
-            i64 way = find_way(C, cid, si, addr);
+            i64 si = addr & imask;
             i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
-            i64 midx = cid * C->nsets + si;
-            if (way >= 0) {
-                touch_mru(C, cid, si, way);
+            i64 midx = cid * nsets + si;
+            if (lookup(C, midx, addr, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
                 if (is_write) C->line_meta[midx * C->assoc] |= 1;
                 if (C->ms[MS_STAGE] == 0 || C->mon_group) {
-                    i64 m = C->mon_mod[midx] + 1;
-                    if (m == C->pthr) {
+                    i64 mo = C->mon_mod[midx] + 1;
+                    if (mo == C->pthr) {
                         C->mon_mod[midx] = 0;
                         if (C->mon_val[midx] > 0) C->mon_val[midx]--;
-                    } else C->mon_mod[midx] = m;
+                    } else C->mon_mod[midx] = mo;
                 }
                 latency = C->lat_local; okey = 0;
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, &m, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     if (shadow_hit(C, cid, si, addr)) {
@@ -772,22 +840,22 @@ i64 run_kernel(const Ctx *in) {
                         if (C->ms[MS_STAGE] == 0 || C->mon_group) {
                             if (C->mon_val[midx] < C->mon_max)
                                 C->mon_val[midx]++;
-                            i64 m = C->mon_mod[midx] + 1;
-                            if (m == C->pthr) {
+                            i64 mo = C->mon_mod[midx] + 1;
+                            if (mo == C->pthr) {
                                 C->mon_mod[midx] = 0;
                                 if (C->mon_val[midx] > 0) C->mon_val[midx]--;
-                            } else C->mon_mod[midx] = m;
+                            } else C->mon_mod[midx] = mo;
                         }
                     }
                     /* SnugIntraCache: a hosted copy in the core's own
                      * flipped giver set is a local hit. */
                     i64 iway = kind == 5 && C->flip_en &&
-                               !C->gt[cid * C->nsets + (si ^ 1)]
+                               !C->gt[cid * nsets + (si ^ 1)]
                         ? hosted_way(C, cid, si ^ 1, addr) : -1;
                     if (iway >= 0) {
                         remove_way(C, cid, si ^ 1, iway);
                         BUMP(sc, ss, SL_INVALIDATIONS, 1);
-                        stall = fill_dispose(C, cid, cid, addr, is_write,
+                        stall = fill_dispose(C, cid, cid, &m, addr, is_write,
                                              issue);
                         BUMP(sc, ss, SL_INTRA_HITS, 1);
                         latency = C->lat_local + stall; okey = 0;
@@ -803,14 +871,14 @@ i64 run_kernel(const Ctx *in) {
                             BUMP(pc, ps, SL_INVALIDATIONS, 1);
                             BUMP(pc, ps, SL_FORWARDS, 1);
                             i64 delay = bus_transfer(C, issue);
-                            stall = fill_dispose(C, cid, cid, addr, is_write,
-                                                 issue);
+                            stall = fill_dispose(C, cid, cid, &m, addr,
+                                                 is_write, issue);
                             BUMP(sc, ss, SL_REMOTE_HITS, 1);
                             latency = C->lat_snug + delay + stall; okey = 2;
                         } else {
                             latency = mem_fetch(C, addr, issue);
-                            stall = fill_dispose(C, cid, cid, addr, is_write,
-                                                 issue);
+                            stall = fill_dispose(C, cid, cid, &m, addr,
+                                                 is_write, issue);
                             BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                             latency += stall; okey = 3;
                         }
@@ -818,27 +886,29 @@ i64 run_kernel(const Ctx *in) {
                 }
             }
         } else {                               /* ---- cc / dsr ---- */
-            i64 set = addr & C->imask;
-            i64 way = find_way(C, cid, set, addr);
+            i64 set = addr & imask;
             i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
-            if (way >= 0) {
-                touch_mru(C, cid, set, way);
+            if (lookup(C, cid * nsets + set, addr, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
-                if (is_write)
-                    C->line_meta[(cid * C->nsets + set) * C->assoc] |= 1;
+                if (is_write) C->line_meta[m.idx * C->assoc] |= 1;
                 latency = C->lat_local; okey = 0;
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, &m, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     bus_snoop(C, issue);
+                    /* Any line of a peer's set answers the probe.  With
+                     * disjoint traces a peer's own lines never hold addr,
+                     * so a set hosting no line cannot answer. */
                     i64 fpeer = -1, fway = -1;
                     i64 *pl = C->peers + cid * C->nper;
                     for (i64 j = 0; j < C->nper; j++) {
-                        i64 w = find_way(C, pl[j], set, addr);
-                        if (w >= 0) { fpeer = pl[j]; fway = w; break; }
+                        i64 p = pl[j];
+                        if (C->disjoint && !C->hcnt[p * nsets + set]) continue;
+                        i64 w = find_way(C, p, set, addr);
+                        if (w >= 0) { fpeer = p; fway = w; break; }
                     }
                     if (fpeer >= 0) {
                         remove_way(C, fpeer, set, fway);
@@ -847,7 +917,7 @@ i64 run_kernel(const Ctx *in) {
                         BUMP(pc, ps, SL_INVALIDATIONS, 1);
                         BUMP(pc, ps, SL_FORWARDS, 1);
                         i64 delay = bus_transfer(C, issue);
-                        stall = fill_dispose(C, cid, cid, addr, is_write,
+                        stall = fill_dispose(C, cid, cid, &m, addr, is_write,
                                              issue);
                         BUMP(sc, ss, SL_REMOTE_HITS, 1);
                         latency = C->lat_remote + delay + stall; okey = 2;
@@ -861,7 +931,7 @@ i64 run_kernel(const Ctx *in) {
                             }
                         }
                         latency = mem_fetch(C, addr, issue);
-                        stall = fill_dispose(C, cid, cid, addr, is_write,
+                        stall = fill_dispose(C, cid, cid, &m, addr, is_write,
                                              issue);
                         BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                         latency += stall; okey = 3;
@@ -871,10 +941,12 @@ i64 run_kernel(const Ctx *in) {
         }
 
         /* shared epilogue: trace stepping, windows, finish bookkeeping */
+        i64 off = C->offs[cid];
+        i64 pos = C->c_pos[cid];
         C->c_instr[cid] += C->t_gap[off + pos];
         C->c_acc[cid]++;
         pos++;
-        if (pos >= n) { pos = 0; C->c_wraps[cid]++; }
+        if (pos >= C->offs[cid + 1] - off) { pos = 0; C->c_wraps[cid]++; }
         C->c_pos[cid] = pos;
         C->out_c[okey]++;
         if (warmed && !was_done) {
@@ -889,7 +961,16 @@ i64 run_kernel(const Ctx *in) {
             C->c_fin[cid] = now2;
             C->ms[MS_REMAINING]--;
         }
-        C->keys[cid] = ((now2 + C->t_gapc[off + pos]) << C->cshift) | cid;
+        i64 nx = off + pos;
+        i64 na = nx_addr[cid] = C->t_addr[nx];
+        nx_write[cid] = C->t_write[nx];
+        i64 row = kind == 1
+            ? (na & C->cmask) * nsets + ((na >> cshift) & imask)
+            : cid * nsets + (na & imask);
+        __builtin_prefetch(C->line_addr + row * C->assoc);
+        __builtin_prefetch(C->line_meta + row * C->assoc);
+        __builtin_prefetch(C->occ + row);
+        C->keys[cid] = ((now2 + C->t_gapc[nx]) << cshift) | cid;
     }
     return RC_DONE;
 }
@@ -1072,6 +1153,14 @@ def _fresh_structural(scheme, caches, kind: int) -> bool:
     return True
 
 
+def _disjoint(cores) -> bool:
+    """Whether the cores' trace address ranges are pairwise disjoint, so no
+    two cores share an address (the kernel's ``disjoint`` param)."""
+    spans = sorted((int(a.min()), int(a.max()))
+                   for a in (core.trace.addrs for core in cores))
+    return all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
 def decline_reason(system: CmpSystem, kind: int) -> Optional[str]:
     """Why the kernel cannot run *system* (scheme *kind*), or ``None``."""
     if _get_lib() is None:
@@ -1124,7 +1213,7 @@ def _slot_minima(ctx: _Ctx, offs: np.ndarray, rs: np.ndarray) -> Dict[str, int]:
                  "c_fin", "keys", "wb_head", "wb_len", "wb_next", "w_lat"):
         need[name] = ncores
     need["line_addr"] = need["line_meta"] = lines
-    need["occ"] = sets
+    need["occ"] = need["hcnt"] = sets
     need["wb_addr"] = need["wb_time"] = ncores * max(1, ctx.wb_cap)
     need["slcnt"] = need["slstamp"] = ncores * len(_SL_KEYS)
     need["wcnt"] = need["wstamp"] = ncores * len(_WB_KEYS)
@@ -1299,6 +1388,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
     line_addr = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
     line_meta = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
     occ = np.zeros(ncores * num_sets, dtype=np.int64)
+    hcnt = np.zeros(ncores * num_sets, dtype=np.int64)
     cap = max(1, wb_cfg.entries)
     wb_addr = np.zeros(ncores * cap, dtype=np.int64)
     wb_time = np.zeros(ncores * cap, dtype=np.int64)
@@ -1339,6 +1429,8 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         nper = ctx.nper = ncores - 1
         peers = np.array(
             [pp for row in scheme._peers for pp in row], dtype=np.int64)
+        if kind in (2, 3):
+            ctx.disjoint = _disjoint(cores)
     if kind == 2:
         spill_p = ctx.spill_p = scheme.spill_probability
         spill_mode = 0 if spill_p <= 0.0 else (1 if spill_p >= 1.0 else 2)
@@ -1394,7 +1486,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         offs=offs, t_addr=t_addr, t_gap=t_gap, t_gapc=t_gapc, t_write=t_write,
         c_time=c_time, c_pos=c_pos, c_instr=c_instr, c_wraps=c_wraps,
         c_acc=c_acc, c_warm=c_warm, c_fin=c_fin, keys=keys,
-        line_addr=line_addr, line_meta=line_meta, occ=occ,
+        line_addr=line_addr, line_meta=line_meta, occ=occ, hcnt=hcnt,
         wb_addr=wb_addr, wb_time=wb_time, wb_head=wb_head, wb_len=wb_len,
         wb_next=wb_next, slcnt=slcnt, slstamp=slstamp, wcnt=wcnt,
         wstamp=wstamp, dcnt=dcnt, dstamp=dstamp, bcnt=bcnt, bstamp=bstamp,

@@ -3,6 +3,9 @@
 The tiny geometry (16 sets, 4-way, 64 B lines) keeps hand-computed addresses
 readable: block address ``tag * 16 + set`` lives in set ``set``.
 
+:func:`live_state` is a scheme's post-run state as plain values, which the
+differential tests compare between the reference loop and the kernel.
+
 :func:`on_both_profiler_steps` runs a streaming-profiler test once per
 profiler step: the C step and the no-library prefix replay.
 """
@@ -17,6 +20,9 @@ import pytest
 from repro.common.config import CacheGeometry, DsrConfig, SnugConfig, SystemConfig
 from repro.core import _ckernel
 from repro.mem.address import core_address_base
+from repro.schemes.dsr import DynamicSpillReceive
+from repro.schemes.l2s import SharedL2
+from repro.schemes.snug import SnugCache
 
 NUM_SETS = 16
 ASSOC = 4
@@ -65,3 +71,33 @@ def on_both_profiler_steps(test):
             test(*args, **kwargs)
 
     return run
+
+
+def live_state(scheme):
+    """The scheme's state as plain values: each cache's resident lines per
+    set (all five fields, MRU first), each write buffer's entries in FIFO
+    order and its next drain time, bus and DRAM-bank occupancy, DSR's
+    PSEL counters and round-robin cursor, and SNUG's stage scalars plus
+    each slice's G/T bits, shadow tags and demand-monitor counters.  The
+    CC random streams are left out: the compiled core draws them ahead in
+    batches, so only the draws consumed are part of the contract."""
+    caches = scheme.banks if isinstance(scheme, SharedL2) else scheme.slices
+    state = {
+        "lines": [[[(line.addr, line.dirty, line.cc, line.f, line.owner)
+                    for line in lruset] for lruset in cache.sets]
+                  for cache in caches],
+        "wbufs": [(list(wbuf._entries.items()), wbuf._next_drain_at)
+                  for wbuf in scheme.wbufs],
+        "bus_busy_until": scheme.bus._busy_until,
+        "dram_bank_free_at": list(scheme.dram._bank_free_at),
+    }
+    if isinstance(scheme, DynamicSpillReceive):
+        state["dsr"] = ([pc.value for pc in scheme.psel], scheme._rr)
+    if isinstance(scheme, SnugCache):
+        state["snug"] = (
+            scheme.stage, scheme._stage_end, scheme.epoch, scheme._spill_rr,
+            [(list(meta.gt_taker), [list(sh._tags) for sh in meta.shadows],
+              [(mc.counter.value, mc._mod) for mc in meta.monitors])
+             for meta in scheme.meta],
+        )
+    return state

@@ -8,12 +8,16 @@ must be *bit-identical* to the seed implementation preserved in
 :mod:`repro.core.reference`; the differential property drives it over
 generated system configurations (``base_cpi`` included) and compares
 every observable: the result, the demand monitor's state, and the
-scheme's post-run state down to each resident line.
+scheme's post-run state down to each resident line.  Tier-1 draws 25
+derandomized systems; ``HYPOTHESIS_PROFILE=deep`` (CI's sanitizer job)
+draws a few hundred, 64- and 128-core systems among them.  One explicit
+case covers index-bit flipping, which the draws do not reach.
 """
 
-import dataclasses
+import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,11 +33,21 @@ from repro.common.config import (
 )
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem, ReferenceTraceCore
-from repro.schemes.dsr import DynamicSpillReceive
 from repro.schemes.factory import make_scheme
-from repro.schemes.l2s import SharedL2
-from repro.schemes.snug import OnlineDemandMonitor, SnugCache
+from repro.schemes.snug import OnlineDemandMonitor
 from repro.workloads.trace import Trace
+from tests.helpers import live_state
+
+settings.register_profile("deep", max_examples=300, deadline=None,
+                          derandomize=True)
+#: The deep profile's draws of the differential test, selected by
+#: ``HYPOTHESIS_PROFILE=deep``.  In about one draw in eleven it also takes
+#: the kernel's 64-core limit or 128 cores (a decline to the reference
+#: loop); each of those costs seconds, as much as tens of small draws.
+DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "deep"
+DIFFERENTIAL = (settings.get_profile("deep") if DEEP else
+                settings(max_examples=25, deadline=None, derandomize=True))
+CORE_COUNTS = (4, 2, 8, 1) * 5 + (64, 128) if DEEP else (4, 2, 8, 1)
 
 # Small random traces: gaps >= 1, modest addresses, arbitrary write flags.
 trace_rows = st.lists(
@@ -157,7 +171,7 @@ class TestWarmupWindow:
 
 class TestFastPathEquivalence:
     @given(st.data())
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(DIFFERENTIAL)
     def test_cmp_system_matches_reference(self, data):
         """Generated systems, every scheme (the SNUG family with and without
         an attached monitor): reference and compiled agree on the result,
@@ -170,7 +184,8 @@ class TestFastPathEquivalence:
         warmup = draw(st.integers(min_value=0, max_value=1_000))
         max_events = draw(st.sampled_from((None, None, None, 25, 250)))
         runs = [(name, None) for name in SCHEMES]
-        runs += [("snug", chunk), ("snug_intra", chunk)]
+        if config.num_cores <= 64:  # beyond, both sides run the spec
+            runs += [("snug", chunk), ("snug_intra", chunk)]
         for scheme_name, monitor_chunk in runs:
             outcomes = [
                 run_generated(cls, config, scheme_name, cc_prob, traces,
@@ -192,7 +207,7 @@ def system_configs(draw):
     group = draw(st.integers(min_value=150, max_value=3_000))
     cc_prob = draw(st.sampled_from((0.0, 0.35, 1.0)))
     config = SystemConfig(
-        num_cores=draw(st.sampled_from((4, 2, 8, 1))),
+        num_cores=draw(st.sampled_from(CORE_COUNTS)),
         l2=CacheGeometry(size_bytes=num_sets * assoc * 64, assoc=assoc),
         bus=BusConfig(model_contention=draw(st.booleans())),
         dram=DramConfig(model_banks=draw(st.booleans())),
@@ -243,36 +258,6 @@ def trace_sets(draw, config):
     return traces
 
 
-def live_state(scheme):
-    """The scheme's state as plain values: each cache's resident lines per
-    set (all five fields, MRU first), each write buffer's entries in FIFO
-    order and its next drain time, bus and DRAM-bank occupancy, DSR's
-    PSEL counters and round-robin cursor, and SNUG's stage scalars plus
-    each slice's G/T bits, shadow tags and demand-monitor counters.  The
-    CC random streams are left out: the compiled core draws them ahead in
-    batches, so only the draws consumed are part of the contract."""
-    caches = scheme.banks if isinstance(scheme, SharedL2) else scheme.slices
-    state = {
-        "lines": [[[(line.addr, line.dirty, line.cc, line.f, line.owner)
-                    for line in lruset] for lruset in cache.sets]
-                  for cache in caches],
-        "wbufs": [(list(wbuf._entries.items()), wbuf._next_drain_at)
-                  for wbuf in scheme.wbufs],
-        "bus_busy_until": scheme.bus._busy_until,
-        "dram_bank_free_at": list(scheme.dram._bank_free_at),
-    }
-    if isinstance(scheme, DynamicSpillReceive):
-        state["dsr"] = ([pc.value for pc in scheme.psel], scheme._rr)
-    if isinstance(scheme, SnugCache):
-        state["snug"] = (
-            scheme.stage, scheme._stage_end, scheme.epoch, scheme._spill_rr,
-            [(list(meta.gt_taker), [list(sh._tags) for sh in meta.shadows],
-              [(mc.counter.value, mc._mod) for mc in meta.monitors])
-             for meta in scheme.meta],
-        )
-    return state
-
-
 def run_generated(core_cls, config, scheme_name, cc_prob, traces,
                   monitor_chunk, warmup, max_events):
     """One run's observables: result (or error text), the scheme's state
@@ -295,3 +280,43 @@ def run_generated(core_cls, config, scheme_name, cc_prob, traces,
         outcome = (outcome, monitor.latches,
                    [d.tolist() for d in monitor.last_demand])
     return outcome
+
+
+class TestFlippedHosting:
+    """Index-bit flipping end to end, which the generated draws do not
+    reach.  Each of two cores cycles three blocks of its set 0 in a 2-way
+    cache: every access misses and its victims come back as shadow hits,
+    so set 0 latches taker on both cores while set 1, never touched, stays
+    a giver.  SNUG hosts every spill flipped (f=1) in the peer's set 1 and
+    retrieves it from there; SNUG-Intra keeps it in the core's own set 1.
+    Flipped lines are resident when the run ends."""
+
+    @pytest.mark.parametrize("scheme_name,hosted,retrieved", [
+        ("snug", "spills_hosted_flipped", "remote_hits"),
+        ("snug_intra", "spills_intra", "intra_hits"),
+    ])
+    def test_flipped_spills_are_hosted_and_retrieved(self, scheme_name,
+                                                     hosted, retrieved):
+        config = SystemConfig(
+            num_cores=2,
+            l2=CacheGeometry(size_bytes=4 * 2 * 64, assoc=2),
+            dsr=DsrConfig(leader_sets_per_policy=1),
+            snug=SnugConfig(counter_bits=2, p_threshold=8,
+                            identify_cycles=2_000, group_cycles=6_000,
+                            flip_enabled=True),
+        )
+        addrs = np.array([0, 4, 8] * 4)
+        trace = Trace(np.full(addrs.size, 5), addrs,
+                      np.zeros(addrs.size, dtype=bool))
+        traces = [trace.rebase(core) for core in range(2)]
+        outcomes = [
+            run_generated(cls, config, scheme_name, 0.0, traces, None, 0, None)
+            for cls in (ReferenceCmpSystem, CompiledCmpSystem)
+        ]
+        (result, state), _ = outcomes
+        for core in range(2):
+            assert result["stats"][f"l2_{core}.{hosted}"] > 0
+            assert result["stats"][f"l2_{core}.{retrieved}"] > 0
+        assert any(line[3] for cache in state["lines"] for lines in cache
+                   for line in lines)
+        assert outcomes[1] == outcomes[0]

@@ -9,6 +9,8 @@ this file localizes regressions in the machinery *around* the kernel:
   bit-identically, with one stderr notice per distinct reason per process,
   and the kernel takes the largest core count it is built for (64);
 * a kernel run never falls back to the reference loop, and matches it;
+* on aliased traces a CC or DSR probe still finds a peer's own line, so
+  the kernel skips no peer set there for hosting no line;
 * a kernel run builds no cache line until something reads a cache's
   ``sets``; the first read builds them once, as the reference loop leaves
   them, and a second run on the same system sees them and falls back;
@@ -47,6 +49,7 @@ from repro.schemes.factory import SCHEMES, make_scheme
 from repro.schemes.snug import OnlineDemandMonitor
 from repro.workloads.mixes import build_mix_traces, get_mix
 from repro.workloads.trace import Trace
+from tests.helpers import live_state
 
 
 def build(scheme_name):
@@ -235,6 +238,39 @@ class TestKernelRuns:
             assert system.scheme.monitor.latches > 0
 
 
+class TestAliasedProbes:
+    """CC's and DSR's peer probes accept any line, so on traces whose cores
+    share addresses a peer's own line can answer.  The kernel skips a peer
+    set that hosts no line only for disjoint traces; these aliased ones
+    must probe every peer, as the reference loop does."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("scheme_name,kwargs", [
+        ("cc", {"spill_probability": 0.0}),
+        ("dsr", {}),
+    ])
+    def test_peer_own_line_is_forwarded(self, monkeypatch, scheme_name,
+                                        kwargs):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the compiled run fell back to the spec")
+
+        monkeypatch.setattr(CmpSystem, "run", refuse)
+        config = tiny_config(seed=7)
+        # Not rebased: every core draws from the same 128 addresses.
+        traces = [_small_trace(seed=i) for i in range(config.num_cores)]
+        outcomes = []
+        for cls in (ReferenceCmpSystem, CompiledCmpSystem):
+            scheme = make_scheme(scheme_name, config, **kwargs)
+            result = cls(config, scheme, list(traces)).run(
+                4_000, warmup_instructions=500).to_dict()
+            outcomes.append((result, live_state(scheme)))
+        stats = outcomes[0][0]["stats"]
+        assert sum(v for k, v in stats.items() if k.endswith(".remote_hits")) > 0
+        if scheme_name == "cc":   # no spills: only aliasing makes a remote hit
+            assert not any(k.endswith(".spills_out") for k in stats)
+        assert outcomes[1] == outcomes[0]
+
+
 def _caches(scheme):
     return scheme.banks if scheme.name == "l2s" else scheme.slices
 
@@ -314,9 +350,11 @@ class TestPointerTableCheck:
          r"slot 'coin_buf': dtype int64, the kernel reads float64"),
         (_set_slot("line_meta", lambda a: np.zeros(2 * a.size, np.int64)[::2]),
          r"slot 'line_meta' is not C-contiguous"),
+        (_set_slot("hcnt", lambda a: a[:-1]),
+         r"slot 'hcnt': 63 elements, the params imply at least 64"),
         (lambda ctx, arrays: setattr(ctx, "ncores", 65),
          r"param 'ncores': 65 cores, the kernel takes 1-64"),
-    ], ids=["t_addr", "coin_buf", "line_meta", "ncores"])
+    ], ids=["t_addr", "coin_buf", "line_meta", "hcnt", "ncores"])
     def test_bad_slot_is_refused_by_name(self, monkeypatch, corrupt, message):
         real_bind = _ckernel._bind_arrays
 
