@@ -20,33 +20,40 @@ each array by slot name after checking it (:func:`_bind_arrays`), and
 passes the struct by reference.
 
 Everything mutable lives in preallocated ``int64`` NumPy arrays; the
-wrapper encodes the live system state into them and runs the kernel.  It
+wrapper encodes the live system state into them and runs the kernel.  The
+trace columns are not copied: slot ``t_cols`` holds the addresses of each
+core's own NumPy columns (:data:`_TRACE_COLS`, each checked by name first,
+:func:`_trace_columns`), which the C side reads in place.  The wrapper
 then merges cores, stat counters, write buffers, bus, DRAM, DSR and SNUG
 state back into the real objects at once — stat-counter *first-touch
 order* included, reproduced via stamp arrays, because
 ``SimResult.to_dict()`` round-trips through JSON where dict insertion
 order is part of byte-identity.  The final cache lines stay in the
-``line_addr``/``line_meta``/``occ`` arrays: each slice or bank gets a fill
-function over its views of them (:func:`_fill_lines`, through
+``line_addr``/``occ`` arrays: each slice or bank gets a fill function over
+its views of them (:func:`_fill_lines`, through
 :meth:`~repro.cache.cache.SetAssocCache.defer_sets`) and builds its
 :class:`~repro.cache.block.CacheLine` objects on the first read of its
 ``sets``, so a run whose lines nothing reads never decodes them.
 
-Each access does little work in C.  The loop keeps every core's next
-trace record in a per-core array and prefetches its set row when the core
-steps; it walks the requester's own set once, moving a hit to MRU in that
-pass or, on a miss, shifting the set one way toward LRU for the demand
-fill; and it skips a peer probe into a set that hosts no cooperatively
-cached line.  A per-set count of hosted lines (slot ``hcnt``) makes that
-skip exact: SNUG's probes accept only hosted lines, and CC's and DSR's
-accept any line but can find only a hosted one when no two cores' traces
-share an address (param ``disjoint``, from each trace's address range), so
-aliased traces probe every peer.
+Each access does little work in C.  Each cached line is one packed word,
+``addr << 9 | meta`` (:data:`_META_BITS`), so a set is one ``int64`` row
+that a lookup walks and shifts in one pass.  The loop keeps every core's
+next trace record in a per-core array and prefetches its set row when the
+core steps; it walks the requester's own set once, moving a hit to MRU in
+that pass or, on a miss, shifting the set one way toward LRU for the
+demand fill; and it skips a peer probe into a set that hosts no
+cooperatively cached line.  A per-set count of hosted lines (slot
+``hcnt``) makes that skip exact: SNUG's probes accept only hosted lines,
+and CC's and DSR's accept any line but can find only a hosted one when no
+two cores' traces share an address (param ``disjoint``, from each trace's
+address range), so aliased traces probe every peer.
 
-The kernel is resumable: all loop state (event count, finish countdown,
-round-robin cursors, SNUG stage machinery) lives in the arrays, so the C
-function can return to Python mid-run and be re-entered.  Two exits use
-that:
+The kernel is resumable: whenever the C function returns, all loop state
+(per-core cursors and times, event count, finish countdown, round-robin
+cursors, SNUG stage machinery) is in the arrays, so it can return to
+Python mid-run and be re-entered.  During a call the per-core state and
+the event and remaining counts sit in locals of ``run_kernel``, loaded on
+entry and written back on every exit.  Two exits use that:
 
 * ``RC_RNG`` — CC's random spills stay exact without calling back into
   Python per draw: coin and peer-pick values are prefetched from the
@@ -72,8 +79,10 @@ in every monitored SNUG run's online demand monitor, and in
 
 :func:`decline_reason` names the systems the kernel does not take — no
 library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build), more
-than 64 cores, a spill scheme on one core, or caches that already hold
-state; :class:`~repro.core.compiled.CompiledCmpSystem` runs those on the
+than 64 cores, a spill scheme on one core, trace addresses that reach
+2**54 (too wide for a packed line word; core-rebased traces, at
+``core_id << 48``, never reach it), or caches that already hold state;
+:class:`~repro.core.compiled.CompiledCmpSystem` runs those on the
 reference loop (:mod:`repro.core.reference`).
 """
 
@@ -131,6 +140,24 @@ _MS = IntEnum("_MS", "REMAINING EVENTS RR SPILL_RR STAGE STAGE_END EPOCH "
 _RS = IntEnum("_RS", "COIN_POS COIN_FILL PICK_POS PICK_FILL", start=0)
 _RC = IntEnum("_RC", "DONE BUDGET RNG LATCH", start=0)
 
+#: Each core's trace columns, in their order in its row of slot ``t_cols``
+#: (the columns' addresses): name, where it lives, and the element type the
+#: C side reads (``writes`` is NumPy ``bool``, read as bytes).
+_TRACE_COLS = (
+    ("addrs", lambda core: core.trace.addrs, np.int64),
+    ("gaps", lambda core: core.trace.gaps, np.int64),
+    ("gap_cycles", lambda core: core.gap_cycles, np.int64),
+    ("writes", lambda core: core.trace.writes, np.bool_),
+)
+
+#: A cached line is one ``int64`` word, ``addr << META_BITS | meta``, where
+#: meta packs dirty | cc << 1 | f << 2 | owner << 3 and owner < 64.  The
+#: shifted address must stay a non-negative ``int64``, so the kernel
+#: declines traces whose addresses reach :data:`_ADDR_LIMIT`.
+_META_BITS = 9
+_META_MASK = (1 << _META_BITS) - 1
+_ADDR_LIMIT = 1 << (63 - _META_BITS)
+
 #: Scalar inputs: ``int64_t`` members of ``Ctx``, read by value.  The one
 #: ``double`` scalar, CC's spill probability, follows them as ``spill_p``.
 _PARAMS = (
@@ -146,9 +173,9 @@ _PARAMS = (
 #: Array inputs: ``int64_t *`` members of ``Ctx``.  The one ``double *``
 #: slot, CC's coin ring, follows them as ``coin_buf``.
 _SLOTS = (
-    "offs", "t_addr", "t_gap", "t_gapc", "t_write",
+    "t_len", "t_cols",
     "c_time", "c_pos", "c_instr", "c_wraps", "c_acc", "c_warm", "c_fin",
-    "keys", "line_addr", "line_meta", "occ", "hcnt",
+    "keys", "line_addr", "occ", "hcnt",
     "wb_addr", "wb_time", "wb_head", "wb_len", "wb_next",
     "slcnt", "slstamp", "wcnt", "wstamp", "dcnt", "dstamp",
     "bcnt", "bstamp", "rcnt", "rstamp", "stamp",
@@ -163,12 +190,15 @@ def _c_interface() -> str:
     """The C enums and the ``Ctx`` struct, generated from the tables above."""
     enums = (("SL", _SL_KEYS), ("WB", _WB_KEYS), ("DR", _DR_KEYS),
              ("BU", _BU_KEYS), ("RT", _RT_KEYS), ("MS", _MS.__members__),
-             ("RS", _RS.__members__), ("RC", _RC.__members__))
+             ("RS", _RS.__members__), ("RC", _RC.__members__),
+             ("TC", [name for name, _, _ in _TRACE_COLS]))
     lines = [
         "enum { %s, N%s };" % (
             ", ".join(f"{prefix}_{name.upper()}" for name in names), prefix)
         for prefix, names in enums
     ]
+    lines.append("enum { META_BITS = %d, META_MASK = %d };"
+                 % (_META_BITS, _META_MASK))
     lines.append("typedef struct {")
     lines += [f"    i64 {name};" for name in _PARAMS]
     lines.append("    double spill_p;")
@@ -211,21 +241,36 @@ _C_SOURCE = r"""
  * record the global first-touch tick of each counter slot; the Python
  * merge replays them in stamp order).
  *
- * Per access, the loop steps the core with the smallest key.  Its address
- * and write flag come from run_kernel's per-core next-record arrays
- * (nx_addr, nx_write: loaded from c_pos on entry, then whenever the core
- * steps, when its next set row is also prefetched).  The requester's own
- * set is walked once (lookup): a hit moves the line to MRU in that pass; a
- * miss shifts the set one way toward LRU and hands the LRU line it pushed
- * out to the demand fill (fill_dispose, place).  hcnt counts each set's
- * resident hosted (CC) lines, so a peer probe into a set hosting none is
- * skipped: always for the SNUG family, whose probes accept only hosted
- * lines (hosted_way), and for CC/DSR, whose probes accept any line, only
- * when `disjoint` says no two cores' traces share an address.
+ * A cached line is one packed word in line_addr: addr << META_BITS | meta,
+ * meta = dirty | cc << 1 | f << 2 | owner << 3 (owner < 64).  The set
+ * helpers compare w & ~META_MASK with the probed address shifted the same
+ * way (ka below); the wrapper declines traces whose addresses would not
+ * fit.  The trace columns are read in place: row c of t_cols holds the
+ * addresses of core c's columns (TC_*), t_len[c] its length.
+ *
+ * While run_kernel runs, the loop state sits in its locals: each core's
+ * cursor, instruction and access counts, issue key, warm-up, finish and
+ * completion times and next trace record, and the event and remaining
+ * counts.  They are loaded from the arrays on entry and written back on
+ * every exit, so the kernel can return to Python mid-run and resume.
+ *
+ * Per access, the loop steps the core with the smallest key.  Its next
+ * record (address, write flag) was loaded when the core last stepped, when
+ * its set row was also prefetched.  The requester's own set is walked once
+ * (lookup): a hit moves the line to MRU in that pass; a miss shifts the set
+ * one way toward LRU and hands the LRU line it pushed out to the demand
+ * fill (fill_dispose, place).  hcnt counts each set's resident hosted (CC)
+ * lines, so a peer probe into a set hosting none is skipped: always for the
+ * SNUG family, whose probes accept only hosted lines (hosted_way), and for
+ * CC/DSR, whose probes accept any line, only when `disjoint` says no two
+ * cores' traces share an address.
  */
 #include <stdint.h>
 
 typedef int64_t i64;
+
+/* The per-access helpers are inlined into the loop. */
+#define HOT static inline __attribute__((always_inline))
 
 """ + _c_interface() + r"""
 /* Bump counter slot `idx` of (cnt, stp) by v, stamping on first touch. */
@@ -234,7 +279,10 @@ typedef int64_t i64;
         (cnt)[idx] += (v); \
     } while (0)
 
-static i64 bus_snoop(Ctx *C, i64 now) {
+/* A packed line word's owner field. */
+#define OWNER(w) (((w) & META_MASK) >> 3)
+
+HOT i64 bus_snoop(Ctx *C, i64 now) {
     BUMP(C->bcnt, C->bstamp, BU_SNOOPS, 1);
     BUMP(C->bcnt, C->bstamp, BU_BUSY_CYCLES, C->snoop_cost);
     BUMP(C->bcnt, C->bstamp, BU_BYTES, 8);
@@ -247,7 +295,7 @@ static i64 bus_snoop(Ctx *C, i64 now) {
     return delay;
 }
 
-static i64 bus_transfer(Ctx *C, i64 now) {
+HOT i64 bus_transfer(Ctx *C, i64 now) {
     BUMP(C->bcnt, C->bstamp, BU_TRANSFERS, 1);
     BUMP(C->bcnt, C->bstamp, BU_BUSY_CYCLES, C->line_cost);
     BUMP(C->bcnt, C->bstamp, BU_BYTES, C->line_bytes);
@@ -260,7 +308,7 @@ static i64 bus_transfer(Ctx *C, i64 now) {
     return delay;
 }
 
-static i64 mem_fetch(Ctx *C, i64 addr, i64 now) {
+HOT i64 mem_fetch(Ctx *C, i64 addr, i64 now) {
     BUMP(C->dcnt, C->dstamp, DR_READS, 1);
     i64 latency = C->dram_lat;
     if (C->banked) {
@@ -319,7 +367,7 @@ static i64 wb_deposit(Ctx *C, i64 c, i64 baddr, i64 now) {
 }
 
 /* Write-buffer read-hit probe on the miss path (direct_read gate first). */
-static int wb_try_read(Ctx *C, i64 c, i64 baddr, i64 now) {
+HOT int wb_try_read(Ctx *C, i64 c, i64 baddr, i64 now) {
     i64 cap = C->wb_cap;
     i64 head = C->wb_head[c], len = C->wb_len[c];
     if (!len || !C->wb_direct) return 0;
@@ -350,79 +398,76 @@ static int wb_try_read(Ctx *C, i64 c, i64 baddr, i64 now) {
     return 0;
 }
 
-/* Peer probe: the way of c's set holding addr, or -1 (no recency update). */
-static i64 find_way(Ctx *C, i64 c, i64 set, i64 addr) {
+/* Peer probe: the way of c's set holding the line whose shifted address is
+ * ka, or -1 (no recency update). */
+HOT i64 find_way(Ctx *C, i64 c, i64 set, i64 ka) {
     i64 idx = c * C->nsets + set;
     i64 *la = C->line_addr + idx * C->assoc;
     i64 occ = C->occ[idx];
-    for (i64 j = 0; j < occ; j++) if (la[j] == addr) return j;
+    for (i64 j = 0; j < occ; j++) if ((la[j] & ~META_MASK) == ka) return j;
     return -1;
 }
 
-/* The way holding addr as a hosted (CC) line in c's set, or -1.  A set
- * that hosts no line is not walked. */
-static i64 hosted_way(Ctx *C, i64 c, i64 set, i64 addr) {
+/* The way holding ka as a hosted (CC) line in c's set, or -1.  A set that
+ * hosts no line is not walked. */
+HOT i64 hosted_way(Ctx *C, i64 c, i64 set, i64 ka) {
     if (!C->hcnt[c * C->nsets + set]) return -1;
-    i64 w = find_way(C, c, set, addr);
-    if (w >= 0 && !(C->line_meta[(c * C->nsets + set) * C->assoc + w] & 2))
+    i64 w = find_way(C, c, set, ka);
+    if (w >= 0 && !(C->line_addr[(c * C->nsets + set) * C->assoc + w] & 2))
         return -1;
     return w;
 }
 
 /* The requester's set row idx (core * nsets + set) after a lookup and, on
  * a miss, the pending demand fill: way 0 of that row is free, and when the
- * set was full (ev) the lookup pushed out its LRU line (va, vm). */
-typedef struct { i64 idx; int ev; i64 va, vm; } Miss;
+ * set was full (ev) the lookup pushed out its LRU line, word vw. */
+typedef struct { i64 idx; int ev; i64 vw; } Miss;
 
-/* The requester's own set, walked once.  A hit moves the line to way 0
- * (MRU) in the same pass and returns 1.  A miss shifts every line one way
- * toward LRU, freeing way 0 for the demand fill (place), and returns 0
- * with *m describing that fill.  Nothing reads row idx between the miss
- * and its fill: every probe in between is of another row. */
-static int lookup(Ctx *C, i64 idx, i64 addr, Miss *m) {
-    i64 base = idx * C->assoc;
-    i64 *la = C->line_addr + base, *lm = C->line_meta + base;
+/* The requester's own set, walked once for shifted address ka.  A hit
+ * moves the line to way 0 (MRU) in the same pass and returns 1.  A miss
+ * shifts every line one way toward LRU, freeing way 0 for the demand fill
+ * (place), and returns 0 with *m describing that fill.  Nothing reads row
+ * idx between the miss and its fill: every probe in between is of another
+ * row. */
+HOT int lookup(Ctx *C, i64 idx, i64 ka, Miss *m) {
+    i64 *la = C->line_addr + idx * C->assoc;
     i64 occ = C->occ[idx];
-    i64 ca = 0, cm = 0;
+    i64 cw = 0;
     m->idx = idx;
     if (occ) {
-        ca = la[0]; cm = lm[0];
-        if (ca == addr) return 1;
+        cw = la[0];
+        if ((cw & ~META_MASK) == ka) return 1;
         for (i64 j = 1; j < occ; j++) {
-            i64 a = la[j], mt = lm[j];
-            la[j] = ca; lm[j] = cm;
-            if (a == addr) { la[0] = a; lm[0] = mt; return 1; }
-            ca = a; cm = mt;
+            i64 w = la[j];
+            la[j] = cw;
+            if ((w & ~META_MASK) == ka) { la[0] = w; return 1; }
+            cw = w;
         }
     }
     m->ev = occ >= C->assoc;
-    m->va = ca; m->vm = cm;
-    if (occ && !m->ev) { la[occ] = ca; lm[occ] = cm; }
+    m->vw = cw;
+    if (occ && !m->ev) la[occ] = cw;
     return 0;
 }
 
 /* Shift row idx one way toward LRU, freeing way 0.  Returns 1 when the set
- * was full: the LRU line it pushed out goes to *va, *vm. */
-static int shift_lru(Ctx *C, i64 idx, i64 *va, i64 *vm) {
-    i64 base = idx * C->assoc;
-    i64 *la = C->line_addr + base, *lm = C->line_meta + base;
+ * was full: the LRU line it pushed out goes to *vw. */
+static int shift_lru(Ctx *C, i64 idx, i64 *vw) {
+    i64 *la = C->line_addr + idx * C->assoc;
     i64 occ = C->occ[idx];
     int ev = occ >= C->assoc;
-    if (ev) { occ--; *va = la[occ]; *vm = lm[occ]; }
-    for (i64 j = occ; j > 0; j--) { la[j] = la[j - 1]; lm[j] = lm[j - 1]; }
+    if (ev) { occ--; *vw = la[occ]; }
+    for (i64 j = occ; j > 0; j--) la[j] = la[j - 1];
     return ev;
 }
 
-/* Place a line in way 0 of row idx, freed by lookup or shift_lru; when ev,
- * the line pushed out (meta vm) has left the set.  Keeps occ and the
- * hosted-line count hcnt, and bumps cache c's fills/evictions. */
-static void place(Ctx *C, i64 c, i64 idx, i64 addr, i64 meta, int ev,
-                  i64 vm) {
-    i64 base = idx * C->assoc;
-    C->line_addr[base] = addr;
-    C->line_meta[base] = meta;
-    C->hcnt[idx] += (meta >> 1) & 1;
-    if (ev) C->hcnt[idx] -= (vm >> 1) & 1;
+/* Place line word w in way 0 of row idx, freed by lookup or shift_lru;
+ * when ev, the line pushed out (word vw) has left the set.  Keeps occ and
+ * the hosted-line count hcnt, and bumps cache c's fills/evictions. */
+HOT void place(Ctx *C, i64 c, i64 idx, i64 w, int ev, i64 vw) {
+    C->line_addr[idx * C->assoc] = w;
+    C->hcnt[idx] += (w >> 1) & 1;
+    if (ev) C->hcnt[idx] -= (vw >> 1) & 1;
     else C->occ[idx]++;
     i64 *sc = C->slcnt + c * NSL, *ss = C->slstamp + c * NSL;
     BUMP(sc, ss, SL_FILLS, 1);
@@ -431,11 +476,10 @@ static void place(Ctx *C, i64 c, i64 idx, i64 addr, i64 meta, int ev,
 
 static void remove_way(Ctx *C, i64 c, i64 set, i64 way) {
     i64 idx = c * C->nsets + set;
-    i64 base = idx * C->assoc;
-    i64 *la = C->line_addr + base, *lm = C->line_meta + base;
+    i64 *la = C->line_addr + idx * C->assoc;
     i64 occ = C->occ[idx];
-    C->hcnt[idx] -= (lm[way] >> 1) & 1;
-    for (i64 j = way; j < occ - 1; j++) { la[j] = la[j + 1]; lm[j] = lm[j + 1]; }
+    C->hcnt[idx] -= (la[way] >> 1) & 1;
+    for (i64 j = way; j < occ - 1; j++) la[j] = la[j + 1];
     C->occ[idx] = occ - 1;
 }
 
@@ -473,13 +517,12 @@ static int shadow_hit(Ctx *C, i64 c, i64 set, i64 addr) {
     return 0;
 }
 
-/* Insert a line at MRU of another set than the requester's (a spill);
- * returns 1 when a victim was evicted (out-params). */
-static int do_fill(Ctx *C, i64 c, i64 set, i64 addr, i64 meta,
-                   i64 *vaddr, i64 *vmeta) {
+/* Insert line word w at MRU of another set than the requester's (a
+ * spill); returns 1 when a victim was evicted (its word to *vw). */
+static int do_fill(Ctx *C, i64 c, i64 set, i64 w, i64 *vw) {
     i64 idx = c * C->nsets + set;
-    int evicted = shift_lru(C, idx, vaddr, vmeta);
-    place(C, c, idx, addr, meta, evicted, *vmeta);
+    int evicted = shift_lru(C, idx, vw);
+    place(C, c, idx, w, evicted, *vw);
     return evicted;
 }
 """
@@ -490,18 +533,18 @@ static void cc_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
     i64 host = pl[C->pick_buf[C->rs[RS_PICK_POS]++]];
     bus_snoop(C, now);
     bus_transfer(C, now);
-    i64 hva = 0, hvm = 0;
-    int ev = do_fill(C, host, vaddr & C->imask, vaddr, 2 | (vowner << 3),
-                     &hva, &hvm);
+    i64 hw = 0;
+    int ev = do_fill(C, host, vaddr & C->imask,
+                     (vaddr << META_BITS) | 2 | (vowner << 3), &hw);
     i64 *hc = C->slcnt + host * NSL, *hs = C->slstamp + host * NSL;
     i64 *oc = C->slcnt + owner * NSL, *os = C->slstamp + owner * NSL;
     BUMP(oc, os, SL_SPILLS_OUT, 1);
     BUMP(hc, hs, SL_SPILLS_HOSTED, 1);
     if (ev) {
-        if (hvm & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
-        else if (hvm & 1) {
+        if (hw & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
+        else if (hw & 1) {
             BUMP(hc, hs, SL_WRITEBACKS, 1);
-            wb_deposit(C, host, hva, now);
+            wb_deposit(C, host, hw >> META_BITS, now);
         }
     }
 }
@@ -520,28 +563,28 @@ static void dsr_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
     C->ms[MS_RR]++;
     bus_snoop(C, now);
     bus_transfer(C, now);
-    i64 hva = 0, hvm = 0;
-    int ev = do_fill(C, host, vaddr & C->imask, vaddr, 2 | (vowner << 3),
-                     &hva, &hvm);
+    i64 hw = 0;
+    int ev = do_fill(C, host, vaddr & C->imask,
+                     (vaddr << META_BITS) | 2 | (vowner << 3), &hw);
     i64 *hc = C->slcnt + host * NSL, *hs = C->slstamp + host * NSL;
     BUMP(oc, os, SL_SPILLS_OUT, 1);
     BUMP(hc, hs, SL_SPILLS_HOSTED, 1);
     if (ev) {
-        if (hvm & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
-        else if (hvm & 1) {
+        if (hw & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
+        else if (hw & 1) {
             BUMP(hc, hs, SL_WRITEBACKS, 1);
-            wb_deposit(C, host, hva, now);
+            wb_deposit(C, host, hw >> META_BITS, now);
         }
     }
 }
 
-/* SnugCache._dispose_host_victim: a victim displaced by hosting a spill
- * into host's set hidx never cascades another spill. */
-static void dispose_host_victim(Ctx *C, i64 host, i64 hidx, i64 hva, i64 hvm,
-                                i64 now) {
+/* SnugCache._dispose_host_victim: a victim (word hw) displaced by hosting
+ * a spill into host's set hidx never cascades another spill. */
+static void dispose_host_victim(Ctx *C, i64 host, i64 hidx, i64 hw, i64 now) {
     i64 *hc = C->slcnt + host * NSL, *hs = C->slstamp + host * NSL;
-    if (hvm & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
-    else if (hvm & 1) {
+    i64 hva = hw >> META_BITS;
+    if (hw & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
+    else if (hw & 1) {
         BUMP(hc, hs, SL_WRITEBACKS, 1);
         wb_deposit(C, host, hva, now);
     } else if ((hva & C->imask) == hidx) {
@@ -568,14 +611,14 @@ static void snug_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 si,
     i64 *oc = C->slcnt + owner * NSL, *os = C->slstamp + owner * NSL;
     if (cand_peer < 0) { BUMP(oc, os, SL_SPILLS_UNPLACED, 1); return; }
     bus_transfer(C, now);
-    i64 hva = 0, hvm = 0;
-    int ev = do_fill(C, cand_peer, cand_idx, vaddr,
-                     2 | (cand_f ? 4 : 0) | (vowner << 3), &hva, &hvm);
+    i64 hw = 0;
+    i64 w = (vaddr << META_BITS) | 2 | (cand_f ? 4 : 0) | (vowner << 3);
+    int ev = do_fill(C, cand_peer, cand_idx, w, &hw);
     i64 *pc = C->slcnt + cand_peer * NSL, *ps = C->slstamp + cand_peer * NSL;
     BUMP(oc, os, SL_SPILLS_OUT, 1);
     BUMP(pc, ps, SL_SPILLS_HOSTED, 1);
     if (cand_f) BUMP(pc, ps, SL_SPILLS_HOSTED_FLIPPED, 1);
-    if (ev) dispose_host_victim(C, cand_peer, cand_idx, hva, hvm, now);
+    if (ev) dispose_host_victim(C, cand_peer, cand_idx, hw, now);
 }
 
 /* SnugIntraCache._spill: the owner's own flipped giver set first (a CC|f
@@ -584,21 +627,22 @@ static void snug_intra_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner,
                              i64 si, i64 now) {
     i64 flipped = si ^ 1;
     if (C->flip_en && !C->gt[owner * C->nsets + flipped]) {
-        i64 hva = 0, hvm = 0;
-        int ev = do_fill(C, owner, flipped, vaddr, 2 | 4 | (owner << 3),
-                         &hva, &hvm);
+        i64 hw = 0;
+        int ev = do_fill(C, owner, flipped,
+                         (vaddr << META_BITS) | 2 | 4 | (owner << 3), &hw);
         i64 *oc = C->slcnt + owner * NSL, *os = C->slstamp + owner * NSL;
         BUMP(oc, os, SL_SPILLS_INTRA, 1);
-        if (ev) dispose_host_victim(C, owner, flipped, hva, hvm, now);
+        if (ev) dispose_host_victim(C, owner, flipped, hw, now);
         return;
     }
     snug_spill(C, owner, vaddr, vowner, si, now);
 }
 
-/* SnugCache._retrieve: the first peer holding a hosted (CC) copy of addr
- * in a giver set at si or, with flipping, si ^ 1 (G/T-gated: taker sets
- * are never probed), or -1.  The copy's set and way go to *fidx, *fway. */
-static i64 snug_retrieve(Ctx *C, i64 cid, i64 si, i64 addr, i64 *fidx,
+/* SnugCache._retrieve: the first peer holding a hosted (CC) copy of the
+ * line ka in a giver set at si or, with flipping, si ^ 1 (G/T-gated: taker
+ * sets are never probed), or -1.  The copy's set and way go to *fidx,
+ * *fway. */
+static i64 snug_retrieve(Ctx *C, i64 cid, i64 si, i64 ka, i64 *fidx,
                          i64 *fway) {
     i64 flipped = si ^ 1;
     i64 *pl = C->peers + cid * C->nper;
@@ -606,11 +650,11 @@ static i64 snug_retrieve(Ctx *C, i64 cid, i64 si, i64 addr, i64 *fidx,
         i64 peer = pl[j];
         i64 *gt = C->gt + peer * C->nsets;
         if (!gt[si]) {
-            i64 w = hosted_way(C, peer, si, addr);
+            i64 w = hosted_way(C, peer, si, ka);
             if (w >= 0) { *fidx = si; *fway = w; return peer; }
         }
         if (C->flip_en && !gt[flipped]) {
-            i64 w = hosted_way(C, peer, flipped, addr);
+            i64 w = hosted_way(C, peer, flipped, ka);
             if (w >= 0) { *fidx = flipped; *fway = w; return peer; }
         }
     }
@@ -632,16 +676,12 @@ static void latch_gt(Ctx *C) {
                                   : (mv[s] >> C->mon_msb) & 1;
             if (nt && !gt[s] && C->flush_flip) {
                 i64 idx = c * C->nsets + s;
-                i64 base = idx * C->assoc;
-                i64 *la = C->line_addr + base, *lm = C->line_meta + base;
+                i64 *la = C->line_addr + idx * C->assoc;
                 i64 occ = C->occ[idx];
                 i64 w = 0;
                 for (i64 j = 0; j < occ; j++) {
-                    if (lm[j] & 2) {
-                        BUMP(sc, ss, SL_CC_FLUSHED, 1);
-                    } else {
-                        la[w] = la[j]; lm[w] = lm[j]; w++;
-                    }
+                    if (la[j] & 2) BUMP(sc, ss, SL_CC_FLUSHED, 1);
+                    else la[w++] = la[j];
                 }
                 C->occ[idx] = w;
                 C->hcnt[idx] = 0;
@@ -680,25 +720,26 @@ static int advance_stage(Ctx *C, i64 now) {
     return 0;
 }
 
-/* Demand fill into way 0 of the row the missed lookup *m freed in cid's
- * slice/bank + scheme-specific victim disposal.  The line's owner is the
- * requesting core: cid itself for a private slice, the requester for an
- * l2s bank.  Returns the write-buffer stall, if any. */
-static i64 fill_dispose(Ctx *C, i64 cid, i64 owner, const Miss *m, i64 addr,
+/* Demand fill of the line ka (address << META_BITS) into way 0 of the row
+ * the missed lookup *m freed in cid's slice/bank + scheme-specific victim
+ * disposal.  The line's owner is the requesting core: cid itself for a
+ * private slice, the requester for an l2s bank.  dirty is 0 or 1.  Returns
+ * the write-buffer stall, if any. */
+static i64 fill_dispose(Ctx *C, i64 cid, i64 owner, const Miss *m, i64 ka,
                         i64 dirty, i64 now) {
-    place(C, cid, m->idx, addr, (dirty ? 1 : 0) | (owner << 3), m->ev, m->vm);
+    place(C, cid, m->idx, ka | dirty | (owner << 3), m->ev, m->vw);
     if (!m->ev) return 0;
-    i64 va = m->va, vm = m->vm;
+    i64 vw = m->vw, va = vw >> META_BITS;
     i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
     if (C->kind == 1) {
-        if (vm & 1) {
+        if (vw & 1) {
             BUMP(sc, ss, SL_WRITEBACKS, 1);
             return wb_deposit(C, cid, va, now);
         }
         return 0;
     }
-    if (vm & 2) { BUMP(sc, ss, SL_CC_EVICTED, 1); return 0; }
-    if (vm & 1) {
+    if (vw & 2) { BUMP(sc, ss, SL_CC_EVICTED, 1); return 0; }
+    if (vw & 1) {
         BUMP(sc, ss, SL_WRITEBACKS, 1);
         return wb_deposit(C, cid, va, now);
     }
@@ -706,7 +747,7 @@ static i64 fill_dispose(Ctx *C, i64 cid, i64 owner, const Miss *m, i64 addr,
         if (C->spill_mode == 1 ||
             (C->spill_mode == 2 &&
              C->coin_buf[C->rs[RS_COIN_POS]++] < C->spill_p))
-            cc_spill(C, cid, va, vm >> 3, now);
+            cc_spill(C, cid, va, OWNER(vw), now);
     } else if (C->kind == 3) {
         i64 vsi = va & C->imask;
         i64 role = C->set_role[vsi];
@@ -714,15 +755,15 @@ static i64 fill_dispose(Ctx *C, i64 cid, i64 owner, const Miss *m, i64 addr,
         if (role == 1) spills = 1;
         else if (role == 2) spills = 0;
         else spills = (C->psel[cid] >> C->psel_msb) != 0;
-        if (spills) dsr_spill(C, cid, va, vm >> 3, now);
+        if (spills) dsr_spill(C, cid, va, OWNER(vw), now);
     } else if (C->kind == 4 || C->kind == 5) {
         i64 vsi = va & C->imask;
         shadow_record(C, cid, vsi, va);
         if (C->ms[MS_STAGE] == 1 && C->gt[cid * C->nsets + vsi]) {
             if (C->kind == 5)
-                snug_intra_spill(C, cid, va, vm >> 3, vsi, now);
+                snug_intra_spill(C, cid, va, OWNER(vw), vsi, now);
             else
-                snug_spill(C, cid, va, vm >> 3, vsi, now);
+                snug_spill(C, cid, va, OWNER(vw), vsi, now);
         }
     }
     return 0;
@@ -736,51 +777,68 @@ i64 run_kernel(const Ctx *in) {
     i64 budget = C->budget, finish_at = C->finish_at, warmup = C->warmup;
     i64 nsets = C->nsets, imask = C->imask, cshift = C->cshift;
 
-    /* Each core's next trace record, read again from c_pos on every entry
-     * (so an RC_RNG or RC_LATCH re-entry resumes exactly), then loaded as
-     * the core steps, with its set row prefetched for the core's next
-     * access. */
-    i64 nx_addr[64], nx_write[64];
+    /* The loop state in locals (see the header), one entry per core: at
+     * most 64. */
+    const i64 *t_addr[64], *t_gap[64], *t_gapc[64];
+    const uint8_t *t_write[64];
+    i64 t_len[64], c_pos[64], c_instr[64], c_acc[64], keys[64];
+    i64 c_warm[64], c_fin[64], c_time[64], nx_addr[64], nx_write[64];
     for (i64 i = 0; i < ncores; i++) {
-        i64 p = C->offs[i] + C->c_pos[i];
-        nx_addr[i] = C->t_addr[p];
-        nx_write[i] = C->t_write[p];
+        const i64 *cols = C->t_cols + i * NTC;
+        t_addr[i] = (const i64 *)(intptr_t)cols[TC_ADDRS];
+        t_gap[i] = (const i64 *)(intptr_t)cols[TC_GAPS];
+        t_gapc[i] = (const i64 *)(intptr_t)cols[TC_GAP_CYCLES];
+        t_write[i] = (const uint8_t *)(intptr_t)cols[TC_WRITES];
+        t_len[i] = C->t_len[i];
+        c_pos[i] = C->c_pos[i];
+        c_instr[i] = C->c_instr[i];
+        c_acc[i] = C->c_acc[i];
+        keys[i] = C->keys[i];
+        c_warm[i] = C->c_warm[i];
+        c_fin[i] = C->c_fin[i];
+        c_time[i] = C->c_time[i];
+        nx_addr[i] = t_addr[i][c_pos[i]];
+        nx_write[i] = t_write[i][c_pos[i]];
     }
+    i64 events = C->ms[MS_EVENTS], remaining = C->ms[MS_REMAINING];
+    i64 rc = RC_DONE;
 
-    while (C->ms[MS_REMAINING]) {
+    while (remaining) {
         if (kind == 2 && C->spill_mode) {
             if (C->rs[RS_PICK_POS] >= C->rs[RS_PICK_FILL] ||
                 (C->spill_mode == 2 &&
-                 C->rs[RS_COIN_POS] >= C->rs[RS_COIN_FILL]))
-                return RC_RNG;
+                 C->rs[RS_COIN_POS] >= C->rs[RS_COIN_FILL])) {
+                rc = RC_RNG;
+                break;
+            }
         }
-        C->ms[MS_EVENTS]++;
-        if (C->ms[MS_EVENTS] > budget) return RC_BUDGET;
-        i64 k = C->keys[0];
-        for (i64 i = 1; i < ncores; i++) if (C->keys[i] < k) k = C->keys[i];
+        if (++events > budget) { rc = RC_BUDGET; break; }
+        i64 k = keys[0];
+        for (i64 i = 1; i < ncores; i++) if (keys[i] < k) k = keys[i];
         i64 cid = k & C->cmask;
         i64 issue = k >> cshift;
-        int was_done = C->c_fin[cid] >= 0;
-        int warmed = C->c_warm[cid] >= 0;
+        int was_done = c_fin[cid] >= 0;
+        int warmed = c_warm[cid] >= 0;
         i64 addr = nx_addr[cid];
         i64 is_write = nx_write[cid];
+        i64 ka = addr << META_BITS;
         i64 latency = 0, okey = 0, stall;
         Miss m;
 
         if (kind == 0) {                       /* ---- l2p ---- */
             i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
-            if (lookup(C, cid * nsets + (addr & imask), addr, &m)) {
+            if (lookup(C, cid * nsets + (addr & imask), ka, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
-                if (is_write) C->line_meta[m.idx * C->assoc] |= 1;
+                C->line_addr[m.idx * C->assoc] |= is_write;
                 latency = C->lat_local; okey = 0;
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, cid, &m, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, &m, ka, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     latency = mem_fetch(C, addr, issue);
-                    stall = fill_dispose(C, cid, cid, &m, addr, is_write,
+                    stall = fill_dispose(C, cid, cid, &m, ka, is_write,
                                          issue);
                     BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                     latency += stall; okey = 3;
@@ -788,23 +846,23 @@ i64 run_kernel(const Ctx *in) {
             }
         } else if (kind == 1) {                /* ---- l2s ---- */
             i64 bank = addr & C->cmask;
-            i64 la = addr >> cshift;
+            i64 la = addr >> cshift, lka = la << META_BITS;
             i64 base, rokey;
             if (bank == cid) { base = C->lat_local; rokey = 0; }
             else { base = C->lat_remote; rokey = 2; bus_snoop(C, issue); }
             i64 *sc = C->slcnt + bank * NSL, *ss = C->slstamp + bank * NSL;
-            if (lookup(C, bank * nsets + (la & imask), la, &m)) {
+            if (lookup(C, bank * nsets + (la & imask), lka, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
-                if (is_write) C->line_meta[m.idx * C->assoc] |= 1;
+                C->line_addr[m.idx * C->assoc] |= is_write;
                 latency = base; okey = rokey;
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, bank, la, issue)) {
-                    stall = fill_dispose(C, bank, cid, &m, la, 1, issue);
+                    stall = fill_dispose(C, bank, cid, &m, lka, 1, issue);
                     latency = base + stall; okey = 1;
                 } else {
                     i64 lat = mem_fetch(C, addr, issue);
-                    stall = fill_dispose(C, bank, cid, &m, la, is_write,
+                    stall = fill_dispose(C, bank, cid, &m, lka, is_write,
                                          issue);
                     BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                     latency = base + lat + stall; okey = 3;
@@ -812,15 +870,16 @@ i64 run_kernel(const Ctx *in) {
             }
         } else if (kind == 4 || kind == 5) {   /* ---- snug, snug_intra ---- */
             if (issue >= C->ms[MS_STAGE_END] && advance_stage(C, issue)) {
-                C->ms[MS_EVENTS]--;   /* re-counted when the access resumes */
-                return RC_LATCH;
+                events--;   /* re-counted when the access resumes */
+                rc = RC_LATCH;
+                break;
             }
             i64 si = addr & imask;
             i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
             i64 midx = cid * nsets + si;
-            if (lookup(C, midx, addr, &m)) {
+            if (lookup(C, midx, ka, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
-                if (is_write) C->line_meta[midx * C->assoc] |= 1;
+                C->line_addr[midx * C->assoc] |= is_write;
                 if (C->ms[MS_STAGE] == 0 || C->mon_group) {
                     i64 mo = C->mon_mod[midx] + 1;
                     if (mo == C->pthr) {
@@ -832,7 +891,7 @@ i64 run_kernel(const Ctx *in) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, cid, &m, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, &m, ka, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     if (shadow_hit(C, cid, si, addr)) {
@@ -851,18 +910,18 @@ i64 run_kernel(const Ctx *in) {
                      * flipped giver set is a local hit. */
                     i64 iway = kind == 5 && C->flip_en &&
                                !C->gt[cid * nsets + (si ^ 1)]
-                        ? hosted_way(C, cid, si ^ 1, addr) : -1;
+                        ? hosted_way(C, cid, si ^ 1, ka) : -1;
                     if (iway >= 0) {
                         remove_way(C, cid, si ^ 1, iway);
                         BUMP(sc, ss, SL_INVALIDATIONS, 1);
-                        stall = fill_dispose(C, cid, cid, &m, addr, is_write,
+                        stall = fill_dispose(C, cid, cid, &m, ka, is_write,
                                              issue);
                         BUMP(sc, ss, SL_INTRA_HITS, 1);
                         latency = C->lat_local + stall; okey = 0;
                     } else {
                         bus_snoop(C, issue);
                         i64 fidx = -1, fway = -1;
-                        i64 fpeer = snug_retrieve(C, cid, si, addr, &fidx,
+                        i64 fpeer = snug_retrieve(C, cid, si, ka, &fidx,
                                                   &fway);
                         if (fpeer >= 0) {
                             remove_way(C, fpeer, fidx, fway);
@@ -871,13 +930,13 @@ i64 run_kernel(const Ctx *in) {
                             BUMP(pc, ps, SL_INVALIDATIONS, 1);
                             BUMP(pc, ps, SL_FORWARDS, 1);
                             i64 delay = bus_transfer(C, issue);
-                            stall = fill_dispose(C, cid, cid, &m, addr,
+                            stall = fill_dispose(C, cid, cid, &m, ka,
                                                  is_write, issue);
                             BUMP(sc, ss, SL_REMOTE_HITS, 1);
                             latency = C->lat_snug + delay + stall; okey = 2;
                         } else {
                             latency = mem_fetch(C, addr, issue);
-                            stall = fill_dispose(C, cid, cid, &m, addr,
+                            stall = fill_dispose(C, cid, cid, &m, ka,
                                                  is_write, issue);
                             BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                             latency += stall; okey = 3;
@@ -888,14 +947,14 @@ i64 run_kernel(const Ctx *in) {
         } else {                               /* ---- cc / dsr ---- */
             i64 set = addr & imask;
             i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
-            if (lookup(C, cid * nsets + set, addr, &m)) {
+            if (lookup(C, cid * nsets + set, ka, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
-                if (is_write) C->line_meta[m.idx * C->assoc] |= 1;
+                C->line_addr[m.idx * C->assoc] |= is_write;
                 latency = C->lat_local; okey = 0;
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, cid, &m, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, &m, ka, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     bus_snoop(C, issue);
@@ -907,7 +966,7 @@ i64 run_kernel(const Ctx *in) {
                     for (i64 j = 0; j < C->nper; j++) {
                         i64 p = pl[j];
                         if (C->disjoint && !C->hcnt[p * nsets + set]) continue;
-                        i64 w = find_way(C, p, set, addr);
+                        i64 w = find_way(C, p, set, ka);
                         if (w >= 0) { fpeer = p; fway = w; break; }
                     }
                     if (fpeer >= 0) {
@@ -917,7 +976,7 @@ i64 run_kernel(const Ctx *in) {
                         BUMP(pc, ps, SL_INVALIDATIONS, 1);
                         BUMP(pc, ps, SL_FORWARDS, 1);
                         i64 delay = bus_transfer(C, issue);
-                        stall = fill_dispose(C, cid, cid, &m, addr, is_write,
+                        stall = fill_dispose(C, cid, cid, &m, ka, is_write,
                                              issue);
                         BUMP(sc, ss, SL_REMOTE_HITS, 1);
                         latency = C->lat_remote + delay + stall; okey = 2;
@@ -931,7 +990,7 @@ i64 run_kernel(const Ctx *in) {
                             }
                         }
                         latency = mem_fetch(C, addr, issue);
-                        stall = fill_dispose(C, cid, cid, &m, addr, is_write,
+                        stall = fill_dispose(C, cid, cid, &m, ka, is_write,
                                              issue);
                         BUMP(sc, ss, SL_DRAM_FETCHES, 1);
                         latency += stall; okey = 3;
@@ -941,38 +1000,45 @@ i64 run_kernel(const Ctx *in) {
         }
 
         /* shared epilogue: trace stepping, windows, finish bookkeeping */
-        i64 off = C->offs[cid];
-        i64 pos = C->c_pos[cid];
-        C->c_instr[cid] += C->t_gap[off + pos];
-        C->c_acc[cid]++;
-        pos++;
-        if (pos >= C->offs[cid + 1] - off) { pos = 0; C->c_wraps[cid]++; }
-        C->c_pos[cid] = pos;
+        i64 pos = c_pos[cid];
+        c_instr[cid] += t_gap[cid][pos];
+        c_acc[cid]++;
+        if (++pos >= t_len[cid]) { pos = 0; C->c_wraps[cid]++; }
+        c_pos[cid] = pos;
         C->out_c[okey]++;
         if (warmed && !was_done) {
             C->w_out[cid * 4 + okey]++;
             C->w_lat[cid] += latency;
         }
         i64 now2 = issue + C->l1_lat + latency;
-        C->c_time[cid] = now2;
-        if (!warmed && C->c_instr[cid] >= warmup) C->c_warm[cid] = now2;
-        if (!was_done && C->c_warm[cid] >= 0 &&
-            C->c_instr[cid] >= finish_at) {
-            C->c_fin[cid] = now2;
-            C->ms[MS_REMAINING]--;
+        c_time[cid] = now2;
+        if (!warmed && c_instr[cid] >= warmup) c_warm[cid] = now2;
+        if (!was_done && c_warm[cid] >= 0 && c_instr[cid] >= finish_at) {
+            c_fin[cid] = now2;
+            remaining--;
         }
-        i64 nx = off + pos;
-        i64 na = nx_addr[cid] = C->t_addr[nx];
-        nx_write[cid] = C->t_write[nx];
+        i64 na = nx_addr[cid] = t_addr[cid][pos];
+        nx_write[cid] = t_write[cid][pos];
         i64 row = kind == 1
             ? (na & C->cmask) * nsets + ((na >> cshift) & imask)
             : cid * nsets + (na & imask);
         __builtin_prefetch(C->line_addr + row * C->assoc);
-        __builtin_prefetch(C->line_meta + row * C->assoc);
         __builtin_prefetch(C->occ + row);
-        C->keys[cid] = ((now2 + C->t_gapc[nx]) << cshift) | cid;
+        keys[cid] = ((now2 + t_gapc[cid][pos]) << cshift) | cid;
     }
-    return RC_DONE;
+
+    for (i64 i = 0; i < ncores; i++) {
+        C->c_pos[i] = c_pos[i];
+        C->c_instr[i] = c_instr[i];
+        C->c_acc[i] = c_acc[i];
+        C->keys[i] = keys[i];
+        C->c_warm[i] = c_warm[i];
+        C->c_fin[i] = c_fin[i];
+        C->c_time[i] = c_time[i];
+    }
+    C->ms[MS_EVENTS] = events;
+    C->ms[MS_REMAINING] = remaining;
+    return rc;
 }
 
 /* StreamingProfiler's step over n addresses: each set s keeps a bounded LRU
@@ -1104,27 +1170,26 @@ def _merge_stamped(counters, keys, cnt_row, stamp_row) -> None:
         counters[keys[i]] += int(cnt_row[i])
 
 
-def _fill_lines(addr: np.ndarray, meta: np.ndarray,
-                occ: np.ndarray) -> List[LruSet]:
+def _fill_lines(words: np.ndarray, occ: np.ndarray) -> List[LruSet]:
     """One cache's sets, holding its final lines.
 
-    *addr* and *meta* are the cache's ``(num_sets, assoc)`` views of the
-    kernel's ``line_addr`` and ``line_meta`` arrays, and *occ* its
-    ``num_sets`` view of ``occ``; :class:`~repro.cache.cache.SetAssocCache`
-    calls this on the first read of its ``sets``
-    (:meth:`~repro.cache.cache.SetAssocCache.defer_sets`).  ``meta`` packs
-    dirty | cc << 1 | f << 2 | owner << 3.  Each field becomes its own
-    nested list of plain Python values, and each set's lines are one
-    ``map(CacheLine, ...)`` over its rows, which stops at the shortest
-    column: the set's ``o`` resident ways.
+    *words* is the cache's ``(num_sets, assoc)`` view of the kernel's
+    ``line_addr`` array, and *occ* its ``num_sets`` view of ``occ``;
+    :class:`~repro.cache.cache.SetAssocCache` calls this on the first read
+    of its ``sets`` (:meth:`~repro.cache.cache.SetAssocCache.defer_sets`).
+    Each word packs ``addr << 9 | meta``, and meta packs dirty | cc << 1 |
+    f << 2 | owner << 3.  Each field becomes its own nested list of plain
+    Python values, and each set's lines are one ``map(CacheLine, ...)``
+    over its rows, which stops at the shortest column: the set's ``o``
+    resident ways.
     """
-    num_sets, assoc = addr.shape
+    num_sets, assoc = words.shape
     lrusets = [LruSet(assoc) for _ in range(num_sets)]
-    addrs = addr.tolist()
-    dirty = (meta & 1).astype(bool).tolist()
-    cc = (meta & 2).astype(bool).tolist()
-    f = (meta & 4).astype(bool).tolist()
-    owner = (meta >> 3).tolist()
+    addrs = (words >> _META_BITS).tolist()
+    dirty = (words & 1).astype(bool).tolist()
+    cc = (words & 2).astype(bool).tolist()
+    f = (words & 4).astype(bool).tolist()
+    owner = ((words & _META_MASK) >> 3).tolist()
     for s, o in enumerate(occ.tolist()):
         if o:
             row = addrs[s][:o]
@@ -1156,8 +1221,7 @@ def _fresh_structural(scheme, caches, kind: int) -> bool:
 def _disjoint(cores) -> bool:
     """Whether the cores' trace address ranges are pairwise disjoint, so no
     two cores share an address (the kernel's ``disjoint`` param)."""
-    spans = sorted((int(a.min()), int(a.max()))
-                   for a in (core.trace.addrs for core in cores))
+    spans = sorted(core.trace.addr_bounds for core in cores)
     return all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
 
 
@@ -1170,6 +1234,9 @@ def decline_reason(system: CmpSystem, kind: int) -> Optional[str]:
         return f"{ncores} cores exceed the C kernel's 64-core limit"
     if kind >= 2 and ncores < 2:
         return f"spill scheme {system.scheme.name!r} on a single core"
+    if max(core.trace.addr_bounds[1] for core in system.cores) >= _ADDR_LIMIT:
+        return ("trace addresses reach 2**54, beyond the C kernel's packed "
+                "line words")
     scheme = system.scheme
     if not _fresh_structural(scheme, scheme.banks if kind == 1 else scheme.slices, kind):
         return "caches, write buffers or shadow sets already hold state"
@@ -1196,23 +1263,22 @@ def _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc) -> None:
         fed_pos[i], fed_acc[i] = c_pos[i], c_acc[i]
 
 
-def _slot_minima(ctx: _Ctx, offs: np.ndarray, rs: np.ndarray) -> Dict[str, int]:
+def _slot_minima(ctx: _Ctx, rs: np.ndarray) -> Dict[str, int]:
     """The fewest elements the C side may touch through each slot, implied
-    by the scalar inputs (plus ``offs`` for the trace columns and the ring
-    fill levels in ``rs`` for the CC draw buffers)."""
+    by the scalar inputs (plus the ring fill levels in ``rs`` for the CC
+    draw buffers)."""
     ncores, kind = ctx.ncores, ctx.kind
     sets = ncores * ctx.nsets
     lines = sets * ctx.assoc
     need = dict.fromkeys(_ALL_SLOTS, 1)
-    need["offs"] = ncores + 1
+    need["t_cols"] = ncores * len(_TRACE_COLS)
     need["ms"] = len(_MS)
     need["rs"] = len(_RS)
-    for name in ("t_addr", "t_gap", "t_gapc", "t_write"):
-        need[name] = int(offs[ncores])
-    for name in ("c_time", "c_pos", "c_instr", "c_wraps", "c_acc", "c_warm",
-                 "c_fin", "keys", "wb_head", "wb_len", "wb_next", "w_lat"):
+    for name in ("t_len", "c_time", "c_pos", "c_instr", "c_wraps", "c_acc",
+                 "c_warm", "c_fin", "keys", "wb_head", "wb_len", "wb_next",
+                 "w_lat"):
         need[name] = ncores
-    need["line_addr"] = need["line_meta"] = lines
+    need["line_addr"] = lines
     need["occ"] = need["hcnt"] = sets
     need["wb_addr"] = need["wb_time"] = ncores * max(1, ctx.wb_cap)
     need["slcnt"] = need["slstamp"] = ncores * len(_SL_KEYS)
@@ -1242,8 +1308,9 @@ def _slot_minima(ctx: _Ctx, offs: np.ndarray, rs: np.ndarray) -> Dict[str, int]:
 def _check_array(label: str, arr: np.ndarray, dtype, need: int,
                  implied_by: str) -> None:
     """Refuse an array the C side would misread: it must hold *dtype*, be
-    C-contiguous and have at least *need* elements.  The error names the
-    array by *label*."""
+    C-contiguous and have at least *need* elements, as *implied_by* says
+    (``"the params imply"``, for instance).  The error names the array by
+    *label*."""
     if arr.dtype != dtype:
         raise SimulationError(
             f"{label}: dtype {arr.dtype}, the kernel reads {np.dtype(dtype)}")
@@ -1251,7 +1318,27 @@ def _check_array(label: str, arr: np.ndarray, dtype, need: int,
         raise SimulationError(f"{label} is not C-contiguous")
     if arr.size < need:
         raise SimulationError(
-            f"{label}: {arr.size} elements, {implied_by} imply at least {need}")
+            f"{label}: {arr.size} elements, {implied_by} at least {need}")
+
+
+def _trace_columns(cores):
+    """Slots ``t_len`` and ``t_cols`` for *cores*: each core's trace length,
+    and the addresses of its :data:`_TRACE_COLS`, which the kernel reads in
+    place.
+
+    Every column is checked first, by core and name, as :func:`_bind_arrays`
+    checks the slots: it must hold the element type the C side reads, be
+    C-contiguous and be as long as its core's trace.
+    """
+    t_len = np.array([core._n for core in cores], dtype=np.int64)
+    t_cols = np.empty(len(cores) * len(_TRACE_COLS), dtype=np.int64)
+    for i, core in enumerate(cores):
+        for j, (name, column, dtype) in enumerate(_TRACE_COLS):
+            arr = column(core)
+            _check_array(f"C kernel trace column {name!r} of core {i}", arr,
+                         dtype, core._n, "the core's trace length implies")
+            t_cols[i * len(_TRACE_COLS) + j] = arr.ctypes.data
+    return t_len, t_cols
 
 
 def _bind_arrays(ctx: _Ctx, arrays: Dict[str, np.ndarray]) -> None:
@@ -1262,21 +1349,21 @@ def _bind_arrays(ctx: _Ctx, arrays: Dict[str, np.ndarray]) -> None:
     C-contiguous, hold the element type the C side reads (``double`` for
     ``coin_buf``, ``int64_t`` elsewhere), and be at least as long as the
     scalar inputs imply (:func:`_slot_minima`).  A slot that is not raises
-    :class:`SimulationError` naming it, before any C code runs.
+    :class:`SimulationError` naming it, before any C code runs.  (The trace
+    columns that ``t_cols`` points at are checked by :func:`_trace_columns`.)
     """
 
     def check(name: str, need: int) -> None:
         dtype = np.float64 if name == "coin_buf" else np.int64
         _check_array(f"C kernel slot {name!r}", arrays[name], dtype, need,
-                     "the params")
+                     "the params imply")
 
-    # The core count and the slots the minima are read from come first.
+    # The core count and the slot the minima are read from come first.
     if not 1 <= ctx.ncores <= 64:
         raise SimulationError(
             f"C kernel param 'ncores': {ctx.ncores} cores, the kernel takes 1-64")
-    check("offs", ctx.ncores + 1)
     check("rs", len(_RS))
-    need = _slot_minima(ctx, arrays["offs"], arrays["rs"])
+    need = _slot_minima(ctx, arrays["rs"])
     for name in _ALL_SLOTS:
         check(name, need[name])
         setattr(ctx, name, arrays[name].ctypes.data)
@@ -1307,7 +1394,7 @@ def profile_feed(addrs: np.ndarray, mask: int, depth: int, stk: np.ndarray,
                             ("lens", lens, num_sets),
                             ("hist", hist, num_sets * depth)):
         _check_array(f"C profiler argument {name!r}", arr, np.int64, need,
-                     "mask and depth")
+                     "mask and depth imply")
     if lens.min() < 0 or lens.max() > depth:
         raise SimulationError(
             f"C profiler argument 'lens': entries span [{lens.min()}, "
@@ -1361,14 +1448,8 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         cshift=cshift, cmask=(1 << cshift) - 1,
     )
 
-    # Trace columns: each core's NumPy columns, concatenated core by core.
-    offs = np.zeros(ncores + 1, dtype=np.int64)
-    np.cumsum([core._n for core in cores], out=offs[1:])
-    t_addr = np.concatenate([core.trace.addrs for core in cores])
-    t_gap = np.concatenate([core.trace.gaps for core in cores])
-    t_gapc = np.concatenate([core.gap_cycles for core in cores])
-    t_write = np.concatenate([core.trace.writes for core in cores],
-                             dtype=np.int64)
+    # Trace columns: read in place, through each column's address.
+    t_len, t_cols = _trace_columns(cores)
 
     c_time = np.array([c.time for c in cores], dtype=np.int64)
     c_pos = np.array([c.pos for c in cores], dtype=np.int64)
@@ -1386,7 +1467,6 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         dtype=np.int64)
 
     line_addr = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
-    line_meta = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
     occ = np.zeros(ncores * num_sets, dtype=np.int64)
     hcnt = np.zeros(ncores * num_sets, dtype=np.int64)
     cap = max(1, wb_cfg.entries)
@@ -1483,10 +1563,10 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
             gt_in = np.zeros(ncores * num_sets, dtype=np.int64)
 
     _bind_arrays(ctx, dict(
-        offs=offs, t_addr=t_addr, t_gap=t_gap, t_gapc=t_gapc, t_write=t_write,
+        t_len=t_len, t_cols=t_cols,
         c_time=c_time, c_pos=c_pos, c_instr=c_instr, c_wraps=c_wraps,
         c_acc=c_acc, c_warm=c_warm, c_fin=c_fin, keys=keys,
-        line_addr=line_addr, line_meta=line_meta, occ=occ, hcnt=hcnt,
+        line_addr=line_addr, occ=occ, hcnt=hcnt,
         wb_addr=wb_addr, wb_time=wb_time, wb_head=wb_head, wb_len=wb_len,
         wb_next=wb_next, slcnt=slcnt, slstamp=slstamp, wcnt=wcnt,
         wstamp=wstamp, dcnt=dcnt, dstamp=dstamp, bcnt=bcnt, bstamp=bstamp,
@@ -1549,11 +1629,10 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         core.finish_time = int(c_fin[i]) if c_fin[i] >= 0 else None
     # Lines stay in the arrays: each cache builds its own from its views
     # on the first read of its sets.
-    shape = (ncores, num_sets, assoc)
-    addr_v, meta_v = line_addr.reshape(shape), line_meta.reshape(shape)
+    words_v = line_addr.reshape(ncores, num_sets, assoc)
     occ_v = occ.reshape(ncores, num_sets)
     for c, cache in enumerate(caches):
-        cache.defer_sets(partial(_fill_lines, addr_v[c], meta_v[c], occ_v[c]))
+        cache.defer_sets(partial(_fill_lines, words_v[c], occ_v[c]))
         _merge_stamped(cache._counters, _SL_KEYS,
                        slcnt[c * nsl:(c + 1) * nsl],
                        slstamp[c * nsl:(c + 1) * nsl])

@@ -26,8 +26,9 @@ fallback reason is announced once per process on stderr::
     repro.compiled: <reason>; using the reference loop (bit-identical)
 
 The reasons are: no kernel library (``REPRO_NO_CKERNEL=1``, no C compiler,
-or a failed build), more than 64 cores, a spill scheme on one core,
-caches that already hold state, and a scheme without a kernel.  All six
+or a failed build), more than 64 cores, a spill scheme on one core, trace
+addresses that reach 2**54, caches that already hold state, and a scheme
+without a kernel.  All six
 registered schemes have a kernel.  Dispatch is keyed by *exact* scheme
 type, so an out-of-tree subclass of a kernel scheme (whose ``access()``
 the kernel has never seen) takes the reference loop.

@@ -97,6 +97,18 @@ class Trace:
             object.__setattr__(self, "_mean_gap", cached)
         return cached
 
+    @property
+    def addr_bounds(self) -> Tuple[int, int]:
+        """The smallest and largest block address, computed once per trace
+        (cached as :attr:`mean_gap` is).  The compiled kernel reads them
+        to decline addresses too wide for its packed line words and to tell
+        whether two cores' traces can share an address."""
+        cached = self.__dict__.get("_addr_bounds")
+        if cached is None:
+            cached = (int(self.addrs.min()), int(self.addrs.max()))
+            object.__setattr__(self, "_addr_bounds", cached)
+        return cached
+
     def accesses_per_kilo_instruction(self) -> float:
         """L2 APKI — the intensity knob of the workload."""
         return 1000.0 * len(self) / self.instructions

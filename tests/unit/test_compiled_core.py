@@ -6,17 +6,19 @@ this file localizes regressions in the machinery *around* the kernel:
 
 * ``kernel_mode`` names the loop that actually serves the kernel schemes;
 * every system the kernel declines runs on the reference loop
-  bit-identically, with one stderr notice per distinct reason per process,
-  and the kernel takes the largest core count it is built for (64);
+  bit-identically, with one stderr notice per distinct reason per process;
+  the kernel takes the largest core count (64) and the largest trace
+  address (2**54 - 1) its packed line words hold, and leaves every line
+  (owner included) as the reference loop does;
 * a kernel run never falls back to the reference loop, and matches it;
 * on aliased traces a CC or DSR probe still finds a peer's own line, so
   the kernel skips no peer set there for hosting no line;
 * a kernel run builds no cache line until something reads a cache's
   ``sets``; the first read builds them once, as the reference loop leaves
   them, and a second run on the same system sees them and falls back;
-* every array slot (and the core count) is checked by name before the
-  kernel runs, and every array of the streaming profiler's C step before
-  that step runs;
+* every array slot (and the core count), and every trace column the
+  kernel reads in place, is checked by name before the kernel runs, and
+  every array of the streaming profiler's C step before that step runs;
 * dispatch refuses bad run sizing with the same messages as
   :class:`~repro.core.cmp.CmpSystem`;
 * the kernel build is private per builder (a concurrent first build of
@@ -28,6 +30,7 @@ this file localizes regressions in the machinery *around* the kernel:
   where the time went.
 """
 
+import copy
 import cProfile
 import dataclasses
 import os
@@ -69,7 +72,8 @@ class TestTierReporting:
 
 def _run_pair(config, scheme_name, traces, prepare=None, **kwargs):
     """Run *scheme_name* over *traces* on the compiled and the reference
-    core; return (compiled system, compiled result, reference result)."""
+    core; return (compiled system, reference system, compiled result,
+    reference result)."""
     systems, results = [], []
     for cls in (CompiledCmpSystem, ReferenceCmpSystem):
         scheme = make_scheme(scheme_name, config, **kwargs)
@@ -78,27 +82,41 @@ def _run_pair(config, scheme_name, traces, prepare=None, **kwargs):
         system = cls(config, scheme, list(traces))
         results.append(system.run(4_000, warmup_instructions=500).to_dict())
         systems.append(system)
-    return systems[0], results[0], results[1]
+    return (*systems, *results)
+
+
+def _notices(capsys):
+    """The fallback notices printed since the last read."""
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("repro.compiled:")]
 
 
 def _fallback_run(config, scheme_name, traces, capsys, prepare=None, **kwargs):
     """:func:`_run_pair` on core-rebased traces; return (compiled result,
     reference result, notice lines)."""
-    _, out, ref = _run_pair(config, scheme_name,
-                            [t.rebase(i) for i, t in enumerate(traces)],
-                            prepare, **kwargs)
-    notices = [
-        line for line in capsys.readouterr().err.splitlines()
-        if line.startswith("repro.compiled:")
-    ]
-    return out, ref, notices
+    _, _, out, ref = _run_pair(config, scheme_name,
+                               [t.rebase(i) for i, t in enumerate(traces)],
+                               prepare, **kwargs)
+    return out, ref, _notices(capsys)
 
 
 def _small_trace(seed=0, n=60):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     return Trace(rng.integers(1, 30, n), rng.integers(0, 128, n), rng.random(n) < 0.3)
+
+
+def _wide_traces(top):
+    """Two traces, not core-rebased: core 0's addresses lie below 128 and
+    core 1's just below *top*, which it accesses every fifth record."""
+    low, high = _small_trace(seed=0), _small_trace(seed=1)
+    offsets = high.addrs.copy()
+    offsets[::5] = 0
+    return [low, Trace(high.gaps, top - offsets, high.writes)]
+
+
+#: Factory kwargs per scheme for the whole-scheme parametrizations: CC on
+#: its random-draw ring.
+_KWARGS = {"cc": {"spill_probability": 0.5}}
 
 
 needs_kernel = pytest.mark.skipif(
@@ -143,13 +161,48 @@ class TestFallbackReasons:
     def test_64_cores_run_in_the_kernel(self, capsys, scheme_name):
         # SystemConfig takes power-of-two core counts only, so 64 is the
         # largest count the kernel takes, and 128 the smallest it declines.
+        # Core 63 owns lines, so the packed words' owner field round-trips
+        # its top value.
         config = dataclasses.replace(tiny_config(seed=7), num_cores=64)
-        traces = [_small_trace(seed=i) for i in range(64)]
-        kwargs = {"spill_probability": 0.5} if scheme_name == "cc" else {}
-        out, ref, notices = _fallback_run(config, scheme_name, traces, capsys,
-                                          **kwargs)
+        traces = [_small_trace(seed=i).rebase(i) for i in range(64)]
+        system, reference, out, ref = _run_pair(
+            config, scheme_name, traces, **_KWARGS.get(scheme_name, {}))
         assert out == ref
-        assert notices == []
+        assert live_state(system.scheme) == live_state(reference.scheme)
+        assert _notices(capsys) == []
+
+    @needs_kernel
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_address_2_pow_54_is_declined(self, capsys, scheme_name):
+        # A packed line word holds addr << 9, which must stay a
+        # non-negative int64.
+        config = dataclasses.replace(tiny_config(seed=7), num_cores=2)
+        _, _, out, ref = _run_pair(config, scheme_name, _wide_traces(1 << 54),
+                                   **_KWARGS.get(scheme_name, {}))
+        assert out == ref
+        assert _notices(capsys) == [
+            "repro.compiled: trace addresses reach 2**54, beyond the C "
+            "kernel's packed line words; using the reference loop "
+            "(bit-identical)"
+        ]
+
+    @needs_kernel
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_address_below_2_pow_54_runs_in_the_kernel(self, capsys,
+                                                        scheme_name):
+        top = (1 << 54) - 1
+        config = dataclasses.replace(tiny_config(seed=7), num_cores=2)
+        system, reference, out, ref = _run_pair(
+            config, scheme_name, _wide_traces(top),
+            **_KWARGS.get(scheme_name, {}))
+        assert out == ref
+        state = live_state(system.scheme)
+        assert state == live_state(reference.scheme)
+        assert _notices(capsys) == []
+        # The top line is resident (an L2S bank keeps addr >> 1 here).
+        resident = {line[0] for cache in state["lines"] for lines in cache
+                    for line in lines}
+        assert (top >> 1 if scheme_name == "l2s" else top) in resident
 
     @needs_kernel
     def test_prefilled_slice(self, capsys):
@@ -232,7 +285,8 @@ class TestKernelRuns:
         # Short SNUG stages, so the monitored run crosses latches.
         config = dataclasses.replace(config, snug=dataclasses.replace(
             config.snug, identify_cycles=4_000, group_cycles=6_000))
-        system, out, ref = _run_pair(config, scheme_name, traces, prepare, **kwargs)
+        system, _, out, ref = _run_pair(config, scheme_name, traces, prepare,
+                                        **kwargs)
         assert out == ref
         if prepare is not None:
             assert system.scheme.monitor.latches > 0
@@ -298,8 +352,8 @@ class TestDeferredLines:
         fills = []
         fill_lines = _ckernel._fill_lines
 
-        def counting_fill(addr, meta, occ):
-            fills.append(fill_lines(addr, meta, occ))
+        def counting_fill(words, occ):
+            fills.append(fill_lines(words, occ))
             return fills[-1]
 
         monkeypatch.setattr(_ckernel, "_fill_lines", counting_fill)
@@ -338,39 +392,71 @@ def _set_slot(name, corrupt):
     return apply
 
 
+def _retrace(core, **columns):
+    """Give *core* a copy of its trace with *columns* swapped in as they
+    are (the trace's own constructor would convert them)."""
+    trace = copy.copy(core.trace)
+    for name, value in columns.items():
+        object.__setattr__(trace, name, value)
+    core.trace = trace
+
+
 class TestPointerTableCheck:
-    """A slot the C side would misread is refused, by name, before the
-    kernel runs; so is a bad argument of the streaming profiler's C step."""
+    """A slot or trace column the C side would misread is refused, by name,
+    before the kernel runs; so is a bad argument of the streaming
+    profiler's C step."""
+
+    @pytest.fixture
+    def cc_system(self, monkeypatch):
+        """A CC system whose kernel call fails the test if it is reached."""
+        def kernel(ctx):
+            raise AssertionError("the kernel ran on an unchecked input")
+
+        monkeypatch.setattr(_ckernel._get_lib(), "run_kernel", kernel)
+        config, _, traces = build("cc")
+        scheme = make_scheme("cc", config, spill_probability=0.5)
+        return CompiledCmpSystem(config, scheme, traces)
 
     @needs_kernel
     @pytest.mark.parametrize("corrupt,message", [
-        (_set_slot("t_addr", lambda a: a[:-1]),
-         r"slot 't_addr': 3999 elements, the params imply at least 4000"),
+        (_set_slot("t_cols", lambda a: a[:-1]),
+         r"slot 't_cols': 15 elements, the params imply at least 16"),
         (_set_slot("coin_buf", lambda a: a.astype(np.int64)),
          r"slot 'coin_buf': dtype int64, the kernel reads float64"),
-        (_set_slot("line_meta", lambda a: np.zeros(2 * a.size, np.int64)[::2]),
-         r"slot 'line_meta' is not C-contiguous"),
+        (_set_slot("line_addr", lambda a: np.zeros(2 * a.size, np.int64)[::2]),
+         r"slot 'line_addr' is not C-contiguous"),
         (_set_slot("hcnt", lambda a: a[:-1]),
          r"slot 'hcnt': 63 elements, the params imply at least 64"),
         (lambda ctx, arrays: setattr(ctx, "ncores", 65),
          r"param 'ncores': 65 cores, the kernel takes 1-64"),
-    ], ids=["t_addr", "coin_buf", "line_meta", "hcnt", "ncores"])
-    def test_bad_slot_is_refused_by_name(self, monkeypatch, corrupt, message):
+    ], ids=["t_cols", "coin_buf", "line_addr", "hcnt", "ncores"])
+    def test_bad_slot_is_refused_by_name(self, monkeypatch, cc_system,
+                                         corrupt, message):
         real_bind = _ckernel._bind_arrays
 
         def corrupted_bind(ctx, arrays):
             corrupt(ctx, arrays)
             return real_bind(ctx, arrays)
 
-        def kernel(ctx):
-            raise AssertionError("the kernel ran on an unchecked input")
-
         monkeypatch.setattr(_ckernel, "_bind_arrays", corrupted_bind)
-        monkeypatch.setattr(_ckernel._get_lib(), "run_kernel", kernel)
-        config, _, traces = build("cc")
-        scheme = make_scheme("cc", config, spill_probability=0.5)
         with pytest.raises(SimulationError, match=message):
-            CompiledCmpSystem(config, scheme, traces).run(10_000)
+            cc_system.run(10_000)
+
+    @needs_kernel
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda core: setattr(core, "gap_cycles", core.gap_cycles[:-1]),
+         r"trace column 'gap_cycles' of core 1: 999 elements, the core's "
+         r"trace length implies at least 1000"),
+        (lambda core: _retrace(core,
+                               writes=core.trace.writes.astype(np.int64)),
+         r"trace column 'writes' of core 1: dtype int64, the kernel reads "
+         r"bool"),
+    ], ids=["gap_cycles", "writes"])
+    def test_bad_trace_column_is_refused_by_name(self, cc_system, corrupt,
+                                                 message):
+        corrupt(cc_system.cores[1])
+        with pytest.raises(SimulationError, match=message):
+            cc_system.run(10_000)
 
     @needs_kernel
     @pytest.mark.parametrize("corrupt,message", [
