@@ -31,8 +31,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
-from repro.core.reference import ReferenceCmpSystem, reference_system
+from repro.core.reference import reference_system
 from repro.schemes.factory import make_scheme, scheme_names
 from repro.workloads.mixes import build_mix_traces, get_mix
 from repro.workloads.trace import Trace
@@ -176,6 +177,6 @@ def test_production_cores_bit_identical_on_quiescent(scale):
     traces = quiescent_traces(cfg, n_accesses=2_000)
     target = min(scale.plan.target_instructions, 40_000)
     for name in scheme_names():
-        ref = ReferenceCmpSystem(cfg, make_scheme(name, cfg), traces).run(target)
+        ref = CmpSystem(cfg, make_scheme(name, cfg), traces).run(target)
         out = CompiledCmpSystem(cfg, make_scheme(name, cfg), traces).run(target)
         assert out.to_dict() == ref.to_dict(), name

@@ -16,7 +16,7 @@ This module is the *executable spec* of the profiling pipeline: a literal
 per-access stack walk, kept deliberately simple.  Production callers go
 through :mod:`repro.cache.stackdist_fast`, which computes bit-identical
 per-interval histograms for a whole stream in vectorized NumPy passes (the
-same spec/fast-path split as :mod:`repro.core.reference` vs
+same spec/fast-path split as :meth:`repro.core.cmp.CmpSystem.run` vs
 :mod:`repro.core.compiled`).
 """
 

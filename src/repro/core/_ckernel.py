@@ -1,6 +1,7 @@
 """Native (C) kernel of the compiled simulation core.
 
-The executable spec is :mod:`repro.core.reference` plus the schemes'
+The executable spec is :meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`
+over its :class:`~repro.core.cpu.TraceCore` s, plus the schemes'
 ``access()``; this module is its production transcription: a single C
 translation unit (embedded below as a string) holding one
 structure-of-arrays event loop for all six schemes, compiled **on
@@ -19,14 +20,19 @@ two sides cannot drift apart.  The wrapper sets the scalars by name, binds
 each array by slot name after checking it (:func:`_bind_arrays`), and
 passes the struct by reference.
 
+:func:`run_kernel` steps the system the spec would step — its scheme and
+its own cores — and starts and ends the run as the spec does
+(:meth:`CmpSystem._start_run`, :meth:`CmpSystem._finish_run`).
 Everything mutable lives in preallocated ``int64`` NumPy arrays; the
 wrapper encodes the live system state into them and runs the kernel.  The
 trace columns are not copied: slot ``t_cols`` holds the addresses of each
-core's own NumPy columns (:data:`_TRACE_COLS`, each checked by name first,
-:func:`_trace_columns`), which the C side reads in place.  The wrapper
-then merges cores, stat counters, write buffers, bus, DRAM, DSR and SNUG
-state back into the real objects at once — stat-counter *first-touch
-order* included, reproduced via stamp arrays, because
+core's trace columns (:data:`_TRACE_COLS`, each checked by name first,
+:func:`_trace_columns`), which the C side reads in place.  The issue-gap
+column is the trace's ``gaps`` itself at ``base_cpi`` 1.0, the value of
+every preset; any other CPI gets one scaled copy per core for the call.
+The wrapper then merges cores, stat counters, write buffers, bus, DRAM,
+DSR and SNUG state back into the real objects at once — stat-counter
+*first-touch order* included, reproduced via stamp arrays, because
 ``SimResult.to_dict()`` round-trips through JSON where dict insertion
 order is part of byte-identity.  The final cache lines stay in the
 ``line_addr``/``occ`` arrays: each slice or bank gets a fill function over
@@ -83,7 +89,7 @@ than 64 cores, a spill scheme on one core, trace addresses that reach
 2**54 (too wide for a packed line word; core-rebased traces, at
 ``core_id << 48``, never reach it), or caches that already hold state;
 :class:`~repro.core.compiled.CompiledCmpSystem` runs those on the
-reference loop (:mod:`repro.core.reference`).
+spec's own loop (:meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`).
 """
 
 from __future__ import annotations
@@ -140,13 +146,24 @@ _MS = IntEnum("_MS", "REMAINING EVENTS RR SPILL_RR STAGE STAGE_END EPOCH "
 _RS = IntEnum("_RS", "COIN_POS COIN_FILL PICK_POS PICK_FILL", start=0)
 _RC = IntEnum("_RC", "DONE BUDGET RNG LATCH", start=0)
 
+
+def _issue_gaps(core) -> np.ndarray:
+    """Each record's issue delay in cycles, the spec's ``int(gap *
+    base_cpi)``: the trace's ``gaps`` column itself at ``base_cpi`` 1.0
+    (exact for gaps below 2**53, which a double holds), otherwise one
+    scaled copy whose ``astype`` truncates as ``int()`` does."""
+    if core.base_cpi == 1.0:
+        return core.trace.gaps
+    return (core.trace.gaps * core.base_cpi).astype(np.int64)
+
+
 #: Each core's trace columns, in their order in its row of slot ``t_cols``
 #: (the columns' addresses): name, where it lives, and the element type the
 #: C side reads (``writes`` is NumPy ``bool``, read as bytes).
 _TRACE_COLS = (
     ("addrs", lambda core: core.trace.addrs, np.int64),
     ("gaps", lambda core: core.trace.gaps, np.int64),
-    ("gap_cycles", lambda core: core.gap_cycles, np.int64),
+    ("issue_gaps", _issue_gaps, np.int64),
     ("writes", lambda core: core.trace.writes, np.bool_),
 )
 
@@ -236,17 +253,18 @@ _C_SOURCE = r"""
  * pointers.  `kind` selects the scheme: 0 l2p, 1 l2s, 2 cc, 3 dsr, 4 snug,
  * 5 snug_intra (its index in compiled._KERNEL_SCHEMES); kind 5 is kind 4
  * plus the local flipped-set retrieval and spill.  All semantics transcribe
- * the executable spec (core/reference.py plus each scheme's access()) term
- * for term, stat-counter first-touch order included (the stamp arrays
- * record the global first-touch tick of each counter slot; the Python
- * merge replays them in stamp order).
+ * the executable spec (CmpSystem.run in core/cmp.py over its TraceCores,
+ * plus each scheme's access()) term for term, stat-counter first-touch
+ * order included (the stamp arrays record the global first-touch tick of
+ * each counter slot; the Python merge replays them in stamp order).
  *
  * A cached line is one packed word in line_addr: addr << META_BITS | meta,
  * meta = dirty | cc << 1 | f << 2 | owner << 3 (owner < 64).  The set
  * helpers compare w & ~META_MASK with the probed address shifted the same
  * way (ka below); the wrapper declines traces whose addresses would not
  * fit.  The trace columns are read in place: row c of t_cols holds the
- * addresses of core c's columns (TC_*), t_len[c] its length.
+ * addresses of core c's columns (TC_*), t_len[c] its length; its
+ * TC_ISSUE_GAPS column is its TC_GAPS column at base_cpi 1.0.
  *
  * While run_kernel runs, the loop state sits in its locals: each core's
  * cursor, instruction and access counts, issue key, warm-up, finish and
@@ -282,31 +300,23 @@ typedef int64_t i64;
 /* A packed line word's owner field. */
 #define OWNER(w) (((w) & META_MASK) >> 3)
 
-HOT i64 bus_snoop(Ctx *C, i64 now) {
-    BUMP(C->bcnt, C->bstamp, BU_SNOOPS, 1);
-    BUMP(C->bcnt, C->bstamp, BU_BUSY_CYCLES, C->snoop_cost);
-    BUMP(C->bcnt, C->bstamp, BU_BYTES, 8);
+/* One bus operation at `now`: an address snoop (BU_SNOOPS, snoop_cost,
+ * 8 bytes) or a line transfer (BU_TRANSFERS, line_cost, line_bytes).
+ * Returns its queueing delay when contention is modelled, else 0. */
+HOT i64 bus_op(Ctx *C, i64 now, int counter, i64 cost, i64 bytes) {
+    BUMP(C->bcnt, C->bstamp, counter, 1);
+    BUMP(C->bcnt, C->bstamp, BU_BUSY_CYCLES, cost);
+    BUMP(C->bcnt, C->bstamp, BU_BYTES, bytes);
     if (!C->contention) return 0;
     i64 bu = *C->bus_busy;
     i64 start = bu > now ? bu : now;
     i64 delay = start - now;
-    *C->bus_busy = start + C->snoop_cost;
+    *C->bus_busy = start + cost;
     if (delay) BUMP(C->bcnt, C->bstamp, BU_QUEUE_CYCLES, delay);
     return delay;
 }
-
-HOT i64 bus_transfer(Ctx *C, i64 now) {
-    BUMP(C->bcnt, C->bstamp, BU_TRANSFERS, 1);
-    BUMP(C->bcnt, C->bstamp, BU_BUSY_CYCLES, C->line_cost);
-    BUMP(C->bcnt, C->bstamp, BU_BYTES, C->line_bytes);
-    if (!C->contention) return 0;
-    i64 bu = *C->bus_busy;
-    i64 start = bu > now ? bu : now;
-    i64 delay = start - now;
-    *C->bus_busy = start + C->line_cost;
-    if (delay) BUMP(C->bcnt, C->bstamp, BU_QUEUE_CYCLES, delay);
-    return delay;
-}
+#define SNOOP(now) bus_op(C, now, BU_SNOOPS, C->snoop_cost, 8)
+#define TRANSFER(now) bus_op(C, now, BU_TRANSFERS, C->line_cost, C->line_bytes)
 
 HOT i64 mem_fetch(Ctx *C, i64 addr, i64 now) {
     BUMP(C->dcnt, C->dstamp, DR_READS, 1);
@@ -528,11 +538,14 @@ static int do_fill(Ctx *C, i64 c, i64 set, i64 w, i64 *vw) {
 """
 
 _C_SOURCE += r"""
-static void cc_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
-    i64 *pl = C->peers + owner * C->nper;
-    i64 host = pl[C->pick_buf[C->rs[RS_PICK_POS]++]];
-    bus_snoop(C, now);
-    bus_transfer(C, now);
+/* CC's and DSR's spill once the host is chosen: the victim (vaddr, owned
+ * by vowner) of owner's set goes over the bus (snoop, then transfer) to
+ * MRU of host's set of the same index, and a line that pushes out of there
+ * is disposed of without cascading. */
+static void host_spill(Ctx *C, i64 owner, i64 host, i64 vaddr, i64 vowner,
+                       i64 now) {
+    SNOOP(now);
+    TRANSFER(now);
     i64 hw = 0;
     int ev = do_fill(C, host, vaddr & C->imask,
                      (vaddr << META_BITS) | 2 | (vowner << 3), &hw);
@@ -549,6 +562,15 @@ static void cc_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
     }
 }
 
+/* CC: the host is a random peer, drawn from the pick ring. */
+static void cc_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
+    i64 *pl = C->peers + owner * C->nper;
+    host_spill(C, owner, pl[C->pick_buf[C->rs[RS_PICK_POS]++]], vaddr,
+               vowner, now);
+}
+
+/* DSR: the host is the next receiver peer in round-robin order; with no
+ * receiver the spill is dropped. */
 static void dsr_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
     i64 recv[64];
     i64 nr = 0;
@@ -561,21 +583,7 @@ static void dsr_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 now) {
     if (!nr) { BUMP(oc, os, SL_SPILLS_DROPPED, 1); return; }
     i64 host = recv[C->ms[MS_RR] % nr];
     C->ms[MS_RR]++;
-    bus_snoop(C, now);
-    bus_transfer(C, now);
-    i64 hw = 0;
-    int ev = do_fill(C, host, vaddr & C->imask,
-                     (vaddr << META_BITS) | 2 | (vowner << 3), &hw);
-    i64 *hc = C->slcnt + host * NSL, *hs = C->slstamp + host * NSL;
-    BUMP(oc, os, SL_SPILLS_OUT, 1);
-    BUMP(hc, hs, SL_SPILLS_HOSTED, 1);
-    if (ev) {
-        if (hw & 2) BUMP(hc, hs, SL_CC_EVICTED, 1);
-        else if (hw & 1) {
-            BUMP(hc, hs, SL_WRITEBACKS, 1);
-            wb_deposit(C, host, hw >> META_BITS, now);
-        }
-    }
+    host_spill(C, owner, host, vaddr, vowner, now);
 }
 
 /* SnugCache._dispose_host_victim: a victim (word hw) displaced by hosting
@@ -594,7 +602,7 @@ static void dispose_host_victim(Ctx *C, i64 host, i64 hidx, i64 hw, i64 now) {
 
 static void snug_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 si,
                        i64 now) {
-    bus_snoop(C, now);
+    SNOOP(now);
     i64 flipped = si ^ 1;
     i64 *pl = C->peers + owner * C->nper;
     C->ms[MS_SPILL_RR]++;
@@ -610,7 +618,7 @@ static void snug_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 si,
     }
     i64 *oc = C->slcnt + owner * NSL, *os = C->slstamp + owner * NSL;
     if (cand_peer < 0) { BUMP(oc, os, SL_SPILLS_UNPLACED, 1); return; }
-    bus_transfer(C, now);
+    TRANSFER(now);
     i64 hw = 0;
     i64 w = (vaddr << META_BITS) | 2 | (cand_f ? 4 : 0) | (vowner << 3);
     int ev = do_fill(C, cand_peer, cand_idx, w, &hw);
@@ -779,7 +787,7 @@ i64 run_kernel(const Ctx *in) {
 
     /* The loop state in locals (see the header), one entry per core: at
      * most 64. */
-    const i64 *t_addr[64], *t_gap[64], *t_gapc[64];
+    const i64 *t_addr[64], *t_gap[64], *t_igap[64];
     const uint8_t *t_write[64];
     i64 t_len[64], c_pos[64], c_instr[64], c_acc[64], keys[64];
     i64 c_warm[64], c_fin[64], c_time[64], nx_addr[64], nx_write[64];
@@ -787,7 +795,7 @@ i64 run_kernel(const Ctx *in) {
         const i64 *cols = C->t_cols + i * NTC;
         t_addr[i] = (const i64 *)(intptr_t)cols[TC_ADDRS];
         t_gap[i] = (const i64 *)(intptr_t)cols[TC_GAPS];
-        t_gapc[i] = (const i64 *)(intptr_t)cols[TC_GAP_CYCLES];
+        t_igap[i] = (const i64 *)(intptr_t)cols[TC_ISSUE_GAPS];
         t_write[i] = (const uint8_t *)(intptr_t)cols[TC_WRITES];
         t_len[i] = C->t_len[i];
         c_pos[i] = C->c_pos[i];
@@ -849,7 +857,7 @@ i64 run_kernel(const Ctx *in) {
             i64 la = addr >> cshift, lka = la << META_BITS;
             i64 base, rokey;
             if (bank == cid) { base = C->lat_local; rokey = 0; }
-            else { base = C->lat_remote; rokey = 2; bus_snoop(C, issue); }
+            else { base = C->lat_remote; rokey = 2; SNOOP(issue); }
             i64 *sc = C->slcnt + bank * NSL, *ss = C->slstamp + bank * NSL;
             if (lookup(C, bank * nsets + (la & imask), lka, &m)) {
                 BUMP(sc, ss, SL_HITS, 1);
@@ -919,7 +927,7 @@ i64 run_kernel(const Ctx *in) {
                         BUMP(sc, ss, SL_INTRA_HITS, 1);
                         latency = C->lat_local + stall; okey = 0;
                     } else {
-                        bus_snoop(C, issue);
+                        SNOOP(issue);
                         i64 fidx = -1, fway = -1;
                         i64 fpeer = snug_retrieve(C, cid, si, ka, &fidx,
                                                   &fway);
@@ -929,7 +937,7 @@ i64 run_kernel(const Ctx *in) {
                             i64 *ps = C->slstamp + fpeer * NSL;
                             BUMP(pc, ps, SL_INVALIDATIONS, 1);
                             BUMP(pc, ps, SL_FORWARDS, 1);
-                            i64 delay = bus_transfer(C, issue);
+                            i64 delay = TRANSFER(issue);
                             stall = fill_dispose(C, cid, cid, &m, ka,
                                                  is_write, issue);
                             BUMP(sc, ss, SL_REMOTE_HITS, 1);
@@ -957,7 +965,7 @@ i64 run_kernel(const Ctx *in) {
                     stall = fill_dispose(C, cid, cid, &m, ka, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
-                    bus_snoop(C, issue);
+                    SNOOP(issue);
                     /* Any line of a peer's set answers the probe.  With
                      * disjoint traces a peer's own lines never hold addr,
                      * so a set hosting no line cannot answer. */
@@ -975,7 +983,7 @@ i64 run_kernel(const Ctx *in) {
                         i64 *ps = C->slstamp + fpeer * NSL;
                         BUMP(pc, ps, SL_INVALIDATIONS, 1);
                         BUMP(pc, ps, SL_FORWARDS, 1);
-                        i64 delay = bus_transfer(C, issue);
+                        i64 delay = TRANSFER(issue);
                         stall = fill_dispose(C, cid, cid, &m, ka, is_write,
                                              issue);
                         BUMP(sc, ss, SL_REMOTE_HITS, 1);
@@ -1024,7 +1032,7 @@ i64 run_kernel(const Ctx *in) {
             : cid * nsets + (na & imask);
         __builtin_prefetch(C->line_addr + row * C->assoc);
         __builtin_prefetch(C->occ + row);
-        keys[cid] = ((now2 + t_gapc[cid][pos]) << cshift) | cid;
+        keys[cid] = ((now2 + t_igap[cid][pos]) << cshift) | cid;
     }
 
     for (i64 i = 0; i < ncores; i++) {
@@ -1254,7 +1262,7 @@ def _feed_monitor(monitor, cores, fed_pos, fed_acc, c_pos, c_acc) -> None:
     c_pos, c_acc = c_pos.tolist(), c_acc.tolist()
     for i, core in enumerate(cores):
         count = c_acc[i] - fed_acc[i]
-        pos, n, addrs = fed_pos[i], core._n, core.trace.addrs
+        pos, n, addrs = fed_pos[i], len(core.trace), core.trace.addrs
         while count > 0:
             take = min(_MONITOR_SLICE, n - pos, count)
             monitor.observe_many(i, addrs[pos:pos + take])
@@ -1324,21 +1332,25 @@ def _check_array(label: str, arr: np.ndarray, dtype, need: int,
 def _trace_columns(cores):
     """Slots ``t_len`` and ``t_cols`` for *cores*: each core's trace length,
     and the addresses of its :data:`_TRACE_COLS`, which the kernel reads in
-    place.
+    place; plus the list of those columns, which the caller holds for the
+    run (a scaled issue-gap copy has no other reference).
 
     Every column is checked first, by core and name, as :func:`_bind_arrays`
     checks the slots: it must hold the element type the C side reads, be
     C-contiguous and be as long as its core's trace.
     """
-    t_len = np.array([core._n for core in cores], dtype=np.int64)
+    t_len = np.array([len(core.trace) for core in cores], dtype=np.int64)
     t_cols = np.empty(len(cores) * len(_TRACE_COLS), dtype=np.int64)
+    columns = []
     for i, core in enumerate(cores):
         for j, (name, column, dtype) in enumerate(_TRACE_COLS):
             arr = column(core)
             _check_array(f"C kernel trace column {name!r} of core {i}", arr,
-                         dtype, core._n, "the core's trace length implies")
+                         dtype, len(core.trace),
+                         "the core's trace length implies")
             t_cols[i * len(_TRACE_COLS) + j] = arr.ctypes.data
-    return t_len, t_cols
+            columns.append(arr)
+    return t_len, t_cols, columns
 
 
 def _bind_arrays(ctx: _Ctx, arrays: Dict[str, np.ndarray]) -> None:
@@ -1403,16 +1415,18 @@ def profile_feed(addrs: np.ndarray, mask: int, depth: int, stk: np.ndarray,
                             stk.ctypes.data, lens.ctypes.data, hist.ctypes.data)
 
 
-def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
-               kind: int) -> SimResult:
-    """Run one simulation through the native kernel.
+def run_kernel(system: CmpSystem, target: int, warmup: int,
+               max_events: Optional[int], kind: int) -> SimResult:
+    """Run *system* once through the native kernel, as scheme *kind*.
 
-    The caller has checked :func:`decline_reason` and started the run
-    (:meth:`CmpSystem._start_run`, which gives the event *budget*).  Every
-    live object holds its final state when this returns or raises the
-    budget-exhausted error, exactly as after the reference loop: the caches'
-    lines are built on the first read of their ``sets``.
+    The caller has checked :func:`decline_reason`.  The run starts and ends
+    as the spec's does, with :meth:`CmpSystem._start_run` (which gives the
+    event budget) and :meth:`CmpSystem._finish_run`.  Every live object
+    holds its final state when this returns or raises the budget-exhausted
+    error, exactly as after :meth:`CmpSystem.run`: the caches' lines are
+    built on the first read of their ``sets``.
     """
+    budget = system._start_run(target, warmup, max_events)
     lib = _get_lib()
     from ..schemes.snug import STAGE_IDENTIFY, STAGE_GROUP  # local: no cycle
 
@@ -1448,8 +1462,9 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
         cshift=cshift, cmask=(1 << cshift) - 1,
     )
 
-    # Trace columns: read in place, through each column's address.
-    t_len, t_cols = _trace_columns(cores)
+    # Trace columns: read in place, through each column's address; the
+    # list holds any scaled issue-gap copy until the run ends.
+    t_len, t_cols, trace_columns = _trace_columns(cores)
 
     c_time = np.array([c.time for c in cores], dtype=np.int64)
     c_pos = np.array([c.pos for c in cores], dtype=np.int64)
@@ -1681,19 +1696,9 @@ def run_kernel(system: CmpSystem, target: int, warmup: int, budget: int,
     if rc == _RC.BUDGET:
         raise budget_exhausted_error(budget, cores, finish_at)
 
-    final_now = max(core.time for core in cores)
-    scheme.finalize(final_now)
-    out_l = out_c.tolist()
-    w_out_l = w_out.reshape(ncores, 4).tolist()
-    okeys = _OUT_KEYS
-    return SimResult(
-        scheme=scheme.name,
-        ipc=[core.ipc() for core in cores],
-        instructions=[core.instructions for core in cores],
-        cycles=[core.finish_time or core.time for core in cores],
-        accesses=[core.accesses for core in cores],
-        outcome_counts={okeys[i]: out_l[i] for i in range(4)},
-        stats=scheme.flat_stats(),
-        window_outcomes=[{okeys[i]: row[i] for i in range(4)} for row in w_out_l],
-        window_latency=[int(x) for x in w_lat],
+    del trace_columns
+    return system._finish_run(
+        dict(zip(_OUT_KEYS, out_c.tolist())),
+        [dict(zip(_OUT_KEYS, row)) for row in w_out.reshape(ncores, 4).tolist()],
+        w_lat.tolist(),
     )

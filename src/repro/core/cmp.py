@@ -8,25 +8,33 @@ count; cores that reach the target early *keep running* (their cache
 pressure must not vanish), but their IPC is measured at the crossing point,
 exactly like the paper's fixed-window methodology.
 
-One Python loop
----------------
-:meth:`CmpSystem.run` runs the executable spec,
-:class:`~repro.core.reference.ReferenceCmpSystem`, over the system's
-scheme and traces: it is the loop behind every system the compiled kernel
-declines (:class:`~repro.core.compiled.CompiledCmpSystem` falls back to it
-through ``super().run()``), so a declined run is the spec itself.  The
-kernel's run preamble — sizing checks, each core's measurement window and
-the event budget — is :meth:`CmpSystem._start_run`.
+One system, two executions
+--------------------------
+:meth:`CmpSystem.run` is the executable spec's event loop, stepping the
+system's own :class:`~repro.core.cpu.TraceCore` s through the scheme's
+``access()``.  :class:`~repro.core.compiled.CompiledCmpSystem` steps the
+same system in the C kernel, or falls back to this loop through
+``super().run()`` for a system the kernel declines, so a declined run is
+the spec itself, on the same cores.  Both executions start with
+:meth:`CmpSystem._start_run` (sizing checks, the refusal of a system that
+has already run, each core's measurement window and the event budget)
+and end with :meth:`CmpSystem._finish_run` (``finalize`` and the
+:class:`SimResult`).  The golden snapshots
+(``tests/integration/test_golden_schemes.py``), the conformance suite
+(``tests/integration/test_batch_conformance.py``) and the differential
+property test (``tests/property/test_cpu_properties.py``) hold the kernel
+to this loop at the :class:`SimResult` level, bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..common.config import SystemConfig
 from ..common.errors import SimulationError
-from ..schemes.base import L2Scheme
+from ..schemes.base import L2Scheme, Outcome
 from ..workloads.trace import Trace
 from .cpu import TraceCore
 
@@ -36,9 +44,9 @@ __all__ = ["CmpSystem", "SimResult", "budget_exhausted_error"]
 def budget_exhausted_error(budget: int, cores, finish_at: int) -> SimulationError:
     """The "event budget exhausted" error, with per-core progress attached.
 
-    Shared by every core (reference included) so a stalled run is diagnosable
-    from the message alone: which cores are short of the target, by how
-    much, and how many times each has wrapped its trace.
+    Shared by both executions so a stalled run is diagnosable from the
+    message alone: which cores are short of the target, by how much, and
+    how many times each has wrapped its trace.
     """
     progress = "; ".join(
         f"core {core.core_id}: {core.instructions}/{finish_at} instructions, "
@@ -124,10 +132,12 @@ class SimResult:
 class CmpSystem:
     """Quad-core (or any power-of-two) CMP bound to one L2 scheme.
 
-    :meth:`run` is the reference loop.  The production system is the
-    :class:`~repro.core.compiled.CompiledCmpSystem` subclass, which
+    :meth:`run` is the executable spec's event loop.  The production system
+    is the :class:`~repro.core.compiled.CompiledCmpSystem` subclass, which
     :func:`~repro.experiments.runner.make_system` (``auto``) and
-    :func:`~repro.experiments.runner.run_traces` build.
+    :func:`~repro.experiments.runner.run_traces` build: it steps this same
+    system in the C kernel, or runs this loop for a system the kernel
+    declines.  A system runs once.
     """
 
     def __init__(
@@ -158,12 +168,26 @@ class CmpSystem:
         warmup_instructions: int,
         max_events: int | None,
     ) -> int:
-        """Check the run sizing, open every core's measurement window, and
-        return the event budget — the compiled kernel's run preamble."""
+        """Check the run sizing and that no core has stepped yet, open
+        every core's measurement window, and return the event budget — the
+        preamble of both loops.
+
+        A second run would reopen the windows over state that carries on
+        from the first — the cores' clocks and cursors, the write buffers,
+        DRAM and bus times, the SNUG stage ends — so it is refused before
+        any access.
+        """
         if target_instructions < 1:
             raise SimulationError("target_instructions must be positive")
         if warmup_instructions < 0:
             raise SimulationError("warmup_instructions must be non-negative")
+        for core in self.cores:
+            if core.accesses:
+                raise SimulationError(
+                    f"this system has already run (core {core.core_id} has "
+                    f"stepped {core.accesses} accesses); a CmpSystem runs "
+                    "once, so build a new one for each run"
+                )
         for core in self.cores:
             core.target_instructions = target_instructions
             core.warmup_instructions = warmup_instructions
@@ -178,6 +202,28 @@ class CmpSystem:
             total = target_instructions + warmup_instructions
             budget = int(len(self.cores) * total / mean_gap * 50) + 10_000
         return budget
+
+    def _finish_run(
+        self,
+        outcome_counts: Dict[str, int],
+        window_outcomes: List[Dict[str, int]],
+        window_latency: List[int],
+    ) -> SimResult:
+        """Finalize the scheme at the latest core time and assemble the
+        run's :class:`SimResult` — the result step of both loops."""
+        final_now = max(core.time for core in self.cores)
+        self.scheme.finalize(final_now)
+        return SimResult(
+            scheme=self.scheme.name,
+            ipc=[core.ipc() for core in self.cores],
+            instructions=[core.instructions for core in self.cores],
+            cycles=[core.finish_time or core.time for core in self.cores],
+            accesses=[core.accesses for core in self.cores],
+            outcome_counts=outcome_counts,
+            stats=self.scheme.flat_stats(),
+            window_outcomes=window_outcomes,
+            window_latency=window_latency,
+        )
 
     def run(
         self,
@@ -200,20 +246,42 @@ class CmpSystem:
             Safety valve on total processed accesses (defaults to a generous
             multiple of the expected access count).
 
-        The run is the executable spec's: a
-        :class:`~repro.core.reference.ReferenceCmpSystem` over this
-        system's scheme and traces (imported here, because
-        :mod:`repro.core.reference` imports this module).  It steps its
-        own cores, so this system's :class:`TraceCore` s stay as built;
-        the result carries every per-core figure.
+        This is the seed loop, method dispatch and all: one scheme
+        ``access()`` per event, the cores stepped through
+        :meth:`TraceCore.next_access` and :meth:`TraceCore.complete`.
         """
-        from .reference import ReferenceCmpSystem
+        budget = self._start_run(
+            target_instructions, warmup_instructions, max_events
+        )
+        outcome_counts = {o.value: 0 for o in Outcome}
+        window_outcomes = [{o.value: 0 for o in Outcome} for _ in self.cores]
+        window_latency = [0 for _ in self.cores]
+        heap: List[tuple[int, int]] = [
+            (core.peek_issue_time(), core.core_id) for core in self.cores
+        ]
+        heapq.heapify(heap)
+        remaining = len(self.cores)
 
-        spec = ReferenceCmpSystem(
-            self.config, self.scheme, [core.trace for core in self.cores]
-        )
-        return spec.run(
-            target_instructions,
-            warmup_instructions=warmup_instructions,
-            max_events=max_events,
-        )
+        events = 0
+        while remaining and heap:
+            events += 1
+            if events > budget:
+                raise budget_exhausted_error(
+                    budget, self.cores, warmup_instructions + target_instructions
+                )
+            _, cid = heapq.heappop(heap)
+            core = self.cores[cid]
+            was_done = core.done
+            issue, addr, write = core.next_access()
+            result = self.scheme.access(cid, addr, write, issue)
+            outcome_counts[result.outcome.value] += 1
+            if core.warmed_up and not was_done:
+                window_outcomes[cid][result.outcome.value] += 1
+                window_latency[cid] += result.latency
+            core.complete(issue, result.latency)
+            if core.done and not was_done:
+                remaining -= 1
+            if remaining:
+                heapq.heappush(heap, (core.peek_issue_time(), cid))
+
+        return self._finish_run(outcome_counts, window_outcomes, window_latency)

@@ -1,8 +1,9 @@
 """Compiled simulation core: the native kernel, with the spec as fallback.
 
 :class:`CompiledCmpSystem` is the production system behind
-``--sim-core auto``: a drop-in :class:`~repro.core.cmp.CmpSystem` whose
-``run()`` hands the whole run to the C kernel in
+``--sim-core auto``: a :class:`~repro.core.cmp.CmpSystem` whose ``run()``
+hands the system itself — its scheme and its own
+:class:`~repro.core.cpu.TraceCore` s — to the C kernel in
 :mod:`repro.core._ckernel`: all mutable state (per-set LRU columns,
 write-buffer rings, DRAM/bus occupancy, saturating counters, DSR duels,
 SNUG stage/shadow/latch machinery, per-core cursors) is encoded into flat
@@ -11,17 +12,18 @@ is merged back into the live objects at once; each cache builds its
 lines from the kernel's arrays on the first read of its ``sets``
 (:meth:`~repro.cache.cache.SetAssocCache.defer_sets`), so a run whose
 lines nothing reads never builds them.  The kernel replicates the
-reference semantics term for term —
+spec's semantics term for term —
 stat-counter *first-touch order* included, because ``SimResult.to_dict()``
 round-trips through JSON where dict insertion order is part of
 byte-identity.
 
 This is the one place that decides which loop runs a system.  Each run
-picks the kernel or :meth:`CmpSystem.run` (the reference loop of
-:mod:`repro.core.reference`, the executable spec itself) from what it can
-observe: the exact scheme type, the core count, whether the library is
-available, and whether the caches already hold state.  Each distinct
-fallback reason is announced once per process on stderr::
+picks the kernel or :meth:`CmpSystem.run` (the executable spec itself,
+on the same system) from what it can observe: the exact scheme type, the
+core count, whether the library is available, and whether the caches
+already hold state.  Either way the run starts with
+:meth:`CmpSystem._start_run` and ends with :meth:`CmpSystem._finish_run`.
+Each distinct fallback reason is announced once per process on stderr::
 
     repro.compiled: <reason>; using the reference loop (bit-identical)
 
@@ -99,8 +101,8 @@ def _named_entry(name, fn):
 
 
 def _make_impl(kind):
-    def impl(system, target, warmup, budget):
-        return _ckernel.run_kernel(system, target, warmup, budget, kind)
+    def impl(system, target, warmup, max_events):
+        return _ckernel.run_kernel(system, target, warmup, max_events, kind)
     return impl
 
 
@@ -115,9 +117,9 @@ class CompiledCmpSystem(CmpSystem):
 
     Produces bit-identical :class:`SimResult`\\ s (the conformance suites
     assert term-for-term ``to_dict()`` equality against
-    ``core/reference.py``).  Systems the kernel declines run on the
-    inherited :meth:`CmpSystem.run`, the reference loop, with a one-line
-    notice naming the reason.
+    :meth:`CmpSystem.run`).  Systems the kernel declines run on that
+    inherited loop, over the same cores, with a one-line notice naming the
+    reason.
     """
 
     def run(
@@ -140,9 +142,6 @@ class CompiledCmpSystem(CmpSystem):
                 warmup_instructions=warmup_instructions,
                 max_events=max_events,
             )
-        budget = self._start_run(
-            target_instructions, warmup_instructions, max_events
-        )
         return _ENTRIES[kind](
-            self, target_instructions, warmup_instructions, budget
+            self, target_instructions, warmup_instructions, max_events
         )

@@ -12,24 +12,19 @@ The trace wraps around when exhausted so co-scheduled cores keep exerting
 cache pressure until every core reaches the measurement target — mirroring
 the paper's fixed-cycle detailed-simulation window.
 
-Trace columns
--------------
-A core keeps its trace as NumPy columns plus one pre-scaled gap column,
-``gap_cycles = (trace.gaps * base_cpi).astype(np.int64)``: building a core
-is a single vectorized expression, and the compiled kernel
-(:mod:`repro.core._ckernel`) concatenates these columns straight into its
-input arrays.  That expression truncates the same IEEE product
-``int(gap * base_cpi)`` does, so it is bit-identical to the reference.
-The stepping itself is specified, method by method, by
-:class:`~repro.core.reference.ReferenceTraceCore`, which is also what
-steps the cores of a run the kernel declines.
+One core for both executions
+----------------------------
+:class:`TraceCore` is the stepping spec, method by method: the Python loop
+(:meth:`~repro.core.cmp.CmpSystem.run`) calls :meth:`next_access` and
+:meth:`complete` per access, boxing one NumPy scalar per column.  The
+compiled kernel (:mod:`repro.core._ckernel`) steps the same objects: it
+reads each core's cursors and windows, steps the trace's own NumPy columns
+in place, and writes the cursors back.  A core holds no copy of its trace.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Tuple
 
 from ..workloads.trace import Trace
 
@@ -65,8 +60,6 @@ class TraceCore:
         "warmup_end_time",
         "finish_time",
         "accesses",
-        "gap_cycles",
-        "_n",
     )
 
     def __init__(
@@ -92,16 +85,53 @@ class TraceCore:
         self.warmup_end_time: Optional[int] = None
         self.finish_time: Optional[int] = None
         self.accesses = 0
-        # Issue delay of every record in cycles: the vectorized form of the
-        # reference's per-access `int(gap * base_cpi)`, truncation included.
-        self.gap_cycles = (trace.gaps * base_cpi).astype(np.int64)
-        self._n = len(trace)
 
     # -- trace stepping --------------------------------------------------
 
     def peek_issue_time(self) -> int:
         """Time at which the next L2 access will be issued."""
-        return self.time + int(self.gap_cycles[self.pos])
+        gap = int(self.trace.gaps[self.pos])
+        return self.time + int(gap * self.base_cpi)
+
+    def next_access(self) -> Tuple[int, int, bool]:
+        """Consume the next trace record: its issue time, block address and
+        write flag (the trace wraps at its end)."""
+        gap = int(self.trace.gaps[self.pos])
+        addr = int(self.trace.addrs[self.pos])
+        write = bool(self.trace.writes[self.pos])
+        issue = self.time + int(gap * self.base_cpi)
+        self.instructions += gap
+        self.accesses += 1
+        self.pos += 1
+        if self.pos >= len(self.trace):
+            self.pos = 0
+            self.wraps += 1
+        return issue, addr, write
+
+    def complete(self, issue_time: int, l2_latency: int) -> None:
+        """Retire the access issued at *issue_time*, latching the warm-up
+        end and the finish time when the core crosses them."""
+        self.time = issue_time + self.l1_latency + l2_latency
+        if self.warmup_end_time is None:
+            if self.warmup_instructions == 0:
+                self.warmup_end_time = 0
+            elif self.instructions >= self.warmup_instructions:
+                self.warmup_end_time = self.time
+        if (
+            self.finish_time is None
+            and self.warmup_end_time is not None
+            and self.target_instructions is not None
+            and self.instructions >= self.warmup_instructions + self.target_instructions
+        ):
+            self.finish_time = self.time
+
+    @property
+    def warmed_up(self) -> bool:
+        return self.warmup_end_time is not None
+
+    @property
+    def done(self) -> bool:
+        return self.finish_time is not None
 
     # -- measurement -------------------------------------------------------
 

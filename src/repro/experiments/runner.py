@@ -131,15 +131,14 @@ def make_system(sim_core: str, config: SystemConfig, scheme, traces) -> CmpSyste
     """Instantiate the requested stepping loop over *scheme* and *traces*.
 
     ``auto`` always builds :class:`~repro.core.compiled.CompiledCmpSystem`,
-    whose ``run`` picks the kernel or the reference loop for each run.  The
-    reference core is imported lazily so the common path never pays for it.
+    whose ``run`` picks the kernel or the reference loop for each run;
+    ``reference`` builds its base class, :class:`CmpSystem`, whose ``run``
+    is that loop.
     """
     if sim_core == "auto":
         return CompiledCmpSystem(config, scheme, traces)
     if sim_core == "reference":
-        from ..core.reference import ReferenceCmpSystem
-
-        return ReferenceCmpSystem(config, scheme, traces)  # type: ignore[return-value]
+        return CmpSystem(config, scheme, traces)
     raise ConfigError(
         f"unknown sim_core {sim_core!r}; known: {', '.join(SIM_CORES)}"
     )

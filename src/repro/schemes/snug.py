@@ -33,9 +33,12 @@ Online demand monitors
 ----------------------
 Besides the hardware counters above, a slice's G/T classification can be
 driven by an *attached monitor* (:meth:`SnugCache.attach_monitor`): an
-object that observes every L2 reference during :meth:`CmpSystem.run
-<repro.core.cmp.CmpSystem.run>` and supplies the per-set taker vectors at
-each Stage-I latch.  :class:`OnlineDemandMonitor` streams each slice's
+object that observes every L2 reference of a run and supplies the per-set
+taker vectors at each Stage-I latch.  Both executions of a
+:class:`~repro.core.cmp.CmpSystem` feed it the same stream: its
+:meth:`~repro.core.cmp.CmpSystem.run` reference by reference, and the C
+kernel in per-core runs of the same system's trace columns at each latch
+hand-off.  :class:`OnlineDemandMonitor` streams each slice's
 reference stream through a chunked stack-distance profiler
 (:mod:`repro.cache.stackdist_stream`) and classifies sets by their Formula-3
 ``block_required`` — the Section 2 characterization running *alongside* the

@@ -85,7 +85,7 @@ class Trace:
     def mean_gap(self) -> float:
         """Mean inter-access gap in instructions, computed once per trace.
 
-        The compiled kernel's event-budget guard
+        The event-budget guard of both executions
         (:meth:`repro.core.cmp.CmpSystem._start_run`) reads this on every
         run; caching turns a per-run NumPy reduction into a dict lookup.
         The trace is immutable, so the value can never go stale (stored

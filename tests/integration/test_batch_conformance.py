@@ -2,8 +2,8 @@
 
 The compiled core (:mod:`repro.core.compiled`) steps whole runs through the
 native C kernel, and every system the kernel declines runs on
-:meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`, which is the seed
-loop kept in :mod:`repro.core.reference`.  The kernel must match that loop
+:meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`, the seed loop and
+the executable spec, on the same system.  The kernel must match that loop
 term for term.  This suite holds that contract at the
 ``SimResult.to_dict()`` level — full dict equality, floats with ``==`` —
 across all six schemes, and on the edge paths where the kernel interacts
@@ -39,7 +39,6 @@ from repro.common.errors import SimulationError
 from repro.core import compiled as compiled_core
 from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
-from repro.core.reference import ReferenceCmpSystem
 from repro.experiments import runner
 from repro.schemes.factory import SCHEMES, make_scheme
 from repro.workloads.mixes import build_mix_traces, get_mix
@@ -70,7 +69,7 @@ class TestSchemeEquivalence:
         # Named for the removed batched core; it now holds the production
         # system, as --sim-core auto builds it, to the reference.
         cfg, traces = build()
-        ref = run_core(ReferenceCmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
+        ref = run_core(CmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
         system = runner.make_system(
             "auto", cfg, make_scheme(scheme_name, cfg), list(traces)
         )
@@ -84,7 +83,7 @@ class TestSchemeEquivalence:
         # bank-routed probe, snug the stage/shadow/latch machinery, and
         # snug_intra its local flipped-set retrieval and spill on top.
         cfg, traces = build(scale="small", n_accesses=4_000)
-        ref = run_core(ReferenceCmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
+        ref = run_core(CmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
         out = run_core(core_cls, cfg, scheme_name, traces, 30_000, 5_000)
         assert out == ref
 
@@ -97,7 +96,7 @@ class TestEdgePaths:
                 c, bus=dataclasses.replace(c.bus, model_contention=True)
             )
         )
-        ref = run_core(ReferenceCmpSystem, cfg, "l2s", traces, 20_000, 2_000)
+        ref = run_core(CmpSystem, cfg, "l2s", traces, 20_000, 2_000)
         out = run_core(core_cls, cfg, "l2s", traces, 20_000, 2_000)
         assert out == ref
 
@@ -110,12 +109,13 @@ class TestEdgePaths:
                 dram=dataclasses.replace(c.dram, model_banks=True),
             )
         )
-        ref = run_core(ReferenceCmpSystem, cfg, "cc", traces, 20_000, 2_000)
+        ref = run_core(CmpSystem, cfg, "cc", traces, 20_000, 2_000)
         out = run_core(core_cls, cfg, "cc", traces, 20_000, 2_000)
         assert out == ref
 
-    # CmpSystem pins the fallback's hand-off to the spec: the monitor
-    # attached to the system's scheme must see the reference's stream.
+    # CmpSystem pins the spec against itself on a fresh system, so the
+    # monitor's record is deterministic; CompiledCmpSystem's monitor must
+    # see the same stream through the kernel's latch hand-offs.
     @pytest.mark.parametrize("core_cls", [CmpSystem, CompiledCmpSystem])
     @pytest.mark.parametrize("scheme_name", ["snug", "snug_intra"])
     def test_snug_online_monitor_sees_identical_stream(
@@ -135,7 +135,7 @@ class TestEdgePaths:
             )
         )
         results, monitors = [], []
-        for cls in (ReferenceCmpSystem, core_cls):
+        for cls in (CmpSystem, core_cls):
             scheme = make_scheme(scheme_name, cfg)
             scheme.attach_monitor(OnlineDemandMonitor.from_config(
                 cfg, chunk_accesses=512, record_streams=True
@@ -164,14 +164,14 @@ class TestEdgePaths:
                 c, cc=dataclasses.replace(c.cc, spill_probability=0.35)
             )
         )
-        ref = run_core(ReferenceCmpSystem, cfg, "cc", traces, 30_000, 5_000)
+        ref = run_core(CmpSystem, cfg, "cc", traces, 30_000, 5_000)
         compiled = run_core(CompiledCmpSystem, cfg, "cc", traces, 30_000, 5_000)
         assert compiled == ref
 
     def test_budget_exhausted_message_identical(self):
         cfg, traces = build()
         messages = []
-        for core_cls in (ReferenceCmpSystem, CompiledCmpSystem):
+        for core_cls in (CmpSystem, CompiledCmpSystem):
             scheme = make_scheme("l2p", cfg)
             with pytest.raises(SimulationError) as exc_info:
                 core_cls(cfg, scheme, list(traces)).run(200_000, max_events=5_000)
@@ -266,7 +266,7 @@ class TestInterpretedFallback:
     def _reference_results(self):
         cfg, traces = build()
         return json.loads(json.dumps({
-            name: run_core(ReferenceCmpSystem, cfg, name, traces, 30_000, 5_000)
+            name: run_core(CmpSystem, cfg, name, traces, 30_000, 5_000)
             for name in ALL_SCHEMES
         }))
 

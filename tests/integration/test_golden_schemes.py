@@ -2,26 +2,26 @@
 
 ``tests/data/golden_scheme_<name>_tiny.json`` holds the full
 ``SimResult.to_dict()`` of one fixed tiny-scale run per scheme, captured
-from :class:`repro.core.reference.ReferenceCmpSystem` (the seed loop kept
-verbatim as the conformance oracle).  Unlike the combo-level
+from :class:`repro.core.cmp.CmpSystem` (the seed loop, kept as the
+executable spec and conformance oracle).  Unlike the combo-level
 ``golden_c4_0_tiny.json`` (metrics and IPC only), these snapshots pin the
 *entire* result — outcome tallies, per-core cycles, window metrics, scheme
 stats — and both stepping loops must reproduce them **bit-identically**
-(floats compare with ``==``): the compiled kernel, and ``CmpSystem``,
-whose ``run`` is the reference loop every kernel decline falls back to.
+(floats compare with ``==``): the compiled kernel, and ``CmpSystem.run``,
+the reference loop every kernel decline falls back to.
 
 Regenerate (only with a commit explaining the semantic change)::
 
     PYTHONPATH=src python - <<'PY'
     import json
     from repro.common.config import tiny_config
-    from repro.core.reference import ReferenceCmpSystem
+    from repro.core.cmp import CmpSystem
     from repro.schemes.factory import make_scheme
     from repro.workloads.mixes import get_mix, build_mix_traces
     from tests.integration.test_golden_schemes import GOLDEN_SCHEMES, golden_inputs
     config, traces = golden_inputs()
     for name, kwargs in GOLDEN_SCHEMES.items():
-        res = ReferenceCmpSystem(
+        res = CmpSystem(
             config, make_scheme(name, config, **kwargs), list(traces)
         ).run(50_000, warmup_instructions=30_000)
         with open(f"tests/data/golden_scheme_{name}_tiny.json", "w") as fh:

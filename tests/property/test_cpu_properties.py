@@ -1,17 +1,19 @@
 """Property tests for trace-core warmup/wrap edge cases and the production cores.
 
 The warmup and wrap-around properties drive the stepping spec,
-:class:`~repro.core.reference.ReferenceTraceCore`, over random traces and
-stepping schedules.  The production core — the compiled kernel over the
-cores' NumPy columns, with the reference loop for systems it declines —
-must be *bit-identical* to the seed implementation preserved in
-:mod:`repro.core.reference`; the differential property drives it over
+:class:`~repro.core.cpu.TraceCore`, over random traces and stepping
+schedules.  The production system — the compiled kernel over the cores'
+NumPy columns, with the spec's loop for systems it declines — must be
+*bit-identical* to the spec, :meth:`CmpSystem.run
+<repro.core.cmp.CmpSystem.run>`; the differential property drives it over
 generated system configurations (``base_cpi`` included) and compares
 every observable: the result, the demand monitor's state, and the
 scheme's post-run state down to each resident line.  Tier-1 draws 25
 derandomized systems; ``HYPOTHESIS_PROFILE=deep`` (CI's sanitizer job)
-draws a few hundred, 64- and 128-core systems among them.  One explicit
-case covers index-bit flipping, which the draws do not reach.
+draws a few hundred, 64-core systems (the kernel's limit) among them.
+One explicit case covers index-bit flipping, which the draws do not
+reach.  The kernel's decline of more than 64 cores is covered by
+``tests/unit/test_compiled_core.py`` on short traces.
 """
 
 import os
@@ -31,8 +33,9 @@ from repro.common.config import (
     SystemConfig,
     WriteBufferConfig,
 )
+from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
-from repro.core.reference import ReferenceCmpSystem, ReferenceTraceCore
+from repro.core.cpu import TraceCore
 from repro.schemes.factory import make_scheme
 from repro.schemes.snug import OnlineDemandMonitor
 from repro.workloads.trace import Trace
@@ -41,13 +44,14 @@ from tests.helpers import live_state
 settings.register_profile("deep", max_examples=300, deadline=None,
                           derandomize=True)
 #: The deep profile's draws of the differential test, selected by
-#: ``HYPOTHESIS_PROFILE=deep``.  In about one draw in eleven it also takes
-#: the kernel's 64-core limit or 128 cores (a decline to the reference
-#: loop); each of those costs seconds, as much as tens of small draws.
+#: ``HYPOTHESIS_PROFILE=deep``.  In about one draw in twenty-one it also
+#: takes the kernel's 64-core limit, which costs as much as tens of small
+#: draws.  No draw declines for its core count: on both sides such a draw
+#: would run the spec's loop, comparing it with itself.
 DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "deep"
 DIFFERENTIAL = (settings.get_profile("deep") if DEEP else
                 settings(max_examples=25, deadline=None, derandomize=True))
-CORE_COUNTS = (4, 2, 8, 1) * 5 + (64, 128) if DEEP else (4, 2, 8, 1)
+CORE_COUNTS = (4, 2, 8, 1) * 5 + (64,) if DEEP else (4, 2, 8, 1)
 
 # Small random traces: gaps >= 1, modest addresses, arbitrary write flags.
 trace_rows = st.lists(
@@ -79,7 +83,7 @@ class TestWrapAround:
     @settings(max_examples=60, deadline=None)
     def test_pos_and_wraps_track_consumed_records(self, rows, steps, latency):
         trace = mk_trace(rows)
-        core = ReferenceTraceCore(0, trace)
+        core = TraceCore(0, trace)
         drive(core, steps, latency)
         assert core.pos == steps % len(trace)
         assert core.wraps == steps // len(trace)
@@ -89,7 +93,7 @@ class TestWrapAround:
     @settings(max_examples=40, deadline=None)
     def test_wrapped_replay_repeats_records(self, rows, rounds):
         trace = mk_trace(rows)
-        core = ReferenceTraceCore(0, trace)
+        core = TraceCore(0, trace)
         n = len(trace)
         first, later = [], []
         for i in range(n * rounds):
@@ -103,7 +107,7 @@ class TestWrapAround:
     @settings(max_examples=60, deadline=None)
     def test_instructions_sum_consumed_gaps(self, rows, steps, latency):
         trace = mk_trace(rows)
-        core = ReferenceTraceCore(0, trace)
+        core = TraceCore(0, trace)
         drive(core, steps, latency)
         gaps = list(trace.gaps)
         expected = sum(int(gaps[i % len(gaps)]) for i in range(steps))
@@ -115,7 +119,7 @@ class TestWarmupWindow:
     @settings(max_examples=60, deadline=None)
     def test_no_warmup_window_starts_at_zero(self, rows, target):
         """warmup == 0: the IPC window opens at t=0, before any access."""
-        core = ReferenceTraceCore(0, mk_trace(rows))
+        core = TraceCore(0, mk_trace(rows))
         core.target_instructions = target
         core.warmup_instructions = 0
         issue, _, _ = core.next_access()
@@ -129,7 +133,7 @@ class TestWarmupWindow:
     @settings(max_examples=60, deadline=None)
     def test_warmup_excluded_from_window(self, rows, warmup, target):
         """warmup > 0: the window spans [warmup_end_time, finish_time]."""
-        core = ReferenceTraceCore(0, mk_trace(rows))
+        core = TraceCore(0, mk_trace(rows))
         core.target_instructions = target
         core.warmup_instructions = warmup
         for _ in range(1000):
@@ -147,7 +151,7 @@ class TestWarmupWindow:
         """One big access can cross warmup *and* target: both latch at its
         completion time, giving the minimal window of max(window, 1)."""
         trace = Trace(np.array([100]), np.array([0]), np.array([False]))
-        core = ReferenceTraceCore(0, trace)
+        core = TraceCore(0, trace)
         core.target_instructions = 10
         core.warmup_instructions = 10
         issue, _, _ = core.next_access()  # 100 instructions >= 10 + 10
@@ -161,7 +165,7 @@ class TestWarmupWindow:
     def test_single_access_crossing_property(self, warmup, target):
         gap = warmup + target  # always crosses both on the first access
         trace = Trace(np.array([gap, gap]), np.array([0, 1]), np.array([False, False]))
-        core = ReferenceTraceCore(0, trace)
+        core = TraceCore(0, trace)
         core.target_instructions = target
         core.warmup_instructions = warmup
         issue, _, _ = core.next_access()
@@ -174,7 +178,7 @@ class TestFastPathEquivalence:
     @settings(DIFFERENTIAL)
     def test_cmp_system_matches_reference(self, data):
         """Generated systems, every scheme (the SNUG family with and without
-        an attached monitor): reference and compiled agree on the result,
+        an attached monitor): spec and compiled agree on the result,
         the monitor's latches and demand, the budget-exhausted error text,
         and the scheme's state after the run (:func:`live_state`)."""
         draw = data.draw
@@ -184,13 +188,12 @@ class TestFastPathEquivalence:
         warmup = draw(st.integers(min_value=0, max_value=1_000))
         max_events = draw(st.sampled_from((None, None, None, 25, 250)))
         runs = [(name, None) for name in SCHEMES]
-        if config.num_cores <= 64:  # beyond, both sides run the spec
-            runs += [("snug", chunk), ("snug_intra", chunk)]
+        runs += [("snug", chunk), ("snug_intra", chunk)]
         for scheme_name, monitor_chunk in runs:
             outcomes = [
                 run_generated(cls, config, scheme_name, cc_prob, traces,
                               monitor_chunk, warmup, max_events)
-                for cls in (ReferenceCmpSystem, CompiledCmpSystem)
+                for cls in (CmpSystem, CompiledCmpSystem)
             ]
             assert outcomes[1] == outcomes[0], scheme_name
 
@@ -229,8 +232,9 @@ def system_configs(draw):
             monitor_during_group=draw(st.booleans()),
         ),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
-        # Non-integer CPIs exercise the truncation of the pre-scaled gap
-        # column the compiled kernel reads.
+        # 1.0 has the compiled kernel read each trace's gap column as its
+        # issue gaps; the others give it a scaled copy, and the non-integer
+        # ones exercise that copy's truncation.
         base_cpi=draw(st.sampled_from((1.0, 0.5, 1.37, 2.0, 3.3))),
     )
     return config, cc_prob
@@ -311,7 +315,7 @@ class TestFlippedHosting:
         traces = [trace.rebase(core) for core in range(2)]
         outcomes = [
             run_generated(cls, config, scheme_name, 0.0, traces, None, 0, None)
-            for cls in (ReferenceCmpSystem, CompiledCmpSystem)
+            for cls in (CmpSystem, CompiledCmpSystem)
         ]
         (result, state), _ = outcomes
         for core in range(2):

@@ -5,22 +5,25 @@ Whole-system bit-identicality is pinned by
 this file localizes regressions in the machinery *around* the kernel:
 
 * ``kernel_mode`` names the loop that actually serves the kernel schemes;
-* every system the kernel declines runs on the reference loop
-  bit-identically, with one stderr notice per distinct reason per process;
-  the kernel takes the largest core count (64) and the largest trace
-  address (2**54 - 1) its packed line words hold, and leaves every line
-  (owner included) as the reference loop does;
+* every system the kernel declines runs on the reference loop (the
+  spec's :meth:`CmpSystem.run`, on the same system) bit-identically, with
+  one stderr notice per distinct reason per process; the kernel takes the
+  largest core count (64) and the largest trace address (2**54 - 1) its
+  packed line words hold, and leaves every line (owner included) as the
+  reference loop does;
 * a kernel run never falls back to the reference loop, and matches it;
 * on aliased traces a CC or DSR probe still finds a peer's own line, so
   the kernel skips no peer set there for hosting no line;
 * a kernel run builds no cache line until something reads a cache's
   ``sets``; the first read builds them once, as the reference loop leaves
-  them, and a second run on the same system sees them and falls back;
+  them, and a second run's dispatch sees them;
 * every array slot (and the core count), and every trace column the
   kernel reads in place, is checked by name before the kernel runs, and
   every array of the streaming profiler's C step before that step runs;
+  at ``base_cpi`` 1.0 the issue-gap column is the trace's own ``gaps``;
 * dispatch refuses bad run sizing with the same messages as
-  :class:`~repro.core.cmp.CmpSystem`;
+  :class:`~repro.core.cmp.CmpSystem`, and a second run of a system, under
+  either sim core, before any access;
 * the kernel build is private per builder (a concurrent first build of
   the same revision cannot truncate another builder's compiler input)
   and cached per source, flags and compiler;
@@ -47,7 +50,7 @@ from repro.common.errors import SimulationError
 from repro.core import _ckernel, compiled
 from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem, kernel_mode
-from repro.core.reference import ReferenceCmpSystem
+from repro.experiments.runner import SIM_CORES, make_system
 from repro.schemes.factory import SCHEMES, make_scheme
 from repro.schemes.snug import OnlineDemandMonitor
 from repro.workloads.mixes import build_mix_traces, get_mix
@@ -70,17 +73,18 @@ class TestTierReporting:
         assert kernel_mode() == expected
 
 
-def _run_pair(config, scheme_name, traces, prepare=None, **kwargs):
-    """Run *scheme_name* over *traces* on the compiled and the reference
-    core; return (compiled system, reference system, compiled result,
-    reference result)."""
+def _run_pair(config, scheme_name, traces, prepare=None, target=4_000,
+              warmup=500, **kwargs):
+    """Run *scheme_name* over *traces* on the compiled system and on the
+    spec's :class:`CmpSystem`; return (compiled system, reference system,
+    compiled result, reference result)."""
     systems, results = [], []
-    for cls in (CompiledCmpSystem, ReferenceCmpSystem):
+    for cls in (CompiledCmpSystem, CmpSystem):
         scheme = make_scheme(scheme_name, config, **kwargs)
         if prepare is not None:
             prepare(scheme)
         system = cls(config, scheme, list(traces))
-        results.append(system.run(4_000, warmup_instructions=500).to_dict())
+        results.append(system.run(target, warmup_instructions=warmup).to_dict())
         systems.append(system)
     return (*systems, *results)
 
@@ -98,6 +102,15 @@ def _fallback_run(config, scheme_name, traces, capsys, prepare=None, **kwargs):
                                [t.rebase(i) for i, t in enumerate(traces)],
                                prepare, **kwargs)
     return out, ref, _notices(capsys)
+
+
+def _refuse_fallback(monkeypatch):
+    """Fail the test if a compiled run declines: every decline announces
+    itself before it runs the spec."""
+    def refuse(reason):
+        raise AssertionError(f"the compiled run fell back to the spec: {reason}")
+
+    monkeypatch.setattr(compiled, "_fallback_notice", refuse)
 
 
 def _small_trace(seed=0, n=60):
@@ -146,12 +159,16 @@ class TestFallbackReasons:
         ]
 
     @needs_kernel
-    def test_more_than_64_cores(self, capsys):
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_more_than_64_cores(self, capsys, scheme_name):
+        # Both sides run the spec, so the runs are kept short: 8-record
+        # traces, 200 instructions after a 100-instruction warm-up.
         config = dataclasses.replace(tiny_config(seed=7), num_cores=128)
-        traces = [_small_trace(seed=i, n=8) for i in range(128)]
-        out, ref, notices = _fallback_run(config, "l2p", traces, capsys)
+        traces = [_small_trace(seed=i, n=8).rebase(i) for i in range(128)]
+        _, _, out, ref = _run_pair(config, scheme_name, traces, target=200,
+                                   warmup=100, **_KWARGS.get(scheme_name, {}))
         assert out == ref
-        assert notices == [
+        assert _notices(capsys) == [
             "repro.compiled: 128 cores exceed the C kernel's 64-core limit; "
             "using the reference loop (bit-identical)"
         ]
@@ -275,12 +292,7 @@ class TestKernelRuns:
     def test_runs_in_kernel_and_matches_reference(
         self, monkeypatch, scheme_name, prepare, kwargs
     ):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("the compiled run fell back to the spec")
-
-        # The reference leg runs ReferenceCmpSystem directly; only the
-        # compiled system's fallback goes through CmpSystem.run.
-        monkeypatch.setattr(CmpSystem, "run", refuse)
+        _refuse_fallback(monkeypatch)
         config, _, traces = build(scheme_name)
         # Short SNUG stages, so the monitored run crosses latches.
         config = dataclasses.replace(config, snug=dataclasses.replace(
@@ -305,15 +317,12 @@ class TestAliasedProbes:
     ])
     def test_peer_own_line_is_forwarded(self, monkeypatch, scheme_name,
                                         kwargs):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("the compiled run fell back to the spec")
-
-        monkeypatch.setattr(CmpSystem, "run", refuse)
+        _refuse_fallback(monkeypatch)
         config = tiny_config(seed=7)
         # Not rebased: every core draws from the same 128 addresses.
         traces = [_small_trace(seed=i) for i in range(config.num_cores)]
         outcomes = []
-        for cls in (ReferenceCmpSystem, CompiledCmpSystem):
+        for cls in (CmpSystem, CompiledCmpSystem):
             scheme = make_scheme(scheme_name, config, **kwargs)
             result = cls(config, scheme, list(traces)).run(
                 4_000, warmup_instructions=500).to_dict()
@@ -338,7 +347,8 @@ def _lines(scheme):
 class TestDeferredLines:
     """A kernel run leaves the caches' lines in its arrays: each cache
     builds them on the first read of its ``sets``, once, exactly as the
-    reference loop leaves them, and a second run still sees them."""
+    reference loop leaves them, and a second run's dispatch still sees
+    them before the run is refused."""
 
     @pytest.fixture(autouse=True)
     def _fresh_notices(self, monkeypatch):
@@ -359,7 +369,7 @@ class TestDeferredLines:
         monkeypatch.setattr(_ckernel, "_fill_lines", counting_fill)
         config, _, traces = build(scheme_name)
         systems = []
-        for cls in (CompiledCmpSystem, ReferenceCmpSystem):
+        for cls in (CompiledCmpSystem, CmpSystem):
             scheme = make_scheme(scheme_name, config, **kwargs)
             if prepare is not None:
                 prepare(scheme)
@@ -376,10 +386,9 @@ class TestDeferredLines:
         assert _lines(system.scheme) == lines
         assert [id(sets) for sets in fills] == [id(c.sets) for c in caches]
 
-        system.run(4_000, warmup_instructions=500)
-        notices = [line for line in capsys.readouterr().err.splitlines()
-                   if line.startswith("repro.compiled:")]
-        assert notices == [
+        with pytest.raises(SimulationError, match="already run"):
+            system.run(4_000, warmup_instructions=500)
+        assert _notices(capsys) == [
             "repro.compiled: caches, write buffers or shadow sets already "
             "hold state; using the reference loop (bit-identical)"
         ]
@@ -444,19 +453,43 @@ class TestPointerTableCheck:
 
     @needs_kernel
     @pytest.mark.parametrize("corrupt,message", [
-        (lambda core: setattr(core, "gap_cycles", core.gap_cycles[:-1]),
-         r"trace column 'gap_cycles' of core 1: 999 elements, the core's "
+        (lambda core: _retrace(core, addrs=core.trace.addrs[:-1]),
+         r"trace column 'addrs' of core 1: 999 elements, the core's "
          r"trace length implies at least 1000"),
         (lambda core: _retrace(core,
                                writes=core.trace.writes.astype(np.int64)),
          r"trace column 'writes' of core 1: dtype int64, the kernel reads "
          r"bool"),
-    ], ids=["gap_cycles", "writes"])
+    ], ids=["addrs", "writes"])
     def test_bad_trace_column_is_refused_by_name(self, cc_system, corrupt,
                                                  message):
         corrupt(cc_system.cores[1])
         with pytest.raises(SimulationError, match=message):
             cc_system.run(10_000)
+
+    @needs_kernel
+    def test_gap_columns_are_read_in_place(self, monkeypatch):
+        # At base_cpi 1.0 (every preset's) the issue gaps are the gaps:
+        # both entries of a core's t_cols row are its trace's own column.
+        rows = []
+        real_bind = _ckernel._bind_arrays
+
+        def capture(ctx, arrays):
+            rows.extend(arrays["t_cols"].reshape(ctx.ncores, -1).tolist())
+            return real_bind(ctx, arrays)
+
+        monkeypatch.setattr(_ckernel, "_bind_arrays", capture)
+        config, scheme, traces = build("l2p")
+        assert config.base_cpi == 1.0
+        system = CompiledCmpSystem(config, scheme, traces)
+        system.run(4_000)
+        names = [name for name, _, _ in _ckernel._TRACE_COLS]
+        assert len(rows) == len(system.cores)
+        for core, row in zip(system.cores, rows):
+            cols = dict(zip(names, row))
+            gaps = core.trace.gaps.ctypes.data
+            assert cols["gaps"] == cols["issue_gaps"] == gaps
+            assert cols["addrs"] == core.trace.addrs.ctypes.data
 
     @needs_kernel
     @pytest.mark.parametrize("corrupt,message", [
@@ -544,6 +577,31 @@ class TestDispatchEdges:
             system.run(0)
         with pytest.raises(SimulationError, match="warmup_instructions"):
             system.run(1_000, warmup_instructions=-1)
+
+    @pytest.mark.parametrize("sim_core", SIM_CORES)
+    def test_second_run_is_refused_before_any_access(self, monkeypatch,
+                                                     sim_core):
+        # A second run would restart the cores' windows over a scheme whose
+        # write buffers, DRAM and bus times and SNUG stage ends carry on
+        # from the first run: it is refused, under either core, before the
+        # scheme sees an access or a core moves.
+        monkeypatch.setattr(compiled, "_NOTICED", set())
+        cfg, scheme, traces = build("snug")
+        system = make_system(sim_core, cfg, scheme, traces)
+        system.run(4_000, warmup_instructions=500)
+
+        def access(*_args):
+            raise AssertionError("the second run stepped an access")
+
+        monkeypatch.setattr(scheme, "access", access)
+        cores = [(c.time, c.pos, c.accesses, c.instructions, c.finish_time)
+                 for c in system.cores]
+        with pytest.raises(SimulationError,
+                           match=r"already run \(core 0 has stepped \d+ "
+                                 r"accesses\)"):
+            system.run(4_000, warmup_instructions=500)
+        assert [(c.time, c.pos, c.accesses, c.instructions, c.finish_time)
+                for c in system.cores] == cores
 
 
 class TestProfileLabeling:

@@ -1,18 +1,15 @@
 """Unit tests for trace-core stepping.
 
-The stepping methods (``next_access``/``complete``/``done``) are specified
-by :class:`~repro.core.reference.ReferenceTraceCore`, which these tests
-drive; the production :class:`~repro.core.cpu.TraceCore` is stepped by the
-compiled kernel and is held to the reference at the ``SimResult`` level
-by the property, golden and conformance suites.  Construction and the
-issue-time peek are checked on both.
+The stepping methods (``next_access``/``complete``/``done``) of
+:class:`~repro.core.cpu.TraceCore` are the spec, which these tests drive;
+the compiled kernel steps the same cores and is held to them at the
+``SimResult`` level by the property, golden and conformance suites.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.cpu import TraceCore
-from repro.core.reference import ReferenceTraceCore
 from repro.workloads.trace import Trace
 
 
@@ -27,7 +24,7 @@ def mk_trace(gaps, addrs=None):
 
 class TestStepping:
     def test_issue_time_includes_gap(self):
-        core = ReferenceTraceCore(
+        core = TraceCore(
             0, mk_trace([10, 5]), base_cpi=1.0, l1_latency=1
         )
         assert core.peek_issue_time() == 10
@@ -37,12 +34,11 @@ class TestStepping:
         assert core.time == 10 + 1 + 100
 
     def test_cpi_scales_gap(self):
-        for cls in (TraceCore, ReferenceTraceCore):
-            core = cls(0, mk_trace([10]), base_cpi=2.0, l1_latency=1)
-            assert core.peek_issue_time() == 20
+        core = TraceCore(0, mk_trace([10]), base_cpi=2.0, l1_latency=1)
+        assert core.peek_issue_time() == 20
 
     def test_trace_wraps(self):
-        core = ReferenceTraceCore(0, mk_trace([1, 1]))
+        core = TraceCore(0, mk_trace([1, 1]))
         for _ in range(5):
             issue, _, _ = core.next_access()
             core.complete(issue, 0)
@@ -50,14 +46,13 @@ class TestStepping:
         assert core.accesses == 5
 
     def test_empty_trace_rejected(self):
-        for cls in (TraceCore, ReferenceTraceCore):
-            with pytest.raises(ValueError):
-                cls(0, mk_trace([]))  # TraceError first, actually
+        with pytest.raises(ValueError):
+            TraceCore(0, mk_trace([]))  # TraceError first, actually
 
 
 class TestMeasurement:
     def test_finish_crossing(self):
-        core = ReferenceTraceCore(0, mk_trace([10, 10, 10]))
+        core = TraceCore(0, mk_trace([10, 10, 10]))
         core.target_instructions = 25
         while not core.done:
             issue, _, _ = core.next_access()
@@ -66,7 +61,7 @@ class TestMeasurement:
         assert core.finish_time == core.time
 
     def test_ipc_over_window(self):
-        core = ReferenceTraceCore(0, mk_trace([10]))
+        core = TraceCore(0, mk_trace([10]))
         core.target_instructions = 30
         while not core.done:
             issue, _, _ = core.next_access()
@@ -74,7 +69,7 @@ class TestMeasurement:
         assert core.ipc() == pytest.approx(30 / 45)
 
     def test_warmup_excluded_from_ipc(self):
-        core = ReferenceTraceCore(0, mk_trace([10]))
+        core = TraceCore(0, mk_trace([10]))
         core.target_instructions = 30
         core.warmup_instructions = 20
         while not core.done:
@@ -87,7 +82,7 @@ class TestMeasurement:
         assert core.ipc() == pytest.approx(30 / 45)
 
     def test_running_ipc_before_done(self):
-        core = ReferenceTraceCore(0, mk_trace([10]))
+        core = TraceCore(0, mk_trace([10]))
         issue, _, _ = core.next_access()
         core.complete(issue, 9)
         assert core.ipc() == pytest.approx(10 / 20)

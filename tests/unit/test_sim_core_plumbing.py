@@ -29,9 +29,8 @@ import pytest
 from repro.common.config import tiny_config
 from repro.common.errors import ConfigError
 from repro.core import _ckernel, compiled
-from repro.core.cmp import SimResult
+from repro.core.cmp import CmpSystem, SimResult
 from repro.core.compiled import CompiledCmpSystem
-from repro.core.reference import ReferenceCmpSystem
 from repro.experiments.runner import (
     SIM_CORES,
     RunPlan,
@@ -159,7 +158,7 @@ class TestAutoSelectionTable:
         results = [
             cls(config, _OutOfTreeSnug(config), list(traces))
             .run(10_000, warmup_instructions=1_000).to_dict()
-            for cls in (CompiledCmpSystem, ReferenceCmpSystem)
+            for cls in (CompiledCmpSystem, CmpSystem)
         ]
         assert results[0] == results[1]
         assert _notices(capsys) == [
@@ -187,7 +186,7 @@ class TestDispatch:
         from repro.schemes.l2p import PrivateL2
 
         config, traces = _mix_traces()
-        expected = {"auto": CompiledCmpSystem, "reference": ReferenceCmpSystem}
+        expected = {"auto": CompiledCmpSystem, "reference": CmpSystem}
         assert set(expected) == set(SIM_CORES)
         for name, cls in expected.items():
             system = make_system(name, config, PrivateL2(config), list(traces))
