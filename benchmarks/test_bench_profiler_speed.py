@@ -1,13 +1,17 @@
-"""Bench PROFILER: vectorized stack-distance kernel vs the Mattson spec.
+"""Bench PROFILER: the production stack-distance profiler vs the Mattson spec.
 
 A survey-scale profiling run (the Section 2 characterization workload) over
 three demand shapes — ammp (Figure 1, bimodal), vortex (Figure 2, phased)
-and applu (Figure 3, streaming) — timing
-:func:`repro.cache.stackdist_fast.profile_stream` against the per-access
-:class:`repro.cache.stackdist.StackDistanceProfiler` it replaces.  The two
-must agree bit-for-bit on every per-interval histogram and derived
-``block_required``; the kernel must clear the >= 3x speedup it was merged
-for.  Measurements are persisted to ``BENCH_profiler.json``.
+and applu (Figure 3, streaming) — timing the path ``characterize_trace``
+takes, :func:`repro.cache.stackdist_stream.profile_chunks` over
+:data:`~repro.analysis.demand.DEFAULT_STREAM_CHUNK`-address views of the
+trace with the C step, against the per-access
+:class:`repro.cache.stackdist.StackDistanceProfiler`.  The two must agree
+bit-for-bit on every per-interval histogram and derived
+``block_required``; the profiler must clear a >= 3x speedup.  Without the
+kernel library the bench is skipped: it times the production path, not the
+Python fallback.  Measurements are persisted to ``BENCH_profiler.json``
+(the ``fast_*`` keys time the profiler).
 """
 
 import math
@@ -16,8 +20,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.demand import DEFAULT_STREAM_CHUNK
 from repro.cache.stackdist import StackDistanceProfiler
-from repro.cache.stackdist_fast import profile_stream
+from repro.cache.stackdist_stream import profile_chunks
+from repro.core import _ckernel
 from repro.workloads.spec2000 import make_benchmark_trace
 
 PROGRAMS = ("ammp", "vortex", "applu")
@@ -48,6 +54,9 @@ def _best_of(fn, repeats: int = 3):
 
 @pytest.mark.benchmark(group="profiler")
 def test_profiler_speedup(scale, bench_json, relax_timing):
+    if not _ckernel.lib_available():
+        pytest.skip(f"C kernel library unavailable ({_ckernel.reason()}): "
+                    "the bench times the profiler's C step")
     num_sets = scale.char_sets
     interval_accesses = scale.char_interval_accesses
     n = scale.char_intervals * interval_accesses
@@ -59,8 +68,10 @@ def test_profiler_speedup(scale, bench_json, relax_timing):
         t0 = time.perf_counter()
         ref_hist, ref_required = _reference_profile(addrs, num_sets, DEPTH, interval_accesses)
         ref_s = time.perf_counter() - t0
+        views = [addrs[i : i + DEFAULT_STREAM_CHUNK]
+                 for i in range(0, n, DEFAULT_STREAM_CHUNK)]
         fast_s, profile = _best_of(
-            lambda: profile_stream(addrs, num_sets, DEPTH, interval_accesses)
+            lambda: profile_chunks(views, num_sets, DEPTH, interval_accesses)
         )
         assert (profile.hist == ref_hist).all(), f"{name}: histograms diverge"
         assert (profile.block_required() == ref_required).all(), name

@@ -13,6 +13,14 @@ buckets; ``size_bucket_j(I)`` — Formula (5) — is the fraction of sets whose
 demand falls in bucket ``j`` during interval ``I``.  The resulting
 ``(intervals x M)`` matrix is exactly what Figures 1–3 plot as stacked
 distributions.
+
+Both entry points profile through the chunked
+:class:`~repro.cache.stackdist_stream.StreamingProfiler` (its C step when
+the kernel library is loaded, its Python step otherwise):
+:func:`characterize_stream` over any iterable of address chunks, and
+:func:`characterize_trace` over an in-memory trace's address column, in
+:data:`DEFAULT_STREAM_CHUNK`-address views.  Either way the result is the
+per-access Mattson spec's (:mod:`repro.cache.stackdist`), bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +30,6 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from ..cache.stackdist import StackDistanceProfiler
-from ..cache.stackdist_fast import profile_stream
 from ..cache.stackdist_stream import StreamingProfiler
 from ..common.bitops import is_pow2
 from ..common.errors import ConfigError
@@ -36,7 +42,13 @@ __all__ = [
     "characterize_trace",
     "characterize_stream",
     "iter_addr_chunks",
+    "DEFAULT_STREAM_CHUNK",
 ]
+
+#: Default streaming chunk: 64 K addresses (512 KB resident) — small enough
+#: to keep the paper-scale working set trivial, large enough to amortize the
+#: per-chunk profiler calls.
+DEFAULT_STREAM_CHUNK = 1 << 16
 
 
 def bucket_bounds(a_threshold: int, m: int) -> List[tuple[int, int]]:
@@ -134,7 +146,6 @@ def characterize_trace(
     m: int = 8,
     interval_accesses: int = 2000,
     max_intervals: int | None = None,
-    kernel: str = "fast",
 ) -> DemandDistribution:
     """Run the Section 2.2 characterization over *trace*.
 
@@ -152,45 +163,20 @@ def characterize_trace(
         Sampling interval length in L2 accesses (100 K in the paper).
     max_intervals:
         Optional cap on the number of intervals processed.
-    kernel:
-        ``"fast"`` (default) profiles through the vectorized
-        :func:`~repro.cache.stackdist_fast.profile_stream`; ``"reference"``
-        drives the per-access Mattson stacks of
-        :mod:`repro.cache.stackdist`.  Both produce bit-identical results
-        (asserted by the property and benchmark suites) — the reference
-        path is the executable spec, kept for cross-checking.
+
+    The trace's address column is fed to :func:`characterize_stream` in
+    :data:`DEFAULT_STREAM_CHUNK`-address views (:func:`iter_addr_chunks`),
+    so the profiler holds one chunk's work at a time and only the
+    ``(intervals, num_sets)`` demand matrix grows with the trace.
     """
-    bucket_bounds(a_threshold, m)  # validates the pair
-    if interval_accesses < 1:
-        raise ConfigError("interval_accesses must be positive")
-    if kernel not in ("fast", "reference"):
-        raise ConfigError(f"unknown profiling kernel {kernel!r}")
-    addrs = trace.addrs
-    n_intervals = len(addrs) // interval_accesses
-    if max_intervals is not None:
-        n_intervals = min(n_intervals, max_intervals)
-    if n_intervals < 1:
-        raise ConfigError("trace too short for even one sampling interval")
-
-    if kernel == "fast":
-        profile = profile_stream(
-            addrs, num_sets, a_threshold, interval_accesses, max_intervals=n_intervals
-        )
-        demand = profile.block_required()
-    else:
-        profiler = StackDistanceProfiler(num_sets, a_threshold)
-        demand = np.empty((n_intervals, num_sets), dtype=np.int64)
-        for i in range(n_intervals):
-            chunk = addrs[i * interval_accesses : (i + 1) * interval_accesses]
-            profiler.reference_many(chunk)
-            demand[i] = profiler.end_interval()
-
-    return DemandDistribution(
+    return characterize_stream(
+        iter_addr_chunks(trace, DEFAULT_STREAM_CHUNK),
+        num_sets,
         name=trace.name,
         a_threshold=a_threshold,
         m=m,
-        sizes=_bucket_sizes(demand, a_threshold, m),
-        demand=demand,
+        interval_accesses=interval_accesses,
+        max_intervals=max_intervals,
     )
 
 
@@ -234,7 +220,7 @@ def characterize_stream(
 ) -> DemandDistribution:
     """Run the Section 2.2 characterization over a *chunked* address stream.
 
-    The streaming counterpart of :func:`characterize_trace`: *chunks* is any
+    The general form of :func:`characterize_trace`: *chunks* is any
     iterable of block-address arrays (a generator reading a trace-cache
     entry off disk, :func:`iter_addr_chunks` over an in-memory trace, a
     simulation co-run's tap, ...), consumed strictly one chunk at a time.
@@ -242,8 +228,9 @@ def characterize_stream(
     the growing ``(intervals, num_sets)`` demand matrix — the output itself
     — so paper-scale traces never have to exist in memory as a whole.
 
-    The result is bit-identical to :func:`characterize_trace` with
-    ``kernel="fast"`` on the concatenated stream (asserted by the unit and
+    The result is bit-identical to the per-access Mattson spec
+    (:class:`~repro.cache.stackdist.StackDistanceProfiler`) on the
+    concatenated stream, whatever the chunking (asserted by the unit and
     property suites); iteration stops early once *max_intervals* intervals
     are complete.
     """

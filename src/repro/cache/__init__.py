@@ -6,8 +6,12 @@ from .lruset import LruSet
 from .satcounter import DemandMonitorCounter, SaturatingCounter
 from .shadowset import ShadowSet
 from .stackdist import StackDistanceProfiler, StackDistanceSet
-from .stackdist_fast import DemandProfile, profile_stream, stack_distances
-from .stackdist_stream import StreamingProfiler, concat_profiles, profile_chunks
+from .stackdist_stream import (
+    DemandProfile,
+    StreamingProfiler,
+    concat_profiles,
+    profile_chunks,
+)
 
 __all__ = [
     "CacheLine",
@@ -19,8 +23,6 @@ __all__ = [
     "StackDistanceProfiler",
     "StackDistanceSet",
     "DemandProfile",
-    "profile_stream",
-    "stack_distances",
     "StreamingProfiler",
     "concat_profiles",
     "profile_chunks",

@@ -14,10 +14,11 @@ had no hits at all, since one block is the minimum a set can own).
 
 This module is the *executable spec* of the profiling pipeline: a literal
 per-access stack walk, kept deliberately simple.  Production callers go
-through :mod:`repro.cache.stackdist_fast`, which computes bit-identical
-per-interval histograms for a whole stream in vectorized NumPy passes (the
-same spec/fast-path split as :meth:`repro.core.cmp.CmpSystem.run` vs
-:mod:`repro.core.compiled`).
+through :mod:`repro.cache.stackdist_stream`, which walks the same stacks,
+bounded at ``depth``, over chunks of the stream: in C when the kernel
+library is loaded, in Python otherwise (the same spec/production split as
+:meth:`repro.core.cmp.CmpSystem.run` vs :mod:`repro.core.compiled`).  The
+test suites hold both of its steps to this module, bit for bit.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
-"""Chunked/incremental LRU stack-distance profiling (the streaming path).
+"""Chunked/incremental LRU stack-distance profiling (the production profiler).
 
-:func:`~repro.cache.stackdist_fast.profile_stream` needs the whole reference
-stream in memory at once — fine for a survey-scale run, a real constraint at
-paper scale (1024 sets x 100 K-access intervals x 1000 intervals) and a
-non-starter for profiling *while a stream is still being produced* (trace
-generators, simulation co-runs, chunk-streamed trace-cache entries).  This
-module computes the *same* per-interval, per-set hit-position histograms one
-bounded chunk at a time: memory is ``O(chunk + num_sets * depth)``,
-independent of total trace length, and the emitted
-:class:`~repro.cache.stackdist_fast.DemandProfile` slices are bit-identical
-to the batch kernel on the concatenated stream (the batch kernel stays the
-oracle in the property suite).
+:mod:`repro.cache.stackdist` is the executable spec: a per-access Mattson
+LRU stack per set.  This module computes the *same* per-interval, per-set
+hit-position histograms one bounded chunk at a time: memory is
+``O(chunk + num_sets * depth)``, independent of total trace length, so it
+serves the Section 2 characterization (Figures 1-3 and the 26-program
+survey, at paper scale included), SNUG's online demand monitors and
+chunk-streamed trace-cache entries alike.  The emitted
+:class:`DemandProfile` slices are bit-identical to the spec's histograms on
+the concatenated stream (the spec is the oracle in the property suites).
 
 Why a bounded carry suffices
 ----------------------------
@@ -23,76 +21,87 @@ each set's bounded stack (at most ``depth`` addresses, MRU first), held in
 two arrays: ``stk`` (one ``depth``-wide row per set) and ``lens`` (each
 row's live entries).
 
-The step: bounded LRU stacks in C
----------------------------------
-When the compiled kernel library is loaded
-(:func:`repro.core._ckernel.lib_available`), each chunk is stepped through
-those stacks by the library's ``profile_feed``
-(:func:`repro.core._ckernel.profile_feed`): each address is looked up in
-its set's row, MRU first; a hit at position ``p`` bumps bin ``p`` of that
-set's histogram; hit or miss, the address moves to the front, and a miss on
-a full row drops the LRU entry.  That is the per-access Mattson stack of
-:mod:`repro.cache.stackdist` cut off at ``depth`` — exact, by the argument
-above — at ``O(depth)`` work per reference and no allocation.  In
-fixed-interval mode each chunk is cut at interval boundaries, so every
-piece is stepped into its own interval's histogram.
+The step: one walk, two executions
+----------------------------------
+Each chunk is stepped through those stacks, one reference at a time: the
+address is looked up in its set's row, MRU first; a hit at position ``p``
+bumps bin ``p`` of that set's histogram; hit or miss, the address moves to
+the front, and a miss on a full row drops the LRU entry.  That is
+:meth:`~repro.cache.stackdist.StackDistanceSet.reference` cut off at
+``depth`` — exact, by the argument above.  When the compiled kernel
+library is loaded (:func:`repro.core._ckernel.lib_available`) the step is
+the library's ``profile_feed`` (:func:`repro.core._ckernel.profile_feed`,
+``O(depth)`` work per reference and no allocation); without it
+(``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build) it is
+:func:`_profile_feed_py`, the same walk in Python over the same arrays.
 
-Without the library: replaying the carry as a prefix
-----------------------------------------------------
-Without the library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed
-build), each chunk is profiled by the vectorized batch kernel instead, by
-**replaying the carry as a synthetic prefix**: the carried stack of every
-set touched by the chunk is read from ``stk`` in LRU→MRU order, prepended,
-and the batch kernel runs over ``prefix + chunk``.
-
-* A prefix reference is the first occurrence of its address in the combined
-  array, so the kernel scores it as a cold miss — it contributes nothing to
-  the histograms.
-* A chunk reference whose previous occurrence lies in the chunk sees exactly
-  the window it would see in the full stream.
-* A chunk reference whose previous occurrence is older sees its address at
-  stack position ``p`` in the carry iff ``p - 1`` distinct addresses were
-  referenced since — and those are precisely the prefix entries replayed
-  *after* it, so the kernel's window count again matches the full-stream
-  distance.
-* An address absent from the carry had (at least) ``depth`` distinct
-  addresses referenced since its last occurrence: distance ``> depth`` in
-  the full stream, cold miss in the replay — identical histogram either way.
-
-The touched sets' new stacks are then read off ``prefix + chunk`` and
-written back into ``stk`` and ``lens``, and the chunk's hits are tallied
-into intervals in one pass.
-
-Two interval disciplines share the machinery: **fixed intervals** (an
-interval closes every ``interval_accesses`` references, as in
-:func:`~repro.cache.stackdist_fast.profile_stream`; completed slices are
-returned from :meth:`StreamingProfiler.feed` as they fill) and **caller-cut
-intervals** (:meth:`StreamingProfiler.cut` closes an interval on demand —
-SNUG's online demand monitors cut at Stage-I epoch boundaries).
+Two interval disciplines share the step: **fixed intervals** (an interval
+closes every ``interval_accesses`` references, and the spec never profiles
+a trailing partial interval; each chunk is cut at interval boundaries, and
+completed slices are returned from :meth:`StreamingProfiler.feed` as they
+fill) and **caller-cut intervals** (:meth:`StreamingProfiler.cut` closes an
+interval on demand — SNUG's online demand monitors cut at Stage-I epoch
+boundaries).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from ..common.bitops import is_pow2
-from .stackdist_fast import DemandProfile, stack_distances
 
 __all__ = [
+    "DemandProfile",
     "StreamingProfiler",
     "concat_profiles",
     "profile_chunks",
 ]
 
 
+@dataclass(frozen=True)
+class DemandProfile:
+    """Per-interval, per-set hit-position histograms of one stream.
+
+    ``hist[i, s, p]`` counts interval *i*'s hits of set *s* at LRU position
+    ``p + 1`` — the same tallies :class:`~repro.cache.stackdist`'s
+    ``StackDistanceSet.hist`` accumulates, for every interval at once.
+    """
+
+    hist: np.ndarray  # (intervals, num_sets, depth) int64
+
+    @property
+    def intervals(self) -> int:
+        return self.hist.shape[0]
+
+    @property
+    def num_sets(self) -> int:
+        return self.hist.shape[1]
+
+    @property
+    def depth(self) -> int:
+        return self.hist.shape[2]
+
+    def block_required(self) -> np.ndarray:
+        """Formula 3 per (interval, set): deepest hit position, min 1."""
+        hits = self.hist > 0
+        any_hit = hits.any(axis=2)
+        deepest = self.depth - 1 - hits[:, :, ::-1].argmax(axis=2)
+        return np.where(any_hit, deepest + 1, 1).astype(np.int64)
+
+    def hit_counts(self, assoc: int) -> np.ndarray:
+        """``hit_count(S, I, assoc)`` per (interval, set)."""
+        return self.hist[:, :, : min(assoc, self.depth)].sum(axis=2)
+
+
 def concat_profiles(profiles: Sequence[DemandProfile]) -> DemandProfile:
     """Concatenate per-interval slices into one :class:`DemandProfile`.
 
     All slices must agree on ``(num_sets, depth)``; empty slices are
-    dropped.  ``concat_profiles(streaming slices)`` equals the batch profile
-    of the concatenated stream — the equivalence the property suite pins.
+    dropped.  ``concat_profiles(streaming slices)`` equals the profile of
+    the concatenated stream — the equivalence the property suite pins.
     """
     kept = [p.hist for p in profiles if p.intervals]
     if not kept:
@@ -103,6 +112,36 @@ def concat_profiles(profiles: Sequence[DemandProfile]) -> DemandProfile:
     if len(shapes) > 1:
         raise ValueError(f"profiles disagree on (num_sets, depth): {sorted(shapes)}")
     return DemandProfile(hist=np.concatenate(kept, axis=0))
+
+
+def _profile_feed_py(addrs: np.ndarray, mask: int, depth: int, stk: np.ndarray,
+                     lens: np.ndarray, hist: np.ndarray) -> None:
+    """The Python step: :func:`repro.core._ckernel.profile_feed`'s
+    signature and effect, for when the kernel library is not loaded.
+
+    Each touched set's row is read into a list, MRU first, and walked as
+    :meth:`~repro.cache.stackdist.StackDistanceSet.reference` walks its
+    stack; the rows go back into *stk* and *lens*, and the hits into
+    *hist*, at the end.
+    """
+    rows = {}
+    hits = []
+    for a in addrs.tolist():
+        s = a & mask
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = stk[s * depth : s * depth + lens[s]].tolist()
+        if a in row:
+            p = row.index(a)
+            del row[p]
+            hits.append(s * depth + p)
+        elif len(row) >= depth:
+            row.pop()
+        row.insert(0, a)
+    for s, row in rows.items():
+        stk[s * depth : s * depth + len(row)] = row
+        lens[s] = len(row)
+    np.add.at(hist.reshape(-1), hits, 1)
 
 
 class StreamingProfiler:
@@ -116,9 +155,8 @@ class StreamingProfiler:
         ``A_threshold`` — histogram depth per set.
     interval_accesses:
         Fixed-interval mode: close an interval every this many references
-        (:meth:`feed` returns completed slices, a trailing partial interval
-        is never emitted — matching
-        :func:`~repro.cache.stackdist_fast.profile_stream`).  ``None``
+        (:meth:`feed` returns completed slices; a trailing partial interval
+        is never emitted, as the spec never profiles one).  ``None``
         selects caller-cut mode: all hits accumulate until :meth:`cut`.
     max_intervals:
         Fixed-interval mode only: stop emitting (and profiling) after this
@@ -198,16 +236,15 @@ class StreamingProfiler:
         # Imported here: repro.core imports schemes.snug, which imports us.
         from ..core import _ckernel
 
-        if _ckernel.lib_available():
-            out = self._step(addrs, _ckernel.profile_feed)
-        else:
-            out = self._replay(addrs)
+        step = _ckernel.profile_feed if _ckernel.lib_available() else _profile_feed_py
+        out = self._step(addrs, step)
         self._consumed += n
         return out
 
     def _step(self, addrs: np.ndarray, profile_feed) -> DemandProfile:
-        """Step the carried stacks over the chunk in C (*profile_feed*),
-        closing fixed intervals at their boundaries."""
+        """Step the carried stacks over the chunk with *profile_feed* (the
+        C step or the Python step), closing fixed intervals at their
+        boundaries."""
         carry = (self._mask, self.depth, self._stk, self._lens)
         ia = self.interval_accesses
         if ia is None:
@@ -224,80 +261,6 @@ class StreamingProfiler:
                 self._open_hist = np.zeros((self.num_sets, self.depth), dtype=np.int64)
                 self._emitted += 1
         return DemandProfile(hist=np.stack(closed)) if closed else self._empty()
-
-    def _replay(self, addrs: np.ndarray) -> DemandProfile:
-        """Profile the chunk with the batch kernel, the touched sets'
-        carried stacks replayed as a cold prefix (the no-library path)."""
-        depth = self.depth
-        touched = np.unique(addrs & self._mask)
-        lens = self._lens[touched]
-        # Each touched set's live row, read back to front (LRU first).
-        last = np.repeat(touched * depth + lens - 1, lens)
-        back = np.arange(last.size) - np.repeat(np.cumsum(lens) - lens, lens)
-        prefix = self._stk[last - back]
-        combined = np.concatenate([prefix, addrs])
-        dist = stack_distances(combined, self.num_sets)[prefix.size :]
-
-        out = self._tally(addrs, dist)
-        self._store_stacks(combined, touched)
-        return out
-
-    def _tally(self, addrs: np.ndarray, dist: np.ndarray) -> DemandProfile:
-        """Fold the chunk's hits into interval histograms; emit full ones."""
-        depth = self.depth
-        hit = (dist >= 1) & (dist <= depth)
-        sets = (addrs & self._mask)[hit]
-        pos = dist[hit] - 1
-        ia = self.interval_accesses
-        if ia is None:
-            # Caller-cut mode: everything lands in the single open interval.
-            np.add.at(self._open_hist, (sets, pos), 1)
-            return self._empty()
-
-        n = addrs.size
-        start, end = self._consumed, self._consumed + n
-        first = start // ia
-        n_local = (end - 1) // ia - first + 1
-        rel = np.arange(start, end, dtype=np.int64)[hit] // ia - first
-        keys = (rel * self.num_sets + sets) * depth + pos
-        local = np.bincount(keys, minlength=n_local * self.num_sets * depth)
-        local = local.astype(np.int64).reshape(n_local, self.num_sets, depth)
-        local[0] += self._open_hist
-
-        complete = end // ia - first
-        if self.max_intervals is not None:
-            complete = min(complete, self.max_intervals - self._emitted)
-        emitted = local[:complete]
-        self._emitted += complete
-        self._open_hist = (
-            local[complete].copy()
-            if complete < n_local
-            else np.zeros((self.num_sets, depth), dtype=np.int64)
-        )
-        return DemandProfile(hist=emitted.copy())
-
-    def _store_stacks(self, combined: np.ndarray, touched: np.ndarray) -> None:
-        """Write the touched sets' new bounded stacks, from ``prefix +
-        chunk``, into the carry.
-
-        A set's new stack is its ``depth`` most-recently-used distinct
-        addresses — computed in one pass: last occurrence of every distinct
-        address (first occurrence in the reversed array), grouped by set,
-        most recent first.  Every distinct address lies in a touched set,
-        and every touched set has one.
-        """
-        depth = self.depth
-        rev = combined[::-1]
-        uniq, first_rev = np.unique(rev, return_index=True)
-        order = np.lexsort((first_rev, uniq & self._mask))
-        uniq = uniq[order]
-        uniq_sets = uniq & self._mask
-        starts = np.searchsorted(uniq_sets, touched, side="left")
-        counts = np.diff(np.append(starts, uniq.size))
-        rank = np.arange(uniq.size) - np.repeat(starts, counts)
-        keep = rank < depth
-        self._stk[uniq_sets[keep] * depth + rank[keep]] = uniq[keep]
-        self._lens[touched] = np.minimum(counts, depth)
 
     def cut(self) -> np.ndarray:
         """Close the open interval (caller-cut mode); return its histogram.
@@ -329,11 +292,12 @@ def profile_chunks(
 ) -> DemandProfile:
     """Profile an iterable of address chunks into one :class:`DemandProfile`.
 
-    Drop-in replacement for
-    :func:`~repro.cache.stackdist_fast.profile_stream` when the stream
-    arrives (or is read) in pieces: the result is bit-identical to the batch
-    kernel over the concatenated chunks, but only one chunk is ever resident.
-    Stops consuming early once *max_intervals* intervals are complete.
+    The result equals the spec's per-interval histograms over the
+    concatenated chunks (a
+    :class:`~repro.cache.stackdist.StackDistanceProfiler` snapshotted every
+    *interval_accesses* references, trailing partial interval dropped), but
+    only one chunk is ever resident.  Stops consuming early once
+    *max_intervals* intervals are complete.
     """
     profiler = StreamingProfiler(
         num_sets, depth, interval_accesses=interval_accesses, max_intervals=max_intervals

@@ -4,16 +4,16 @@ Ten subcommands cover the library's main entry points:
 
 ``characterize``
     Section 2 pipeline: per-set demand distribution of one benchmark
-    (Figures 1–3 as text).  Profiles through the vectorized stack-distance
-    kernel, or — with ``--stream [--chunk N]`` — through the chunked
-    streaming kernel in O(chunk) memory (reading straight off an on-disk
-    trace-cache entry when one exists), with bit-identical output.
+    (Figures 1–3 as text), profiled by the chunked streaming profiler.
+    With a trace cache, ``--stream [--chunk N]`` reads the trace in chunks
+    straight off its on-disk entry (without its digest check) instead of
+    loading it whole, with identical output.
 
 ``survey``
     The Section 2.3 survey: characterize all 26 SPEC2000 models and flag
     set-level non-uniformity.  ``--jobs N`` fans the programs across worker
-    processes with output identical to the serial run; ``--stream`` applies
-    the streaming profiler per program.
+    processes with output identical to the serial run; ``--stream`` reads
+    each program's trace in chunks off the trace cache.
 
 ``run``
     Simulate one Table 8 mix (or four explicit programs) under one or more
@@ -218,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream_flags = argparse.ArgumentParser(add_help=False, parents=[cache_flags])
     stream_flags.add_argument(
         "--stream", action="store_true",
-        help="profile through the chunked streaming kernel: O(chunk) memory, "
-             "bit-identical output; with a trace cache, streams are read "
-             "straight off the on-disk entries",
+        help="with a trace cache, read each trace in chunks straight off "
+             "its on-disk entry (no digest check) instead of loading it "
+             "whole: O(chunk) memory once the entry exists, identical output",
     )
     stream_flags.add_argument(
         "--chunk", type=int, default=None, metavar="N",

@@ -80,8 +80,8 @@ The same translation unit holds the streaming stack-distance profiler's
 step, ``profile_feed`` (:func:`profile_feed` checks its arrays and calls
 it): :class:`~repro.cache.stackdist_stream.StreamingProfiler` steps its
 bounded per-set LRU stacks through it whenever the library is loaded —
-in every monitored SNUG run's online demand monitor, and in
-``characterize_stream``.
+in every monitored SNUG run's online demand monitor, and in every
+characterization (``characterize_trace`` and ``characterize_stream``).
 
 :func:`decline_reason` names the systems the kernel does not take — no
 library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build), more

@@ -162,25 +162,16 @@ class CmpSystem:
             for i, trace in enumerate(traces)
         ]
 
-    def _start_run(
-        self,
-        target_instructions: int,
-        warmup_instructions: int,
-        max_events: int | None,
-    ) -> int:
-        """Check the run sizing and that no core has stepped yet, open
-        every core's measurement window, and return the event budget — the
-        preamble of both loops.
+    def _refuse_second_run(self) -> None:
+        """Raise :class:`SimulationError` if any core has stepped: a system
+        runs once.
 
         A second run would reopen the windows over state that carries on
         from the first — the cores' clocks and cursors, the write buffers,
-        DRAM and bus times, the SNUG stage ends — so it is refused before
-        any access.
+        DRAM and bus times, the SNUG stage ends — so both executions refuse
+        it first, before any access and before the compiled dispatch reads
+        the warm scheme.
         """
-        if target_instructions < 1:
-            raise SimulationError("target_instructions must be positive")
-        if warmup_instructions < 0:
-            raise SimulationError("warmup_instructions must be non-negative")
         for core in self.cores:
             if core.accesses:
                 raise SimulationError(
@@ -188,6 +179,21 @@ class CmpSystem:
                     f"stepped {core.accesses} accesses); a CmpSystem runs "
                     "once, so build a new one for each run"
                 )
+
+    def _start_run(
+        self,
+        target_instructions: int,
+        warmup_instructions: int,
+        max_events: int | None,
+    ) -> int:
+        """Refuse a second run, check the run sizing, open every core's
+        measurement window, and return the event budget — the preamble of
+        both loops."""
+        self._refuse_second_run()
+        if target_instructions < 1:
+            raise SimulationError("target_instructions must be positive")
+        if warmup_instructions < 0:
+            raise SimulationError("warmup_instructions must be non-negative")
         for core in self.cores:
             core.target_instructions = target_instructions
             core.warmup_instructions = warmup_instructions

@@ -21,7 +21,9 @@ This is the one place that decides which loop runs a system.  Each run
 picks the kernel or :meth:`CmpSystem.run` (the executable spec itself,
 on the same system) from what it can observe: the exact scheme type, the
 core count, whether the library is available, and whether the caches
-already hold state.  Either way the run starts with
+already hold state.  A system that has already run is refused before
+that choice (:meth:`CmpSystem._refuse_second_run`), so a refused run
+prints no notice.  Either way the run starts with
 :meth:`CmpSystem._start_run` and ends with :meth:`CmpSystem._finish_run`.
 Each distinct fallback reason is announced once per process on stderr::
 
@@ -129,6 +131,9 @@ class CompiledCmpSystem(CmpSystem):
         warmup_instructions: int = 0,
         max_events: int | None = None,
     ) -> SimResult:
+        # Before the dispatch: a warm scheme is a decline reason, and a
+        # refused run must not print (or use up) its notice.
+        self._refuse_second_run()
         scheme_type = type(self.scheme)
         if scheme_type in _KERNEL_SCHEMES:
             kind = _KERNEL_SCHEMES.index(scheme_type)

@@ -6,12 +6,15 @@ set-level demand distribution of a single program over sampling intervals);
 of the 26 SPEC2000 programs exhibit strong, exploitable set-level
 non-uniformity of capacity demand.
 
-Profiling runs through the vectorized stack-distance kernel
-(:mod:`repro.cache.stackdist_fast`), or — with ``stream=True`` — through the
-chunked :mod:`repro.cache.stackdist_stream` profiler, which reads the
-reference stream in ``O(chunk)`` memory (straight off a trace-cache entry on
-disk when one exists, without ever materializing the trace).  Both kernels
-produce bit-identical distributions.
+Profiling always runs through the chunked
+:mod:`repro.cache.stackdist_stream` profiler.  What ``stream=True`` chooses
+is where the chunks come from: by default the whole trace is loaded (from
+the trace cache, digest-checked, or generated) and walked in views; with
+``stream=True`` and a trace cache the chunks are read straight off the
+cache entry on disk
+(:meth:`~repro.workloads.trace_cache.TraceCache.stream_addrs`, which skips
+the digest check), so once the entry exists the trace is never
+materialized.  Both give the same distribution.
 
 Trace provisioning is two-tier, exactly like the simulation engine's: the
 shared on-disk :class:`~repro.workloads.trace_cache.TraceCache` (``--trace-
@@ -28,10 +31,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..analysis.demand import (
+    DEFAULT_STREAM_CHUNK,
     DemandDistribution,
     bucket_bounds,
     characterize_stream,
-    characterize_trace,
     iter_addr_chunks,
 )
 from ..analysis.report import render_distribution, render_table
@@ -46,11 +49,6 @@ from ..workloads.trace_cache import (
 )
 
 __all__ = ["figure_distribution", "SurveyRow", "survey_26", "render_survey"]
-
-#: Default streaming chunk: 64 K addresses (512 KB resident) — small enough
-#: to keep the paper-scale working set trivial, large enough to amortize the
-#: per-chunk kernel launches.
-DEFAULT_STREAM_CHUNK = 1 << 16
 
 
 def figure_distribution(
@@ -76,63 +74,44 @@ def figure_distribution(
     same digest-verified entries the simulation engine uses, so a sweep and
     its characterization generate each trace once between them.
 
-    ``stream=True`` profiles through the chunked streaming kernel in
-    ``O(chunk_accesses)`` memory instead of one whole-trace pass.  With a
-    trace cache configured the chunks are read directly off the on-disk
-    entry (the trace is generated once to seed the cache if absent, then
-    never materialized again); without one the generated trace is walked in
-    chunk-sized views.  Either way the result is bit-identical to the batch
-    kernel.
+    ``stream=True`` reads the trace in ``chunk_accesses``-address chunks
+    (default :data:`~repro.analysis.demand.DEFAULT_STREAM_CHUNK`) instead of
+    loading it whole.  With a trace cache configured the chunks are read
+    directly off the on-disk entry, without its digest check (the trace is
+    generated once to seed the cache if absent, then never materialized
+    again); without one the generated trace is walked in chunk-sized views.
+    Either way the result is the same as without ``stream``.
     """
     root = resolve_cache_root(trace_cache)
     cache = TraceCache(root) if root else None
     n_accesses = intervals * interval_accesses
-    if stream:
-        chunk = DEFAULT_STREAM_CHUNK if chunk_accesses is None else chunk_accesses
-        if cache is not None:
-            key = benchmark_key(benchmark, num_sets, n_accesses, seed)
-            if not cache.path_for(key).is_file():
-                # Seed the entry; the trace object is dropped immediately.
-                cached_benchmark_trace(cache, benchmark, num_sets, n_accesses, seed)
-            try:
-                return characterize_stream(
-                    cache.stream_addrs(key, chunk),
-                    num_sets,
-                    name=benchmark,
-                    a_threshold=a_threshold,
-                    m=m,
-                    interval_accesses=interval_accesses,
-                    max_intervals=intervals,
-                )
-            except ConfigError:
-                raise  # bad characterization parameters, not a bad entry
-            except ValueError:
-                # Corrupt entry: fall through to the regenerating batch
-                # loader, then stream the regenerated trace from memory.
-                pass
-        trace, _source = cached_benchmark_trace(
-            cache, benchmark, num_sets, n_accesses, seed
-        )
-        return characterize_stream(
-            iter_addr_chunks(trace, chunk),
-            num_sets,
-            name=trace.name,
-            a_threshold=a_threshold,
-            m=m,
-            interval_accesses=interval_accesses,
-            max_intervals=intervals,
-        )
-    trace, _source = cached_benchmark_trace(
-        cache, benchmark, num_sets, n_accesses, seed
-    )
-    return characterize_trace(
-        trace,
-        num_sets,
+    chunk = DEFAULT_STREAM_CHUNK if chunk_accesses is None else chunk_accesses
+    shape = dict(
+        name=benchmark,
         a_threshold=a_threshold,
         m=m,
         interval_accesses=interval_accesses,
         max_intervals=intervals,
     )
+    if stream and cache is not None:
+        key = benchmark_key(benchmark, num_sets, n_accesses, seed)
+        if not cache.path_for(key).is_file():
+            # Seed the entry; the trace object is dropped immediately.
+            cached_benchmark_trace(cache, benchmark, num_sets, n_accesses, seed)
+        try:
+            return characterize_stream(
+                cache.stream_addrs(key, chunk), num_sets, **shape
+            )
+        except ConfigError:
+            raise  # bad characterization parameters, not a bad entry
+        except ValueError:
+            # Corrupt entry: fall through to the regenerating loader, then
+            # walk the regenerated trace in memory.
+            pass
+    trace, _source = cached_benchmark_trace(
+        cache, benchmark, num_sets, n_accesses, seed
+    )
+    return characterize_stream(iter_addr_chunks(trace, chunk), num_sets, **shape)
 
 
 def render_figure(dist: DemandDistribution, *, max_rows: int = 20) -> str:
@@ -206,10 +185,11 @@ def survey_26(
     :func:`~repro.engine.pool.parallel_map`; rows are returned in benchmark
     order either way, so the output is identical to the serial run.
     *trace_cache* (default ``$REPRO_TRACE_CACHE``) lets the workers share
-    generated reference streams on disk.  ``stream=True`` profiles each
-    program through the chunked streaming kernel (``chunk_accesses``
-    addresses resident at a time) — bit-identical rows, bounded memory per
-    worker, and with a trace cache the streams are read straight off disk.
+    generated reference streams on disk.  ``stream=True`` reads each
+    program's trace in ``chunk_accesses``-address chunks, straight off the
+    trace cache's entry when one is configured (see
+    :func:`figure_distribution`): the same rows, with bounded memory per
+    worker.
     """
     return parallel_map(
         _survey_one,

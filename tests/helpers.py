@@ -7,7 +7,9 @@ readable: block address ``tag * 16 + set`` lives in set ``set``.
 differential tests compare between the reference loop and the kernel.
 
 :func:`on_both_profiler_steps` runs a streaming-profiler test once per
-profiler step: the C step and the no-library prefix replay.
+profiler step: the C step and the no-library Python step.
+:func:`spec_hist` is the profilers' oracle: the per-interval histograms of
+the per-access Mattson spec.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 import functools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.cache.stackdist import StackDistanceProfiler
 from repro.common.config import CacheGeometry, DsrConfig, SnugConfig, SystemConfig
 from repro.core import _ckernel
 from repro.mem.address import core_address_base
@@ -57,7 +61,7 @@ def fill_set(scheme, core: int, set_index: int, n: int, t0: int = 0, start_tag: 
 
 def on_both_profiler_steps(test):
     """Run *test* once per streaming-profiler step: the C step when the
-    kernel library is built, then the no-library prefix replay (forced by
+    kernel library is built, then the no-library Python step (forced by
     patching the library lookup away).  The test keeps its name and
     signature, so fixtures and Hypothesis draws reach it; each draw is
     checked on both steps."""
@@ -71,6 +75,23 @@ def on_both_profiler_steps(test):
             test(*args, **kwargs)
 
     return run
+
+
+def spec_hist(addrs, num_sets, depth, interval_accesses, max_intervals=None):
+    """The spec's ``(intervals, num_sets, depth)`` hit-position histograms
+    of *addrs*: a :class:`StackDistanceProfiler` snapshotted every
+    *interval_accesses* references, the trailing partial interval dropped,
+    and at most *max_intervals* intervals."""
+    n_intervals = len(addrs) // interval_accesses
+    if max_intervals is not None:
+        n_intervals = min(n_intervals, max_intervals)
+    spec = StackDistanceProfiler(num_sets, depth)
+    hist = np.zeros((n_intervals, num_sets, depth), dtype=np.int64)
+    for i in range(n_intervals):
+        spec.reference_many(addrs[i * interval_accesses : (i + 1) * interval_accesses])
+        hist[i] = [s.hist for s in spec.sets]
+        spec.end_interval()
+    return hist
 
 
 def live_state(scheme):

@@ -1,11 +1,11 @@
-"""Property tests: the vectorized profiler is bit-identical to the spec.
+"""Property tests: the production profiler is bit-identical to the spec.
 
 Random address streams drive both :mod:`repro.cache.stackdist` (the
 per-access Mattson stacks — the executable spec) and
-:mod:`repro.cache.stackdist_fast` (the vectorized Bennett-Kruskal kernel),
+:func:`repro.cache.stackdist_stream.profile_chunks` (the production
+profiler, on both of its steps: the C step and the no-library Python step),
 asserting identical per-interval histograms, ``block_required`` and
-``hit_count(A)`` for every associativity ``A <= depth``, plus identical
-per-access LRU positions.
+``hit_count(A)`` for every associativity ``A <= depth``.
 """
 
 import numpy as np
@@ -13,11 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.stackdist import StackDistanceProfiler
-from repro.cache.stackdist_fast import (
-    count_leq_before,
-    profile_stream,
-    stack_distances,
-)
+from repro.cache.stackdist_stream import profile_chunks
+from tests.helpers import on_both_profiler_steps
 
 # Small address universes force deep reuse; large ones force long windows
 # and cold-miss-heavy streams — both profiler regimes get exercised.
@@ -26,67 +23,38 @@ streams = st.integers(2, 400).flatmap(
 )
 
 
-@given(values=st.lists(st.integers(-5, 120), min_size=0, max_size=500))
-@settings(max_examples=60, deadline=None)
-def test_count_leq_before_matches_bruteforce(values):
-    v = np.array(values, dtype=np.int64)
-    got = count_leq_before(v)
-    want = np.array([(v[:t] <= v[t]).sum() for t in range(v.size)], dtype=np.int64)
-    assert (got == want).all()
-
-
 @given(
     addrs=streams,
     log_sets=st.integers(0, 4),
     depth=st.integers(1, 40),
     interval_accesses=st.integers(1, 120),
+    chunk=st.integers(1, 600),
 )
 @settings(max_examples=80, deadline=None)
-def test_fast_profiler_bit_identical_to_spec(addrs, log_sets, depth, interval_accesses):
+@on_both_profiler_steps
+def test_profile_chunks_bit_identical_to_spec(
+    addrs, log_sets, depth, interval_accesses, chunk
+):
     num_sets = 1 << log_sets
     addrs = np.array(addrs, dtype=np.int64)
     n_intervals = addrs.size // interval_accesses
-    if n_intervals == 0:
-        return
-    used = n_intervals * interval_accesses
 
     spec = StackDistanceProfiler(num_sets, depth)
-    spec_positions = []
     spec_hist = np.empty((n_intervals, num_sets, depth), dtype=np.int64)
     spec_required = np.empty((n_intervals, num_sets), dtype=np.int64)
     spec_hits = np.empty((n_intervals, num_sets, depth), dtype=np.int64)
     for i in range(n_intervals):
         for a in addrs[i * interval_accesses : (i + 1) * interval_accesses]:
-            spec_positions.append(spec.reference(int(a)))
+            spec.reference(int(a))
         spec_hist[i] = [s.hist for s in spec.sets]
         for assoc in range(1, depth + 1):
             spec_hits[i, :, assoc - 1] = spec.hit_counts(assoc)
         spec_required[i] = spec.end_interval()
 
-    fast = profile_stream(addrs, num_sets, depth, interval_accesses)
-    assert (fast.hist == spec_hist).all()
-    assert (fast.block_required() == spec_required).all()
+    chunks = [addrs[i : i + chunk] for i in range(0, addrs.size, chunk)]
+    profile = profile_chunks(chunks, num_sets, depth, interval_accesses)
+    assert profile.hist.shape == spec_hist.shape
+    assert (profile.hist == spec_hist).all()
+    assert (profile.block_required() == spec_required).all()
     for assoc in range(1, depth + 1):
-        assert (fast.hit_counts(assoc) == spec_hits[:, :, assoc - 1]).all()
-
-    dist = stack_distances(addrs[:used], num_sets)
-    capped = np.where((dist >= 1) & (dist <= depth), dist, 0)
-    assert (capped == np.array(spec_positions, dtype=np.int64)).all()
-
-
-@given(addrs=streams, log_sets=st.integers(0, 3))
-@settings(max_examples=40, deadline=None)
-def test_stack_distances_are_valid_positions(addrs, log_sets):
-    """Distances are 0 (cold) or a 1-based position bounded by set occupancy."""
-    num_sets = 1 << log_sets
-    addrs = np.array(addrs, dtype=np.int64)
-    dist = stack_distances(addrs, num_sets)
-    assert dist.shape == addrs.shape
-    assert (dist >= 0).all()
-    first_seen = set()
-    for a, d in zip(addrs.tolist(), dist.tolist()):
-        if a in first_seen:
-            assert d >= 1
-        else:
-            assert d == 0
-            first_seen.add(a)
+        assert (profile.hit_counts(assoc) == spec_hits[:, :, assoc - 1]).all()

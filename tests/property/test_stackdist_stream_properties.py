@@ -1,13 +1,13 @@
-"""Property tests: the streaming profiler is bit-identical to the batch kernel.
+"""Property tests: the streaming profiler is bit-identical to the spec.
 
 Random address streams are cut into random chunk patterns and driven through
 :mod:`repro.cache.stackdist_stream`; the emitted slices must concatenate to
-exactly the histograms :func:`repro.cache.stackdist_fast.profile_stream`
-computes over the whole stream at once (which the existing property suite
-ties to the per-access Mattson spec) — for every chunking, interval length,
-depth and set count.  Caller-cut mode is held to the reference profiler's
-``end_interval`` at arbitrary cut points.  Every draw is checked on both
-profiler steps: the C step and the no-library prefix replay.
+exactly the histograms the per-access Mattson spec
+(:class:`repro.cache.stackdist.StackDistanceProfiler`, via
+:func:`tests.helpers.spec_hist`) accumulates over the whole stream — for
+every chunking, interval length, depth and set count.  Caller-cut mode is
+held to the spec's ``end_interval`` at arbitrary cut points.  Every draw is
+checked on both profiler steps: the C step and the no-library Python step.
 """
 
 import numpy as np
@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.stackdist import StackDistanceProfiler
-from repro.cache.stackdist_fast import profile_stream
 from repro.cache.stackdist_stream import StreamingProfiler, profile_chunks
-from tests.helpers import on_both_profiler_steps
+from tests.helpers import on_both_profiler_steps, spec_hist
 
 # Small universes force deep reuse (carry-heavy chunks); large ones force
 # cold-miss streams — both chunk-boundary regimes get exercised.
@@ -47,15 +46,15 @@ def cut_into_chunks(addrs, sizes):
 )
 @settings(max_examples=80, deadline=None)
 @on_both_profiler_steps
-def test_streaming_bit_identical_to_batch(addrs, sizes, log_sets, depth, interval_accesses):
+def test_streaming_bit_identical_to_spec(addrs, sizes, log_sets, depth, interval_accesses):
     num_sets = 1 << log_sets
     addrs = np.array(addrs, dtype=np.int64)
-    want = profile_stream(addrs, num_sets, depth, interval_accesses)
+    want = spec_hist(addrs, num_sets, depth, interval_accesses)
     got = profile_chunks(
         cut_into_chunks(addrs, sizes), num_sets, depth, interval_accesses
     )
-    assert got.hist.shape == want.hist.shape
-    assert (got.hist == want.hist).all()
+    assert got.hist.shape == want.shape
+    assert (got.hist == want).all()
 
 
 @given(
@@ -68,12 +67,12 @@ def test_streaming_bit_identical_to_batch(addrs, sizes, log_sets, depth, interva
 )
 @settings(max_examples=40, deadline=None)
 @on_both_profiler_steps
-def test_streaming_max_intervals_matches_batch(
+def test_streaming_max_intervals_matches_spec(
     addrs, sizes, log_sets, depth, interval_accesses, max_intervals
 ):
     num_sets = 1 << log_sets
     addrs = np.array(addrs, dtype=np.int64)
-    want = profile_stream(
+    want = spec_hist(
         addrs, num_sets, depth, interval_accesses, max_intervals=max_intervals
     )
     got = profile_chunks(
@@ -83,8 +82,8 @@ def test_streaming_max_intervals_matches_batch(
         interval_accesses,
         max_intervals=max_intervals,
     )
-    assert got.hist.shape == want.hist.shape
-    assert (got.hist == want.hist).all()
+    assert got.hist.shape == want.shape
+    assert (got.hist == want).all()
 
 
 @given(

@@ -89,6 +89,10 @@ def _run_pair(config, scheme_name, traces, prepare=None, target=4_000,
     return (*systems, *results)
 
 
+#: The decline reason of a scheme whose caches already hold state.
+WARM_SCHEME = "caches, write buffers or shadow sets already hold state"
+
+
 def _notices(capsys):
     """The fallback notices printed since the last read."""
     return [line for line in capsys.readouterr().err.splitlines()
@@ -347,8 +351,8 @@ def _lines(scheme):
 class TestDeferredLines:
     """A kernel run leaves the caches' lines in its arrays: each cache
     builds them on the first read of its ``sets``, once, exactly as the
-    reference loop leaves them, and a second run's dispatch still sees
-    them before the run is refused."""
+    reference loop leaves them, and the dispatch's decline check still
+    sees them; a second run is refused before that check."""
 
     @pytest.fixture(autouse=True)
     def _fresh_notices(self, monkeypatch):
@@ -386,11 +390,27 @@ class TestDeferredLines:
         assert _lines(system.scheme) == lines
         assert [id(sets) for sets in fills] == [id(c.sets) for c in caches]
 
+        kind = compiled._KERNEL_SCHEMES.index(type(system.scheme))
+        assert _ckernel.decline_reason(system, kind) == WARM_SCHEME
         with pytest.raises(SimulationError, match="already run"):
             system.run(4_000, warmup_instructions=500)
+        assert _notices(capsys) == []
+
+    @needs_kernel
+    def test_refused_run_leaves_the_notice_to_a_real_decline(self, capsys):
+        # A refused second run prints nothing and uses up no notice: a new
+        # system over the warm scheme is then declined, and says so once.
+        config, scheme, traces = build("l2p")
+        first = CompiledCmpSystem(config, scheme, list(traces))
+        first.run(4_000, warmup_instructions=500)
+        with pytest.raises(SimulationError, match="already run"):
+            first.run(4_000, warmup_instructions=500)
+        assert _notices(capsys) == []
+        CompiledCmpSystem(config, scheme, list(traces)).run(
+            4_000, warmup_instructions=500)
         assert _notices(capsys) == [
-            "repro.compiled: caches, write buffers or shadow sets already "
-            "hold state; using the reference loop (bit-identical)"
+            f"repro.compiled: {WARM_SCHEME}; using the reference loop "
+            "(bit-identical)"
         ]
 
 
@@ -580,15 +600,16 @@ class TestDispatchEdges:
 
     @pytest.mark.parametrize("sim_core", SIM_CORES)
     def test_second_run_is_refused_before_any_access(self, monkeypatch,
-                                                     sim_core):
+                                                     capsys, sim_core):
         # A second run would restart the cores' windows over a scheme whose
         # write buffers, DRAM and bus times and SNUG stage ends carry on
         # from the first run: it is refused, under either core, before the
-        # scheme sees an access or a core moves.
+        # scheme sees an access or a core moves, and without a notice.
         monkeypatch.setattr(compiled, "_NOTICED", set())
         cfg, scheme, traces = build("snug")
         system = make_system(sim_core, cfg, scheme, traces)
         system.run(4_000, warmup_instructions=500)
+        capsys.readouterr()
 
         def access(*_args):
             raise AssertionError("the second run stepped an access")
@@ -602,6 +623,7 @@ class TestDispatchEdges:
             system.run(4_000, warmup_instructions=500)
         assert [(c.time, c.pos, c.accesses, c.instructions, c.finish_time)
                 for c in system.cores] == cores
+        assert capsys.readouterr().err == ""
 
 
 class TestProfileLabeling:

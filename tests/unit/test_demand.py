@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro.analysis.demand import (
+    DEFAULT_STREAM_CHUNK,
     DemandDistribution,
     bucket_bounds,
     bucket_of,
     characterize_trace,
 )
+from repro.cache.stackdist import StackDistanceProfiler
 from repro.common.errors import ConfigError
+from repro.core import _ckernel
 from repro.workloads.spec2000 import make_benchmark_trace
 from repro.workloads.trace import Trace
+from tests.helpers import on_both_profiler_steps
 
 
 class TestBuckets:
@@ -115,3 +119,57 @@ class TestCharacterize:
         dist = DemandDistribution("m", 32, 8, sizes, np.ones((2, 4)))
         assert dist.mean_sizes()[0] == 0.5
         assert dist.mean_sizes()[1] == 0.5
+
+
+def spec_distribution(addrs, num_sets, intervals, interval_accesses, a_threshold=32, m=8):
+    """Formulas 3 and 5 from the per-access Mattson spec: the demand
+    matrix from ``end_interval`` and each row's bucket shares counted
+    through :func:`bucket_of`."""
+    spec = StackDistanceProfiler(num_sets, a_threshold)
+    demand = np.empty((intervals, num_sets), dtype=np.int64)
+    sizes = np.zeros((intervals, m))
+    for i in range(intervals):
+        spec.reference_many(addrs[i * interval_accesses : (i + 1) * interval_accesses])
+        demand[i] = spec.end_interval()
+        for d in demand[i].tolist():
+            sizes[i, bucket_of(d, a_threshold, m)] += 1
+    return demand, sizes / num_sets
+
+
+class TestCharacterizeMatchesSpec:
+    # The 1,024-set case is 70,000 references: it crosses the 65,536-address
+    # chunk boundary inside an interval.
+    @pytest.mark.parametrize("num_sets,intervals,interval_accesses",
+                             [(64, 6, 2_000), (1_024, 7, 10_000)])
+    @pytest.mark.parametrize("program", ["ammp", "vortex", "applu"])
+    @on_both_profiler_steps
+    def test_equals_spec_distribution(self, program, num_sets, intervals,
+                                      interval_accesses):
+        trace = make_benchmark_trace(
+            program, num_sets, intervals * interval_accesses, seed=1)
+        dist = characterize_trace(
+            trace, num_sets, interval_accesses=interval_accesses)
+        demand, sizes = spec_distribution(
+            trace.addrs, num_sets, intervals, interval_accesses)
+        assert dist.name == program
+        assert (dist.demand == demand).all()
+        assert (dist.sizes == sizes).all()
+
+    @pytest.mark.skipif(not _ckernel.lib_available(),
+                        reason="C kernel unavailable")
+    def test_runs_the_c_step(self, monkeypatch):
+        # Every reference goes through the library's profile_feed: a fall
+        # to the Python step would leave the count short.
+        fed = []
+        profile_feed = _ckernel.profile_feed
+
+        def counting_feed(addrs, *carry):
+            fed.append(addrs.size)
+            return profile_feed(addrs, *carry)
+
+        monkeypatch.setattr(_ckernel, "profile_feed", counting_feed)
+        n = DEFAULT_STREAM_CHUNK + 4_000
+        trace = make_benchmark_trace("vortex", 64, n, seed=0)
+        dist = characterize_trace(trace, 64, interval_accesses=2_000)
+        assert dist.intervals == n // 2_000
+        assert sum(fed) == n

@@ -1,7 +1,8 @@
 """Unit tests for repro.cache.stackdist_stream (chunked Mattson profiling).
 
 Every test that feeds a profiler runs on both of its steps: the C step and
-the no-library prefix replay.
+the no-library Python step.  The oracle is the per-access Mattson spec
+(:func:`tests.helpers.spec_hist`).
 """
 
 import json
@@ -11,14 +12,14 @@ import numpy as np
 import pytest
 
 from repro.cache.stackdist import StackDistanceProfiler
-from repro.cache.stackdist_fast import profile_stream
 from repro.cache.stackdist_stream import (
+    DemandProfile,
     StreamingProfiler,
     concat_profiles,
     profile_chunks,
 )
 from repro.workloads.spec2000 import make_benchmark_trace
-from tests.helpers import on_both_profiler_steps
+from tests.helpers import on_both_profiler_steps, spec_hist
 
 
 def chunked(addrs, size):
@@ -49,11 +50,11 @@ class TestValidation:
 
 class TestFixedIntervals:
     @on_both_profiler_steps
-    def test_matches_batch_on_benchmark_trace(self):
+    def test_matches_spec_on_benchmark_trace(self):
         trace = make_benchmark_trace("ammp", 16, 4_000, seed=3)
-        want = profile_stream(trace.addrs, 16, 8, 500)
+        want = spec_hist(trace.addrs, 16, 8, 500)
         got = profile_chunks(chunked(trace.addrs, 333), 16, 8, 500)
-        assert (got.hist == want.hist).all()
+        assert (got.hist == want).all()
 
     @on_both_profiler_steps
     def test_chunk_size_is_invisible(self):
@@ -81,16 +82,15 @@ class TestFixedIntervals:
         assert first.intervals == 0  # interval still open
         second = prof.feed(addrs[3:])
         assert second.intervals == 1
-        want = profile_stream(addrs, 1, 2, 4)
-        assert (second.hist == want.hist).all()
+        assert (second.hist == spec_hist(addrs, 1, 2, 4)).all()
 
     @on_both_profiler_steps
     def test_max_intervals_stops_emission(self):
         trace = make_benchmark_trace("gcc", 8, 3_000, seed=2)
-        want = profile_stream(trace.addrs, 8, 8, 200, max_intervals=5)
+        want = spec_hist(trace.addrs, 8, 8, 200, max_intervals=5)
         got = profile_chunks(chunked(trace.addrs, 170), 8, 8, 200, max_intervals=5)
         assert got.intervals == 5
-        assert (got.hist == want.hist).all()
+        assert (got.hist == want).all()
 
     @on_both_profiler_steps
     def test_done_profiler_ignores_feeds(self):
@@ -125,8 +125,8 @@ class TestCarryAcrossChunks:
         prof = StreamingProfiler(1, depth, interval_accesses=8)
         prof.feed(np.array([1, 2, 3, 4], dtype=np.int64))  # 1 now depth+1 deep
         out = prof.feed(np.array([1, 5, 6, 7], dtype=np.int64))
-        want = profile_stream(np.array([1, 2, 3, 4, 1, 5, 6, 7]), 1, depth, 8)
-        assert (out.hist == want.hist).all()
+        want = spec_hist(np.array([1, 2, 3, 4, 1, 5, 6, 7]), 1, depth, 8)
+        assert (out.hist == want).all()
         assert out.hist.sum() == 0  # the re-reference was beyond depth
 
 
@@ -150,11 +150,12 @@ class TestCallerCutMode:
 
 
 class TestGoldenProfile:
-    """Snapshot pin: all three kernels must reproduce a committed profile.
+    """Snapshot pin: the profiler and the spec must reproduce a committed
+    profile.
 
-    The property suite ties the kernels to each other; this golden file
-    (captured from the vectorized kernel at PR 4) additionally pins them
-    against drifting *together*.
+    The property suite ties the profiler's steps to the spec; this golden
+    file (captured at PR 4) additionally pins them against drifting
+    *together*.
     """
 
     GOLDEN = (
@@ -167,13 +168,6 @@ class TestGoldenProfile:
             doc["benchmark"], doc["num_sets"], doc["n_accesses"], doc["seed"]
         )
         return doc, trace, np.array(doc["hist"], dtype=np.int64)
-
-    def test_batch_kernel_matches_golden(self):
-        doc, trace, want = self.load()
-        got = profile_stream(
-            trace.addrs, doc["num_sets"], doc["depth"], doc["interval_accesses"]
-        )
-        assert (got.hist == want).all()
 
     @on_both_profiler_steps
     def test_streaming_kernel_matches_golden(self):
@@ -203,18 +197,35 @@ class TestConcatProfiles:
             concat_profiles([])
 
     def test_shape_mismatch_rejected(self):
-        a = profile_stream(np.zeros(4, dtype=np.int64), 1, 2, 2)
-        b = profile_stream(np.zeros(4, dtype=np.int64), 2, 2, 2)
+        a = DemandProfile(hist=np.zeros((2, 1, 2), dtype=np.int64))
+        b = DemandProfile(hist=np.zeros((2, 2, 2), dtype=np.int64))
         with pytest.raises(ValueError):
             concat_profiles([a, b])
 
     def test_concat_orders_slices(self):
-        addrs = make_benchmark_trace("gzip", 4, 800, seed=0).addrs
-        want = profile_stream(addrs, 4, 4, 100)
-        halves = [
-            profile_stream(addrs[:400], 4, 4, 100),
-            # second half primed is NOT the same as streaming — this only
-            # checks concat stitches rows in order.
-        ]
-        got = concat_profiles(halves)
-        assert (got.hist == want.hist[:4]).all()
+        hist = np.arange(3 * 4 * 4, dtype=np.int64).reshape(3, 4, 4)
+        slices = [DemandProfile(hist=hist[:1]), DemandProfile(hist=hist[1:])]
+        assert (concat_profiles(slices).hist == hist).all()
+
+
+class TestDemandProfile:
+    def test_block_required_no_hits_is_one(self):
+        prof = DemandProfile(hist=np.zeros((2, 3, 4), dtype=np.int64))
+        assert (prof.block_required() == 1).all()
+
+    def test_block_required_deepest_hit(self):
+        hist = np.zeros((1, 1, 8), dtype=np.int64)
+        hist[0, 0, 2] = 5
+        hist[0, 0, 5] = 1
+        prof = DemandProfile(hist=hist)
+        assert prof.block_required()[0, 0] == 6
+
+    def test_hit_counts_clip_to_depth(self):
+        hist = np.ones((1, 2, 4), dtype=np.int64)
+        prof = DemandProfile(hist=hist)
+        assert (prof.hit_counts(2) == 2).all()
+        assert (prof.hit_counts(99) == 4).all()
+
+    def test_shape_properties(self):
+        prof = DemandProfile(hist=np.zeros((5, 8, 32), dtype=np.int64))
+        assert (prof.intervals, prof.num_sets, prof.depth) == (5, 8, 32)
