@@ -1,9 +1,13 @@
-"""Integration tests for the experiment drivers (Figures 1-3, 9-11, survey)."""
+"""Integration tests for the experiment drivers (Figures 1-3, 9-11, survey,
+ablations and sensitivity studies)."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import RunPlan, tiny_config
+from repro import RunPlan, scaled_config, tiny_config
+from repro.analysis.metrics import geometric_mean, normalized_throughput
 from repro.experiments.ablation import ablate_flipping, render_ablation
 from repro.experiments.characterization import (
     figure_distribution,
@@ -17,6 +21,9 @@ from repro.experiments.performance import (
     figure_series,
     render_figure,
 )
+from repro.experiments.runner import run_traces
+from repro.experiments.sensitivity import sweep_remote_latency, toggle_bus_contention
+from repro.workloads.mixes import build_mix_traces, get_mix, mixes_in_class
 
 PLAN = RunPlan(n_accesses=2_500, target_instructions=30_000, warmup_instructions=20_000)
 
@@ -105,3 +112,55 @@ class TestAblation:
         assert [p.label for p in points] == ["flip=on", "flip=off"]
         text = render_ablation(points, "flip ablation")
         assert "flip=on" in text
+
+
+class TestDriverValues:
+    """The ablation and sensitivity drivers equal their recipe run by hand:
+    per mix, L2P and the scheme on the same traces, the scheme's IPC
+    normalized to L2P's, and (ablations) the geometric mean over mixes."""
+
+    def test_ablation_and_sensitivity_match_hand_built_runs(self):
+        config = scaled_config("tiny", seed=7)
+        plan = RunPlan(n_accesses=4_000, target_instructions=60_000,
+                       warmup_instructions=40_000)
+
+        def vs_l2p(cfg, mix, scheme):
+            traces = build_mix_traces(mix, cfg.l2.num_sets, plan.n_accesses, plan.seed)
+            base = run_traces("l2p", cfg, traces, plan.target_instructions,
+                              plan.warmup_instructions)
+            res = run_traces(scheme, cfg, traces, plan.target_instructions,
+                             plan.warmup_instructions)
+            return normalized_throughput(res.ipc, base.ipc)
+
+        c1 = mixes_in_class("C1")[:1]
+        flips = [
+            geometric_mean([
+                vs_l2p(config.with_(snug=replace(config.snug, flip_enabled=flip)),
+                       mix, "snug")
+                for mix in c1
+            ])
+            for flip in (True, False)
+        ]
+        assert [p.throughput_vs_l2p for p in
+                ablate_flipping(config, plan, mix_class="C1", combos=1)] == flips
+
+        c5 = get_mix("c5_0")
+        remote = [
+            vs_l2p(config.with_(latency=replace(config.latency, l2_remote_snug=lat)),
+                   c5, "snug")
+            for lat in (20, 100)
+        ]
+        assert [p.throughput_vs_l2p for p in
+                sweep_remote_latency(config, plan, latencies=(20, 100))] == remote
+
+        bus = {
+            scheme: {
+                contention: vs_l2p(
+                    config.with_(bus=replace(config.bus, model_contention=contention)),
+                    c5, scheme,
+                )
+                for contention in (False, True)
+            }
+            for scheme in ("cc", "dsr", "snug")
+        }
+        assert toggle_bus_contention(config, plan) == bus
