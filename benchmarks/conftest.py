@@ -42,7 +42,8 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import SystemConfig, scaled_config
-from repro.experiments.performance import FigureData, evaluate_all
+from repro.engine import ParallelRunner
+from repro.experiments.performance import FigureData, select_mixes
 from repro.experiments.runner import RunPlan
 
 SCALE = os.environ.get("REPRO_SCALE", "small")
@@ -130,9 +131,6 @@ def bench_json():
 
 @pytest.fixture(scope="session")
 def figure_data(scale: BenchScale) -> FigureData:
-    """The Figures 9-11 sweep, simulated once per session."""
-    return evaluate_all(
-        scale.config,
-        scale.plan,
-        combos_per_class=scale.combos_per_class,
-    )
+    """The Figures 9-11 sweep, simulated once per session (in process)."""
+    runner = ParallelRunner(scale.config, scale.plan, jobs=0)
+    return FigureData(combos=runner.run(select_mixes(None, scale.combos_per_class)))

@@ -69,10 +69,7 @@ from .scenario import (
 from .experiments import (
     ComboResult,
     RunPlan,
-    evaluate_all,
     figure_distribution,
-    run_cc_best,
-    run_combo,
     run_traces,
     survey_26,
 )
@@ -130,10 +127,7 @@ __all__ = [
     "scenario_from_flags",
     "ComboResult",
     "RunPlan",
-    "evaluate_all",
     "figure_distribution",
-    "run_cc_best",
-    "run_combo",
     "run_traces",
     "survey_26",
     "CooperativeCaching",

@@ -85,9 +85,8 @@ def render_combo_metrics(
 ) -> str:
     """Render one combination's Table 5 metrics (scheme rows, metric columns).
 
-    Accepts the ``ComboResult.metrics`` mapping; works identically whether
-    the combo came from the serial runner or was merged from the parallel
-    engine's partial per-task results.
+    Accepts the ``ComboResult.metrics`` mapping, as the engine merges it
+    from per-task results on any backend.
     """
     rows = [
         [name, m["throughput"], m["aws"], m["fs"]]

@@ -80,8 +80,10 @@ declines it, naming why on stderr) and ``--profile PATH`` (cProfile the
 execution phase).  ``run`` and ``sweep`` also take ``--snug-monitor``
 (SNUG classifies sets from an online streaming demand monitor; a plan
 property, so it behaves identically under every backend) — see
-:mod:`repro.engine`.  Every backend produces bit-identical results to
-the serial path.
+:mod:`repro.engine`.  Without engine flags the tasks run in this process
+on the inline backend; every backend produces bit-identical results to
+it, and each run ends with an ``engine: backend=...`` summary line
+naming the backend, the task counts and where the traces came from.
 
 Trace provisioning everywhere is two-tier: ``--trace-cache DIR`` (default
 ``$REPRO_TRACE_CACHE``) names the shared on-disk
@@ -154,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     engine_flags = argparse.ArgumentParser(add_help=False, parents=[cache_flags])
     engine_flags.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="parallel engine: worker processes (0 = in-process task loop); "
-             "omit for the classic serial path",
+        help="parallel engine: worker processes (0 = in-process task loop, "
+             "the default without --backend)",
     )
     engine_flags.add_argument(
         "--store", default=None, metavar="DIR",
@@ -602,8 +604,7 @@ def _engine_options(args: argparse.Namespace, store: str | None = None) -> Engin
     """The :class:`EngineOptions` a run/sweep/scenario-run invocation asks for.
 
     ``trace_cache`` is the *explicit* flag value: $REPRO_TRACE_CACHE is
-    applied later (by the engine's cache-root resolution), so the ambient
-    environment alone never switches a plain run onto the engine path.
+    applied later, by the engine's cache-root resolution.
     """
     bind = _parse_hostport(args.bind) if args.bind is not None else None
     return EngineOptions(
@@ -647,13 +648,11 @@ def _report_engine(runner: ParallelRunner) -> None:
 
 
 def _execute(scenario: Scenario, options: EngineOptions) -> List[ComboResult]:
-    """Run one scenario, wrapping the engine banners around the engine path."""
+    """Run one scenario, wrapping the engine banners around the run."""
     execution = ScenarioExecution(scenario, options)
-    if execution.runner is not None:
-        _announce_engine(execution.runner)
+    _announce_engine(execution.runner)
     combos = execution.run()
-    if execution.runner is not None:
-        _report_engine(execution.runner)
+    _report_engine(execution.runner)
     return combos
 
 

@@ -22,14 +22,14 @@ Task model
 ----------
 :class:`~repro.engine.tasks.SimTask` is the unit of work: one scheme
 simulated over one mix's traces.  ``expand_mix_tasks`` explodes a requested
-scheme list into tasks exactly the way the serial path does —
+scheme list into tasks —
 
 * ``"l2p"`` is always included (and first): the Table 5 metrics are
   normalized to it;
 * ``"cc_best"`` expands into one ``"cc"`` task per spill probability in
   ``RunPlan.cc_probs``; the merge step re-applies the paper's selection rule
-  (:func:`repro.experiments.runner.select_cc_best`, shared with the serial
-  sweep) over the per-probability results.
+  (:func:`repro.experiments.runner.select_cc_best`) over the
+  per-probability results.
 
 The backend interface and determinism contract
 ----------------------------------------------
@@ -56,8 +56,7 @@ runner.  The contract (:class:`~repro.engine.backends.base.ExecutionBackend`):
 :data:`repro.engine.backends.BACKENDS`.  The backend-conformance suite
 (``tests/engine/test_backends.py``) is the acceptance gate — every backend
 must merge to :class:`~repro.experiments.runner.ComboResult` s byte-identical
-to the serial :func:`~repro.experiments.runner.run_combo` output (which
-itself runs on the inline backend), including after a resume.
+to the inline backend's, including after a resume.
 
 The socket backend adds a fault model on top: workers heartbeat while
 simulating, a silent or disconnected worker's chunk is requeued, and

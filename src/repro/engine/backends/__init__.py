@@ -4,8 +4,8 @@ Three transports, one contract (see :class:`~repro.engine.backends.base.
 ExecutionBackend`):
 
 ``inline``
-    Chunks run in the calling process — the reference backend, also used by
-    the serial :func:`~repro.experiments.runner.run_combo`.
+    Chunks run in the calling process — the reference backend, and the
+    default when no engine option asks for another.
 ``process``
     A single-machine :class:`~concurrent.futures.ProcessPoolExecutor` fan-out.
 ``socket``

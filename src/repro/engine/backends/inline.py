@@ -1,9 +1,9 @@
 """In-process execution: the ``jobs=0`` path as a backend.
 
 No pool, no transport — chunks run in the calling process, one task at a
-time.  This is the reference backend: the serial
-:func:`~repro.experiments.runner.run_combo` routes through it, and the
-conformance suite holds every other backend to its output.
+time.  This is the reference backend: every run without engine options
+(and every ``ParallelRunner(..., jobs=0)``) takes it, and the conformance
+suite holds every other backend to its output.
 """
 
 from __future__ import annotations

@@ -2,15 +2,16 @@
 
 The runner owns everything that defines a sweep's *outcome*: task
 expansion, duplicate-mix validation, store persistence and resume, and the
-request-order merge (with the serial CC(Best) selection rule re-applied).
+request-order merge (with the CC(Best) selection rule re-applied).
 *How* tasks execute is delegated to an
 :class:`~repro.engine.backends.base.ExecutionBackend` — in-process, local
 process pool, or socket workers — which only transports chunks and streams
 back ``(task, result)`` pairs.  Combined with per-task deterministic
 seeding (package docstring) this makes the merged
-:class:`~repro.experiments.runner.ComboResult` list bit-identical to the
-serial :func:`~repro.experiments.runner.run_combo` output on any backend,
-for any worker count.
+:class:`~repro.experiments.runner.ComboResult` list bit-identical on any
+backend, for any worker count.  It is the only driver that simulates
+workload mixes: scenarios, the CLI, the service and the ablation and
+sensitivity studies all run through it (``jobs=0`` for in-process).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class ParallelRunner:
         Shared by every task (both are small frozen dataclasses; they ship
         to workers by pickling).
     schemes:
-        Scheme names as the CLI/serial runner accept them (``"cc_best"``
+        Scheme names as scenarios and the CLI accept them (``"cc_best"``
         triggers the probability sweep).
     jobs:
         Parallelism: sizes the default process-pool backend (``0`` selects

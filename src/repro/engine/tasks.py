@@ -98,12 +98,12 @@ def expand_mix_tasks(
     schemes: Sequence[str],
     cc_probs: Sequence[float],
 ) -> List[SimTask]:
-    """All tasks for one mix, mirroring the serial runner's scheme handling.
+    """All tasks for one mix: the simulations behind one combo result.
 
     ``l2p`` is forced in (metrics baseline) and ``cc_best`` expands to one
-    ``cc`` task per probability in *cc_probs* — the same rules
-    :func:`repro.experiments.runner.run_combo` applies, so a merged parallel
-    run covers exactly the simulations the serial run would.
+    ``cc`` task per probability in *cc_probs*, which
+    :func:`repro.experiments.runner.merge_task_results` folds back into one
+    CC(Best) result.
     """
 
     def task(scheme: str, prob: float | None = None) -> SimTask:

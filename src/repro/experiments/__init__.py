@@ -21,8 +21,6 @@ from .characterization import (
 from .performance import (
     FIGURE_SCHEMES,
     FigureData,
-    evaluate_all,
-    evaluate_class,
     figure_series,
     render_figure,
 )
@@ -32,8 +30,6 @@ from .runner import (
     CC_PROBS_FULL,
     ComboResult,
     RunPlan,
-    run_cc_best,
-    run_combo,
     run_traces,
 )
 
@@ -51,16 +47,12 @@ __all__ = [
     "survey_26",
     "FIGURE_SCHEMES",
     "FigureData",
-    "evaluate_all",
-    "evaluate_class",
     "figure_series",
     "render_figure",
     "CC_PROBS_FAST",
     "CC_PROBS_FULL",
     "ComboResult",
     "RunPlan",
-    "run_cc_best",
-    "run_combo",
     "run_traces",
     "sweep_remote_latency",
     "toggle_bus_contention",

@@ -17,12 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
-from ..analysis.metrics import geometric_mean, normalized_throughput
+from ..analysis.metrics import geometric_mean
 from ..common.config import SystemConfig
-from ..workloads.mixes import WorkloadMix, build_mix_traces, mixes_in_class
-from .runner import RunPlan, run_traces
+from ..engine.runner import ParallelRunner
+from ..workloads.mixes import WorkloadMix, mixes_in_class
+from .runner import RunPlan
 
-__all__ = ["AblationPoint", "ablate_flipping", "ablate_epochs", "ablate_p_threshold"]
+__all__ = [
+    "AblationPoint",
+    "ablate_flipping",
+    "ablate_epochs",
+    "ablate_p_threshold",
+    "throughput_vs_l2p",
+]
 
 
 @dataclass
@@ -33,19 +40,30 @@ class AblationPoint:
     throughput_vs_l2p: float
 
 
+def throughput_vs_l2p(
+    config: SystemConfig,
+    plan: RunPlan,
+    mixes: Sequence[WorkloadMix],
+    schemes: Sequence[str],
+) -> List[Dict[str, float]]:
+    """Per mix, each scheme's throughput normalized to L2P on the same traces.
+
+    One in-process engine run of L2P and *schemes* over *mixes*.
+    """
+    runner = ParallelRunner(config, plan, schemes=("l2p", *schemes), jobs=0)
+    return [
+        {name: combo.metrics[name]["throughput"] for name in schemes}
+        for combo in runner.run(mixes)
+    ]
+
+
 def _snug_vs_l2p(
     config: SystemConfig, mixes: Sequence[WorkloadMix], plan: RunPlan
 ) -> float:
     """Geomean normalized SNUG throughput over the given mixes."""
-    values: List[float] = []
-    for mix in mixes:
-        traces = build_mix_traces(mix, config.l2.num_sets, plan.n_accesses, plan.seed)
-        base = run_traces("l2p", config, traces, plan.target_instructions,
-                          plan.warmup_instructions)
-        snug = run_traces("snug", config, traces, plan.target_instructions,
-                          plan.warmup_instructions)
-        values.append(normalized_throughput(snug.ipc, base.ipc))
-    return geometric_mean(values)
+    return geometric_mean(
+        [row["snug"] for row in throughput_vs_l2p(config, plan, mixes, ("snug",))]
+    )
 
 
 def ablate_flipping(

@@ -1,11 +1,12 @@
 """Section 5 performance experiments: Figures 9, 10 and 11.
 
 For every Table 8 combination the five schemes are simulated on identical
-traces; per-class numbers are geometric means over the class's combinations
-(the paper's aggregation), and ``AVG`` is the geometric mean over all six
-classes.  One call to :func:`evaluate_all` therefore produces the complete
-data behind all three figures — they differ only in which Table 5 metric is
-plotted.
+traces (one :class:`~repro.engine.runner.ParallelRunner` run over the mixes
+:func:`select_mixes` lists); per-class numbers are geometric means over the
+class's combinations (the paper's aggregation), and ``AVG`` is the geometric
+mean over all six classes.  One :class:`FigureData` over that run's combo
+results therefore holds the complete data behind all three figures — they
+differ only in which Table 5 metric is plotted.
 """
 
 from __future__ import annotations
@@ -15,15 +16,12 @@ from typing import Dict, List, Sequence
 
 from ..analysis.metrics import geometric_mean
 from ..analysis.report import render_series
-from ..common.config import SystemConfig
-from ..workloads.mixes import MIXES, WorkloadMix, mix_classes, mixes_in_class
-from .runner import DEFAULT_SCHEMES, ComboResult, RunPlan, run_combo
+from ..workloads.mixes import WorkloadMix, mix_classes, mixes_in_class
+from .runner import ComboResult
 
 __all__ = [
     "FigureData",
     "select_mixes",
-    "evaluate_class",
-    "evaluate_all",
     "figure_series",
     "render_figure",
 ]
@@ -73,8 +71,9 @@ def select_mixes(
 ) -> List[WorkloadMix]:
     """The Table 8 combinations of a (possibly trimmed) sweep, in figure order.
 
-    Shared by the serial :func:`evaluate_all` loop and the CLI's parallel
-    path so both enumerate exactly the same grid.
+    ``combos_per_class`` limits each class to its first *k* combinations for
+    quick runs; ``None`` keeps them all.  Scenario class sweeps
+    (:class:`~repro.scenario.workload.WorkloadSpec`) resolve through it.
     """
     out = []
     for mix_class in classes or mix_classes():
@@ -83,34 +82,6 @@ def select_mixes(
             mixes = mixes[:combos_per_class]
         out.extend(mixes)
     return out
-
-
-def evaluate_class(
-    mix_class: str,
-    config: SystemConfig,
-    plan: RunPlan,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-) -> List[ComboResult]:
-    """Run every combination of one class."""
-    return [run_combo(mix, config, plan, schemes) for mix in mixes_in_class(mix_class)]
-
-
-def evaluate_all(
-    config: SystemConfig,
-    plan: RunPlan,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    classes: Sequence[str] | None = None,
-    combos_per_class: int | None = None,
-) -> FigureData:
-    """Run the full (or trimmed) Table 8 sweep.
-
-    ``combos_per_class`` limits each class to its first *k* combinations for
-    quick runs; ``None`` runs all 21.
-    """
-    data = FigureData()
-    for mix in select_mixes(classes, combos_per_class):
-        data.combos.append(run_combo(mix, config, plan, schemes))
-    return data
 
 
 def figure_series(data: FigureData, metric: str) -> tuple[List[str], Dict[str, List[float]]]:

@@ -1,14 +1,18 @@
-"""Simulation runner: one workload combination under one or all schemes.
+"""Simulation runner: the per-combination recipe's building blocks.
 
-This is the bridge between workloads and the timing system, implementing the
-paper's per-combination methodology:
+The paper's per-combination methodology (Table 8 mixes, Figures 9-11) runs
+through :class:`~repro.engine.runner.ParallelRunner`, which is built from
+the pieces defined here:
 
-* build the four core-rebased traces of a mix (one instance seed per slot);
-* run the L2P baseline, then each candidate scheme on *identical* traces;
-* for CC, sweep the spill probabilities {0, 25, 50, 75, 100}% and keep the
-  best throughput — the paper's **CC(Best)**;
-* return per-scheme :class:`~repro.core.cmp.SimResult` s plus the derived
-  Table 5 metrics.
+* :class:`RunPlan` — the sizing every task of a run shares;
+* :func:`run_traces` — one scheme over a mix's four core-rebased traces;
+* :func:`normalize_schemes` — L2P is always simulated, since every metric is
+  normalized to it, so candidate schemes run on *identical* traces;
+* :func:`select_cc_best` — CC swept over the spill probabilities, keeping
+  the best throughput: the paper's **CC(Best)**;
+* :func:`merge_task_results` — per-scheme
+  :class:`~repro.core.cmp.SimResult` s plus the derived Table 5 metrics, as
+  one :class:`ComboResult` per mix.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ __all__ = [
     "ComboResult",
     "make_system",
     "run_traces",
-    "run_cc_best",
-    "run_combo",
     "select_cc_best",
     "merge_task_results",
     "normalize_schemes",
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 #: The paper's five-scheme comparison (Figures 9-11) — the single source of
-#: truth for every default scheme list (serial sweep, parallel engine, CLI).
+#: truth for every default scheme list (engine, scenarios, CLI).
 DEFAULT_SCHEMES: tuple[str, ...] = ("l2p", "l2s", "cc_best", "dsr", "snug")
 
 #: The paper's CC(Best) sweep.
@@ -187,11 +189,10 @@ def run_traces(
 def select_cc_best(results_by_prob: Iterable[Tuple[float, SimResult]]) -> tuple[SimResult, float]:
     """Pick CC(Best) from per-probability results: first strict throughput max.
 
-    This is the single selection rule shared by the serial sweep
-    (:func:`run_cc_best`) and the parallel engine's merge step
-    (:mod:`repro.engine.runner`) — ties resolve to the earliest probability
-    in iteration order, so both paths pick the identical winner.  The chosen
-    result is relabelled ``"cc_best"`` in place.
+    This is the selection rule of the engine's merge step
+    (:func:`merge_task_results`) — ties resolve to the earliest probability
+    in iteration order, so every backend picks the identical winner.  The
+    chosen result is relabelled ``"cc_best"`` in place.
     """
     best: SimResult | None = None
     best_prob = 0.0
@@ -208,28 +209,13 @@ def normalize_schemes(schemes: Sequence[str]) -> List[str]:
     """The scheme list actually simulated: L2P always present (and first).
 
     Metrics are normalized to L2P, so every run needs the baseline; keeping
-    the insertion rule in one helper keeps the serial path and the engine's
-    task expansion in lockstep.
+    the insertion rule in one helper keeps the engine's task expansion and
+    its merge step in lockstep.
     """
     wanted = list(schemes)
     if "l2p" not in wanted:
         wanted.insert(0, "l2p")
     return wanted
-
-
-def run_cc_best(
-    config: SystemConfig,
-    traces: Sequence[Trace],
-    target_instructions: int,
-    probs: Sequence[float] = CC_PROBS_FULL,
-    warmup_instructions: int = 0,
-) -> tuple[SimResult, float]:
-    """The paper's CC(Best): best-throughput spill probability per workload."""
-    return select_cc_best(
-        (prob, run_traces("cc", config, traces, target_instructions,
-                          warmup_instructions, spill_probability=prob))
-        for prob in probs
-    )
 
 
 def merge_task_results(
@@ -244,8 +230,8 @@ def merge_task_results(
     objects and *results* maps ``task_id`` to the finished
     :class:`SimResult`.  The walk follows the *request* order of *schemes*
     and re-applies :func:`select_cc_best` over the per-probability CC
-    results, so the assembly is independent of execution order and shared
-    verbatim by the serial path and every engine backend.
+    results, so the assembly is independent of execution order and the same
+    whichever backend ran the tasks.
     """
     plain = {t.scheme: t for t in mix_tasks if t.cc_prob is None}
     merged: Dict[str, SimResult] = {}
@@ -272,66 +258,3 @@ def merge_task_results(
     combo.compute_metrics()
     return combo
 
-
-def run_combo(
-    mix: "WorkloadMix",
-    config: SystemConfig | None = None,
-    plan: RunPlan | None = None,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-) -> ComboResult:
-    """Run a Table 8 combination under the requested schemes.
-
-    ``"cc_best"`` triggers the spill-probability sweep; any other name is
-    instantiated directly.  The L2P baseline is always run (metrics need it).
-
-    *mix* may also be a single-mix :class:`~repro.scenario.model.Scenario`
-    (the declarative contract), in which case *config*/*plan*/*schemes* are
-    taken from the scenario and must not be passed separately::
-
-        run_combo(Scenario.load("my_run.yaml"))
-
-    Since the backend refactor this is the engine's inline path in
-    miniature: the mix expands into tasks, executes through
-    :class:`~repro.engine.backends.inline.InlineBackend` (one chunk, so the
-    mix's traces are provisioned once) and merges via
-    :func:`merge_task_results` — one code path whether a combination runs
-    serially or fanned out across processes or machines.
-    """
-    if not isinstance(mix, WorkloadMix):
-        # A Scenario (duck-typed: the scenario layer imports this module, so
-        # the reverse edge must stay out of import time).
-        scenario = mix
-        if config is not None or plan is not None:
-            raise ConfigError(
-                "run_combo(scenario): pass either a Scenario alone or the "
-                "classic (mix, config, plan) triple, not both"
-            )
-        mixes = scenario.build_mixes()
-        if len(mixes) != 1:
-            raise ConfigError(
-                f"run_combo needs a single-mix scenario; {scenario.name!r} "
-                f"resolves {len(mixes)} mixes — use repro.scenario."
-                "run_scenario (or `repro scenario run`) for multi-mix runs"
-            )
-        mix = mixes[0]
-        config = scenario.build_config()
-        plan = scenario.plan
-        schemes = scenario.schemes
-    if config is None or plan is None:
-        raise ConfigError("run_combo needs a config and a plan (or a Scenario)")
-
-    # Imported here, not at module level: the engine imports this module
-    # (RunPlan, run_traces, merge_task_results), so the reverse edge must
-    # stay out of import time.
-    from ..engine.backends.inline import InlineBackend
-    from ..engine.tasks import expand_mix_tasks
-    from ..workloads.trace_cache import resolve_cache_root
-
-    # $REPRO_TRACE_CACHE applies here too — the serial path consults the
-    # same shared trace cache as every engine backend.
-    backend = InlineBackend(resolve_cache_root(None))
-    tasks = expand_mix_tasks(mix, schemes, plan.cc_probs)
-    results: Dict[str, SimResult] = {}
-    for task, result in backend.submit_chunks(config, plan, [tasks]):
-        results[task.task_id] = result
-    return merge_task_results(mix, tasks, results, schemes)

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Sequence
 
-from ..analysis.metrics import normalized_throughput
 from ..common.config import SystemConfig
-from ..workloads.mixes import build_mix_traces, get_mix
-from .ablation import AblationPoint
-from .runner import RunPlan, run_traces
+from ..workloads.mixes import get_mix
+from .ablation import AblationPoint, throughput_vs_l2p
+from .runner import RunPlan
 
 __all__ = ["sweep_remote_latency", "toggle_bus_contention"]
 
@@ -35,17 +34,12 @@ def sweep_remote_latency(
 ) -> List[AblationPoint]:
     """SNUG throughput vs L2P as the G/T-lookup-inclusive latency grows."""
     mix = get_mix(mix_id)
-    traces = build_mix_traces(mix, config.l2.num_sets, plan.n_accesses, plan.seed)
-    base = run_traces("l2p", config, traces, plan.target_instructions,
-                      plan.warmup_instructions)
     points: List[AblationPoint] = []
     for latency in latencies:
         cfg = config.with_(latency=replace(config.latency, l2_remote_snug=latency))
-        snug = run_traces("snug", cfg, traces, plan.target_instructions,
-                          plan.warmup_instructions)
+        [row] = throughput_vs_l2p(cfg, plan, [mix], ("snug",))
         points.append(AblationPoint(
-            label=f"remote={latency}",
-            throughput_vs_l2p=normalized_throughput(snug.ipc, base.ipc),
+            label=f"remote={latency}", throughput_vs_l2p=row["snug"]
         ))
     return points
 
@@ -62,14 +56,10 @@ def toggle_bus_contention(
     ``model_contention`` flag.
     """
     mix = get_mix(mix_id)
-    traces = build_mix_traces(mix, config.l2.num_sets, plan.n_accesses, plan.seed)
     out: dict[str, dict[bool, float]] = {s: {} for s in schemes}
     for contention in (False, True):
         cfg = config.with_(bus=replace(config.bus, model_contention=contention))
-        base = run_traces("l2p", cfg, traces, plan.target_instructions,
-                          plan.warmup_instructions)
+        [row] = throughput_vs_l2p(cfg, plan, [mix], schemes)
         for scheme in schemes:
-            res = run_traces(scheme, cfg, traces, plan.target_instructions,
-                             plan.warmup_instructions)
-            out[scheme][contention] = normalized_throughput(res.ipc, base.ipc)
+            out[scheme][contention] = row[scheme]
     return out

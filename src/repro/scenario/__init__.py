@@ -17,9 +17,9 @@ Entry points
 ------------
 * ``repro scenario run|validate|expand FILE`` — the CLI front door.
 * :func:`~repro.scenario.run.run_scenario` /
-  :class:`~repro.scenario.run.ScenarioExecution` — the library API (serial
-  or any execution backend; the scenario hash is stamped into the result
-  store's manifest either way).
+  :class:`~repro.scenario.run.ScenarioExecution` — the library API (in
+  process by default, or on any execution backend; the scenario hash is
+  stamped into the result store's manifest either way).
 * :func:`~repro.scenario.run.scenario_from_flags` — the adapter that turns
   a flag-driven ``repro run``/``repro sweep`` invocation into the same
   contract (bit-identical results, pinned by the conformance suite).

@@ -1,13 +1,12 @@
-"""Running scenarios: serial path, engine path, and the flag adapter.
+"""Running scenarios: the engine path and the flag adapter.
 
 :class:`ScenarioExecution` is the single bridge from a validated
-:class:`~repro.scenario.model.Scenario` to results.  Without engine options
-it reproduces the classic serial path (one
-:func:`~repro.experiments.runner.run_combo` per resolved mix); with engine
-options it builds a :class:`~repro.engine.runner.ParallelRunner` over the
-requested backend, handing it the scenario so its content hash is stamped
-into the result-store manifest.  Both paths are bit-identical (the engine's
-determinism contract), which the scenario conformance suite pins.
+:class:`~repro.scenario.model.Scenario` to results.  It always builds a
+:class:`~repro.engine.runner.ParallelRunner` — on the inline backend
+(in this process) unless the engine options ask for another — handing it
+the scenario so its content hash is stamped into the result-store manifest.
+Every backend is bit-identical to the inline one (the engine's determinism
+contract), which the scenario conformance suite pins.
 
 :func:`scenario_from_flags` is the adapter the flag-driven CLI commands
 (``repro run``/``repro sweep``) use to build the *same* contract from
@@ -25,12 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..common.errors import ConfigError
-from ..experiments.runner import (
-    DEFAULT_SCHEMES,
-    ComboResult,
-    RunPlan,
-    run_combo,
-)
+from ..engine import ParallelRunner, make_backend
+from ..experiments.runner import DEFAULT_SCHEMES, ComboResult, RunPlan
+from ..workloads.trace_cache import resolve_cache_root
 from .model import Scenario
 from .system import SystemSpec
 from .workload import ProgramMixSpec, WorkloadSpec
@@ -78,12 +74,10 @@ class EngineOptions:
     result persistence, trace-cache location.  They never change the merged
     results, which is why they live beside the scenario rather than inside
     it: the content hash must identify the experiment, not the machine.
+    The defaults run every task in this process on the inline backend.
 
     ``trace_cache`` is the *explicitly requested* directory; the
-    ``$REPRO_TRACE_CACHE`` fallback is applied at runner-build time, so the
-    ambient environment alone does not flip ``engine_requested`` (a plain
-    serial run stays serial — it still consults the env-var cache through
-    the inline backend's own resolution).
+    ``$REPRO_TRACE_CACHE`` fallback is applied at runner-build time.
     """
 
     jobs: int | None = None
@@ -92,30 +86,16 @@ class EngineOptions:
     backend: str | None = None
     bind: Tuple[str, int] | None = None
     trace_cache: str | None = None
-    #: Socket-backend shared auth secret (worker frame MACs).  Deliberately
-    #: excluded from :attr:`engine_requested`: a secret alone (e.g. ambient
-    #: via ``--secret-file`` in a wrapper script) must not flip a serial run
-    #: onto the engine path.
+    #: Socket-backend shared auth secret (worker frame MACs).
     secret: str | None = None
     #: ``--sim-core``: override the plan's stepping loop (``auto`` or
-    #: ``reference``).  Bit-identical by contract, so it neither
-    #: flips :attr:`engine_requested` nor perturbs the scenario's content
-    #: hash — a store written under one core resumes under any other.
+    #: ``reference``).  Bit-identical by contract, so it does not perturb
+    #: the scenario's content hash — a store written under one core resumes
+    #: under any other.
     sim_core: str | None = None
     #: ``--profile``: cProfile the execution phase and dump the stats file
     #: here (inspect with ``python -m pstats``).  Pure observability.
     profile: str | None = None
-
-    @property
-    def engine_requested(self) -> bool:
-        """Whether any option asks for the parallel engine (vs serial path)."""
-        return (
-            self.jobs is not None
-            or self.store is not None
-            or self.resume
-            or self.backend is not None
-            or self.trace_cache is not None
-        )
 
     def effective_jobs(self) -> int:
         """The parallelism hint, applying the per-backend defaults."""
@@ -129,7 +109,7 @@ class EngineOptions:
 
 
 class ScenarioExecution:
-    """One scenario bound to its resolved inputs and (optional) engine."""
+    """One scenario bound to its resolved inputs and its engine runner."""
 
     def __init__(self, scenario: Scenario, options: EngineOptions | None = None) -> None:
         self.scenario = scenario
@@ -143,14 +123,9 @@ class ScenarioExecution:
         self.plan = scenario.plan
         if self.options.sim_core is not None:
             self.plan = dataclasses.replace(self.plan, sim_core=self.options.sim_core)
-        self.runner = self._build_runner() if self.options.engine_requested else None
+        self.runner = self._build_runner()
 
-    def _build_runner(self):
-        # Engine imports stay out of scenario-module import time so pure
-        # validation tools (CI preset checks) do not pay for them.
-        from ..engine import ParallelRunner, make_backend
-        from ..workloads.trace_cache import resolve_cache_root
-
+    def _build_runner(self) -> ParallelRunner:
         opts = self.options
         cache_root = resolve_cache_root(opts.trace_cache)
         jobs = opts.effective_jobs()
@@ -176,7 +151,7 @@ class ScenarioExecution:
         )
 
     def run(self) -> List[ComboResult]:
-        """Simulate every resolved mix; bit-identical on either path.
+        """Simulate every resolved mix; bit-identical on every backend.
 
         With ``options.profile`` set, the execution phase (and only it —
         validation and resolution happened at construction) runs under
@@ -188,19 +163,11 @@ class ScenarioExecution:
             profiler = cProfile.Profile()
             profiler.enable()
             try:
-                return self._run()
+                return self.runner.run(self.mixes)
             finally:
                 profiler.disable()
                 profiler.dump_stats(self.options.profile)
-        return self._run()
-
-    def _run(self) -> List[ComboResult]:
-        if self.runner is not None:
-            return self.runner.run(self.mixes)
-        return [
-            run_combo(mix, self.config, self.plan, schemes=self.scenario.schemes)
-            for mix in self.mixes
-        ]
+        return self.runner.run(self.mixes)
 
 
 def run_scenario(

@@ -8,8 +8,9 @@ requester snoops the bus; the peer holding the CC copy forwards it and
 invalidates its copy (Section 3.3's coherence rules).
 
 The paper evaluates **CC(Best)** — the best of spill probabilities
-{0, 25, 50, 75, 100}% per workload — which the experiment runner implements
-by sweeping this scheme (:func:`repro.experiments.runner.run_cc_best`).
+{0, 25, 50, 75, 100}% per workload — which the experiment engine implements
+by sweeping this scheme, one task per probability, and keeping the best
+(:func:`repro.experiments.runner.select_cc_best`).
 
 This scheme is *demand-blind*: a streaming application spills as
 enthusiastically as a capacity-starved one, which is precisely the weakness

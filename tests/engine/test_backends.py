@@ -1,7 +1,7 @@
 """Backend-conformance suite: every execution backend, one contract.
 
 Each registered backend (inline, process pool, socket) must merge to
-``ComboResult`` s **byte-identical** to the serial ``run_combo`` output —
+``ComboResult`` s **byte-identical** to the in-process inline run —
 including when resuming a partially-completed store — and the socket
 backend must additionally survive a worker dying mid-chunk without losing
 or duplicating a task.  A new backend added to
@@ -23,6 +23,8 @@ import threading
 
 import pytest
 
+from tests.helpers import run_mix
+
 from repro.common.config import tiny_config
 from repro.common.errors import AuthError, EngineError
 from repro.engine import ParallelRunner
@@ -40,7 +42,7 @@ from repro.engine.backends.socket import (
     send_hello,
     send_msg,
 )
-from repro.experiments.runner import RunPlan, run_combo
+from repro.experiments.runner import RunPlan
 from repro.workloads.mixes import get_mix
 
 MIXES = [get_mix("c5_0"), get_mix("c5_1")]
@@ -75,7 +77,7 @@ def fingerprint(combo) -> str:
 @pytest.fixture(scope="module")
 def serial_fingerprints() -> list:
     config, plan = tiny_config(seed=7), small_plan()
-    return [fingerprint(run_combo(m, config, plan)) for m in MIXES]
+    return [fingerprint(run_mix(m, config, plan)) for m in MIXES]
 
 
 class _SocketHarness:
@@ -149,7 +151,7 @@ class TestConformance:
         )
         schemes = ("l2p", "snug")
         serial = [
-            fingerprint(run_combo(m, config, plan, schemes=schemes)) for m in MIXES
+            fingerprint(run_mix(m, config, plan, schemes=schemes)) for m in MIXES
         ]
         if kind == "socket":
             harness = _SocketHarness()
@@ -417,7 +419,7 @@ class TestSocketFaults:
             peer.join(timeout=15)
         good.join(timeout=15)
         assert failures == []
-        serial = fingerprint(run_combo(MIXES[0], tiny_config(seed=7), small_plan()))
+        serial = fingerprint(run_mix(MIXES[0], tiny_config(seed=7), small_plan()))
         assert fingerprint(combo) == serial
         assert backend.workers_seen == 1  # no bad peer ever registered
 

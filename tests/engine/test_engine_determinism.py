@@ -1,9 +1,9 @@
 """Determinism contract of the parallel engine.
 
 The same (mix, seed, plan, config) must produce **byte-identical** results
-through every execution strategy: the serial runner, the in-process task
-loop, and process pools of 1, 2 and 4 workers — with and without the JSON
-store in the loop.  Fingerprints are canonical JSON dumps, so "identical"
+through every execution strategy: the in-process task loop (the inline
+backend, run once up front as the reference) and process pools of 1, 2 and
+4 workers — with and without the result store in the loop.  Fingerprints are canonical JSON dumps, so "identical"
 means identical down to the last float bit.
 """
 
@@ -11,9 +11,11 @@ import json
 
 import pytest
 
+from tests.helpers import run_mix
+
 from repro.common.config import tiny_config
 from repro.engine import ParallelRunner
-from repro.experiments.runner import RunPlan, run_combo
+from repro.experiments.runner import RunPlan
 from repro.workloads.mixes import get_mix
 
 MIX = get_mix("c4_0")
@@ -44,7 +46,7 @@ def fingerprint(combo) -> str:
 
 @pytest.fixture(scope="module")
 def serial_fingerprint() -> str:
-    return fingerprint(run_combo(MIX, tiny_config(seed=7), small_plan()))
+    return fingerprint(run_mix(MIX, tiny_config(seed=7), small_plan()))
 
 
 class TestParallelMatchesSerial:

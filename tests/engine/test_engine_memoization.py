@@ -12,6 +12,8 @@ import json
 import numpy as np
 import pytest
 
+from tests.helpers import run_mix
+
 from repro.common.config import tiny_config
 from repro.engine import ParallelRunner
 from repro.engine.execution import (
@@ -21,7 +23,7 @@ from repro.engine.execution import (
     execute_task_chunk,
 )
 from repro.engine.tasks import SimTask, expand_mix_tasks
-from repro.experiments.runner import RunPlan, run_combo
+from repro.experiments.runner import RunPlan
 from repro.workloads.mixes import WorkloadMix, build_mix_traces, get_mix
 
 
@@ -82,12 +84,12 @@ class TestMemoCorrectness:
 
 
 class TestMemoizedEngineBitIdentical:
-    """Warm-memo and chunked-pool runs reproduce the serial ComboResults."""
+    """Warm-memo and chunked-pool runs reproduce the inline ComboResults."""
 
     def test_warm_memo_matches_serial(self):
         config, plan = tiny_config(seed=7), small_plan()
         mix = get_mix("c4_0")
-        serial = fingerprint(run_combo(mix, config, plan))
+        serial = fingerprint(run_mix(mix, config, plan))
         runner = ParallelRunner(config, plan, jobs=0)
         [cold] = runner.run([mix])
         assert _trace_memo, "in-process run should have populated the memo"
@@ -99,7 +101,7 @@ class TestMemoizedEngineBitIdentical:
         """Two mixes, two workers: per-mix chunks merge identically."""
         config, plan = tiny_config(seed=7), small_plan()
         mixes = [get_mix("c5_0"), get_mix("c5_1")]
-        serial = [fingerprint(run_combo(m, config, plan)) for m in mixes]
+        serial = [fingerprint(run_mix(m, config, plan)) for m in mixes]
         runner = ParallelRunner(config, plan, jobs=2)
         combos = runner.run(mixes)
         assert [fingerprint(c) for c in combos] == serial
@@ -137,7 +139,7 @@ class TestMemoizedEngineBitIdentical:
         assert any(len(c) > 1 for c in chunks)  # memo locality survives
         # Sub-chunks are contiguous slices in task order.
         assert [t.task_id for c in chunks for t in c] == [t.task_id for t in tasks]
-        serial = fingerprint(run_combo(mix, config, plan))
+        serial = fingerprint(run_mix(mix, config, plan))
         [combo] = runner.run([mix])
         assert fingerprint(combo) == serial
 

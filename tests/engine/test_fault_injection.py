@@ -16,12 +16,14 @@ import threading
 
 import pytest
 
+from tests.helpers import run_mix
+
 from repro.common.config import tiny_config
 from repro.common.errors import AuthError, EngineError
 from repro.engine import ParallelRunner
 from repro.engine.backends import SocketBackend, run_worker
 from repro.engine.backends.faults import FaultInjector, FaultSpec
-from repro.experiments.runner import RunPlan, run_combo
+from repro.experiments.runner import RunPlan
 from repro.workloads.mixes import get_mix
 
 MIXES = [get_mix("c5_0"), get_mix("c5_1")]
@@ -56,7 +58,7 @@ def fingerprint(combo) -> str:
 @pytest.fixture(scope="module")
 def serial_fingerprints() -> list:
     config, plan = tiny_config(seed=7), small_plan()
-    return [fingerprint(run_combo(m, config, plan)) for m in MIXES]
+    return [fingerprint(run_mix(m, config, plan)) for m in MIXES]
 
 
 def _faulty_worker(host, port, *, injector, spool_dir, errors, stats):
@@ -304,5 +306,5 @@ class TestAuthRejection:
         assert "shared-secret mismatch" in rejections[0]
         assert "REPRO_ENGINE_SECRET" in rejections[0]  # the actionable part
         assert backend.workers_seen == 1  # the impostor never registered
-        serial = fingerprint(run_combo(MIXES[0], tiny_config(seed=7), small_plan()))
+        serial = fingerprint(run_mix(MIXES[0], tiny_config(seed=7), small_plan()))
         assert fingerprint(combo) == serial

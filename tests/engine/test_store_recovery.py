@@ -25,10 +25,12 @@ from pathlib import Path
 
 import pytest
 
+from tests.helpers import run_mix
+
 from repro.common.config import tiny_config
 from repro.engine import ParallelRunner
 from repro.engine.store import ResultStore
-from repro.experiments.runner import RunPlan, run_combo
+from repro.experiments.runner import RunPlan
 from repro.workloads.mixes import get_mix
 
 MIX_ID = "c5_0"
@@ -59,7 +61,7 @@ def fingerprint(combo) -> str:
 
 @pytest.fixture(scope="module")
 def serial_fingerprint() -> str:
-    return fingerprint(run_combo(get_mix(MIX_ID), tiny_config(seed=7), small_plan()))
+    return fingerprint(run_mix(get_mix(MIX_ID), tiny_config(seed=7), small_plan()))
 
 
 def _run_sweep(store: str, *, resume: bool = False) -> ParallelRunner:

@@ -81,19 +81,26 @@ class TestKeying:
         assert not np.array_equal(traces_a[0].addrs, traces_b[0].addrs)
 
     def test_serial_run_combo_honors_env_cache(self, tmp_path, monkeypatch):
-        """$REPRO_TRACE_CACHE reaches the serial path too: run_combo without
-        any engine flags populates and then reuses the shared cache."""
+        """$REPRO_TRACE_CACHE reaches a run without engine options too:
+        ``run_scenario(scenario)`` populates and then reuses the shared
+        cache."""
         import repro.workloads.trace_cache as tc_module
-        from repro.common.config import tiny_config
         from repro.engine.execution import _trace_memo
-        from repro.experiments.runner import RunPlan, run_combo
+        from repro.experiments.runner import RunPlan
+        from repro.scenario import Scenario, SystemSpec, WorkloadSpec, run_scenario
 
         root = tmp_path / "env-cache"
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(root))
-        plan = RunPlan(n_accesses=800, target_instructions=8_000,
-                       warmup_instructions=0, seed=3, cc_probs=(0.0,))
+        scenario = Scenario(
+            name="env-cache",
+            system=SystemSpec(scale="tiny", seed=7),
+            workload=WorkloadSpec(mixes=(MIX.mix_id,)),
+            schemes=("l2p",),
+            plan=RunPlan(n_accesses=800, target_instructions=8_000,
+                         warmup_instructions=0, seed=3, cc_probs=(0.0,)),
+        )
         _trace_memo.clear()
-        first = run_combo(MIX, tiny_config(seed=7), plan, schemes=("l2p",))
+        [first] = run_scenario(scenario)
         assert len(list(root.iterdir())) == 1  # populated without engine flags
 
         # Second run must be served from the cache: poison the generator so
@@ -103,7 +110,7 @@ class TestKeying:
 
         monkeypatch.setattr(tc_module, "build_mix_traces", boom)
         _trace_memo.clear()
-        second = run_combo(MIX, tiny_config(seed=7), plan, schemes=("l2p",))
+        [second] = run_scenario(scenario)
         assert second.results["l2p"].to_dict() == first.results["l2p"].to_dict()
 
     def test_env_default_resolution(self, tmp_path, monkeypatch):

@@ -6,6 +6,10 @@ readable: block address ``tag * 16 + set`` lives in set ``set``.
 :func:`live_state` is a scheme's post-run state as plain values, which the
 differential tests compare between the reference loop and the kernel.
 
+:func:`run_mix` runs one Table 8 combination the way every experiment does:
+through the engine's :class:`~repro.engine.runner.ParallelRunner`, in
+process.
+
 :func:`on_both_profiler_steps` runs a streaming-profiler test once per
 profiler step: the C step and the no-library Python step.
 :func:`spec_hist` is the profilers' oracle: the per-interval histograms of
@@ -23,6 +27,8 @@ import pytest
 from repro.cache.stackdist import StackDistanceProfiler
 from repro.common.config import CacheGeometry, DsrConfig, SnugConfig, SystemConfig
 from repro.core import _ckernel
+from repro.engine import ParallelRunner
+from repro.experiments.runner import DEFAULT_SCHEMES, ComboResult, RunPlan
 from repro.mem.address import core_address_base
 from repro.schemes.dsr import DynamicSpillReceive
 from repro.schemes.l2s import SharedL2
@@ -43,6 +49,13 @@ def tiny_system(**overrides) -> SystemConfig:
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
+
+
+def run_mix(mix, config: SystemConfig, plan: RunPlan,
+            schemes=DEFAULT_SCHEMES) -> ComboResult:
+    """One mix's :class:`ComboResult` from the engine's inline backend."""
+    [combo] = ParallelRunner(config, plan, schemes=schemes, jobs=0).run([mix])
+    return combo
 
 
 def addr(core: int, set_index: int, tag: int) -> int:

@@ -2,11 +2,12 @@
 
 import pytest
 
+from tests.helpers import run_mix
+
 from repro import (
     RunPlan,
     fast_config,
     get_mix,
-    run_combo,
     run_traces,
     scheme_names,
     tiny_config,
@@ -45,7 +46,7 @@ class TestAllSchemesRun:
 
 class TestComboPipeline:
     def test_combo_metrics_sane(self):
-        combo = run_combo(get_mix("c5_0"), tiny_config(), PLAN)
+        combo = run_mix(get_mix("c5_0"), tiny_config(), PLAN)
         for scheme, metrics in combo.metrics.items():
             for value in metrics.values():
                 assert 0.3 < value < 3.0, (scheme, metrics)
@@ -55,7 +56,7 @@ class TestComboPipeline:
 
         for cls in ("C1", "C2", "C3", "C4", "C5", "C6"):
             mix = mixes_in_class(cls)[0]
-            combo = run_combo(mix, tiny_config(), PLAN, schemes=("snug",))
+            combo = run_mix(mix, tiny_config(), PLAN, schemes=("snug",))
             assert "snug" in combo.metrics
 
 

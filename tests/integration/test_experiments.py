@@ -8,6 +8,7 @@ import pytest
 
 from repro import RunPlan, scaled_config, tiny_config
 from repro.analysis.metrics import geometric_mean, normalized_throughput
+from repro.engine import ParallelRunner
 from repro.experiments.ablation import ablate_flipping, render_ablation
 from repro.experiments.characterization import (
     figure_distribution,
@@ -17,9 +18,10 @@ from repro.experiments.characterization import (
     survey_26,
 )
 from repro.experiments.performance import (
-    evaluate_all,
+    FigureData,
     figure_series,
     render_figure,
+    select_mixes,
 )
 from repro.experiments.runner import run_traces
 from repro.experiments.sensitivity import sweep_remote_latency, toggle_bus_contention
@@ -80,13 +82,9 @@ class TestSurvey26:
 class TestPerformanceDrivers:
     @pytest.fixture(scope="class")
     def data(self):
-        return evaluate_all(
-            tiny_config(),
-            PLAN,
-            schemes=("l2p", "dsr", "snug"),
-            classes=("C1", "C5"),
-            combos_per_class=1,
-        )
+        runner = ParallelRunner(tiny_config(), PLAN, schemes=("l2p", "dsr", "snug"),
+                                jobs=0)
+        return FigureData(combos=runner.run(select_mixes(("C1", "C5"), 1)))
 
     def test_series_shapes(self, data):
         labels, series = figure_series(data, "throughput")

@@ -12,8 +12,10 @@ semantics, regenerate the snapshot in the same commit and say why.
 import json
 from pathlib import Path
 
+from tests.helpers import run_mix
+
 from repro.common.config import tiny_config
-from repro.experiments.runner import RunPlan, run_combo
+from repro.experiments.runner import RunPlan
 from repro.workloads.mixes import get_mix
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_c4_0_tiny.json"
@@ -33,7 +35,7 @@ GOLDEN_SCHEMES = ("l2p", "l2s", "cc_best", "dsr", "snug")
 def run_golden_combo():
     config = tiny_config(seed=GOLDEN_CONFIG_SEED)
     plan = RunPlan(**GOLDEN_PLAN)
-    return run_combo(get_mix("c4_0"), config, plan, schemes=GOLDEN_SCHEMES)
+    return run_mix(get_mix("c4_0"), config, plan, schemes=GOLDEN_SCHEMES)
 
 
 class TestGoldenMetrics:

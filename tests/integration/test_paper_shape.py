@@ -8,7 +8,9 @@ workload substitution (see EXPERIMENTS.md for the quantitative record).
 
 import pytest
 
-from repro import RunPlan, fast_config, get_mix, run_combo
+from tests.helpers import run_mix
+
+from repro import RunPlan, fast_config, get_mix
 
 PLAN = RunPlan(
     n_accesses=25_000,
@@ -20,17 +22,17 @@ PLAN = RunPlan(
 
 @pytest.fixture(scope="module")
 def c1_result():
-    return run_combo(get_mix("c1_0"), fast_config(), PLAN)
+    return run_mix(get_mix("c1_0"), fast_config(), PLAN)
 
 
 @pytest.fixture(scope="module")
 def c2_result():
-    return run_combo(get_mix("c2_0"), fast_config(), PLAN)
+    return run_mix(get_mix("c2_0"), fast_config(), PLAN)
 
 
 @pytest.fixture(scope="module")
 def c5_result():
-    return run_combo(get_mix("c5_0"), fast_config(), PLAN)
+    return run_mix(get_mix("c5_0"), fast_config(), PLAN)
 
 
 class TestC1StressTest:

@@ -2,8 +2,9 @@
 
 The acceptance contract of the scenario layer (ISSUE 5): running a bundled
 preset via ``repro scenario run`` produces bit-identical ``SimResult`` s to
-the equivalent flag-driven ``repro sweep`` invocation — across the serial
-path and the inline and process execution backends — and the two spellings
+the equivalent flag-driven ``repro sweep`` invocation and to the engine
+driven by hand without a scenario — on the inline and process execution
+backends — and the two spellings
 share one content hash, so either may resume the other's result store.
 """
 
@@ -11,8 +12,9 @@ import json
 
 import pytest
 
+from repro.engine import ParallelRunner
 from repro.engine.execution import _trace_memo
-from repro.experiments.performance import evaluate_all
+from repro.experiments.performance import select_mixes
 from repro.scenario import (
     EngineOptions,
     load_scenario_file,
@@ -45,16 +47,15 @@ def preset_scenario():
 
 @pytest.fixture(scope="module")
 def legacy_combos(preset_scenario):
-    """The pre-scenario serial path: evaluate_all over scaled_config/_plan."""
+    """The pre-scenario path: the engine run by hand in process over
+    scaled_config, plan_for_scale and select_mixes."""
     from repro.common.config import scaled_config
     from repro.scenario import plan_for_scale
 
     config = scaled_config(FLAGS["scale"], seed=FLAGS["seed"])
     plan = plan_for_scale(FLAGS["scale"], FLAGS["seed"])
-    return evaluate_all(
-        config, plan, classes=FLAGS["classes"],
-        combos_per_class=FLAGS["combos_per_class"],
-    ).combos
+    mixes = select_mixes(FLAGS["classes"], FLAGS["combos_per_class"])
+    return ParallelRunner(config, plan, jobs=0).run(mixes)
 
 
 class TestScenarioConformance:

@@ -16,7 +16,7 @@ import pytest
 from repro.cache.stackdist import StackDistanceProfiler
 from repro.common.config import tiny_config
 from repro.engine import ParallelRunner
-from repro.experiments.runner import RunPlan, run_combo, run_traces
+from repro.experiments.runner import RunPlan, run_traces
 from repro.schemes.snug import OnlineDemandMonitor, ScheduledGtMonitor, SnugCache
 from repro.core.cmp import CmpSystem
 from repro.workloads.mixes import build_mix_traces, get_mix
@@ -122,14 +122,21 @@ class TestMonitorUnderEngine:
         )
 
     def test_engine_inline_matches_serial_with_monitor(self):
+        """The engine attaches the monitor to SNUG only: its results equal
+        L2P run plain and SNUG run monitored on the same traces."""
         config = tiny_config(seed=11)
-        schemes = ("l2p", "snug")
-        serial = run_combo(MIX, config, self.plan(), schemes=schemes)
-        runner = ParallelRunner(config, self.plan(), schemes=schemes, jobs=0)
+        plan = self.plan()
+        traces = build_mix_traces(MIX, config.l2.num_sets, N_ACCESSES, seed=4)
+        serial = {
+            "l2p": run_traces("l2p", config, traces, TARGET, WARMUP),
+            "snug": run_traces("snug", config, traces, TARGET, WARMUP,
+                               snug_monitor=True),
+        }
+        runner = ParallelRunner(config, plan, schemes=("l2p", "snug"), jobs=0)
         [engine] = runner.run([MIX])
-        assert serial.metrics == engine.metrics
-        for name in serial.results:
-            assert serial.results[name].to_dict() == engine.results[name].to_dict()
+        assert set(engine.results) == set(serial)
+        for name, res in serial.items():
+            assert engine.results[name].to_dict() == res.to_dict()
 
     def test_snug_intra_inherits_the_monitor_path(self):
         config = tiny_config(seed=11)

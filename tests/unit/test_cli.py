@@ -214,12 +214,15 @@ class TestScenarioCommands:
 
     def test_env_trace_cache_does_not_switch_engine_path(self, tmp_path,
                                                          capsys, monkeypatch):
-        """$REPRO_TRACE_CACHE alone must not flip a plain run onto the
-        engine path (only the explicit --trace-cache flag does)."""
+        """A plain run, even with $REPRO_TRACE_CACHE set, runs in process on
+        the inline backend and says so in its engine summary line."""
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
         assert main(["--scale", "tiny", "run", "--mix", "c1_0",
                      "--schemes", "l2p"]) == 0
-        assert "engine:" not in capsys.readouterr().out
+        engine_lines = [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("engine:")]
+        assert len(engine_lines) == 1
+        assert engine_lines[0].startswith("engine: backend=inline (in-process); ")
 
     def test_dump_scenario_round_trips(self, tmp_path, capsys):
         """--dump-scenario snapshots the flag invocation as a file whose

@@ -312,30 +312,6 @@ class TestPresets:
             preset_path("nope")
 
 
-class TestRunComboScenario:
-    def test_single_mix_scenario_runs(self):
-        from repro.experiments.runner import run_combo
-
-        s = tiny_scenario(schemes=("l2p",))
-        combo = run_combo(s)
-        assert combo.mix_id == "c1_0"
-        assert set(combo.results) == {"l2p"}
-
-    def test_multi_mix_scenario_rejected(self):
-        from repro.experiments.runner import run_combo
-
-        s = tiny_scenario(workload=WorkloadSpec(mixes=("c1_0", "c1_1")))
-        with pytest.raises(ConfigError, match="single-mix"):
-            run_combo(s)
-
-    def test_scenario_plus_config_rejected(self):
-        from repro.common.config import tiny_config
-        from repro.experiments.runner import run_combo
-
-        with pytest.raises(ConfigError, match="not both"):
-            run_combo(tiny_scenario(), tiny_config())
-
-
 class TestGrid:
     GRID = """\
 grid: 1

@@ -11,8 +11,8 @@ this file pins:
   abort runs the default would finish) and therefore hashes;
 * scenario files written before either knob existed parse and re-serialize
   byte-identically (defaults are omitted from ``plan_to_dict``);
-* the CLI flags reach :class:`EngineOptions` without flipping a serial run
-  onto the engine path;
+* the CLI flags ``--sim-core`` and ``--profile`` reach
+  :class:`~repro.scenario.run.EngineOptions`;
 * ``auto`` always builds the compiled system, which picks the kernel or
   the reference loop per run and names every fallback on stderr;
 * the removed ``batch``, ``fast`` and ``compiled`` cores, whose one-round
@@ -38,7 +38,7 @@ from repro.experiments.runner import (
     run_traces,
 )
 from repro.scenario.model import plan_from_dict, plan_to_dict
-from repro.scenario.run import EngineOptions, scenario_from_flags
+from repro.scenario.run import scenario_from_flags
 from repro.schemes.factory import make_scheme
 from repro.schemes.snug import SnugCache
 from repro.workloads.mixes import build_mix_traces, get_mix
@@ -196,10 +196,6 @@ class TestDispatch:
 
 
 class TestEngineOptions:
-    def test_sim_core_and_profile_do_not_request_engine(self):
-        assert not EngineOptions(sim_core="reference", profile="x.pstats").engine_requested
-        assert EngineOptions(jobs=2).engine_requested
-
     def test_cli_flags_reach_options(self):
         from repro.cli import build_parser, _engine_options
 
