@@ -107,20 +107,15 @@ class SetAssocCache:
         return self.sets[idx].probe(block_addr)
 
     def fill(
-        self,
-        line: CacheLine,
-        set_index: Optional[int] = None,
-        *,
-        at_lru: bool = False,
+        self, line: CacheLine, set_index: Optional[int] = None
     ) -> Optional[CacheLine]:
-        """Insert *line*; return the victim evicted to make room (or None).
+        """Insert *line* at MRU; return the victim evicted to make room (or None).
 
         The caller is responsible for victim disposition (write-back, spill,
         shadow recording, ...).
         """
         idx = line.addr & self._index_mask if set_index is None else set_index
-        target = self.sets[idx]
-        victim = target.insert_at_lru(line) if at_lru else target.insert(line)
+        victim = self.sets[idx].insert(line)
         self._counters["fills"] += 1
         if victim is not None:
             self._counters["evictions"] += 1

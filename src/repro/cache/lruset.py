@@ -1,10 +1,11 @@
-"""A true-LRU set of cache lines with hit-position reporting.
+"""A true-LRU set of cache lines.
 
 The set is the unit the whole paper reasons about, so this class is the
-workhorse of the simulator.  Lines are kept in an MRU-first list; a hit at
-list position ``i`` (0-based) is a hit at **LRU position** ``i + 1`` in the
-paper's 1-based terminology — the quantity ``hit_count(S, I, A)`` counts hits
-at LRU positions ``<= A`` (Section 2.1.1).
+workhorse of the simulator.  Lines are kept in an MRU-first list: list
+position ``i`` (0-based) is **LRU position** ``i + 1`` in the paper's
+1-based terminology (Section 2.1.1).  Per-position hit counts come from the
+stack-distance profiler (:mod:`repro.cache.stackdist_stream`), not from
+this class.
 
 Design notes
 ------------
@@ -15,14 +16,13 @@ Design notes
   over ``line.addr`` attribute reads — the single hottest operation in the
   simulator.  ``CacheLine.addr`` is never mutated after construction, which
   keeps the mirror trivially consistent.
-* Victim selection is strict LRU over resident lines.  Schemes that must
-  prefer evicting cooperative blocks first (none in the paper — CC blocks
-  age normally) can use :meth:`find_victim` with a predicate.
+* Victim selection is strict LRU over resident lines (CC blocks age
+  normally, as in the paper).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from .block import CacheLine
 
@@ -62,13 +62,6 @@ class LruSet:
             return self._lines[addrs.index(addr)]
         return None
 
-    def hit_position(self, addr: int) -> int:
-        """1-based LRU position of *addr*, or 0 if absent (no recency update)."""
-        addrs = self._addrs
-        if addr in addrs:
-            return addrs.index(addr) + 1
-        return 0
-
     # -- mutations ---------------------------------------------------------
 
     def touch(self, addr: int) -> Optional[CacheLine]:
@@ -89,26 +82,6 @@ class LruSet:
             addrs.insert(0, addr)
         return line
 
-    def access(self, addr: int) -> tuple[int, Optional[CacheLine]]:
-        """Look up *addr* returning ``(lru_position, line)``; updates recency.
-
-        ``lru_position`` is 1-based; 0 means miss.  This is the profiling
-        variant of :meth:`touch` used when per-position hit counts are
-        needed (SNUG's demand monitor, the characterization pipeline).
-        """
-        addrs = self._addrs
-        if addr not in addrs:
-            return 0, None
-        i = addrs.index(addr)
-        lines = self._lines
-        line = lines[i]
-        if i:
-            del lines[i]
-            lines.insert(0, line)
-            del addrs[i]
-            addrs.insert(0, addr)
-        return i + 1, line
-
     def insert(self, line: CacheLine) -> Optional[CacheLine]:
         """Insert *line* at MRU; return the evicted LRU line if the set was full."""
         victim: Optional[CacheLine] = None
@@ -117,16 +90,6 @@ class LruSet:
             self._addrs.pop()
         self._lines.insert(0, line)
         self._addrs.insert(0, line.addr)
-        return victim
-
-    def insert_at_lru(self, line: CacheLine) -> Optional[CacheLine]:
-        """Insert *line* at the LRU end (lowest retention priority)."""
-        victim: Optional[CacheLine] = None
-        if len(self._lines) >= self.assoc:
-            victim = self._lines.pop()
-            self._addrs.pop()
-        self._lines.append(line)
-        self._addrs.append(line.addr)
         return victim
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
@@ -138,20 +101,6 @@ class LruSet:
         del self._lines[i]
         del self._addrs[i]
         return line
-
-    def find_victim(self, predicate: Callable[[CacheLine], bool]) -> Optional[CacheLine]:
-        """Return the LRU-most line satisfying *predicate* (no removal)."""
-        for line in reversed(self._lines):
-            if predicate(line):
-                return line
-        return None
-
-    def evict_lru(self) -> Optional[CacheLine]:
-        """Remove and return the LRU line (``None`` if the set is empty)."""
-        if self._lines:
-            self._addrs.pop()
-            return self._lines.pop()
-        return None
 
     def remove(self, line: CacheLine) -> None:
         """Remove a specific line object (must be resident)."""

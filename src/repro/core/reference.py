@@ -10,7 +10,7 @@ against: :func:`reference_system`, that loop over the seed's
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from ..cache.block import CacheLine
 from ..common.config import SystemConfig
@@ -55,12 +55,6 @@ class ReferenceLruSet:
                 return line
         return None
 
-    def hit_position(self, addr: int) -> int:
-        for i, line in enumerate(self._lines):
-            if line.addr == addr:
-                return i + 1
-        return 0
-
     def touch(self, addr: int) -> Optional[CacheLine]:
         lines = self._lines
         for i, line in enumerate(lines):
@@ -71,28 +65,11 @@ class ReferenceLruSet:
                 return line
         return None
 
-    def access(self, addr: int) -> tuple[int, Optional[CacheLine]]:
-        lines = self._lines
-        for i, line in enumerate(lines):
-            if line.addr == addr:
-                if i:
-                    del lines[i]
-                    lines.insert(0, line)
-                return i + 1, line
-        return 0, None
-
     def insert(self, line: CacheLine) -> Optional[CacheLine]:
         victim: Optional[CacheLine] = None
         if self.full:
             victim = self._lines.pop()
         self._lines.insert(0, line)
-        return victim
-
-    def insert_at_lru(self, line: CacheLine) -> Optional[CacheLine]:
-        victim: Optional[CacheLine] = None
-        if self.full:
-            victim = self._lines.pop()
-        self._lines.append(line)
         return victim
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
@@ -101,17 +78,6 @@ class ReferenceLruSet:
             if line.addr == addr:
                 del lines[i]
                 return line
-        return None
-
-    def find_victim(self, predicate: Callable[[CacheLine], bool]) -> Optional[CacheLine]:
-        for line in reversed(self._lines):
-            if predicate(line):
-                return line
-        return None
-
-    def evict_lru(self) -> Optional[CacheLine]:
-        if self._lines:
-            return self._lines.pop()
         return None
 
     def remove(self, line: CacheLine) -> None:

@@ -88,16 +88,6 @@ class TestOccupancy:
             c.fill(CacheLine(addr=a))
         assert sorted(l.addr for l in c.resident()) == [1, 2, 35]
 
-    def test_at_lru_insertion(self):
-        c = small_cache()
-        c.fill(CacheLine(addr=0))
-        c.fill(CacheLine(addr=16), at_lru=True)
-        victim = c.fill(CacheLine(addr=32))
-        assert victim is None  # set not yet full (4-way)
-        c.fill(CacheLine(addr=48))
-        victim = c.fill(CacheLine(addr=64))
-        assert victim.addr == 16  # the at_lru line went first
-
 
 def _fill_dirty(addr, calls):
     """A picklable deferred fill: one dirty line at *addr*'s home set."""

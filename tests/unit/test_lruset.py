@@ -17,7 +17,6 @@ class TestBasics:
         assert len(s) == 0
         assert not s.full
         assert s.probe(1) is None
-        assert s.evict_lru() is None
 
     def test_bad_assoc(self):
         with pytest.raises(ValueError):
@@ -52,30 +51,6 @@ class TestLruOrder:
         assert victim.addr == 2
 
 
-class TestHitPositions:
-    def test_positions_one_based(self):
-        s = LruSet(4)
-        fill(s, [1, 2, 3])  # MRU 3,2,1
-        assert s.hit_position(3) == 1
-        assert s.hit_position(2) == 2
-        assert s.hit_position(1) == 3
-        assert s.hit_position(99) == 0
-
-    def test_access_reports_position_then_promotes(self):
-        s = LruSet(4)
-        fill(s, [1, 2, 3])
-        pos, line = s.access(1)
-        assert pos == 3 and line.addr == 1
-        assert s.addrs()[0] == 1
-        pos, _ = s.access(1)
-        assert pos == 1  # now MRU
-
-    def test_access_miss(self):
-        s = LruSet(2)
-        pos, line = s.access(5)
-        assert pos == 0 and line is None
-
-
 class TestInvalidate:
     def test_invalidate_removes(self):
         s = LruSet(3)
@@ -90,30 +65,7 @@ class TestInvalidate:
         assert s.invalidate(9) is None
 
 
-class TestInsertAtLru:
-    def test_lowest_priority(self):
-        s = LruSet(3)
-        fill(s, [1, 2])
-        s.insert_at_lru(CacheLine(addr=3))
-        assert s.addrs() == [2, 1, 3]
-        victim = s.insert(CacheLine(addr=4))
-        assert victim.addr == 3
-
-
 class TestFindVictim:
-    def test_predicate_scans_from_lru(self):
-        s = LruSet(3)
-        s.insert(CacheLine(addr=1, cc=True))
-        s.insert(CacheLine(addr=2))
-        s.insert(CacheLine(addr=3, cc=True))
-        found = s.find_victim(lambda l: l.cc)
-        assert found.addr == 1  # LRU-most cc line
-
-    def test_no_match(self):
-        s = LruSet(2)
-        fill(s, [1])
-        assert s.find_victim(lambda l: l.dirty) is None
-
     def test_remove_specific(self):
         s = LruSet(2)
         line = CacheLine(addr=9)
