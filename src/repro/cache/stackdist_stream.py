@@ -33,7 +33,10 @@ library is loaded (:func:`repro.core._ckernel.lib_available`) the step is
 the library's ``profile_feed`` (:func:`repro.core._ckernel.profile_feed`,
 ``O(depth)`` work per reference and no allocation); without it
 (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build) it is
-:func:`_profile_feed_py`, the same walk in Python over the same arrays.
+:func:`_profile_feed_py`, the same walk in Python over the same arrays,
+and the first such feed in a process says so on stderr::
+
+    repro.profiler: C kernel unavailable (<why>); using the Python step (bit-identical)
 
 Two interval disciplines share the step: **fixed intervals** (an interval
 closes every ``interval_accesses`` references, and the spec never profiles
@@ -236,7 +239,17 @@ class StreamingProfiler:
         # Imported here: repro.core imports schemes.snug, which imports us.
         from ..core import _ckernel
 
-        step = _ckernel.profile_feed if _ckernel.lib_available() else _profile_feed_py
+        if _ckernel.lib_available():
+            step = _ckernel.profile_feed
+        else:
+            from ..core.compiled import fallback_notice
+
+            fallback_notice(
+                f"C kernel unavailable ({_ckernel.reason()})",
+                source="repro.profiler",
+                fallback="the Python step",
+            )
+            step = _profile_feed_py
         out = self._step(addrs, step)
         self._consumed += n
         return out

@@ -25,7 +25,9 @@ already hold state.  A system that has already run is refused before
 that choice (:meth:`CmpSystem._refuse_second_run`), so a refused run
 prints no notice.  Either way the run starts with
 :meth:`CmpSystem._start_run` and ends with :meth:`CmpSystem._finish_run`.
-Each distinct fallback reason is announced once per process on stderr::
+Each distinct fallback reason is announced once per process on stderr
+(by :func:`fallback_notice`, which also announces the streaming
+profiler's fall to its Python step under ``repro.profiler:``)::
 
     repro.compiled: <reason>; using the reference loop (bit-identical)
 
@@ -51,9 +53,9 @@ from ..schemes.snug_intra import SnugIntraCache
 from . import _ckernel
 from .cmp import CmpSystem, SimResult
 
-__all__ = ["CompiledCmpSystem", "kernel_mode"]
+__all__ = ["CompiledCmpSystem", "kernel_mode", "fallback_notice"]
 
-#: Fallback reasons already announced in this process.
+#: Fallback notices already printed in this process.
 _NOTICED: set = set()
 
 
@@ -63,15 +65,19 @@ def kernel_mode() -> str:
     return "compiled-c" if _ckernel.lib_available() else "reference"
 
 
-def _fallback_notice(reason: str) -> None:
-    """One stderr line per distinct fallback reason per process."""
-    if reason in _NOTICED:
+def fallback_notice(
+    reason: str,
+    *,
+    source: str = "repro.compiled",
+    fallback: str = "the reference loop",
+) -> None:
+    """One stderr line per distinct fallback per process:
+    ``<source>: <reason>; using <fallback> (bit-identical)``."""
+    line = f"{source}: {reason}; using {fallback} (bit-identical)"
+    if line in _NOTICED:
         return
-    _NOTICED.add(reason)
-    print(
-        f"repro.compiled: {reason}; using the reference loop (bit-identical)",
-        file=sys.stderr,
-    )
+    _NOTICED.add(line)
+    print(line, file=sys.stderr)
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -141,7 +147,7 @@ class CompiledCmpSystem(CmpSystem):
         else:
             reason = f"no kernel for scheme {self.scheme.name!r}"
         if reason is not None:
-            _fallback_notice(reason)
+            fallback_notice(reason)
             return super().run(
                 target_instructions,
                 warmup_instructions=warmup_instructions,

@@ -114,7 +114,7 @@ def _refuse_fallback(monkeypatch):
     def refuse(reason):
         raise AssertionError(f"the compiled run fell back to the spec: {reason}")
 
-    monkeypatch.setattr(compiled, "_fallback_notice", refuse)
+    monkeypatch.setattr(compiled, "fallback_notice", refuse)
 
 
 def _small_trace(seed=0, n=60):

@@ -6,6 +6,9 @@ the no-library Python step.  The oracle is the per-access Mattson spec
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.cache.stackdist_stream import (
     concat_profiles,
     profile_chunks,
 )
+from repro.core import _ckernel
 from repro.workloads.spec2000 import make_benchmark_trace
 from tests.helpers import on_both_profiler_steps, spec_hist
 
@@ -229,3 +233,39 @@ class TestDemandProfile:
     def test_shape_properties(self):
         prof = DemandProfile(hist=np.zeros((5, 8, 32), dtype=np.int64))
         assert (prof.intervals, prof.num_sets, prof.depth) == (5, 8, 32)
+
+
+class TestFallbackNotice:
+    """Without the kernel library the profiler says, once per process, that
+    it runs its Python step; with the library it says nothing."""
+
+    #: Two profilers, several feeds each: every feed takes the same step.
+    SCRIPT = (
+        "import numpy as np\n"
+        "from repro.cache.stackdist_stream import StreamingProfiler\n"
+        "for _ in range(2):\n"
+        "    profiler = StreamingProfiler(16, 8, interval_accesses=100)\n"
+        "    for _ in range(3):\n"
+        "        profiler.feed(np.arange(250) % 40)\n"
+    )
+
+    def _notices(self, **env_knobs):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_CKERNEL"}
+        env.update(PYTHONPATH=str(src), **env_knobs)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return [line for line in proc.stderr.splitlines()
+                if line.startswith("repro.profiler:")]
+
+    def test_python_step_announced_once(self):
+        assert self._notices(REPRO_NO_CKERNEL="1") == [
+            "repro.profiler: C kernel unavailable (disabled by "
+            "REPRO_NO_CKERNEL); using the Python step (bit-identical)"
+        ]
+
+    @pytest.mark.skipif(not _ckernel.lib_available(),
+                        reason="needs the C kernel library")
+    def test_c_step_is_silent(self):
+        assert self._notices() == []
