@@ -3,8 +3,9 @@
 The same (mix, seed, plan, config) must produce **byte-identical** results
 through every execution strategy: the in-process task loop (the inline
 backend, run once up front as the reference) and process pools of 1, 2 and
-4 workers — with and without the result store in the loop.  Fingerprints are canonical JSON dumps, so "identical"
-means identical down to the last float bit.
+4 workers — with and without the result store in the loop.  Fingerprints
+are canonical JSON dumps, so "identical" means identical down to the last
+float bit.
 """
 
 import json
