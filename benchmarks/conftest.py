@@ -131,6 +131,6 @@ def bench_json():
 
 @pytest.fixture(scope="session")
 def figure_data(scale: BenchScale) -> FigureData:
-    """The Figures 9-11 sweep, simulated once per session (in process)."""
+    """The Figures 9-11 sweep, simulated once per session."""
     runner = ParallelRunner(scale.config, scale.plan, jobs=0)
     return FigureData(combos=runner.run(select_mixes(None, scale.combos_per_class)))

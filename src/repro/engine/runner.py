@@ -9,7 +9,7 @@ process pool, or socket workers — which only transports chunks and streams
 back ``(task, result)`` pairs.  Combined with per-task deterministic
 seeding (package docstring) this makes the merged
 :class:`~repro.experiments.runner.ComboResult` list bit-identical on any
-backend, for any worker count.  It is the only driver that simulates
+backend, for any worker count.  It is the only code that simulates
 workload mixes: scenarios, the CLI, the service and the ablation and
 sensitivity studies all run through it (``jobs=0`` for in-process).
 """

@@ -1,5 +1,4 @@
-"""Integration tests for the experiment drivers (Figures 1-3, 9-11, survey,
-ablations and sensitivity studies)."""
+"""Integration tests for the experiment drivers (Figures 1-3, 9-11, survey)."""
 
 from dataclasses import replace
 
