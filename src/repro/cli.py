@@ -5,15 +5,16 @@ Ten subcommands cover the library's main entry points:
 ``characterize``
     Section 2 pipeline: per-set demand distribution of one benchmark
     (Figures 1–3 as text), profiled by the chunked streaming profiler.
-    With a trace cache, ``--stream [--chunk N]`` reads the trace in chunks
-    straight off its on-disk entry (without its digest check) instead of
-    loading it whole, with identical output.
+    With ``--trace-cache DIR`` a cached trace is digest-checked and read
+    in chunks straight off its on-disk entry, never loaded whole; a
+    missing or rejected entry is regenerated (a rejection is named once
+    on stderr) and stored, with identical output either way.
 
 ``survey``
     The Section 2.3 survey: characterize all 26 SPEC2000 models and flag
     set-level non-uniformity.  ``--jobs N`` fans the programs across worker
-    processes with output identical to the serial run; ``--stream`` reads
-    each program's trace in chunks off the trace cache.
+    processes with output identical to the serial run; ``--trace-cache``
+    works as for ``characterize``.
 
 ``run``
     Simulate one Table 8 mix (or four explicit programs) under one or more
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # One definition of --trace-cache shared by every command that touches
     # trace provisioning (run/sweep/scenario-run via engine_flags,
-    # characterize/survey via stream_flags) — the help text can't drift.
+    # characterize/survey directly) — the help text can't drift.
     cache_flags = argparse.ArgumentParser(add_help=False)
     cache_flags.add_argument(
         "--trace-cache", default=None, metavar="DIR",
@@ -217,21 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
              "reusable scenario file (.yaml or .json) before running",
     )
 
-    stream_flags = argparse.ArgumentParser(add_help=False, parents=[cache_flags])
-    stream_flags.add_argument(
-        "--stream", action="store_true",
-        help="with a trace cache, read each trace in chunks straight off "
-             "its on-disk entry (no digest check) instead of loading it "
-             "whole: O(chunk) memory once the entry exists, identical output",
-    )
-    stream_flags.add_argument(
-        "--chunk", type=int, default=None, metavar="N",
-        help="streaming chunk size in accesses (default 65536; requires --stream)",
-    )
-
     p_char = sub.add_parser(
         "characterize", help="set-level demand distribution (Figs 1-3)",
-        parents=[stream_flags],
+        parents=[cache_flags],
     )
     p_char.add_argument("benchmark", choices=benchmark_names())
     p_char.add_argument(
@@ -245,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_survey = sub.add_parser(
         "survey", help="Section 2.3 non-uniformity survey (26 programs)",
-        parents=[stream_flags],
+        parents=[cache_flags],
     )
     p_survey.add_argument(
         "--intervals", type=int, default=12, metavar="N",
@@ -542,8 +531,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         interval_accesses=args.interval_accesses,
         seed=args.seed,
         trace_cache=args.trace_cache,
-        stream=args.stream,
-        chunk_accesses=args.chunk,
     )
     print(render_char(dist, max_rows=20))
     verdict = "NON-UNIFORM" if dist.is_non_uniform() else "uniform"
@@ -565,8 +552,6 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         jobs=args.jobs,
         trace_cache=args.trace_cache,
-        stream=args.stream,
-        chunk_accesses=args.chunk,
     )
     print(render_survey(rows))
     flagged = non_uniform_names(rows)
@@ -1018,11 +1003,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--secret-file requires --backend socket")
     if args.command == "survey" and args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = in-process survey)")
-    if args.command in ("characterize", "survey"):
-        if args.chunk is not None and not args.stream:
-            parser.error("--chunk requires --stream")
-        if args.chunk is not None and args.chunk < 1:
-            parser.error("--chunk must be >= 1 access")
     if args.command == "worker":
         if _parse_hostport(args.connect) is None:
             parser.error(f"--connect expects HOST:PORT, got {args.connect!r}")

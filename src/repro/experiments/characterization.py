@@ -7,46 +7,43 @@ of the 26 SPEC2000 programs exhibit strong, exploitable set-level
 non-uniformity of capacity demand.
 
 Profiling always runs through the chunked
-:mod:`repro.cache.stackdist_stream` profiler.  What ``stream=True`` chooses
-is where the chunks come from: by default the whole trace is loaded (from
-the trace cache, digest-checked, or generated) and walked in views; with
-``stream=True`` and a trace cache the chunks are read straight off the
-cache entry on disk
-(:meth:`~repro.workloads.trace_cache.TraceCache.stream_addrs`, which skips
-the digest check), so once the entry exists the trace is never
-materialized.  Both give the same distribution.
+:mod:`repro.cache.stackdist_stream` profiler, in
+:data:`~repro.analysis.demand.DEFAULT_STREAM_CHUNK`-address chunks.  Where
+the chunks come from follows from what the shared on-disk
+:class:`~repro.workloads.trace_cache.TraceCache` (``--trace-cache DIR`` /
+``$REPRO_TRACE_CACHE``) holds, with no switch: a cached trace is read
+straight off its entry on disk
+(:meth:`~repro.workloads.trace_cache.TraceCache.stream_addrs`, which checks
+the entry's content digest in one streamed pass first), so it is never
+materialized; a missing or rejected entry is generated, stored and walked
+in memory; without a cache the trace is generated in memory.  A rejected
+entry is announced once per process on stderr
+(``repro.trace_cache: ...; using a regenerated trace``).  Every source
+gives the same distribution.
 
-Trace provisioning is two-tier, exactly like the simulation engine's: the
-shared on-disk :class:`~repro.workloads.trace_cache.TraceCache` (``--trace-
-cache DIR`` / ``$REPRO_TRACE_CACHE``) is consulted before regenerating, and
-worker processes layer their per-process memo on top.  :func:`survey_26`
-optionally fans its 26 programs across worker processes via the engine's
-:func:`~repro.engine.pool.parallel_map` — rows come back in request order,
-so the parallel survey is identical to the serial one.
+:func:`survey_26` optionally fans its 26 programs across worker processes
+via the engine's :func:`~repro.engine.pool.parallel_map` — rows come back
+in request order, so the parallel survey is identical to the serial one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..analysis.demand import (
     DEFAULT_STREAM_CHUNK,
     DemandDistribution,
     bucket_bounds,
     characterize_stream,
-    iter_addr_chunks,
+    characterize_trace,
 )
 from ..analysis.report import render_distribution, render_table
 from ..common.errors import ConfigError
+from ..core.compiled import fallback_notice
 from ..engine.pool import parallel_map
-from ..workloads.spec2000 import benchmark_names
-from ..workloads.trace_cache import (
-    TraceCache,
-    benchmark_key,
-    cached_benchmark_trace,
-    resolve_cache_root,
-)
+from ..workloads.spec2000 import benchmark_names, make_benchmark_trace
+from ..workloads.trace_cache import TraceCache, benchmark_key, resolve_cache_root
 
 __all__ = ["figure_distribution", "SurveyRow", "survey_26", "render_survey"]
 
@@ -61,8 +58,6 @@ def figure_distribution(
     m: int = 8,
     seed: int = 0,
     trace_cache: str | None = None,
-    stream: bool = False,
-    chunk_accesses: int | None = None,
 ) -> DemandDistribution:
     """Characterize one benchmark (Figures 1–3 use ammp / vortex / applu).
 
@@ -72,46 +67,41 @@ def figure_distribution(
     The reference stream comes through the shared on-disk trace cache
     (*trace_cache* or ``$REPRO_TRACE_CACHE``) when one is configured — the
     same digest-verified entries the simulation engine uses, so a sweep and
-    its characterization generate each trace once between them.
-
-    ``stream=True`` reads the trace in ``chunk_accesses``-address chunks
-    (default :data:`~repro.analysis.demand.DEFAULT_STREAM_CHUNK`) instead of
-    loading it whole.  With a trace cache configured the chunks are read
-    directly off the on-disk entry, without its digest check (the trace is
-    generated once to seed the cache if absent, then never materialized
-    again); without one the generated trace is walked in chunk-sized views.
-    Either way the result is the same as without ``stream``.
+    its characterization generate each trace once between them.  A cached
+    entry is streamed off disk in ``O(chunk)`` memory once its digest
+    checks out; a missing or rejected one is regenerated (a rejection says
+    so on stderr, once per entry) and stored for the next run.
     """
-    root = resolve_cache_root(trace_cache)
-    cache = TraceCache(root) if root else None
-    n_accesses = intervals * interval_accesses
-    chunk = DEFAULT_STREAM_CHUNK if chunk_accesses is None else chunk_accesses
     shape = dict(
-        name=benchmark,
         a_threshold=a_threshold,
         m=m,
         interval_accesses=interval_accesses,
         max_intervals=intervals,
     )
-    if stream and cache is not None:
-        key = benchmark_key(benchmark, num_sets, n_accesses, seed)
-        if not cache.path_for(key).is_file():
-            # Seed the entry; the trace object is dropped immediately.
-            cached_benchmark_trace(cache, benchmark, num_sets, n_accesses, seed)
+    n_accesses = intervals * interval_accesses
+    root = resolve_cache_root(trace_cache)
+    cache = TraceCache(root) if root else None
+    key = benchmark_key(benchmark, num_sets, n_accesses, seed)
+    if cache is not None:
         try:
             return characterize_stream(
-                cache.stream_addrs(key, chunk), num_sets, **shape
+                cache.stream_addrs(key, DEFAULT_STREAM_CHUNK),
+                num_sets,
+                name=benchmark,
+                **shape,
             )
+        except KeyError:
+            pass  # a miss: generate and store below
         except ConfigError:
             raise  # bad characterization parameters, not a bad entry
-        except ValueError:
-            # Corrupt entry: fall through to the regenerating loader, then
-            # walk the regenerated trace in memory.
-            pass
-    trace, _source = cached_benchmark_trace(
-        cache, benchmark, num_sets, n_accesses, seed
-    )
-    return characterize_stream(iter_addr_chunks(trace, chunk), num_sets, **shape)
+        except ValueError as exc:
+            fallback_notice(
+                str(exc), source="repro.trace_cache", fallback="a regenerated trace"
+            )
+    trace = make_benchmark_trace(benchmark, num_sets, n_accesses, seed)
+    if cache is not None:
+        cache.store(key, [trace])
+    return characterize_trace(trace, num_sets, **shape)
 
 
 def render_figure(dist: DemandDistribution, *, max_rows: int = 20) -> str:
@@ -144,8 +134,6 @@ def _survey_one(
     seed: int,
     threshold: float,
     trace_cache: str | None = None,
-    stream: bool = False,
-    chunk_accesses: int | None = None,
 ) -> SurveyRow:
     """One program's survey row (module-level so worker processes can run it)."""
     dist = figure_distribution(
@@ -155,8 +143,6 @@ def _survey_one(
         interval_accesses=interval_accesses,
         seed=seed,
         trace_cache=trace_cache,
-        stream=stream,
-        chunk_accesses=chunk_accesses,
     )
     return SurveyRow(
         benchmark=name,
@@ -176,8 +162,6 @@ def survey_26(
     threshold: float = 0.08,
     jobs: int = 0,
     trace_cache: str | None = None,
-    stream: bool = False,
-    chunk_accesses: int | None = None,
 ) -> List[SurveyRow]:
     """Characterize all 26 programs and classify their non-uniformity.
 
@@ -185,26 +169,13 @@ def survey_26(
     :func:`~repro.engine.pool.parallel_map`; rows are returned in benchmark
     order either way, so the output is identical to the serial run.
     *trace_cache* (default ``$REPRO_TRACE_CACHE``) lets the workers share
-    generated reference streams on disk.  ``stream=True`` reads each
-    program's trace in ``chunk_accesses``-address chunks, straight off the
-    trace cache's entry when one is configured (see
-    :func:`figure_distribution`): the same rows, with bounded memory per
-    worker.
+    generated reference streams on disk, each read back in ``O(chunk)``
+    memory (see :func:`figure_distribution`).
     """
     return parallel_map(
         _survey_one,
         [
-            (
-                name,
-                num_sets,
-                intervals,
-                interval_accesses,
-                seed,
-                threshold,
-                trace_cache,
-                stream,
-                chunk_accesses,
-            )
+            (name, num_sets, intervals, interval_accesses, seed, threshold, trace_cache)
             for name in benchmark_names()
         ],
         jobs=jobs,

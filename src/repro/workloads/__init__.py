@@ -17,7 +17,6 @@ from .trace import Trace
 from .trace_cache import (
     TraceCache,
     benchmark_key,
-    cached_benchmark_trace,
     cached_mix_traces,
     mix_key,
     resolve_cache_root,
@@ -47,7 +46,6 @@ __all__ = [
     "Trace",
     "TraceCache",
     "benchmark_key",
-    "cached_benchmark_trace",
     "cached_mix_traces",
     "mix_key",
     "resolve_cache_root",

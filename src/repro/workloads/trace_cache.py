@@ -14,10 +14,12 @@ Design points
 -------------
 * **Keyed by content inputs, verified by content digest.**  The file name
   embeds a hash of the full key; the payload embeds the key itself plus a
-  SHA-256 digest over the canonical array bytes.  A load recomputes the
-  digest — a mismatch (torn write survived a crash before the atomic
-  rename existed, disk corruption, hand-edited file) is treated as a miss
-  and the entry is regenerated, never trusted.
+  SHA-256 digest over the canonical array bytes.  Every read recomputes the
+  digest before any of the entry's data is used — :meth:`TraceCache.load`
+  over the loaded columns, :meth:`TraceCache.stream_addrs` in one streamed
+  pass over the archive — and a mismatch (torn write survived a crash
+  before the atomic rename existed, disk corruption, hand-edited file) is
+  treated as a miss and the entry is regenerated, never trusted.
 * **Atomic publication.**  Writers serialize to a uniquely-named temp file
   in the cache directory and ``os.replace`` it into place, so readers only
   ever see complete entries.  Concurrent writers of the same key are safe:
@@ -39,12 +41,11 @@ import os
 import threading
 import zipfile
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .mixes import WorkloadMix, build_mix_traces
-from .spec2000 import make_benchmark_trace
 from .trace import Trace
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "benchmark_key",
     "resolve_cache_root",
     "cached_mix_traces",
-    "cached_benchmark_trace",
 ]
 
 #: Environment variable naming the default cache directory.
@@ -100,31 +100,72 @@ def _key_meta(key: TraceKey) -> dict:
     }
 
 
-def _content_digest(traces: Sequence[Trace]) -> str:
-    """SHA-256 over the canonical bytes of every trace column.
+def _checked_meta(meta: dict, key: TraceKey) -> dict:
+    """*meta* if it is this format's record for *key*, else ``ValueError``."""
+    if meta.get("format") != CACHE_FORMAT or meta.get("key") != _key_meta(key):
+        raise ValueError("cache entry does not match its key")
+    return meta
 
-    Column dtypes are pinned by :class:`~repro.workloads.trace.Trace`
-    (int64/int64/bool) and lengths are framed into the hash, so the digest
-    is unambiguous across trace counts and lengths.
+
+#: Bytes per read of the streamed digest pass over an entry archive.
+_DIGEST_BLOCK = 1 << 20
+
+
+def _digest(n_traces: int, columns: Iterable[Tuple[str, int, Iterable]]) -> str:
+    """SHA-256 over framed trace columns: the one digest definition.
+
+    *columns* yields ``(dtype_str, length, pieces)`` for every column in
+    entry order (``gaps``, ``addrs``, ``writes`` of each trace in turn);
+    *pieces* are buffers whose concatenation is the column's bytes.  The
+    trace count, each column's dtype and its length are framed into the
+    hash, so the digest is unambiguous across trace counts and lengths,
+    and it does not depend on how a column is cut into pieces.
     """
     h = hashlib.sha256()
-    h.update(f"v{CACHE_FORMAT}:{len(traces)}".encode())
-    for trace in traces:
-        for arr in (trace.gaps, trace.addrs, trace.writes):
-            h.update(f":{arr.dtype.str}:{len(arr)}:".encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(f"v{CACHE_FORMAT}:{n_traces}".encode())
+    for dtype_str, length, pieces in columns:
+        h.update(f":{dtype_str}:{length}:".encode())
+        for piece in pieces:
+            h.update(piece)
     return h.hexdigest()
 
 
-def _read_npy_header(member) -> Tuple[tuple, np.dtype]:
-    """Validate and return ``(shape, dtype)`` of an address-column ``.npy`` member.
+def _content_digest(traces: Sequence[Trace]) -> str:
+    """The digest of in-memory traces: what :meth:`TraceCache.store` records
+    and :meth:`TraceCache.load` checks.  Column dtypes are pinned, and the
+    columns contiguous, by :class:`~repro.workloads.trace.Trace`."""
+    return _digest(
+        len(traces),
+        (
+            (arr.dtype.str, len(arr), (arr,))
+            for trace in traces
+            for arr in (trace.gaps, trace.addrs, trace.writes)
+        ),
+    )
+
+
+def _archive_digest(archive: zipfile.ZipFile, n_traces: int) -> str:
+    """The digest of an open entry archive, read member by member in
+    :data:`_DIGEST_BLOCK`-byte pieces, so it costs ``O(block)`` memory."""
+
+    def columns():
+        for i in range(n_traces):
+            for column in ("gaps", "addrs", "writes"):
+                with archive.open(f"{column}_{i}.npy") as member:
+                    length, dtype = _read_npy_header(member)
+                    yield dtype.str, length, _member_pieces(
+                        member, length * dtype.itemsize, _DIGEST_BLOCK
+                    )
+
+    return _digest(n_traces, columns())
+
+
+def _read_npy_header(member) -> Tuple[int, np.dtype]:
+    """Validate and return ``(length, dtype)`` of a column ``.npy`` member.
 
     Leaves *member* positioned at the first data byte, ready for sequential
-    chunk reads.  Raises ``ValueError`` for anything the streaming reader
-    cannot consume safely: Fortran order, ndim != 1, or a dtype other than
-    signed 64-bit integers (either endianness — a foreign float/narrow-int
-    member must be rejected, not silently value-converted into garbage
-    block addresses).
+    reads.  Raises ``ValueError`` for anything the streamed reads cannot
+    consume as raw column bytes: Fortran order or ndim != 1.
     """
     version = np.lib.format.read_magic(member)
     if version == (1, 0):
@@ -135,9 +176,18 @@ def _read_npy_header(member) -> Tuple[tuple, np.dtype]:
         raise ValueError(f"unsupported npy format version {version}")
     if fortran or len(shape) != 1:
         raise ValueError(f"expected a 1-D C-order array, got {shape} {dtype}")
-    if dtype.kind != "i" or dtype.itemsize != 8:
-        raise ValueError(f"expected an int64 address column, got dtype {dtype}")
-    return shape, dtype
+    return shape[0], dtype
+
+
+def _member_pieces(member, nbytes: int, block: int) -> Iterator[bytes]:
+    """Yield the next *nbytes* of *member* in pieces of at most *block* bytes."""
+    while nbytes > 0:
+        want = min(nbytes, block)
+        raw = member.read(want)
+        if len(raw) != want:
+            raise ValueError("truncated cache entry member")
+        yield raw
+        nbytes -= want
 
 
 class TraceCache:
@@ -186,9 +236,7 @@ class TraceCache:
             return None
         try:
             with np.load(path, allow_pickle=False) as payload:
-                meta = json.loads(str(payload["meta"]))
-                if meta.get("format") != CACHE_FORMAT or meta.get("key") != _key_meta(key):
-                    raise ValueError("cache entry does not match its key")
+                meta = _checked_meta(json.loads(str(payload["meta"])), key)
                 names = meta["names"]
                 traces = [
                     Trace(
@@ -209,24 +257,21 @@ class TraceCache:
         self.hits += 1
         return traces
 
-    def stream_addrs(
-        self, key: TraceKey, chunk_accesses: int, trace_index: int = 0
-    ) -> Iterator[np.ndarray]:
-        """Yield one cached trace's address column in fixed-size chunks.
+    def stream_addrs(self, key: TraceKey, chunk_accesses: int) -> Iterator[np.ndarray]:
+        """Yield the entry's (first) trace's address column in fixed-size chunks.
 
         Entries are uncompressed zip archives (``np.savez``), so a member's
         ``.npy`` payload can be read sequentially without ever materializing
-        the whole array — this is how the streaming characterization
-        profiles paper-scale traces in ``O(chunk)`` memory.  The key echo
-        and the array header (1-D ``int64``, C order) are validated before
-        the first chunk; the full content *digest* is **not** recomputed on
-        this path (that would require reading every column — exactly what
-        streaming avoids), so callers wanting tamper detection must use
-        :meth:`load`.
+        the whole array — this is how characterization profiles a cached
+        paper-scale trace in ``O(chunk)`` memory.  Before the first chunk
+        the key echo is checked and the whole entry's content digest is
+        recomputed in one streamed pass over the open archive
+        (:func:`_archive_digest`, the framing :meth:`load` checks), so no
+        chunk of a tampered or corrupt entry is ever yielded.
 
         Raises ``KeyError`` on a missing entry and ``ValueError`` on a
-        malformed one (callers typically fall back to the regenerating
-        batch path; the entry counts as ``rejected`` either way).
+        rejected one (callers regenerate the trace; the entry counts as
+        ``rejected`` either way).
         """
         if chunk_accesses < 1:
             raise ValueError("chunk_accesses must be positive")
@@ -237,34 +282,25 @@ class TraceCache:
         counted_hit = False
         try:
             with zipfile.ZipFile(path) as archive:
-                meta = self._read_meta(archive)
-                if meta.get("format") != CACHE_FORMAT or meta.get("key") != _key_meta(key):
-                    raise ValueError("cache entry does not match its key")
-                if not 0 <= trace_index < meta["n_traces"]:
-                    raise ValueError(
-                        f"trace_index {trace_index} out of range for entry "
-                        f"with {meta['n_traces']} trace(s)"
-                    )
-                with archive.open(f"addrs_{trace_index}.npy") as member:
-                    (length,), dtype = _read_npy_header(member)
-                    # Counted at the header so an early-stopping consumer
-                    # (max_intervals) still registers as a hit; rolled back
-                    # below if the data turns out corrupt mid-stream.
+                meta = _checked_meta(self._read_meta(archive), key)
+                if _archive_digest(archive, meta["n_traces"]) != meta["digest"]:
+                    raise ValueError("content digest mismatch")
+                with archive.open("addrs_0.npy") as member:
+                    length, dtype = _read_npy_header(member)
+                    # Counted before the first chunk so an early-stopping
+                    # consumer (max_intervals) still registers as a hit;
+                    # rolled back below if a read fails mid-stream.
                     self.hits += 1
                     counted_hit = True
-                    remaining = length
-                    while remaining > 0:
-                        count = min(remaining, chunk_accesses)
-                        raw = member.read(count * dtype.itemsize)
-                        if len(raw) != count * dtype.itemsize:
-                            raise ValueError("truncated addrs member")
+                    for raw in _member_pieces(
+                        member, length * dtype.itemsize, chunk_accesses * dtype.itemsize
+                    ):
                         yield np.frombuffer(raw, dtype=dtype).astype(
                             np.int64, copy=False
                         )
-                        remaining -= count
         except Exception as exc:
-            # Any malformed entry (bad zip, wrong key echo, truncated or
-            # mis-shaped member) is a rejected miss, like load()'s handling.
+            # Any unusable entry (bad zip, wrong key echo, digest mismatch,
+            # truncated or mis-shaped member) is a rejected miss, as in load().
             if counted_hit:
                 self.hits -= 1
             self.rejected += 1
@@ -330,22 +366,3 @@ def cached_mix_traces(
     traces = build_mix_traces(mix, num_sets, n_accesses, seed)
     cache.store(key, traces)
     return traces, "generated"
-
-
-def cached_benchmark_trace(
-    cache: TraceCache | None,
-    name: str,
-    num_sets: int,
-    n_accesses: int,
-    seed: int,
-) -> Tuple[Trace, str]:
-    """One benchmark's trace through the cache (characterization pipeline)."""
-    if cache is None:
-        return make_benchmark_trace(name, num_sets, n_accesses, seed), "generated"
-    key = benchmark_key(name, num_sets, n_accesses, seed)
-    cached = cache.load(key)
-    if cached is not None:
-        return cached[0], "cache"
-    trace = make_benchmark_trace(name, num_sets, n_accesses, seed)
-    cache.store(key, [trace])
-    return trace, "generated"

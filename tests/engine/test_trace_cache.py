@@ -12,7 +12,6 @@ from repro.workloads.spec2000 import make_benchmark_trace
 from repro.workloads.trace_cache import (
     TraceCache,
     benchmark_key,
-    cached_benchmark_trace,
     cached_mix_traces,
     mix_key,
     resolve_cache_root,
@@ -43,11 +42,12 @@ class TestRoundTrip:
 
     def test_benchmark_store_then_load_identical(self, tmp_path):
         cache = TraceCache(tmp_path)
-        t1, src1 = cached_benchmark_trace(cache, "ammp", 16, 600, seed=2)
-        t2, src2 = cached_benchmark_trace(cache, "ammp", 16, 600, seed=2)
-        assert (src1, src2) == ("generated", "cache")
-        assert_traces_equal([t1], [t2])
-        assert_traces_equal([t2], [make_benchmark_trace("ammp", 16, 600, 2)])
+        key = benchmark_key("ammp", 16, 600, 2)
+        assert cache.load(key) is None
+        cache.store(key, [make_benchmark_trace("ammp", 16, 600, 2)])
+        loaded = cache.load(key)
+        assert_traces_equal(loaded, [make_benchmark_trace("ammp", 16, 600, 2)])
+        assert (cache.misses, cache.hits, cache.rejected) == (1, 1, 0)
 
     def test_no_cache_is_plain_generation(self):
         traces, src = cached_mix_traces(None, MIX, 16, 300, seed=1)

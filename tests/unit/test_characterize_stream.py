@@ -1,14 +1,19 @@
 """Streaming characterization: bounded-memory path, bit-identical results."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.analysis.demand import (
+    DEFAULT_STREAM_CHUNK,
     characterize_stream,
     characterize_trace,
     iter_addr_chunks,
 )
 from repro.common.errors import ConfigError
+from repro.experiments import characterization
 from repro.experiments.characterization import figure_distribution
 from repro.workloads.spec2000 import make_benchmark_trace
 from repro.workloads.trace_cache import TraceCache, benchmark_key
@@ -83,9 +88,6 @@ class TestStreamAddrs:
     def test_foreign_dtype_rejected_not_converted(self, tmp_path):
         # A hand-built/foreign entry with a non-int64 addrs member must be
         # rejected (regenerating fallback), never silently value-converted.
-        import io
-        import zipfile
-
         cache, key, trace = self.seed_entry(tmp_path)
         path = cache.path_for(key)
         with zipfile.ZipFile(path) as archive:
@@ -100,55 +102,111 @@ class TestStreamAddrs:
             list(cache.stream_addrs(key, 100))
         assert cache.rejected == 1
 
-    def test_wrong_trace_index_rejected(self, tmp_path):
-        cache, key, _trace = self.seed_entry(tmp_path)
-        with pytest.raises(ValueError):
-            list(cache.stream_addrs(key, 100, trace_index=1))
-
     def test_bad_chunk_rejected(self, tmp_path):
         cache, key, _trace = self.seed_entry(tmp_path)
         with pytest.raises(ValueError):
             next(iter(cache.stream_addrs(key, 0)))
 
+    def test_tampered_entry_rejected_before_first_chunk(self, tmp_path):
+        # A well-formed entry (valid archive, right key echo and headers)
+        # whose addresses changed under the old digest yields no chunk.
+        cache, key, trace = self.seed_entry(tmp_path)
+        rewrite_addrs(cache.path_for(key), trace.addrs + 1)
+        chunks = cache.stream_addrs(key, 100)
+        with pytest.raises(ValueError, match="content digest mismatch"):
+            next(chunks)
+        assert (cache.hits, cache.rejected, cache.misses) == (0, 1, 1)
+
 
 class TestFigureDistributionStreaming:
+    KWARGS = dict(num_sets=16, intervals=6, interval_accesses=400, seed=5)
+    N = 6 * 400  # intervals x interval_accesses
+
+    @pytest.fixture(autouse=True)
+    def no_env_cache(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+
+    def trace(self, name):
+        return make_benchmark_trace(name, 16, self.N, 5)
+
+    def want(self, name):
+        return characterize_trace(self.trace(name), 16, interval_accesses=400)
+
+    def key(self, name):
+        return benchmark_key(name, 16, self.N, 5)
+
     def test_stream_matches_batch_without_cache(self):
-        kwargs = dict(num_sets=16, intervals=6, interval_accesses=400, seed=5)
-        want = figure_distribution("ammp", **kwargs)
-        got = figure_distribution("ammp", stream=True, chunk_accesses=333, **kwargs)
+        got = figure_distribution("ammp", **self.KWARGS)
+        want = self.want("ammp")
+        assert got.name == "ammp"
         assert (got.demand == want.demand).all()
         assert (got.sizes == want.sizes).all()
 
-    def test_stream_reads_cache_entry_from_disk(self, tmp_path):
-        kwargs = dict(num_sets=16, intervals=6, interval_accesses=400, seed=5)
-        want = figure_distribution("vortex", **kwargs)
-        got = figure_distribution(
-            "vortex", stream=True, chunk_accesses=500,
-            trace_cache=str(tmp_path), **kwargs,
-        )
-        assert (got.demand == want.demand).all()
-        # The entry was seeded on first use and is now streamed from disk.
-        cache = TraceCache(tmp_path)
-        key = benchmark_key("vortex", 16, 6 * 400, 5)
-        assert cache.path_for(key).is_file()
-        again = figure_distribution(
-            "vortex", stream=True, chunk_accesses=500,
-            trace_cache=str(tmp_path), **kwargs,
-        )
-        assert (again.demand == want.demand).all()
+    def test_stream_reads_cache_entry_from_disk(self, tmp_path, monkeypatch):
+        want = self.want("vortex")
+        cold = figure_distribution("vortex", trace_cache=str(tmp_path), **self.KWARGS)
+        assert (cold.demand == want.demand).all()
+        # The cold run stored the entry; the warm run streams it off disk
+        # in DEFAULT_STREAM_CHUNK pieces and never generates the trace.
+        assert TraceCache(tmp_path).path_for(self.key("vortex")).is_file()
+        streamed = []
+        stream_addrs = TraceCache.stream_addrs
 
-    def test_stream_survives_corrupt_cache_entry(self, tmp_path):
-        kwargs = dict(num_sets=8, intervals=4, interval_accesses=300, seed=7)
-        want = figure_distribution("gcc", **kwargs)
-        got = figure_distribution(
-            "gcc", stream=True, trace_cache=str(tmp_path), **kwargs
-        )
-        cache = TraceCache(tmp_path)
-        key = benchmark_key("gcc", 8, 4 * 300, 7)
-        path = cache.path_for(key)
+        def spy(cache, key, chunk_accesses):
+            assert chunk_accesses == DEFAULT_STREAM_CHUNK
+            for chunk in stream_addrs(cache, key, chunk_accesses):
+                streamed.append(len(chunk))
+                yield chunk
+
+        def boom(*args, **kwargs):
+            raise AssertionError("regenerated a cached trace")
+
+        monkeypatch.setattr(TraceCache, "stream_addrs", spy)
+        monkeypatch.setattr(characterization, "make_benchmark_trace", boom)
+        warm = figure_distribution("vortex", trace_cache=str(tmp_path), **self.KWARGS)
+        assert (warm.demand == want.demand).all()
+        assert (warm.sizes == want.sizes).all()
+        assert streamed == [self.N]  # one chunk: the trace is shorter than 64 K
+
+    def test_stream_survives_corrupt_cache_entry(self, tmp_path, capsys):
+        want = self.want("gcc")
+        figure_distribution("gcc", trace_cache=str(tmp_path), **self.KWARGS)
+        path = TraceCache(tmp_path).path_for(self.key("gcc"))
         path.write_bytes(b"not an archive")
-        healed = figure_distribution(
-            "gcc", stream=True, trace_cache=str(tmp_path), **kwargs
-        )
-        assert (got.demand == want.demand).all()
+        healed = figure_distribution("gcc", trace_cache=str(tmp_path), **self.KWARGS)
         assert (healed.demand == want.demand).all()
+        assert TraceCache(tmp_path).load(self.key("gcc")) is not None  # rewritten
+        [notice] = notices(capsys.readouterr().err)
+        assert str(path) in notice and notice.endswith("using a regenerated trace (bit-identical)")
+
+    def test_tampered_entry_regenerated_with_one_notice(self, tmp_path, capsys):
+        want = self.want("ammp")
+        figure_distribution("ammp", trace_cache=str(tmp_path), **self.KWARGS)
+        path = TraceCache(tmp_path).path_for(self.key("ammp"))
+        # Another program's addresses under ammp's key echo and digest.
+        assert not np.array_equal(self.want("swim").sizes, want.sizes)
+        for _ in range(2):  # the same entry rejected twice: one notice
+            rewrite_addrs(path, self.trace("swim").addrs)
+            got = figure_distribution("ammp", trace_cache=str(tmp_path), **self.KWARGS)
+            assert (got.demand == want.demand).all()
+            assert (got.sizes == want.sizes).all()
+        [notice] = notices(capsys.readouterr().err)
+        assert notice.startswith(f"repro.trace_cache: unusable cache entry {path}: ")
+        assert "content digest mismatch" in notice
+
+
+def notices(err):
+    return [line for line in err.splitlines() if line.startswith("repro.trace_cache:")]
+
+
+def rewrite_addrs(path, addrs):
+    """Replace the entry's address column with *addrs*, keeping every other
+    member (the meta record and its digest included)."""
+    with zipfile.ZipFile(path) as archive:
+        members = {n: archive.read(n) for n in archive.namelist()}
+    buf = io.BytesIO()
+    np.save(buf, np.asarray(addrs, dtype=np.int64))
+    members["addrs_0.npy"] = buf.getvalue()
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
