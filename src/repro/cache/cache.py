@@ -78,10 +78,6 @@ class SetAssocCache:
     def assoc(self) -> int:
         return self.geometry.assoc
 
-    def set_of(self, block_addr: int) -> LruSet:
-        """The home set of *block_addr* (no flipping)."""
-        return self.sets[self.amap.set_index(block_addr)]
-
     def set_at(self, index: int) -> LruSet:
         """The set at an explicit index (used by index-bit flipping)."""
         return self.sets[index]

@@ -11,7 +11,6 @@ from .config import (
     SnugConfig,
     SystemConfig,
     WriteBufferConfig,
-    config_from_env,
     fast_config,
     paper_config,
     scaled_config,
@@ -38,7 +37,6 @@ __all__ = [
     "SnugConfig",
     "SystemConfig",
     "WriteBufferConfig",
-    "config_from_env",
     "fast_config",
     "paper_config",
     "scaled_config",

@@ -17,7 +17,6 @@ and can then be shared freely between components and threads.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -38,7 +37,6 @@ __all__ = [
     "fast_config",
     "tiny_config",
     "scaled_config",
-    "config_from_env",
     "SCALE_NAMES",
 ]
 
@@ -357,8 +355,3 @@ def scaled_config(scale: str = "small", seed: int = 12345) -> SystemConfig:
         return presets[scale]
     except KeyError:
         raise ConfigError(f"unknown scale {scale!r}; expected one of {SCALE_NAMES}") from None
-
-
-def config_from_env(default: str = "small", seed: int = 12345) -> SystemConfig:
-    """Build a config from the ``REPRO_SCALE`` environment variable."""
-    return scaled_config(os.environ.get("REPRO_SCALE", default), seed=seed)

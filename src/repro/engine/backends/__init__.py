@@ -52,39 +52,29 @@ def make_backend(
     jobs: int = 0,
     cache_root: str | None = None,
     bind: tuple[str, int] | None = None,
-    heartbeat_timeout: float | None = None,
-    worker_wait: float | None = None,
     secret: str | None = None,
-    faults: str | None = None,
 ) -> ExecutionBackend:
     """Construct a registered backend from generic engine knobs.
 
     ``jobs`` sizes the process pool (ignored by ``inline``; a parallelism
     hint for chunk splitting either way); ``bind`` is the ``socket``
-    listen address, ``secret`` its shared auth secret and ``faults`` its
-    coordinator-side fault spec (``crash=N`` for restart testing) — the
-    socket-only knobs are rejected for other backends so a typo'd command
-    line fails loudly instead of silently running unauthenticated.
+    listen address and ``secret`` its shared auth secret — a secret is
+    rejected for other backends so a typo'd command line fails loudly
+    instead of silently running unauthenticated.  Timeouts and fault specs
+    are :class:`SocketBackend` constructor arguments.
     """
     if name not in BACKENDS:
         raise EngineError(
             f"unknown execution backend {name!r}; choose from {sorted(BACKENDS)}"
         )
-    if name != SocketBackend.name and (secret is not None or faults is not None):
+    if name != SocketBackend.name and secret is not None:
         raise EngineError(
-            f"backend {name!r} does not take --secret-file/fault options; "
-            "they only apply to the socket backend"
+            f"backend {name!r} does not take --secret-file; "
+            "it only applies to the socket backend"
         )
     if name == InlineBackend.name:
         return InlineBackend(cache_root)
     if name == ProcessPoolBackend.name:
         return ProcessPoolBackend(max(jobs, 1), cache_root)
     host, port = bind if bind is not None else ("127.0.0.1", 0)
-    kwargs = {}
-    if heartbeat_timeout is not None:
-        kwargs["heartbeat_timeout"] = heartbeat_timeout
-    if worker_wait is not None:
-        kwargs["worker_wait"] = worker_wait
-    return SocketBackend(
-        host, port, cache_root=cache_root, secret=secret, faults=faults, **kwargs
-    )
+    return SocketBackend(host, port, cache_root=cache_root, secret=secret)

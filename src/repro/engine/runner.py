@@ -30,7 +30,7 @@ from ..experiments.runner import (
     normalize_schemes,
 )
 from ..workloads.mixes import WorkloadMix
-from .backends import ExecutionBackend, InlineBackend, ProcessPoolBackend, make_backend
+from .backends import ExecutionBackend, InlineBackend, ProcessPoolBackend
 from .execution import execute_task, execute_task_chunk  # re-export (compat)
 from .store import ResultStore
 from .tasks import SimTask, estimate_task_cost, expand_mix_tasks
@@ -57,9 +57,9 @@ class ParallelRunner:
         the inline backend) and hints the chunk splitter.  With an explicit
         *backend* it only keeps its chunk-splitting role.
     backend:
-        An :class:`ExecutionBackend` instance, a registry name
-        (``"inline"``/``"process"``/``"socket"``), or ``None`` to derive
-        one from *jobs* (the classic behaviour).
+        An :class:`ExecutionBackend` instance (build one from a registry
+        name with :func:`~repro.engine.backends.make_backend`), or ``None``
+        to derive one from *jobs*.
     store:
         Optional directory for the on-disk sharded result store
         (:mod:`repro.engine.store`).
@@ -69,8 +69,8 @@ class ParallelRunner:
     trace_cache:
         Shared on-disk trace-cache directory handed to the backend (see
         :mod:`repro.workloads.trace_cache`); ``None`` keeps the per-process
-        memo only.  Ignored when *backend* is passed as an instance (the
-        instance already carries its cache root).
+        memo only.  Ignored when *backend* is passed (the instance already
+        carries its cache root).
     scenario:
         The :class:`~repro.scenario.model.Scenario` this run realizes, if it
         was described by one.  Its name and content hash are stamped into
@@ -98,7 +98,7 @@ class ParallelRunner:
         jobs: int = 1,
         store: str | None = None,
         resume: bool = False,
-        backend: ExecutionBackend | str | None = None,
+        backend: ExecutionBackend | None = None,
         trace_cache: str | None = None,
         scenario: "Scenario | None" = None,
         progress: Optional[Callable[[str, int, int], None]] = None,
@@ -117,8 +117,6 @@ class ParallelRunner:
                 if jobs == 0
                 else ProcessPoolBackend(jobs, trace_cache)
             )
-        elif isinstance(backend, str):
-            backend = make_backend(backend, jobs=jobs, cache_root=trace_cache)
         self.backend: ExecutionBackend = backend
         self.store = ResultStore(store) if store is not None else None
         self.resume = resume

@@ -36,12 +36,6 @@ class FigureData:
 
     combos: List[ComboResult] = field(default_factory=list)
 
-    def by_class(self) -> Dict[str, List[ComboResult]]:
-        out: Dict[str, List[ComboResult]] = {}
-        for combo in self.combos:
-            out.setdefault(combo.mix_class, []).append(combo)
-        return out
-
     def class_metric(self, mix_class: str, scheme: str, metric: str) -> float:
         """Geometric mean of one metric over a class's combinations."""
         values = [

@@ -217,8 +217,3 @@ class PrivateL2Base(L2Scheme):
 
     def _on_local_hit(self, core: int, block_addr: int, now: int) -> None:
         """Hook for demand monitors (SNUG) — default: nothing."""
-
-    def total_resident(self, block_addr: int) -> int:
-        """How many slices hold *block_addr* (invariant: <= 1)."""
-        return sum(1 for s in self.slices if s.probe(block_addr) is not None
-                   or s.probe(block_addr, self.amap.flipped_index(self.amap.set_index(block_addr))) is not None)

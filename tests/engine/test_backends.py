@@ -125,6 +125,13 @@ class TestConformance:
     def test_all_backends_registered(self):
         assert set(BACKEND_KINDS) == set(BACKENDS)
 
+    def test_secret_only_for_socket(self):
+        # A secret meant for the socket transport must not be dropped
+        # silently by a backend that never authenticates.
+        for kind in ("inline", "process"):
+            with pytest.raises(EngineError, match="--secret-file"):
+                make_backend(kind, secret="s3cret")
+
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_merge_bit_identical_to_serial(self, kind, serial_fingerprints):
         runner, teardown = _run(kind)
