@@ -39,6 +39,9 @@ NON_SIMRESULT_GOLDENS = {
     # Scenario identity hashes; pinned by
     # tests/integration/test_golden_scenario_hashes.py.
     "golden_scenario_hashes.json",
+    # Generated-trace digests; pinned by
+    # tests/integration/test_golden_traces.py.
+    "golden_traces.json",
 }
 
 SIMRESULT_GOLDENS = sorted(
