@@ -82,6 +82,10 @@ it): :class:`~repro.cache.stackdist_stream.StreamingProfiler` steps its
 bounded per-set LRU stacks through it whenever the library is loaded —
 in every monitored SNUG run's online demand monitor, and in every
 characterization (``characterize_trace`` and ``characterize_stream``).
+It also holds the trace generator's step, ``trace_fill`` (:func:`trace_fill`
+checks its arrays and calls it): whenever the library is loaded,
+:func:`~repro.workloads.synthetic.generate_trace` turns each phase's NumPy
+draws into block addresses through it, in one pass with per-set counters.
 
 :func:`decline_reason` names the systems the kernel does not take — no
 library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build), more
@@ -113,8 +117,8 @@ from ..common.errors import SimulationError
 from ..schemes.base import Outcome
 from .cmp import CmpSystem, SimResult, budget_exhausted_error
 
-__all__ = ["run_kernel", "profile_feed", "decline_reason", "reason",
-           "lib_available"]
+__all__ = ["run_kernel", "profile_feed", "trace_fill", "decline_reason",
+           "reason", "lib_available"]
 
 #: Outcome keys in enum order (the reference core's prepopulated-dict order).
 _OUT_KEYS = tuple(o.value for o in Outcome)
@@ -245,9 +249,12 @@ _MONITOR_SLICE = 8192
 _C_SOURCE = r"""
 /* Structure-of-arrays event loop for the repro compiled simulation core.
  *
- * One translation unit, two exported functions:
+ * One translation unit, three exported functions:
  *     int64_t run_kernel(const Ctx *in);
  *     void profile_feed(...);   (the streaming profiler's step, at the end)
+ *     void trace_fill(...);     (the trace generator's step, after it)
+ * Without this library, CmpSystem.run, the profiler's Python step and the
+ * generator's NumPy step (workloads/synthetic.py) do their work.
  * The enums and the Ctx struct below are generated from the Python tables
  * in _ckernel.py, which fill Ctx: scalar inputs by value, array inputs as
  * pointers.  `kind` selects the scheme: 0 l2p, 1 l2s, 2 cc, 3 dsr, 4 snug,
@@ -1067,6 +1074,33 @@ void profile_feed(const i64 *addrs, i64 n, i64 mask, i64 depth, i64 *stk,
         row[0] = a;
     }
 }
+
+/* The trace generator's step over one phase's n draws: access i goes to
+ * set s = sets[i], whose working set is w = wmap[s].  A kind[i] below
+ * stream_cut streams (tag stream_base + the set's stream count so far), one
+ * at or above cyclic_cut walks the working set (tag: the set's cyclic
+ * pointer, which wraps at w), and any other draws tag (i64)(pick[i] * w).
+ * out[i] = tag * num_sets + s.  cnt holds 2 * num_sets zeroed counters: the
+ * sets' stream counts, then their cyclic pointers.  The wrapper has checked
+ * every set against num_sets and every w against 1. */
+void trace_fill(const i64 *sets, const double *kind, const double *pick,
+                i64 n, const i64 *wmap, i64 num_sets, double stream_cut,
+                double cyclic_cut, i64 stream_base, i64 *cnt, i64 *out) {
+    i64 *streamed = cnt, *cyc = cnt + num_sets;
+    for (i64 i = 0; i < n; i++) {
+        i64 s = sets[i], w = wmap[s], tag;
+        double k = kind[i];
+        if (k < stream_cut) {
+            tag = stream_base + streamed[s]++;
+        } else if (k >= cyclic_cut) {
+            tag = cyc[s];
+            cyc[s] = tag + 1 < w ? tag + 1 : 0;
+        } else {
+            tag = (i64)(pick[i] * (double)w);
+        }
+        out[i] = tag * num_sets + s;
+    }
+}
 """
 
 # -- build & load -------------------------------------------------------------
@@ -1132,6 +1166,12 @@ def _build(cc: str) -> ctypes.CDLL:
     lib.profile_feed.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    lib.trace_fill.restype = None
+    lib.trace_fill.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
     ]
     return lib
 
@@ -1413,6 +1453,56 @@ def profile_feed(addrs: np.ndarray, mask: int, depth: int, stk: np.ndarray,
             f"{lens.max()}], the rows hold [0, {depth}]")
     _get_lib().profile_feed(addrs.ctypes.data, addrs.size, mask, depth,
                             stk.ctypes.data, lens.ctypes.data, hist.ctypes.data)
+
+
+def trace_fill(sets: np.ndarray, kind: np.ndarray, pick: np.ndarray,
+               wmap: np.ndarray, stream_cut: float, cyclic_cut: float,
+               stream_base: int, out: np.ndarray) -> None:
+    """Write one generated phase's block addresses into *out*, in C.
+
+    Access ``i`` goes to set ``sets[i]`` of the demand map *wmap* (one
+    working-set size per set) and takes the pattern *kind* ``[i]`` selects:
+    streaming below *stream_cut*, a cyclic walk at or above *cyclic_cut*,
+    and otherwise the random pick ``int(pick[i] * wmap[sets[i]])`` (see
+    :func:`repro.workloads.synthetic._generate_phase`).  The C side indexes
+    *wmap* and its per-set counters by ``sets[i]`` for every ``i`` below
+    ``out.size``, so every array is checked first, as
+    :func:`profile_feed`'s are: *sets*, *wmap* and *out* ``int64``, *kind*
+    and *pick* ``float64``, all C-contiguous, the three draw columns at
+    least ``out.size`` long and *wmap* not empty; every set in
+    ``[0, wmap.size)``; every working set at least 1; and every address
+    below 2**63.  A failure raises :class:`SimulationError` naming the
+    argument, before any C code runs.
+    """
+    _check_array("C trace_fill argument 'out'", out, np.int64, 0, "")
+    n = out.size
+    for name, arr, dtype in (("sets", sets, np.int64),
+                             ("kind", kind, np.float64),
+                             ("pick", pick, np.float64)):
+        _check_array(f"C trace_fill argument {name!r}", arr, dtype, n,
+                     "the output implies")
+    _check_array("C trace_fill argument 'wmap'", wmap, np.int64, 1,
+                 "a demand map needs")
+    num_sets = wmap.size
+    if n and (sets[:n].min() < 0 or sets[:n].max() >= num_sets):
+        raise SimulationError(
+            f"C trace_fill argument 'sets': entries span [{sets[:n].min()}, "
+            f"{sets[:n].max()}], the demand map covers [0, {num_sets - 1}]")
+    lo, hi = int(wmap.min()), int(wmap.max())
+    if lo < 1:
+        raise SimulationError(
+            f"C trace_fill argument 'wmap': working sets span [{lo}, {hi}], "
+            "each must be at least 1")
+    if (max(stream_base + n, hi) + 1) * num_sets > 1 << 63:
+        raise SimulationError(
+            f"C trace_fill: stream base {stream_base}, {n} accesses and "
+            f"working sets up to {hi} over {num_sets} sets make addresses "
+            "past 2**63")
+    cnt = np.zeros(2 * num_sets, dtype=np.int64)
+    _get_lib().trace_fill(sets.ctypes.data, kind.ctypes.data, pick.ctypes.data,
+                          n, wmap.ctypes.data, num_sets, stream_cut,
+                          cyclic_cut, stream_base, cnt.ctypes.data,
+                          out.ctypes.data)
 
 
 def run_kernel(system: CmpSystem, target: int, warmup: int,

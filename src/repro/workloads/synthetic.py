@@ -174,6 +174,37 @@ def _set_ranks(sets: np.ndarray, num_sets: int) -> np.ndarray:
     return ranks
 
 
+def _trace_fill_numpy(
+    sets: np.ndarray,
+    kind: np.ndarray,
+    pick: np.ndarray,
+    wmap: np.ndarray,
+    stream_cut: float,
+    cyclic_cut: float,
+    stream_base: int,
+    out: np.ndarray,
+) -> None:
+    """The NumPy step: :func:`repro.core._ckernel.trace_fill`'s signature
+    and effect, for when the kernel library is not loaded.
+
+    Each access's tag is a closed form of the draws.  Random accesses scale
+    their pick by ``W_s`` and truncate.  A set's stream count and cyclic
+    pointer each advance by one per access of their pattern to that set, so
+    the access of rank ``n`` among the earlier same-set accesses of its
+    pattern reads ``stream_base + n`` (stream) or ``n mod W_s`` (the cyclic
+    walk over the working set).
+    """
+    num_sets = wmap.size
+    stream = kind < stream_cut
+    cyclic = kind >= cyclic_cut
+    tags = (pick * wmap[sets]).astype(np.int64)
+    tags[stream] = stream_base + _set_ranks(sets[stream], num_sets)
+    cyc_sets = sets[cyclic]
+    tags[cyclic] = _set_ranks(cyc_sets, num_sets) % wmap[cyc_sets]
+    np.multiply(tags, num_sets, out=out)
+    out += sets
+
+
 def _generate_phase(
     phase: Phase,
     num_sets: int,
@@ -181,25 +212,35 @@ def _generate_phase(
     demand_rng: np.random.Generator,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Generate the block-address stream for one phase."""
+    """Generate the block-address stream for one phase.
+
+    The draws come first, always in this order.  One step then turns them
+    into addresses: the C step (:func:`repro.core._ckernel.trace_fill`, one
+    pass with per-set counters) when the kernel library is loaded, otherwise
+    :func:`_trace_fill_numpy`.
+    """
     wmap = draw_demand_map(phase.bands, num_sets, demand_rng)
     sets = rng.integers(0, num_sets, size=n_accesses)
     kind = rng.random(n_accesses)
     rand_pick = rng.random(n_accesses)
-    stream = kind < phase.stream_frac
-    cyclic = kind >= phase.stream_frac + phase.random_frac
+    # Imported here: repro.core imports this package (TraceCore's traces).
+    from ..core import _ckernel
 
-    # Hot loop, vectorized: each access's tag is a closed form of the draws
-    # above.  Random accesses scale their pick by W_s and truncate.  A set's
-    # stream pointer and cyclic pointer each advance by one per access of
-    # their pattern to that set, so the access of rank n among the earlier
-    # same-set accesses of its pattern reads BASE + n (stream) or n mod W_s
-    # (the cyclic walk over the working set).
-    tags = (rand_pick * wmap[sets]).astype(np.int64)
-    tags[stream] = _STREAM_TAG_BASE + _set_ranks(sets[stream], num_sets)
-    cyc_sets = sets[cyclic]
-    tags[cyclic] = _set_ranks(cyc_sets, num_sets) % wmap[cyc_sets]
-    return tags * num_sets + sets
+    if _ckernel.lib_available():
+        step = _ckernel.trace_fill
+    else:
+        from ..core.compiled import fallback_notice
+
+        fallback_notice(
+            f"C kernel unavailable ({_ckernel.reason()})",
+            source="repro.workloads",
+            fallback="the NumPy step",
+        )
+        step = _trace_fill_numpy
+    addrs = np.empty(n_accesses, dtype=np.int64)
+    step(sets, kind, rand_pick, wmap, phase.stream_frac,
+         phase.stream_frac + phase.random_frac, _STREAM_TAG_BASE, addrs)
+    return addrs
 
 
 def generate_trace(

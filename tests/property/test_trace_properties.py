@@ -1,9 +1,11 @@
 """Property tests for trace generation.
 
-``TestGeneratorOracle`` pins the vectorized phase generator to the seed's
-scalar per-access loop, kept below verbatim as the oracle: the trace cache
-keys entries by generator inputs, not outputs, so the two must agree
-element for element.
+``TestGeneratorOracle`` pins the phase generator to the seed's scalar
+per-access loop, kept below verbatim as the oracle: the trace cache keys
+entries by generator inputs, not outputs, so the two must agree element for
+element.  It runs on whichever step the process has (the C step with the
+kernel library, the NumPy step without it); ``TestFillSteps`` holds the two
+steps to each other on the same draws.
 """
 
 from unittest import mock
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import _ckernel
 from repro.workloads import synthetic
 from repro.workloads.spec2000 import benchmark_names, get_profile
 from repro.workloads.synthetic import (
@@ -157,7 +160,7 @@ phases = st.builds(
 
 
 class TestGeneratorOracle:
-    """The vectorized generator matches the scalar loop element for element."""
+    """The generator matches the scalar loop element for element."""
 
     @given(
         st.lists(phases, min_size=1, max_size=3),
@@ -176,3 +179,31 @@ class TestGeneratorOracle:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_spec_profiles_match_scalar_loop(self, name):
         assert_matches_scalar_oracle(get_profile(name), 64, 25_000, seed=3)
+
+
+@pytest.mark.skipif(not _ckernel.lib_available(),
+                    reason="needs the C kernel library")
+class TestFillSteps:
+    """The C step and the NumPy step write the same addresses from the same
+    draws, cuts at the draws' bounds included."""
+
+    @given(
+        st.integers(min_value=1, max_value=1024),
+        st.integers(min_value=0, max_value=3_000),
+        st.integers(min_value=1, max_value=64),
+        fractions,
+        fractions,
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_c_step_matches_numpy_step(self, num_sets, n, w_hi, stream, rand,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        wmap = rng.integers(1, w_hi + 1, size=num_sets)
+        draws = (rng.integers(0, num_sets, size=n), rng.random(n),
+                 rng.random(n), wmap, stream, stream + min(rand, 1.0 - stream),
+                 _STREAM_TAG_BASE)
+        c_out, numpy_out = np.empty(n, np.int64), np.empty(n, np.int64)
+        _ckernel.trace_fill(*draws, c_out)
+        synthetic._trace_fill_numpy(*draws, numpy_out)
+        np.testing.assert_array_equal(c_out, numpy_out)

@@ -1,9 +1,15 @@
 """Unit tests for repro.workloads.synthetic."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
+from repro.core import _ckernel
 from repro.workloads.synthetic import Band, Phase, WorkloadSpec, draw_demand_map, generate_trace
 
 
@@ -140,3 +146,92 @@ class TestGenerateTrace:
         )
         assert spec.mean_demand(64) == pytest.approx(6.0)
         assert spec.footprint_bytes(64, 64) == pytest.approx(6.0 * 64 * 64)
+
+
+def _draws(n=100, num_sets=16):
+    """One phase's draws, as ``_generate_phase`` makes them, plus its
+    demand map and an output column."""
+    rng = np.random.default_rng(5)
+    wmap = rng.integers(1, 9, size=num_sets)
+    return dict(sets=rng.integers(0, num_sets, size=n), kind=rng.random(n),
+                pick=rng.random(n), wmap=wmap, out=np.empty(n, np.int64))
+
+
+def _fill(d, stream_base=1 << 20):
+    _ckernel.trace_fill(d["sets"], d["kind"], d["pick"], d["wmap"], 0.1, 0.6,
+                        stream_base, d["out"])
+
+
+class TestTraceFillEntryCheck:
+    """The C step refuses, by argument name, an input it would misread,
+    before any C code runs."""
+
+    @pytest.fixture(autouse=True)
+    def unreachable_c_step(self, monkeypatch):
+        if not _ckernel.lib_available():
+            pytest.skip(f"C kernel unavailable ({_ckernel.reason()})")
+
+        def trace_fill(*args):
+            raise AssertionError("the C step ran on an unchecked input")
+
+        monkeypatch.setattr(_ckernel._get_lib(), "trace_fill", trace_fill)
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda d: d["sets"].__setitem__(7, 16),
+         r"argument 'sets': entries span \[0, 16\], the demand map covers \[0, 15\]"),
+        (lambda d: d["sets"].__setitem__(3, -1),
+         r"argument 'sets': entries span \[-1, 15\]"),
+        (lambda d: d["wmap"].__setitem__(5, 0),
+         r"argument 'wmap': working sets span \[0, 8\], each must be at least 1"),
+        (lambda d: d.update(sets=d["sets"][:-1]),
+         r"argument 'sets': 99 elements, the output implies at least 100"),
+        (lambda d: d.update(sets=d["sets"].astype(np.float64)),
+         r"argument 'sets': dtype float64, the kernel reads int64"),
+        (lambda d: d.update(pick=np.repeat(d["pick"], 2)[::2]),
+         r"argument 'pick' is not C-contiguous"),
+        (lambda d: d.update(wmap=d["wmap"][:0]),
+         r"argument 'wmap': 0 elements, a demand map needs at least 1"),
+    ], ids=["set_is_num_sets", "negative_set", "zero_working_set", "short_sets",
+            "float_sets", "strided_pick", "empty_wmap"])
+    def test_bad_argument_is_refused_by_name(self, corrupt, message):
+        draws = _draws()
+        corrupt(draws)
+        with pytest.raises(SimulationError, match=message):
+            _fill(draws)
+
+    def test_address_past_2_pow_63_is_refused(self):
+        with pytest.raises(SimulationError, match=r"addresses past 2\*\*63"):
+            _fill(_draws(), stream_base=1 << 60)
+
+
+class TestFallbackNotice:
+    """Without the kernel library the generator says, once per process, that
+    it runs its NumPy step; with the library it says nothing."""
+
+    #: Two traces of a three-phase profile: every phase takes the same step.
+    SCRIPT = (
+        "from repro.workloads.spec2000 import make_benchmark_trace\n"
+        "for seed in range(2):\n"
+        "    make_benchmark_trace('vortex', 16, 2000, seed)\n"
+    )
+
+    def _notices(self, **env_knobs):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_CKERNEL"}
+        env.update(PYTHONPATH=str(src), **env_knobs)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return [line for line in proc.stderr.splitlines()
+                if line.startswith("repro.workloads:")]
+
+    def test_numpy_step_announced_once(self):
+        assert self._notices(REPRO_NO_CKERNEL="1") == [
+            "repro.workloads: C kernel unavailable (disabled by "
+            "REPRO_NO_CKERNEL); using the NumPy step (bit-identical)"
+        ]
+
+    @pytest.mark.skipif(not _ckernel.lib_available(),
+                        reason="needs the C kernel library")
+    def test_c_step_is_silent(self):
+        assert self._notices() == []
