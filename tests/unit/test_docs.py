@@ -4,7 +4,9 @@ Three invariants the docs layer depends on:
 
 * every public module under ``src/repro/`` carries a module docstring (the
   architecture guide links into them);
-* every CLI subcommand and every CLI flag is registered with help text;
+* every CLI subcommand and every CLI flag is registered with help text,
+  and the subcommand lists in the ``repro.cli`` docstring and
+  ``docs/architecture.md`` match the registered ones;
 * every repo-relative file path referenced from ``README.md`` and
   ``docs/*.md`` exists — docs that point at deleted files are worse than no
   docs.
@@ -41,6 +43,11 @@ class TestModuleDocstrings:
         tree = ast.parse(path.read_text())
         doc = ast.get_docstring(tree)
         assert doc and doc.strip(), f"{path.relative_to(REPO)} lacks a module docstring"
+
+
+NUMBER_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven",
+                "eight", "nine", "ten", "eleven", "twelve", "thirteen",
+                "fourteen", "fifteen")
 
 
 class TestCliHelp:
@@ -81,6 +88,22 @@ class TestCliHelp:
             assert f"``{name}``" in cli.__doc__, (
                 f"subcommand {name!r} missing from the repro.cli module docstring"
             )
+
+    def test_architecture_lists_the_registered_commands(self):
+        """docs/architecture.md names the subcommands by hand twice: in its
+        prose ("exposes the ten subcommands (...)") and in the layer
+        diagram's ``cli.py`` line.  Both must list ``build_parser``'s, in
+        registration order, and the prose must count them."""
+        _, sub = self.subparsers()
+        names = list(sub.choices)
+        text = (REPO / "docs" / "architecture.md").read_text()
+        prose = re.search(r"exposes the (\w+) subcommands\s+\(([^)]*)\)", text)
+        assert prose, "docs/architecture.md no longer says which subcommands cli.py exposes"
+        assert prose.group(1) == NUMBER_WORDS[len(names)], prose.group(0)
+        assert re.findall(r"`(\w+)`", prose.group(2)) == names, prose.group(0)
+        diagram = re.search(r"cli\.py\s+\(([^)]*)\)", text)
+        assert diagram, "docs/architecture.md's layer diagram lost its cli.py line"
+        assert re.findall(r"\w+", diagram.group(1)) == names, diagram.group(0)
 
 
 def referenced_paths(markdown: str):
