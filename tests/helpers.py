@@ -12,6 +12,8 @@ process.
 
 :func:`on_both_profiler_steps` runs a streaming-profiler test once per
 profiler step: the C step and the no-library Python step.
+:func:`stderr_notices` runs a script in a fresh interpreter and returns
+its fallback notices.
 :func:`spec_hist` is the profilers' oracle: the per-interval histograms of
 the per-access Mattson spec.
 """
@@ -19,7 +21,11 @@ the per-access Mattson spec.
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +94,19 @@ def on_both_profiler_steps(test):
             test(*args, **kwargs)
 
     return run
+
+
+def stderr_notices(script: str, prefix: str, **env_knobs) -> list:
+    """The stderr lines starting with *prefix* of *script*, run in a fresh
+    interpreter on this checkout's ``src`` with ``REPRO_NO_CKERNEL`` unset
+    unless *env_knobs* sets it.  The script must succeed."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_CKERNEL"}
+    env.update(PYTHONPATH=str(src), **env_knobs)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [line for line in proc.stderr.splitlines() if line.startswith(prefix)]
 
 
 def spec_hist(addrs, num_sets, depth, interval_accesses, max_intervals=None):

@@ -6,9 +6,6 @@ the no-library Python step.  The oracle is the per-access Mattson spec
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +20,7 @@ from repro.cache.stackdist_stream import (
 )
 from repro.core import _ckernel
 from repro.workloads.spec2000 import make_benchmark_trace
-from tests.helpers import on_both_profiler_steps, spec_hist
+from tests.helpers import on_both_profiler_steps, spec_hist, stderr_notices
 
 
 def chunked(addrs, size):
@@ -250,14 +247,7 @@ class TestFallbackNotice:
     )
 
     def _notices(self, **env_knobs):
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_CKERNEL"}
-        env.update(PYTHONPATH=str(src), **env_knobs)
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return [line for line in proc.stderr.splitlines()
-                if line.startswith("repro.profiler:")]
+        return stderr_notices(self.SCRIPT, "repro.profiler:", **env_knobs)
 
     def test_python_step_announced_once(self):
         assert self._notices(REPRO_NO_CKERNEL="1") == [

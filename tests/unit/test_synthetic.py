@@ -1,16 +1,12 @@
 """Unit tests for repro.workloads.synthetic."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.core import _ckernel
 from repro.workloads.synthetic import Band, Phase, WorkloadSpec, draw_demand_map, generate_trace
+from tests.helpers import stderr_notices
 
 
 def simple_spec(**kw):
@@ -216,14 +212,7 @@ class TestFallbackNotice:
     )
 
     def _notices(self, **env_knobs):
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_CKERNEL"}
-        env.update(PYTHONPATH=str(src), **env_knobs)
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return [line for line in proc.stderr.splitlines()
-                if line.startswith("repro.workloads:")]
+        return stderr_notices(self.SCRIPT, "repro.workloads:", **env_knobs)
 
     def test_numpy_step_announced_once(self):
         assert self._notices(REPRO_NO_CKERNEL="1") == [
