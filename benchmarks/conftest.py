@@ -45,6 +45,7 @@ from repro.common.config import SystemConfig, scaled_config
 from repro.engine import ParallelRunner
 from repro.experiments.performance import FigureData, select_mixes
 from repro.experiments.runner import RunPlan
+from repro.scenario import PLAN_SIZING
 
 SCALE = os.environ.get("REPRO_SCALE", "small")
 
@@ -56,13 +57,14 @@ DEFAULT_BENCH_OUT = Path(__file__).resolve().parent.parent / ".bench-out"
 
 BENCH_OUT_DIR = Path(os.environ.get("REPRO_BENCH_DIR") or DEFAULT_BENCH_OUT)
 
+#: The bench-only columns; run lengths come from ``PLAN_SIZING``.
 _SIZING = {
-    # scale: (n_accesses, target_instr, warmup_instr, combos_per_class,
-    #         char_sets, char_intervals, char_interval_accesses)
-    "tiny": (4_000, 60_000, 40_000, 1, 16, 10, 800),
-    "small": (25_000, 300_000, 300_000, 1, 64, 30, 2_000),
-    "medium": (60_000, 800_000, 800_000, None, 256, 100, 10_000),
-    "paper": (400_000, 5_000_000, 5_000_000, None, 1024, 1000, 100_000),
+    # scale: (combos_per_class, char_sets, char_intervals,
+    #         char_interval_accesses)
+    "tiny": (1, 16, 10, 800),
+    "small": (1, 64, 30, 2_000),
+    "medium": (None, 256, 100, 10_000),
+    "paper": (None, 1024, 1000, 100_000),
 }
 
 
@@ -79,7 +81,8 @@ class BenchScale:
 
 @pytest.fixture(scope="session")
 def scale() -> BenchScale:
-    n_acc, target, warmup, combos, csets, cints, cacc = _SIZING[SCALE]
+    n_acc, target, warmup = PLAN_SIZING[SCALE]
+    combos, csets, cints, cacc = _SIZING[SCALE]
     return BenchScale(
         name=SCALE,
         config=scaled_config(SCALE, seed=7),

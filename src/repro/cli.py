@@ -44,10 +44,9 @@ Ten subcommands cover the library's main entry points:
 
 ``store``
     Maintenance for on-disk result stores: ``repro store
-    verify|repair|compact|migrate DIR`` re-checksums every record,
-    quarantines corrupt ones with per-record messages, reclaims
-    superseded records, and converts legacy one-JSON-file-per-task stores
-    to the sharded segment layout in place (see ``docs/engine.md``).
+    verify|repair|compact DIR`` re-checksums every record, quarantines
+    corrupt ones with per-record messages, and reclaims superseded records
+    (see ``docs/engine.md``).
 
 ``serve``
     The simulation service: a long-lived job server with a durable job
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_store = sub.add_parser(
         "store",
         help="result-store maintenance: scrub checksums, quarantine corrupt "
-             "records, reclaim superseded ones, migrate legacy stores",
+             "records, reclaim superseded ones",
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
     p_sverify = store_sub.add_parser(
@@ -387,21 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_srepair.add_argument("dir", metavar="DIR", help="result store directory")
     p_scompact = store_sub.add_parser(
         "compact",
-        help="rewrite each shard without superseded or tombstoned records "
+        help="rewrite each shard without superseded records "
              "(refuses while corrupt records are present: repair first)",
     )
     p_scompact.add_argument("dir", metavar="DIR", help="result store directory")
-    p_smigrate = store_sub.add_parser(
-        "migrate",
-        help="convert a legacy one-JSON-file-per-task store to the sharded "
-             "segment layout in place (old files kept at "
-             "DIR/legacy-results.bak)",
-    )
-    p_smigrate.add_argument("dir", metavar="DIR", help="result store directory")
-    p_smigrate.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard count for the migrated store (default: 8)",
-    )
 
     p_serve = sub.add_parser(
         "serve",
@@ -806,7 +794,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from .engine.store import ResultStore, migrate_store
+    from .engine.store import ResultStore
 
     try:
         if args.store_command == "verify":
@@ -817,12 +805,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
             with ResultStore(args.dir) as store:
                 print(store.repair().summary())
             return 0
-        if args.store_command == "compact":
-            with ResultStore(args.dir) as store:
-                print(store.compact().summary())
-            return 0
-        # migrate
-        print(migrate_store(args.dir, shards=args.shards).summary())
+        # compact
+        with ResultStore(args.dir) as store:
+            print(store.compact().summary())
         return 0
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1010,9 +995,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--spool-gc requires --spool DIR")
         if args.spool_gc_age < 0:
             parser.error("--spool-gc-age must be >= 0 seconds")
-    if args.command == "store" and args.store_command == "migrate":
-        if args.shards is not None and args.shards < 1:
-            parser.error("--shards must be >= 1")
     if args.command == "serve":
         if _parse_hostport(args.bind) is None:
             parser.error(f"--bind expects HOST:PORT, got {args.bind!r}")

@@ -109,13 +109,7 @@ class SimResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimResult":
-        """Inverse of :meth:`to_dict`.
-
-        ``window_outcomes``/``window_latency`` arrived with the windowed
-        metrics (PR 4); results persisted by older stores lack the keys and
-        must still load (e.g. after ``repro store migrate``), so they
-        default to empty.
-        """
+        """Inverse of :meth:`to_dict`."""
         return cls(
             scheme=data["scheme"],
             ipc=list(data["ipc"]),
@@ -124,8 +118,8 @@ class SimResult:
             accesses=list(data["accesses"]),
             outcome_counts=dict(data["outcome_counts"]),
             stats=dict(data["stats"]),
-            window_outcomes=[dict(w) for w in data.get("window_outcomes", [])],
-            window_latency=list(data.get("window_latency", [])),
+            window_outcomes=[dict(w) for w in data["window_outcomes"]],
+            window_latency=list(data["window_latency"]),
         )
 
 

@@ -107,9 +107,8 @@ reopen: resuming with a different config/plan/scheme list raises
 :class:`~repro.common.errors.EngineError` instead of mixing incomparable
 results.  The store is what makes backends interchangeable mid-experiment —
 any backend writing the same layout can finish a sweep another one started.
-``repro store verify|repair|compact|migrate`` scrubs checksums,
-quarantines corrupt records, reclaims superseded ones, and converts legacy
-v1 (one-JSON-file-per-task) stores in place.
+``repro store verify|repair|compact`` scrubs checksums, quarantines
+corrupt records, and reclaims superseded ones.
 
 Resume
 ------

@@ -31,14 +31,13 @@ from ..experiments.runner import (
 )
 from ..workloads.mixes import WorkloadMix
 from .backends import ExecutionBackend, InlineBackend, ProcessPoolBackend
-from .execution import execute_task, execute_task_chunk  # re-export (compat)
 from .store import ResultStore
 from .tasks import SimTask, estimate_task_cost, expand_mix_tasks
 
 if TYPE_CHECKING:  # the scenario layer imports the engine, not vice versa
     from ..scenario.model import Scenario
 
-__all__ = ["ParallelRunner", "execute_task", "execute_task_chunk", "DEFAULT_SCHEMES"]
+__all__ = ["ParallelRunner", "DEFAULT_SCHEMES"]
 
 
 class ParallelRunner:
@@ -223,9 +222,9 @@ class ParallelRunner:
                         done_count += 1
                         self.progress(task.task_id, done_count, self.tasks_total)
         finally:
-            # Release segment handles (and let the store compact itself)
-            # whether the sweep finished or died; every record is already
-            # fsynced, so a crashed run's store resumes cleanly regardless.
+            # Release segment handles whether the sweep finished or died;
+            # every record is already fsynced, so a crashed run's store
+            # resumes cleanly regardless.
             if self.store is not None:
                 self.store.close()
         self.trace_stats = dict(self.backend.stats)

@@ -1,13 +1,11 @@
 """Durable, sharded, checksummed on-disk store of per-task sweep results.
 
-The public face is :class:`ResultStore` — the same save/load/completed_ids
-API the runner has always used, now backed by hash-partitioned append-only
-segments of CRC32C-checksummed records instead of one JSON file per task
+The public face is :class:`ResultStore`: save/load/completed_ids over
+hash-partitioned append-only segments of CRC32C-checksummed records
 (:mod:`repro.engine.store.sharded` for the layout and recovery story,
-:mod:`repro.engine.store.format` for the record framing).  Scrub and
-repair tooling (``repro store verify|repair|compact|migrate``) lives on
-the store itself plus :func:`migrate_store` for converting legacy v1
-stores in place.
+:mod:`repro.engine.store.format` for the record framing).  The scrub,
+repair and compaction behind ``repro store verify|repair|compact`` are
+methods of the store itself.
 """
 
 from .format import (
@@ -18,7 +16,6 @@ from .format import (
     crc32c,
     encode_record,
 )
-from .migrate import MigrateReport, migrate_store
 from .sharded import (
     DEFAULT_SHARDS,
     STORE_VERSION,
@@ -39,8 +36,6 @@ __all__ = [
     "VerifyReport",
     "RepairReport",
     "CompactReport",
-    "MigrateReport",
-    "migrate_store",
     "MAGIC",
     "COMMIT_MARKER",
     "RECORD_OVERHEAD",

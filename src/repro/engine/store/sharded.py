@@ -17,10 +17,8 @@ fully or is a torn tail that open() truncates away, so recovery after
 
 Within a shard, later records supersede earlier ones for the same task id
 (last-wins), which is what makes both re-saves and crash-interrupted
-compaction safe; :meth:`ResultStore.discard` appends a tombstone rather
-than mutating history.  Superseded and tombstoned bytes are reclaimed by
-compaction — opportunistically at :meth:`ResultStore.close` when the
-garbage ratio warrants it, or explicitly via ``repro store compact``.
+compaction safe.  Superseded bytes are reclaimed only by an explicit
+compaction (:meth:`ResultStore.compact`, ``repro store compact``).
 
 Corruption at rest (a record that is fully framed but fails its CRC32C)
 is never silently dropped: :meth:`ResultStore.verify` reports each bad
@@ -53,23 +51,16 @@ __all__ = [
     "CompactReport",
 ]
 
-#: Bumped when the store layout or result schema changes incompatibly.
-#: Version 1 was the one-JSON-file-per-task layout; ``repro store migrate``
-#: converts a v1 store in place.
+#: Bumped when the store layout or result schema changes incompatibly; a
+#: manifest stamped with any other version is refused.
 STORE_VERSION = 2
 
 #: Shard count for newly created stores.  Reopening adopts whatever count
 #: the store was created with (the scan covers every shard regardless).
 DEFAULT_SHARDS = 8
 
-_MAX_SHARDS = 256
-
 #: Rotate a shard's active segment once it grows past this.
 _ROTATE_BYTES = 4 << 20
-
-#: close() compacts a shard when at least this fraction of its record
-#: bytes are superseded or tombstoned (and there is something to reclaim).
-_AUTO_COMPACT_RATIO = 0.5
 
 _SEGMENT_GLOB = "seg-*.seg"
 
@@ -105,10 +96,6 @@ def atomic_write_json(
         _fsync_dir(path.parent)
 
 
-#: Internal alias kept for the store modules' historical spelling.
-_atomic_write_json = atomic_write_json
-
-
 def _comparable(manifest: dict) -> dict:
     """A manifest reduced to its identity-relevant fields.
 
@@ -131,7 +118,6 @@ class _Entry:
     segment: Path
     offset: int
     length: int
-    tombstone: bool
 
 
 @dataclass(frozen=True)
@@ -173,7 +159,6 @@ class VerifyReport:
     records: int
     live: int
     superseded: int
-    tombstones: int
     problems: List[Problem] = field(default_factory=list)
 
     @property
@@ -184,7 +169,7 @@ class VerifyReport:
         lines = [
             f"store {self.root}: {self.shards} shards, {self.segments} segments, "
             f"{self.records} records ({self.live} live, "
-            f"{self.superseded} superseded, {self.tombstones} tombstones)"
+            f"{self.superseded} superseded)"
         ]
         for problem in self.problems:
             lines.append(problem.message())
@@ -247,7 +232,7 @@ class CompactReport:
             return f"store {self.root}: nothing to compact"
         return (
             f"store {self.root}: compacted {self.shards_compacted} shard(s), "
-            f"dropped {self.records_dropped} superseded/tombstone record(s), "
+            f"dropped {self.records_dropped} superseded record(s), "
             f"reclaimed {self.bytes_reclaimed} bytes"
         )
 
@@ -255,22 +240,15 @@ class CompactReport:
 class ResultStore:
     """Sharded, checksummed, crash-recoverable store of per-task results."""
 
-    def __init__(self, root: str | os.PathLike, shards: Optional[int] = None) -> None:
-        if shards is not None and not 1 <= shards <= _MAX_SHARDS:
-            raise EngineError(
-                f"shard count must be between 1 and {_MAX_SHARDS}, got {shards}"
-            )
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.manifest_path = self.root / "manifest.json"
         self.shards_dir = self.root / "shards"
         self.quarantine_dir = self.root / "quarantine"
-        self._requested_shards = shards
         self._num_shards: Optional[int] = None
         self._scenario_hash: Optional[str] = None
         self._opened = False
         self._index: Dict[str, _Entry] = {}
-        self._live_bytes = 0
-        self._garbage_bytes = 0
         self._active: Dict[int, Tuple[Path, IO[bytes], int]] = {}
         self._lock = threading.RLock()
 
@@ -281,17 +259,16 @@ class ResultStore:
 
         *manifest* must be JSON-native.  Reopening with a different manifest
         raises :class:`EngineError`: results produced under another
-        config/plan are not comparable and must not be mixed.  A legacy
-        one-JSON-file-per-task (v1) store is refused with a pointer at
-        ``repro store migrate``.
+        config/plan are not comparable and must not be mixed.  A new store
+        gets :data:`DEFAULT_SHARDS` shards; reopening adopts the manifest's
+        count.
         """
         with self._lock:
             existing = self._read_manifest_guarded()
             shards = (
-                (existing.get("store") or {}).get("shards")
-                if existing is not None
-                else None
-            ) or self._requested_shards or DEFAULT_SHARDS
+                ((existing or {}).get("store") or {}).get("shards")
+                or DEFAULT_SHARDS
+            )
             stamped = {
                 "store_version": STORE_VERSION,
                 "store": {"shards": shards},
@@ -304,17 +281,14 @@ class ResultStore:
                 if _comparable(existing) != _comparable(stamped):
                     raise EngineError(self._mismatch_message(existing, stamped))
             else:
-                _atomic_write_json(self.manifest_path, stamped)
+                atomic_write_json(self.manifest_path, stamped)
             self._num_shards = shards
             scenario = stamped.get("scenario") or {}
             self._scenario_hash = scenario.get("hash")
 
     def _read_manifest_guarded(self) -> Optional[dict]:
-        """The on-disk manifest, or None; raises on damage or a v1 store."""
+        """The on-disk manifest, or None; raises on damage or another version."""
         if not self.manifest_path.exists():
-            legacy_results = self.root / "results"
-            if legacy_results.is_dir() and any(legacy_results.glob("*.json")):
-                raise EngineError(self._legacy_message("manifest is missing"))
             return None
         try:
             existing = json.loads(self.manifest_path.read_text())
@@ -324,21 +298,14 @@ class ResultStore:
                 "the store directory is damaged — delete it (or point at a "
                 "fresh one) and re-run"
             ) from None
-        if existing.get("store_version", 1) < STORE_VERSION:
+        version = existing.get("store_version")
+        if version != STORE_VERSION:
             raise EngineError(
-                self._legacy_message(
-                    f"manifest says store_version "
-                    f"{existing.get('store_version', 1)}"
-                )
+                f"result store {self.root} has store_version {version}, but "
+                f"this build reads only store_version {STORE_VERSION}; point "
+                "--store at a fresh directory and re-run"
             )
         return existing
-
-    def _legacy_message(self, detail: str) -> str:
-        return (
-            f"result store {self.root} uses the legacy one-JSON-file-per-task "
-            f"layout ({detail}); run `repro store migrate {self.root}` to "
-            "convert it in place, then re-run with --resume"
-        )
 
     def _mismatch_message(self, existing: dict, stamped: dict) -> str:
         """Actionable description of a manifest conflict.
@@ -370,23 +337,9 @@ class ResultStore:
             "(or the matching parameters) instead of mixing results"
         )
 
-    def flush(self) -> None:
-        """Flush and fsync every open segment handle."""
-        with self._lock:
-            for _path, handle, _offset in self._active.values():
-                handle.flush()
-                os.fsync(handle.fileno())
-
     def close(self) -> None:
-        """Flush, opportunistically compact garbage-heavy shards, release handles."""
+        """Flush, fsync and release every open segment handle."""
         with self._lock:
-            if self._opened and self._garbage_bytes > 0:
-                total = self._live_bytes + self._garbage_bytes
-                if total and self._garbage_bytes / total >= _AUTO_COMPACT_RATIO:
-                    try:
-                        self.compact()
-                    except EngineError:
-                        pass  # corrupt regions are verify/repair's job
             self._close_handles()
             self._opened = False
             self._index.clear()
@@ -460,8 +413,6 @@ class ResultStore:
                 return
             self._require_layout()
             self._index.clear()
-            self._live_bytes = 0
-            self._garbage_bytes = 0
             for _shard, segment in self._iter_segments():
                 data = segment.read_bytes()
                 records, problems = scan_segment(data)
@@ -471,33 +422,18 @@ class ResultStore:
                         handle.truncate(torn[0].offset)
                         handle.flush()
                         os.fsync(handle.fileno())
-                self._garbage_bytes += sum(
-                    p.end - p.offset for p in problems if p.kind == "corrupt"
-                )
                 for record in records:
-                    self._absorb(segment, record.offset, record.end, record.body)
+                    try:
+                        task_id = json.loads(record.body)["task_id"]
+                    except (json.JSONDecodeError, TypeError, KeyError):
+                        # Checksums clean but the body is not a record we
+                        # understand: verify() reports it.
+                        continue
+                    # Last wins: a later record supersedes an earlier one.
+                    self._index[task_id] = _Entry(
+                        segment, record.offset, record.end - record.offset
+                    )
             self._opened = True
-
-    def _absorb(self, segment: Path, offset: int, end: int, body: bytes) -> None:
-        """Fold one valid record into the last-wins index."""
-        try:
-            decoded = json.loads(body)
-            task_id = decoded["task_id"]
-            tombstone = bool(decoded.get("tombstone"))
-        except (json.JSONDecodeError, TypeError, KeyError):
-            # Checksums clean but the body is not a record we understand:
-            # treat as garbage for accounting; verify() reports it.
-            self._garbage_bytes += end - offset
-            return
-        length = end - offset
-        previous = self._index.get(task_id)
-        if previous is not None:
-            self._garbage_bytes += previous.length
-        if tombstone:
-            self._garbage_bytes += length
-        else:
-            self._live_bytes += length
-        self._index[task_id] = _Entry(segment, offset, length, tombstone)
 
     # -- writing -----------------------------------------------------------
 
@@ -529,7 +465,7 @@ class ResultStore:
         self._active[shard] = (path, handle, handle.tell())
         return self._active[shard]
 
-    def _append(self, task_id: str, body: bytes, tombstone: bool) -> None:
+    def _append(self, task_id: str, body: bytes) -> None:
         shard = self._shard_of(task_id)
         record = encode_record(body)
         with self._lock:
@@ -538,7 +474,7 @@ class ResultStore:
             handle.flush()
             os.fsync(handle.fileno())
             self._active[shard] = (path, handle, offset + len(record))
-            self._absorb(path, offset, offset + len(record), body)
+            self._index[task_id] = _Entry(path, offset, len(record))
 
     def save(self, task_id: str, payload: dict) -> None:
         """Persist one finished task durably (record, commit marker, fsync)."""
@@ -550,41 +486,21 @@ class ResultStore:
                 "payload": payload,
             }
         )
-        self._append(task_id, body, tombstone=False)
-
-    def discard(self, task_id: str) -> None:
-        """Tombstone one task so ``--resume`` re-simulates it.
-
-        History is never mutated in place: the tombstone is an ordinary
-        appended record, reclaimed later by compaction.
-        """
-        self._ensure_open()
-        body = canonical_body(
-            {
-                "task_id": task_id,
-                "scenario": self._scenario_hash,
-                "tombstone": True,
-            }
-        )
-        self._append(task_id, body, tombstone=True)
+        self._append(task_id, body)
 
     # -- reading -----------------------------------------------------------
 
     def completed_ids(self) -> Set[str]:
-        """Task ids with a valid (checksummed, non-tombstoned) result."""
+        """Task ids with a valid (checksummed) result."""
         if not self.shards_dir.is_dir() and not self.manifest_path.exists():
             return set()
         self._ensure_open()
-        return {
-            task_id
-            for task_id, entry in self._index.items()
-            if not entry.tombstone
-        }
+        return set(self._index)
 
     def _record_body(self, task_id: str) -> bytes:
         self._ensure_open()
         entry = self._index.get(task_id)
-        if entry is None or entry.tombstone:
+        if entry is None:
             raise EngineError(
                 f"no stored result for task {task_id!r} in {self.root}"
             )
@@ -652,9 +568,7 @@ class ResultStore:
             records=0,
             live=0,
             superseded=0,
-            tombstones=0,
         )
-        latest: Dict[str, bool] = {}
         per_task_count: Dict[str, int] = {}
         for _shard, segment, records, problems in self._scan_readonly():
             report.segments += 1
@@ -672,8 +586,7 @@ class ResultStore:
             for record in records:
                 report.records += 1
                 try:
-                    decoded = json.loads(record.body)
-                    task_id = decoded["task_id"]
+                    task_id = json.loads(record.body)["task_id"]
                 except (json.JSONDecodeError, TypeError, KeyError):
                     report.problems.append(
                         Problem(
@@ -686,10 +599,8 @@ class ResultStore:
                         )
                     )
                     continue
-                latest[task_id] = bool(decoded.get("tombstone"))
                 per_task_count[task_id] = per_task_count.get(task_id, 0) + 1
-        report.live = sum(1 for dead in latest.values() if not dead)
-        report.tombstones = sum(1 for dead in latest.values() if dead)
+        report.live = len(per_task_count)
         report.superseded = sum(count - 1 for count in per_task_count.values())
         return report
 
@@ -748,7 +659,7 @@ class ResultStore:
         stem = f"shard{shard:02d}-{segment.stem}-{problem.offset:08d}"
         raw = self.quarantine_dir / f"{stem}.bin"
         raw.write_bytes(data[problem.offset : problem.end])
-        _atomic_write_json(
+        atomic_write_json(
             self.quarantine_dir / f"{stem}.json",
             {
                 "segment": str(segment.relative_to(self.root)),
@@ -772,10 +683,10 @@ class ResultStore:
         )
 
     def compact(self) -> CompactReport:
-        """Reclaim superseded and tombstoned records, shard by shard.
+        """Reclaim superseded records, shard by shard.
 
         A shard is rewritten as one fresh highest-numbered segment holding
-        only the latest live record per task (sorted by task id, so the
+        only the latest record per task (sorted by task id, so the
         result is deterministic), after which the old segments are deleted.
         Crash-safety needs no journal: if the delete never happens, the new
         segment is last in replay order and last-wins reconstruction yields
@@ -790,7 +701,7 @@ class ResultStore:
                 segments = self._segments_of(shard)
                 if not segments:
                     continue
-                latest: Dict[str, Tuple[bytes, bool]] = {}
+                latest: Dict[str, bytes] = {}
                 total_bytes = 0
                 record_count = 0
                 for segment in segments:
@@ -806,31 +717,22 @@ class ResultStore:
                     for record in records:
                         record_count += 1
                         try:
-                            decoded = json.loads(record.body)
-                            task_id = decoded["task_id"]
+                            task_id = json.loads(record.body)["task_id"]
                         except (json.JSONDecodeError, TypeError, KeyError):
                             raise EngineError(
                                 f"shard {shard:02d} of {self.root} has an "
                                 "undecodable record body; run `repro store "
                                 "repair` before compacting"
                             ) from None
-                        latest[task_id] = (
-                            record.body,
-                            bool(decoded.get("tombstone")),
-                        )
-                live = {
-                    task_id: body
-                    for task_id, (body, dead) in latest.items()
-                    if not dead
-                }
-                if record_count == len(live) and len(segments) == 1:
+                        latest[task_id] = record.body
+                if record_count == len(latest) and len(segments) == 1:
                     continue  # nothing superseded, nothing to merge
                 last = int(segments[-1].stem.split("-")[1])
                 shard_dir = self._shard_dir(shard)
                 fresh = shard_dir / f"seg-{last + 1:06d}.seg"
                 with open(fresh, "wb") as handle:
-                    for task_id in sorted(live):
-                        handle.write(encode_record(live[task_id]))
+                    for task_id in sorted(latest):
+                        handle.write(encode_record(latest[task_id]))
                     handle.flush()
                     os.fsync(handle.fileno())
                 _fsync_dir(shard_dir)
@@ -838,6 +740,6 @@ class ResultStore:
                     segment.unlink()
                 _fsync_dir(shard_dir)
                 report.shards_compacted += 1
-                report.records_dropped += record_count - len(live)
+                report.records_dropped += record_count - len(latest)
                 report.bytes_reclaimed += total_bytes - fresh.stat().st_size
         return report

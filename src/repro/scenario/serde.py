@@ -6,10 +6,6 @@ here make the error contract uniform: any malformed input raises
 :class:`~repro.common.errors.ConfigError` whose message *starts with the
 dotted field path* (``plan.cc_probs[2]: ...``), so a user editing a 40-line
 YAML file is pointed at the offending line instead of a Python traceback.
-
-YAML support is optional: the scenario layer always speaks JSON, and the
-YAML entry points raise an actionable :class:`ConfigError` when PyYAML is
-not installed (the toolkit's only hard dependency is numpy).
 """
 
 from __future__ import annotations
@@ -17,12 +13,9 @@ from __future__ import annotations
 import json
 from typing import Any, List, Mapping, Sequence
 
-from ..common.errors import ConfigError
+import yaml
 
-try:  # PyYAML is an optional dependency; JSON always works.
-    import yaml as _yaml
-except ImportError:  # pragma: no cover - exercised only on yaml-less installs
-    _yaml = None
+from ..common.errors import ConfigError
 
 __all__ = [
     "REQUIRED",
@@ -108,15 +101,6 @@ def as_str_list(value: Any, path: str) -> List[str]:
 
 # -- text formats -----------------------------------------------------------
 
-def _require_yaml() -> Any:
-    if _yaml is None:
-        raise ConfigError(
-            "PyYAML is not installed: write the scenario as .json instead, "
-            "or install pyyaml to use YAML scenario files"
-        )
-    return _yaml
-
-
 def detect_format(path: str) -> str:
     """``"json"`` for ``*.json`` paths, ``"yaml"`` for everything else."""
     return "json" if str(path).lower().endswith(".json") else "yaml"
@@ -130,7 +114,6 @@ def parse_text(text: str, fmt: str, label: str = "scenario") -> Mapping:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{label}: not valid JSON ({exc})") from None
     elif fmt == "yaml":
-        yaml = _require_yaml()
         try:
             data = yaml.safe_load(text)
         except yaml.YAMLError as exc:
@@ -145,7 +128,6 @@ def dump_text(data: Mapping, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(data, indent=2) + "\n"
     if fmt == "yaml":
-        yaml = _require_yaml()
         return yaml.safe_dump(data, sort_keys=False, default_flow_style=False)
     raise ConfigError(f"unknown scenario format {fmt!r}; use 'yaml' or 'json'")
 

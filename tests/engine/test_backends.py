@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from tests.helpers import run_mix
+from tests.helpers import corrupt_and_repair, run_mix
 
 from repro.common.config import tiny_config
 from repro.common.errors import AuthError, EngineError
@@ -180,13 +180,8 @@ class TestConformance:
         backend recomputes exactly those and merges identically."""
         store = str(tmp_path / "store")
         config, plan = tiny_config(seed=7), small_plan()
-        first = ParallelRunner(config, plan, jobs=0, store=store)
-        first.run(MIXES)
-        # The runner closed the store after run(); discard() reopens it,
-        # tombstones the two tasks, and close() makes that durable.
-        for task_id in ("c5_0__l2s", "c5_1__cc__p100"):
-            first.store.discard(task_id)
-        first.store.close()
+        ParallelRunner(config, plan, jobs=0, store=store).run(MIXES)
+        corrupt_and_repair(store, ("c5_0__l2s", "c5_1__cc__p100"))
 
         runner, teardown = _run(kind, store=store, resume=True)
         combos = runner.run(MIXES)

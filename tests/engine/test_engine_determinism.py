@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from tests.helpers import run_mix
+from tests.helpers import corrupt_and_repair, run_mix
 
 from repro.common.config import tiny_config
 from repro.engine import ParallelRunner
@@ -88,16 +88,13 @@ class TestResume:
         first = ParallelRunner(config, plan, jobs=0, store=store)
         [combo_full] = first.run([MIX])
 
-        # Tombstone two task results; resume must recompute exactly those.
-        removed = 0
-        for task_id in ("c4_0__l2s", "c4_0__cc__p050"):
-            first.store.discard(task_id)
-            removed += 1
-        first.store.close()
+        # Drop two task results; resume must recompute exactly those.
+        removed = ("c4_0__l2s", "c4_0__cc__p050")
+        corrupt_and_repair(store, removed)
         resumed = ParallelRunner(config, plan, jobs=0, store=store, resume=True)
         [combo_resumed] = resumed.run([MIX])
-        assert resumed.tasks_run == removed
-        assert resumed.tasks_resumed == resumed.tasks_total - removed
+        assert resumed.tasks_run == len(removed)
+        assert resumed.tasks_resumed == resumed.tasks_total - len(removed)
         assert fingerprint(combo_resumed) == fingerprint(combo_full)
 
     def test_resume_does_not_rewrite_completed_results(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from repro.common.config import tiny_config
 from repro.common.errors import EngineError
 from repro.engine import ParallelRunner, ResultStore, SimTask, expand_mix_tasks
-from repro.engine.store import RECORD_OVERHEAD, crc32c, migrate_store
+from repro.engine.store import RECORD_OVERHEAD, STORE_VERSION, crc32c
 from repro.experiments.runner import RunPlan
 from repro.workloads.mixes import get_mix
 
@@ -93,18 +93,8 @@ class TestResultStore:
             assert store.load("t1") == {"v": 2}
         with ResultStore(tmp_path / "s") as reopened:
             assert reopened.load("t1") == {"v": 2}
-
-    def test_discard_tombstones_without_rewriting_history(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            store.initialize({})
-            store.save("t1", {"v": 1})
-            store.save("t2", {"v": 2})
-            store.discard("t1")
-            assert store.completed_ids() == {"t2"}
-        with ResultStore(tmp_path / "s") as reopened:
-            assert reopened.completed_ids() == {"t2"}
-            with pytest.raises(EngineError, match="no stored result"):
-                reopened.load("t1")
+            # close() leaves the superseded record for `compact` to reclaim.
+            assert reopened.verify().superseded == 1
 
     def test_records_spread_across_shards(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
@@ -210,14 +200,16 @@ class TestResultStore:
             store.save("t1", {"v": 1})
             store.save("t1", {"v": 2})
             store.save("t2", {"v": 9})
-            store.discard("t2")
             report = store.compact()
-            assert report.records_dropped >= 2  # the stale t1 and all of t2
+            assert report.records_dropped == 1  # the stale t1
             assert report.bytes_reclaimed > 0
             assert store.load("t1") == {"v": 2}
-            assert store.completed_ids() == {"t1"}
+            assert store.completed_ids() == {"t1", "t2"}
+            verified = store.verify()
+            assert (verified.live, verified.superseded) == (2, 0)
         with ResultStore(tmp_path / "s") as reopened:
             assert reopened.load("t1") == {"v": 2}
+            assert reopened.load("t2") == {"v": 9}
 
     def test_payload_bytes_identical_across_stores(self, tmp_path):
         """Two stores of the same sweep hold byte-identical record bodies —
@@ -230,41 +222,22 @@ class TestResultStore:
         with ResultStore(tmp_path / "a") as sa, ResultStore(tmp_path / "b") as sb:
             assert sa.payload_bytes("t1") == sb.payload_bytes("t1")
 
-    def test_legacy_store_refused_with_migrate_pointer(self, tmp_path):
-        root = tmp_path / "legacy"
-        (root / "results").mkdir(parents=True)
-        (root / "manifest.json").write_text(json.dumps({"k": 1}))
-        (root / "results" / "t1.json").write_text(json.dumps({"v": 1}))
-        with pytest.raises(EngineError, match="repro store migrate"):
+    @pytest.mark.parametrize("version", [None, 1, STORE_VERSION + 1])
+    def test_other_store_version_refused(self, tmp_path, version):
+        """Only a manifest stamped with this build's store_version opens;
+        any other (or none, as in the old one-file-per-task layout) is
+        refused by name before a byte of the store is read or written."""
+        root = tmp_path / "s"
+        root.mkdir()
+        manifest = {"k": 1}
+        if version is not None:
+            manifest["store_version"] = version
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(EngineError, match=f"store_version {version}, "):
             ResultStore(root).initialize({"k": 1})
-
-    def test_migrate_legacy_store_in_place(self, tmp_path):
-        root = tmp_path / "legacy"
-        (root / "results").mkdir(parents=True)
-        (root / "manifest.json").write_text(json.dumps({"k": 1}))
-        for index in range(3):
-            (root / "results" / f"t{index}.json").write_text(
-                json.dumps({"v": index})
-            )
-        (root / "results" / "torn.json").write_text('{"v": 0.')  # unparsable
-
-        report = migrate_store(root)
-        assert report.migrated == 3
-        assert [path.name for path, _ in report.quarantined] == ["torn.json"]
-        assert (root / "legacy-results.bak" / "t0.json").exists()
-
-        with ResultStore(root) as store:
-            store.initialize({"k": 1})  # manifest content still matches
-            assert store.completed_ids() == {"t0", "t1", "t2"}
-            assert store.load("t2") == {"v": 2}
-            assert store.verify().ok
-
-    def test_migrate_refuses_already_sharded_store(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            store.initialize({"k": 1})
-            store.save("t1", {"v": 1})
-        with pytest.raises(EngineError, match="already"):
-            migrate_store(tmp_path / "s")
+        with pytest.raises(EngineError, match=f"store_version {version}, "):
+            ResultStore(root).verify()
+        assert sorted(p.name for p in root.iterdir()) == ["manifest.json"]
 
     def test_unreadable_manifest_raises_engine_error(self, tmp_path):
         store = ResultStore(tmp_path / "s")

@@ -137,7 +137,7 @@ kill_at = rng.randrange(1, 7)
 state = {"saves": 0}
 real_append = ResultStore._append
 
-def dying_append(self, task_id, body, tombstone):
+def dying_append(self, task_id, body):
     state["saves"] += 1
     if state["saves"] == kill_at:
         record = encode_record(body)
@@ -149,7 +149,7 @@ def dying_append(self, task_id, body, tombstone):
             handle.flush()
             os.fsync(handle.fileno())
         os.kill(os.getpid(), signal.SIGKILL)
-    return real_append(self, task_id, body, tombstone)
+    return real_append(self, task_id, body)
 
 ResultStore._append = dying_append
 

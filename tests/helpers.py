@@ -8,10 +8,12 @@ differential tests compare between the reference loop and the kernel.
 
 :func:`run_mix` runs one Table 8 combination the way every experiment does:
 through the engine's :class:`~repro.engine.runner.ParallelRunner`, in
-process.
+process.  :func:`corrupt_and_repair` drops stored task results the way an
+operator meets damage: a flipped byte, then ``repair``.
 
-:func:`on_both_profiler_steps` runs a streaming-profiler test once per
-profiler step: the C step and the no-library Python step.
+:func:`hide_kernel_library` makes the native library look missing, with a
+named reason.  :func:`on_both_profiler_steps` runs a streaming-profiler test
+once per profiler step: the C step and the no-library Python step.
 :func:`stderr_notices` runs a script in a fresh interpreter and returns
 its fallback notices.
 :func:`spec_hist` is the profilers' oracle: the per-interval histograms of
@@ -33,7 +35,7 @@ import pytest
 from repro.cache.stackdist import StackDistanceProfiler
 from repro.common.config import CacheGeometry, DsrConfig, SnugConfig, SystemConfig
 from repro.core import _ckernel
-from repro.engine import ParallelRunner
+from repro.engine import ParallelRunner, ResultStore
 from repro.experiments.runner import DEFAULT_SCHEMES, ComboResult, RunPlan
 from repro.mem.address import core_address_base
 from repro.schemes.dsr import DynamicSpillReceive
@@ -64,6 +66,25 @@ def run_mix(mix, config: SystemConfig, plan: RunPlan,
     return combo
 
 
+def corrupt_and_repair(store_root, task_ids) -> None:
+    """Drop *task_ids* from the result store at *store_root*: flip one byte
+    in each task's record (its body still parses and names the task, but no
+    longer checksums), then quarantine exactly those records with
+    :meth:`ResultStore.repair`, so a ``--resume`` re-simulates them."""
+    segments = sorted(Path(store_root).glob("shards/*/seg-*.seg"))
+    for task_id in task_ids:
+        needle = f'"task_id":"{task_id}"'.encode()
+        [segment] = [seg for seg in segments if needle in seg.read_bytes()]
+        data = bytearray(segment.read_bytes())
+        # Bodies are sorted-key JSON opening with '{"payload":'; turning
+        # its "p" into "q" keeps the JSON valid.
+        data[data.rindex(b'{"payload":', 0, data.index(needle)) + 2] ^= 0x01
+        segment.write_bytes(bytes(data))
+    with ResultStore(store_root) as store:
+        report = store.repair()
+    assert sorted(p.task_id for p in report.quarantined) == sorted(task_ids)
+
+
 def addr(core: int, set_index: int, tag: int) -> int:
     """Block address of (core, set, tag) in the tiny geometry."""
     return core_address_base(core) + tag * NUM_SETS + set_index
@@ -78,19 +99,28 @@ def fill_set(scheme, core: int, set_index: int, n: int, t0: int = 0, start_tag: 
     return now
 
 
+def hide_kernel_library(mp: pytest.MonkeyPatch,
+                        reason: str = "hidden by the test") -> None:
+    """Through *mp*, make the native library look missing for *reason*: the
+    library lookup returns None and ``_ckernel.reason()`` names *reason*,
+    as it names the cause when a build really fails."""
+    mp.setattr(_ckernel, "_get_lib", lambda: None)
+    mp.setattr(_ckernel, "_REASON", reason)
+
+
 def on_both_profiler_steps(test):
     """Run *test* once per streaming-profiler step: the C step when the
     kernel library is built, then the no-library Python step (forced by
-    patching the library lookup away).  The test keeps its name and
-    signature, so fixtures and Hypothesis draws reach it; each draw is
-    checked on both steps."""
+    :func:`hide_kernel_library`).  The test keeps its name and signature,
+    so fixtures and Hypothesis draws reach it; each draw is checked on
+    both steps."""
 
     @functools.wraps(test)
     def run(*args, **kwargs):
         if _ckernel.lib_available():
             test(*args, **kwargs)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_ckernel, "_get_lib", lambda: None)
+            hide_kernel_library(mp)
             test(*args, **kwargs)
 
     return run

@@ -90,19 +90,11 @@ class TestParser:
     def test_store_subcommands_parse(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store"])  # subcommand required
-        for sub in ("verify", "repair", "compact", "migrate"):
+        for sub in ("verify", "repair", "compact"):
             args = build_parser().parse_args(["store", sub, "some/dir"])
             assert args.command == "store"
             assert args.store_command == sub
             assert args.dir == "some/dir"
-
-    def test_store_migrate_shards_validated(self):
-        args = build_parser().parse_args(
-            ["store", "migrate", "d", "--shards", "4"]
-        )
-        assert args.shards == 4
-        with pytest.raises(SystemExit):
-            main(["store", "migrate", "d", "--shards", "0"])
 
 
 class TestScenarioParser:
@@ -238,7 +230,7 @@ class TestScenarioCommands:
 
 
 class TestStoreCommands:
-    """`repro store verify|repair|compact|migrate` over real stores."""
+    """`repro store verify|repair|compact` over real stores."""
 
     def _store(self, root):
         from repro.engine.store import ResultStore
@@ -280,17 +272,6 @@ class TestStoreCommands:
             store.save("c1_0__l2p", {"result": {"ipc": [0.6]}})  # supersede
         assert main(["store", "compact", str(root)]) == 0
         assert "reclaimed" in capsys.readouterr().out
-
-    def test_migrate_legacy_store(self, tmp_path, capsys):
-        import json as jsonlib
-
-        root = tmp_path / "legacy"
-        (root / "results").mkdir(parents=True)
-        (root / "manifest.json").write_text(jsonlib.dumps({"k": 1}))
-        (root / "results" / "t1.json").write_text(jsonlib.dumps({"v": 1}))
-        assert main(["store", "migrate", str(root)]) == 0
-        assert "migrated 1 task result(s)" in capsys.readouterr().out
-        assert main(["store", "verify", str(root)]) == 0
 
     def test_missing_store_is_clean_error(self, tmp_path, capsys):
         assert main(["store", "verify", str(tmp_path / "nope")]) == 1

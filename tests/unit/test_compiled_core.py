@@ -55,7 +55,7 @@ from repro.schemes.factory import SCHEMES, make_scheme
 from repro.schemes.snug import OnlineDemandMonitor
 from repro.workloads.mixes import build_mix_traces, get_mix
 from repro.workloads.trace import Trace
-from tests.helpers import live_state
+from tests.helpers import hide_kernel_library, live_state
 
 
 def build(scheme_name):
@@ -244,8 +244,7 @@ class TestFallbackReasons:
     def test_no_library(self, capsys, monkeypatch):
         # In-process twin of the REPRO_NO_CKERNEL subprocess test in the
         # conformance suite: any reason the library is missing is named.
-        monkeypatch.setattr(_ckernel, "_get_lib", lambda: None)
-        monkeypatch.setattr(_ckernel, "_REASON", "no C compiler on PATH")
+        hide_kernel_library(monkeypatch, "no C compiler on PATH")
         assert kernel_mode() == "reference"
         config = tiny_config(seed=7)
         traces = [_small_trace(seed=i) for i in range(config.num_cores)]

@@ -3,16 +3,10 @@
 The golden files are the repo's frozen ground truth; the engine store,
 the socket backend, and the job service all ship :class:`SimResult`
 dictionaries produced by ``to_dict()`` and revive them with
-``from_dict()``.  These tests pin two contracts against real (not
-synthetic) payloads:
-
-* ``from_dict(to_dict(x))`` reproduces the golden dict **bit-identically**
-  (floats compare with ``==`` — JSON's repr-based float serialization is
-  lossless);
-* the *legacy* shape — snapshots persisted before the windowed metrics of
-  PR 4, i.e. without ``window_outcomes``/``window_latency`` — still loads,
-  with the missing fields defaulting to empty (the ``repro store migrate``
-  path).
+``from_dict()``.  These tests pin, against real (not synthetic) payloads,
+that ``from_dict(to_dict(x))`` reproduces the golden dict
+**bit-identically** (floats compare with ``==`` — JSON's repr-based float
+serialization is lossless).
 
 Every file matching ``tests/data/golden_*.json`` must be classified here:
 a ``SimResult`` snapshot (round-tripped) or a known non-``SimResult``
@@ -71,24 +65,6 @@ def test_golden_round_trips_bit_identically(name):
     # And a second generation is stable too (to_dict -> from_dict fixpoint).
     again = SimResult.from_dict(result.to_dict())
     assert again.to_dict() == result.to_dict()
-
-
-@pytest.mark.parametrize("name", SIMRESULT_GOLDENS)
-def test_golden_loads_from_legacy_shape(name):
-    golden = json.loads((DATA_DIR / name).read_text())
-    legacy = {
-        key: value
-        for key, value in golden.items()
-        if key not in ("window_outcomes", "window_latency")
-    }
-    result = SimResult.from_dict(legacy)
-    # Pre-window stores carry no window metrics; everything else must
-    # survive untouched.
-    assert result.window_outcomes == []
-    assert result.window_latency == []
-    revived = result.to_dict()
-    for key, value in legacy.items():
-        assert revived[key] == value
 
 
 @pytest.mark.parametrize("name", SIMRESULT_GOLDENS)

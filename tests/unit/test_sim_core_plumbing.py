@@ -17,9 +17,7 @@ this file pins:
   the reference loop per run and names every fallback on stderr;
 * the removed ``batch``, ``fast`` and ``compiled`` cores, whose one-round
   aliases of ``auto`` have expired, are rejected by ``RunPlan``, scenario
-  files, ``make_system`` and the CLI;
-* :meth:`SimResult.from_dict` still accepts pre-window-metrics payloads
-  (stores migrated from old layouts lack the keys).
+  files, ``make_system`` and the CLI.
 """
 
 import dataclasses
@@ -29,7 +27,7 @@ import pytest
 from repro.common.config import tiny_config
 from repro.common.errors import ConfigError
 from repro.core import _ckernel, compiled
-from repro.core.cmp import CmpSystem, SimResult
+from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem
 from repro.experiments.runner import (
     SIM_CORES,
@@ -247,21 +245,3 @@ class TestRemovedCoreNamesRejected:
                 ["scenario", "run", "smoke-tiny", "--sim-core", name]
             )
         assert f"invalid choice: '{name}'" in capsys.readouterr().err
-
-
-class TestSimResultLegacyPayloads:
-    def test_from_dict_tolerates_missing_window_metrics(self):
-        payload = {
-            "scheme": "l2p",
-            "ipc": [0.5, 0.5],
-            "instructions": [100, 100],
-            "cycles": [200, 200],
-            "accesses": [10, 10],
-            "outcome_counts": {"local_hit": 20},
-            "stats": {"slice_0.hits": 20},
-        }
-        result = SimResult.from_dict(payload)
-        assert result.window_outcomes == []
-        assert result.window_latency == []
-        # Round-trips forward into the modern shape.
-        assert SimResult.from_dict(result.to_dict()) == result

@@ -18,7 +18,7 @@ from repro.cache.stackdist_stream import (
     concat_profiles,
     profile_chunks,
 )
-from repro.core import _ckernel
+from repro.core import _ckernel, compiled
 from repro.workloads.spec2000 import make_benchmark_trace
 from tests.helpers import on_both_profiler_steps, spec_hist, stderr_notices
 
@@ -259,3 +259,23 @@ class TestFallbackNotice:
                         reason="needs the C kernel library")
     def test_c_step_is_silent(self):
         assert self._notices() == []
+
+    def test_forced_python_step_names_its_reason(self, capsys, monkeypatch):
+        """The no-library pass of :func:`on_both_profiler_steps` names the
+        reason the library is hidden, never ``None``: for the profiler and
+        for a trace generated inside the test."""
+        monkeypatch.setattr(compiled, "_NOTICED", set())
+
+        @on_both_profiler_steps
+        def profile_a_fresh_trace():
+            trace = make_benchmark_trace("vortex", 16, 2000, 0)
+            StreamingProfiler(16, 8, interval_accesses=100).feed(trace.addrs)
+
+        profile_a_fresh_trace()
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("repro.")] == [
+            "repro.workloads: C kernel unavailable (hidden by the test); "
+            "using the NumPy step (bit-identical)",
+            "repro.profiler: C kernel unavailable (hidden by the test); "
+            "using the Python step (bit-identical)",
+        ]
