@@ -6,11 +6,13 @@ invalidate / victim mechanics plus statistics, while the L2 *schemes*
 receive, forward, ...).  Both the private slices of L2P/CC/DSR/SNUG and the
 banks of the shared L2S reuse it unchanged.
 
-A run of the compiled kernel leaves its final lines in flat arrays and
-hands the cache a fill function (:meth:`SetAssocCache.defer_sets`): the
-lines become :class:`~repro.cache.block.CacheLine` objects on the first
-read of :attr:`SetAssocCache.sets`, so a run whose lines nobody reads never
-builds them.
+A cache builds its :class:`~repro.cache.lruset.LruSet` s on the first read
+of :attr:`SetAssocCache.sets`, not at construction
+(:meth:`SetAssocCache.defer_sets`): a run of the compiled kernel encodes an
+empty cache as zeros and never reads them.  The kernel leaves its final
+lines in flat arrays and hands the cache a fill function over them, so its
+lines become :class:`~repro.cache.block.CacheLine` objects on that first
+read too, and a run whose lines nobody reads never builds them.
 """
 
 from __future__ import annotations
@@ -49,22 +51,23 @@ class SetAssocCache:
         self.amap = AddressMap.for_geometry(geometry)
         self.name = name
         self.stats = stats if stats is not None else StatGroup(name)
-        self.sets = [LruSet(geometry.assoc) for _ in range(geometry.num_sets)]
         # Hot-path shortcuts: the set-index mask (amap.set_index is a method
         # call per access) and the stat group's raw counter dict (StatGroup
         # .add is a function call per counter bump; incrementing the backing
         # defaultdict directly is observably identical).
         self._index_mask = geometry.num_sets - 1
         self._counters = self.stats.counters
+        self.defer_sets(None)
 
-    def defer_sets(self, fill: Callable[[], List[LruSet]]) -> None:
-        """Leave the resident lines unbuilt until something reads :attr:`sets`.
+    def defer_sets(self, fill: Optional[Callable[[], List[LruSet]]]) -> None:
+        """Leave the sets unbuilt until something reads :attr:`sets`.
 
         Until then ``sets`` is absent from the instance; its first read
-        stores ``fill()``, the sets with their lines, so every later read
-        is a plain attribute read again.
+        stores ``fill()``, the sets with their lines, or empty sets when
+        *fill* is ``None`` (a new cache), so every later read is a plain
+        attribute read again.
         """
-        del self.sets
+        self.__dict__.pop("sets", None)
         self._pending_fill = fill
         self.__class__ = _UnbuiltSetsCache
 
@@ -157,9 +160,9 @@ class SetAssocCache:
 
 
 class _UnbuiltSetsCache(SetAssocCache):
-    """A :class:`SetAssocCache` from :meth:`~SetAssocCache.defer_sets` until
-    the first read of ``sets``, which builds them and makes the cache a
-    plain :class:`SetAssocCache` again.
+    """A :class:`SetAssocCache` from :meth:`~SetAssocCache.defer_sets` (a new
+    cache included) until the first read of ``sets``, which builds them and
+    makes the cache a plain :class:`SetAssocCache` again.
 
     The ``__getattr__`` hook lives here, not on :class:`SetAssocCache`: a
     class with the hook loses CPython's specialized instance-attribute
@@ -171,10 +174,14 @@ class _UnbuiltSetsCache(SetAssocCache):
         # Normal lookup missed: only the unbuilt ``sets`` is served here.  It
         # reads ``__dict__`` alone, so copy and pickle, which probe an
         # instance before its state is restored, cannot recurse.
-        fill = self.__dict__.pop("_pending_fill", None) if name == "sets" else None
-        if fill is None:
+        state = self.__dict__
+        if name != "sets" or "_pending_fill" not in state:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        sets = self.sets = fill()
+        fill = state.pop("_pending_fill")
+        geo = state["geometry"]
+        sets = self.sets = (
+            [LruSet(geo.assoc) for _ in range(geo.num_sets)]
+            if fill is None else fill())
         self.__class__ = SetAssocCache
         return sets

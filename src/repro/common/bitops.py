@@ -5,9 +5,14 @@ Cache geometry in this package is always a power of two (the paper restricts
 here validate and exploit that property.  Everything operates on plain Python
 integers: block addresses fit comfortably in machine words and the simulator
 hot path only ever does shifts/masks.
+
+:func:`crc32c_table` is the lookup table of the result store's record
+checksum, shared by its Python step and the C source it is generated into.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import ConfigError
 
@@ -19,6 +24,7 @@ __all__ = [
     "flip_bit",
     "align_down",
     "align_up",
+    "crc32c_table",
 ]
 
 
@@ -81,3 +87,18 @@ def align_up(value: int, alignment: int) -> int:
     if not is_pow2(alignment):
         raise ConfigError(f"alignment must be a power of two, got {alignment}")
     return (value + alignment - 1) & ~(alignment - 1)
+
+
+@cache
+def crc32c_table() -> tuple:
+    """The 256-entry byte table of CRC32C (Castagnoli, reflected
+    polynomial ``0x82F63B78``): entry ``i`` is the CRC register after
+    shifting byte ``i`` through it."""
+    poly = 0x82F63B78
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
+        table.append(crc)
+    return tuple(table)

@@ -24,22 +24,30 @@ passes the struct by reference.
 its own cores — and starts and ends the run as the spec does
 (:meth:`CmpSystem._start_run`, :meth:`CmpSystem._finish_run`).
 Everything mutable lives in preallocated ``int64`` NumPy arrays; the
-wrapper encodes the live system state into them and runs the kernel.  The
+wrapper encodes the live system state into them and runs the kernel.
+State that nothing has read is encoded without being built: a new cache
+(no ``LruSet`` yet) is zeros, and a new SNUG slice (no ``ShadowSet`` or
+``DemandMonitorCounter`` yet) is empty shadows and monitors at the
+counter reset value with mod 0.  The
 trace columns are not copied: slot ``t_cols`` holds the addresses of each
 core's trace columns (:data:`_TRACE_COLS`, each checked by name first,
 :func:`_trace_columns`), which the C side reads in place.  The issue-gap
 column is the trace's ``gaps`` itself at ``base_cpi`` 1.0, the value of
 every preset; any other CPI gets one scaled copy per core for the call.
 The wrapper then merges cores, stat counters, write buffers, bus, DRAM,
-DSR and SNUG state back into the real objects at once — stat-counter
-*first-touch order* included, reproduced via stamp arrays, because
-``SimResult.to_dict()`` round-trips through JSON where dict insertion
-order is part of byte-identity.  The final cache lines stay in the
-``line_addr``/``occ`` arrays: each slice or bank gets a fill function over
-its views of them (:func:`_fill_lines`, through
-:meth:`~repro.cache.cache.SetAssocCache.defer_sets`) and builds its
-:class:`~repro.cache.block.CacheLine` objects on the first read of its
-``sets``, so a run whose lines nothing reads never decodes them.
+DSR state and SNUG's stage scalars and G/T bits back into the real
+objects at once — stat-counter *first-touch order* included, reproduced
+via stamp arrays, because ``SimResult.to_dict()`` round-trips through
+JSON where dict insertion order is part of byte-identity.  The final
+cache lines stay in the ``line_addr``/``occ`` arrays: each slice or bank
+gets a fill function over its views of them (:func:`_fill_lines`,
+through :meth:`~repro.cache.cache.SetAssocCache.defer_sets`) and builds
+its :class:`~repro.cache.block.CacheLine` objects on the first read of
+its ``sets``, so a run whose lines nothing reads never decodes them.
+SNUG's shadow tags and monitors stay in ``sh_addr``/``sh_len``/
+``mon_val``/``mon_mod`` the same way (:func:`_fill_snug_state`, through
+``_SnugSlice.defer_state``), built on the first read of a slice's
+``shadows`` or ``monitors``.
 
 Each access does little work in C.  Each cached line is one packed word,
 ``addr << 9 | meta`` (:data:`_META_BITS`), so a set is one ``int64`` row
@@ -86,6 +94,11 @@ It also holds the trace generator's step, ``trace_fill`` (:func:`trace_fill`
 checks its arrays and calls it): whenever the library is loaded,
 :func:`~repro.workloads.synthetic.generate_trace` turns each phase's NumPy
 draws into block addresses through it, in one pass with per-set counters.
+Its fourth function is the result store's record checksum, ``crc32c``
+(:func:`crc32c`; :func:`repro.engine.store.format.crc32c` checks its
+arguments and calls it whenever the library is loaded), one step per byte
+over a table generated into the source.  None of the four keeps mutable
+static state.
 
 :func:`decline_reason` names the systems the kernel does not take — no
 library (``REPRO_NO_CKERNEL=1``, no C compiler, or a failed build), more
@@ -113,12 +126,15 @@ import numpy as np
 
 from ..cache.block import CacheLine
 from ..cache.lruset import LruSet
+from ..cache.satcounter import DemandMonitorCounter
+from ..cache.shadowset import ShadowSet
+from ..common.bitops import crc32c_table
 from ..common.errors import SimulationError
 from ..schemes.base import Outcome
 from .cmp import CmpSystem, SimResult, budget_exhausted_error
 
-__all__ = ["run_kernel", "profile_feed", "trace_fill", "decline_reason",
-           "reason", "lib_available"]
+__all__ = ["run_kernel", "profile_feed", "trace_fill", "crc32c",
+           "decline_reason", "reason", "lib_available"]
 
 #: Outcome keys in enum order (the reference core's prepopulated-dict order).
 _OUT_KEYS = tuple(o.value for o in Outcome)
@@ -249,12 +265,14 @@ _MONITOR_SLICE = 8192
 _C_SOURCE = r"""
 /* Structure-of-arrays event loop for the repro compiled simulation core.
  *
- * One translation unit, three exported functions:
+ * One translation unit, four exported functions:
  *     int64_t run_kernel(const Ctx *in);
  *     void profile_feed(...);   (the streaming profiler's step, at the end)
  *     void trace_fill(...);     (the trace generator's step, after it)
- * Without this library, CmpSystem.run, the profiler's Python step and the
- * generator's NumPy step (workloads/synthetic.py) do their work.
+ *     uint32_t crc32c(...);     (the result store's checksum, last)
+ * Without this library, CmpSystem.run, the profiler's Python step, the
+ * generator's NumPy step (workloads/synthetic.py) and the store's Python
+ * checksum walk (engine/store/format.py) do their work.
  * The enums and the Ctx struct below are generated from the Python tables
  * in _ckernel.py, which fill Ctx: scalar inputs by value, array inputs as
  * pointers.  `kind` selects the scheme: 0 l2p, 1 l2s, 2 cc, 3 dsr, 4 snug,
@@ -1101,6 +1119,22 @@ void trace_fill(const i64 *sets, const double *kind, const double *pick,
         out[i] = tag * num_sets + s;
     }
 }
+
+/* The result store's record checksum: CRC32C (Castagnoli, reflected) over
+ * n bytes, continuing from crc, one table step per byte.  The table is
+ * generated from repro.common.bitops.crc32c_table. */
+static const uint32_t crc32c_table[256] = {
+""" + "\n".join(
+    "    " + " ".join("0x%08xu," % v for v in crc32c_table()[i:i + 8])
+    for i in range(0, 256, 8)) + r"""
+};
+
+uint32_t crc32c(const unsigned char *data, i64 n, uint32_t crc) {
+    crc = ~crc;
+    for (i64 i = 0; i < n; i++)
+        crc = crc32c_table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+    return ~crc;
+}
 """
 
 # -- build & load -------------------------------------------------------------
@@ -1173,6 +1207,8 @@ def _build(cc: str) -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
     ]
+    lib.crc32c.restype = ctypes.c_uint32
+    lib.crc32c.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_uint32]
     return lib
 
 
@@ -1248,11 +1284,45 @@ def _fill_lines(words: np.ndarray, occ: np.ndarray) -> List[LruSet]:
     return lrusets
 
 
+def _fill_snug_state(sh_words: np.ndarray, sh_len: np.ndarray,
+                     mon_val: np.ndarray, mon_mod: np.ndarray,
+                     counter_bits: int, p: int):
+    """One SNUG slice's ``(shadows, monitors)``, holding its final state.
+
+    The arguments are the slice's views of the kernel's ``sh_addr`` (as
+    ``(num_sets, assoc)``), ``sh_len``, ``mon_val`` and ``mon_mod`` arrays;
+    the slice calls this on the first read of its ``shadows`` or
+    ``monitors`` (:meth:`~repro.schemes.snug._SnugSlice.defer_state`).
+    """
+    num_sets, assoc = sh_words.shape
+    shadows = [ShadowSet(assoc) for _ in range(num_sets)]
+    for shadow, row, n in zip(shadows, sh_words.tolist(), sh_len.tolist()):
+        if n:
+            shadow._tags = row[:n]
+    monitors = [DemandMonitorCounter(counter_bits, p) for _ in range(num_sets)]
+    for monitor, value, mod in zip(monitors, mon_val.tolist(), mon_mod.tolist()):
+        monitor.counter.value = value
+        monitor._mod = mod
+    return shadows, monitors
+
+
 def _fresh_structural(scheme, caches, kind: int) -> bool:
     """Whether all *structural* containers are empty (counters/scalars may
-    be anything — they are encoded from the live objects)."""
+    be anything — they are encoded from the live objects).
+
+    Nothing unbuilt is built to tell: a cache or SNUG slice that was never
+    read holds nothing, and one whose state a kernel run left in its arrays
+    (a pending fill) holds state.
+    """
+    from ..schemes.snug import _UnbuiltSnugSlice  # local: no cycle
+
     for cache in caches:
-        for lruset in cache.sets:
+        state = cache.__dict__
+        if "sets" not in state:
+            if state["_pending_fill"] is not None:
+                return False
+            continue
+        for lruset in state["sets"]:
             if lruset._addrs:
                 return False
     for wbuf in scheme.wbufs:
@@ -1260,6 +1330,10 @@ def _fresh_structural(scheme, caches, kind: int) -> bool:
             return False
     if kind >= 4:
         for m in scheme.meta:
+            if type(m) is _UnbuiltSnugSlice:
+                if m._pending_fill is not None:
+                    return False
+                continue
             for sh in m.shadows:
                 if sh._tags:
                     return False
@@ -1505,6 +1579,14 @@ def trace_fill(sets: np.ndarray, kind: np.ndarray, pick: np.ndarray,
                           out.ctypes.data)
 
 
+def crc32c(data: bytes, crc: int) -> int:
+    """CRC32C (Castagnoli) of *data*, continuing from register value *crc*,
+    in C.  The C side reads ``len(data)`` bytes at the buffer of *data*;
+    the caller (:func:`repro.engine.store.format.crc32c`) has checked that
+    *data* is :class:`bytes` and *crc* a 32-bit value."""
+    return _get_lib().crc32c(data, len(data), crc)
+
+
 def run_kernel(system: CmpSystem, target: int, warmup: int,
                max_events: Optional[int], kind: int) -> SimResult:
     """Run *system* once through the native kernel, as scheme *kind*.
@@ -1518,7 +1600,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     """
     budget = system._start_run(target, warmup, max_events)
     lib = _get_lib()
-    from ..schemes.snug import STAGE_IDENTIFY, STAGE_GROUP  # local: no cycle
+    from ..schemes.snug import STAGE_GROUP, STAGE_IDENTIFY, _SnugSlice  # local: no cycle
 
     scheme = system.scheme
     cores = system.cores
@@ -1657,12 +1739,14 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
             dtype=np.int64)
         sh_addr = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
         sh_len = np.zeros(ncores * num_sets, dtype=np.int64)
-        mon_val = np.array(
-            [mc.counter.value for m in scheme.meta for mc in m.monitors],
-            dtype=np.int64)
-        mon_mod = np.array(
-            [mc._mod for m in scheme.meta for mc in m.monitors],
-            dtype=np.int64)
+        # A never-read slice's monitors are new ones: reset value, mod 0.
+        mon_val = np.full(ncores * num_sets, ctx.mon_reset, dtype=np.int64)
+        mon_mod = np.zeros(ncores * num_sets, dtype=np.int64)
+        for c, m in enumerate(scheme.meta):
+            if type(m) is _SnugSlice:
+                rows = slice(c * num_sets, (c + 1) * num_sets)
+                mon_val[rows] = [mc.counter.value for mc in m.monitors]
+                mon_mod[rows] = [mc._mod for mc in m.monitors]
         if monitor is not None:
             ctx.monitored = 1
             gt_in = np.zeros(ncores * num_sets, dtype=np.int64)
@@ -1765,20 +1849,17 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
         scheme._stage_end = int(ms[_MS.STAGE_END])
         scheme.epoch = int(ms[_MS.EPOCH])
         scheme._spill_rr = int(ms[_MS.SPILL_RR])
-        sh_l = sh_addr.reshape(ncores, num_sets, assoc).tolist()
-        shlen_l = sh_len.reshape(ncores, num_sets).tolist()
-        gt_l = gt.reshape(ncores, num_sets).tolist()
-        mv_l = mon_val.reshape(ncores, num_sets).tolist()
-        mm_l = mon_mod.reshape(ncores, num_sets).tolist()
+        # Shadow tags and monitors stay in the arrays, as the lines do.
+        gt_l = gt.astype(bool).reshape(ncores, num_sets).tolist()
+        sh_v = sh_addr.reshape(ncores, num_sets, assoc)
+        shlen_v = sh_len.reshape(ncores, num_sets)
+        mv_v = mon_val.reshape(ncores, num_sets)
+        mm_v = mon_mod.reshape(ncores, num_sets)
         for c, meta in enumerate(scheme.meta):
-            meta.gt_taker[:] = [bool(v) for v in gt_l[c]]
-            for s in range(num_sets):
-                sl = shlen_l[c][s]
-                if sl:
-                    meta.shadows[s]._tags = sh_l[c][s][:sl]
-                mc = meta.monitors[s]
-                mc.counter.value = mv_l[c][s]
-                mc._mod = mm_l[c][s]
+            meta.gt_taker[:] = gt_l[c]
+            meta.defer_state(partial(
+                _fill_snug_state, sh_v[c], shlen_v[c], mv_v[c], mm_v[c],
+                snug_cfg.counter_bits, snug_cfg.p_threshold))
         _merge_stamped(scheme.stats.counters, _RT_KEYS, rcnt, rstamp)
 
     if latch_error is not None:

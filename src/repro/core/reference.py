@@ -108,5 +108,7 @@ def reference_system(
     scheme = make_scheme(scheme_name, config, **scheme_kwargs)
     caches = getattr(scheme, "slices", None) or getattr(scheme, "banks", None) or []
     for cache in caches:
-        cache.sets = [ReferenceLruSet(cache.assoc) for _ in range(cache.num_sets)]
+        # The first read of ``sets`` builds a new cache's empty sets (and
+        # makes it a plain SetAssocCache); swap them in place.
+        cache.sets[:] = [ReferenceLruSet(cache.assoc) for _ in range(cache.num_sets)]
     return CmpSystem(config, scheme, traces)

@@ -29,10 +29,19 @@ Bodies are canonical JSON (sorted keys, no whitespace), so identical
 payloads encode to identical bytes — the store-level face of the engine's
 bit-identical-results contract.
 
-CRC32C is implemented in software (the classic 256-entry table); result
-records are small and written once, so the checksum never shows up in a
-profile, and taking no dependency keeps the store importable everywhere
-the engine runs.
+The checksum is CRC32C over the classic 256-entry byte table
+(:func:`~repro.common.bitops.crc32c_table`).  Every save checksums its
+record and every open, load and scrub re-checksums what it reads, so a
+byte-at-a-time walk in Python cost about 2% of a ``fig9-11-small`` sweep.
+:func:`crc32c` therefore runs the same table walk in C, in the simulation
+kernel's library (:func:`repro.core._ckernel.crc32c`), whenever that
+library is loaded.  Without it (``REPRO_NO_CKERNEL=1``, no C compiler, or
+a failed build) the walk runs in Python, bit-identical, and the first
+checksum in the process says so on stderr::
+
+    repro.store: C kernel unavailable (<why>); using the Python step (bit-identical)
+
+Either way the store needs no package beyond the standard library.
 """
 
 from __future__ import annotations
@@ -41,6 +50,10 @@ import json
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+from ...common.bitops import crc32c_table
+from ...core import _ckernel
+from ...core.compiled import fallback_notice
 
 __all__ = [
     "MAGIC",
@@ -74,27 +87,34 @@ _MAX_BODY = 1 << 26
 _PREFIX = len(MAGIC) + _HEADER.size
 
 
-def _make_crc32c_table() -> tuple:
-    poly = 0x82F63B78  # Castagnoli, reflected
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC32C_TABLE = _make_crc32c_table()
-
-
-def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC32C (Castagnoli) of *data*; chainable via the *crc* argument."""
+def _crc32c_py(data: bytes, crc: int) -> int:
+    """The Python step: :func:`repro.core._ckernel.crc32c`'s signature and
+    result, for when the kernel library is not loaded."""
     crc ^= 0xFFFFFFFF
-    table = _CRC32C_TABLE
+    table = crc32c_table()
     for byte in data:
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
+
+
+def crc32c(data: bytes, crc: int = 0) -> int:
+    """CRC32C (Castagnoli) of *data*; chainable via the *crc* argument.
+
+    *data* must be :class:`bytes` and *crc* a 32-bit value (a previous
+    result); either step then reads exactly ``len(data)`` bytes.
+    """
+    if not isinstance(data, bytes):
+        raise TypeError(f"crc32c takes bytes, not {type(data).__name__}")
+    if not isinstance(crc, int) or not 0 <= crc <= 0xFFFFFFFF:
+        raise ValueError(f"crc32c: crc {crc!r} is not a 32-bit value")
+    if _ckernel.lib_available():
+        return _ckernel.crc32c(data, crc)
+    fallback_notice(
+        f"C kernel unavailable ({_ckernel.reason()})",
+        source="repro.store",
+        fallback="the Python step",
+    )
+    return _crc32c_py(data, crc)
 
 
 def canonical_body(record: dict) -> bytes:

@@ -111,6 +111,30 @@ def _comparable(manifest: dict) -> dict:
     return out
 
 
+#: Why ``verify`` flags, and ``repair`` quarantines, a record that
+#: checksums clean but :func:`_result_task_id` rejects.
+_NOT_A_RESULT = (
+    "record checksums clean but is not a result record (it lacks a task_id "
+    "string or a payload object)"
+)
+
+
+def _result_task_id(body: bytes) -> Optional[str]:
+    """The task id of a result record's body, or None for any other body:
+    one that is not JSON, or that lacks a ``task_id`` string or a
+    ``payload`` object (as the tombstones older stores wrote do)."""
+    try:
+        record = json.loads(body)
+    except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
+        return None
+    if not isinstance(record, dict):
+        return None
+    task_id = record.get("task_id")
+    if isinstance(task_id, str) and isinstance(record.get("payload"), dict):
+        return task_id
+    return None
+
+
 @dataclass(frozen=True)
 class _Entry:
     """Index entry: where a task's latest record lives."""
@@ -402,9 +426,10 @@ class ResultStore:
 
         Torn tails (crash-interrupted appends) are truncated here — the
         records were never acknowledged, so dropping them is the recovery.
-        Fully-framed records that fail their checksum are *kept on disk*
-        but left out of the index; ``verify`` names them and ``repair``
-        quarantines them.
+        Fully-framed records that fail their checksum, and clean ones that
+        are not result records, are *kept on disk* but left out of the
+        index (an earlier record for the same task stays indexed);
+        ``verify`` names them and ``repair`` quarantines them.
         """
         if self._opened:
             return
@@ -423,11 +448,10 @@ class ResultStore:
                         handle.flush()
                         os.fsync(handle.fileno())
                 for record in records:
-                    try:
-                        task_id = json.loads(record.body)["task_id"]
-                    except (json.JSONDecodeError, TypeError, KeyError):
-                        # Checksums clean but the body is not a record we
-                        # understand: verify() reports it.
+                    task_id = _result_task_id(record.body)
+                    if task_id is None:
+                        # Checksums clean but the body is not a result
+                        # record: verify() reports it.
                         continue
                     # Last wins: a later record supersedes an earlier one.
                     self._index[task_id] = _Entry(
@@ -545,11 +569,13 @@ class ResultStore:
             yield shard, segment, records, problems
 
     @staticmethod
-    def _problem_task_id(problem: ScanProblem) -> Optional[str]:
-        if problem.body is None:
+    def _named_task_id(body: Optional[bytes]) -> Optional[str]:
+        """The task id a damaged or non-result record's *body* names, if
+        any, for the operator's report."""
+        if body is None:
             return None
         try:
-            task_id = json.loads(problem.body).get("task_id")
+            task_id = json.loads(body).get("task_id")
         except (json.JSONDecodeError, ValueError, AttributeError):
             return None
         return task_id if isinstance(task_id, str) else None
@@ -557,8 +583,9 @@ class ResultStore:
     def verify(self) -> VerifyReport:
         """Read-only scrub: re-checksum every record in every segment.
 
-        Reports torn tails, checksum failures, and undecodable bodies with
-        per-record locations and remedies; mutates nothing.
+        Reports torn tails, checksum failures, and clean records that are
+        not result records, with per-record locations and remedies;
+        mutates nothing.
         """
         self._require_layout()
         report = VerifyReport(
@@ -580,22 +607,21 @@ class ResultStore:
                         end=problem.end,
                         kind=problem.kind,
                         reason=problem.reason,
-                        task_id=self._problem_task_id(problem),
+                        task_id=self._named_task_id(problem.body),
                     )
                 )
             for record in records:
                 report.records += 1
-                try:
-                    task_id = json.loads(record.body)["task_id"]
-                except (json.JSONDecodeError, TypeError, KeyError):
+                task_id = _result_task_id(record.body)
+                if task_id is None:
                     report.problems.append(
                         Problem(
                             segment=segment,
                             offset=record.offset,
                             end=record.end,
                             kind="corrupt",
-                            reason="record checksums clean but its body is "
-                            "not valid result JSON",
+                            reason=_NOT_A_RESULT,
+                            task_id=self._named_task_id(record.body),
                         )
                     )
                     continue
@@ -610,8 +636,9 @@ class ResultStore:
         Each corrupt region's raw bytes land in ``<root>/quarantine/`` next
         to a JSON sidecar recording where they came from and why — repair
         removes damage from the store's replay path without destroying the
-        evidence.  Segments are rewritten atomically (tmp + fsync +
-        rename + directory fsync).
+        evidence.  A record that checksums clean but is not a result record
+        counts as corrupt here, as ``verify`` reports it.  Segments are
+        rewritten atomically (tmp + fsync + rename + directory fsync).
         """
         self._require_layout()
         report = RepairReport(root=self.root, quarantine_dir=self.quarantine_dir)
@@ -619,6 +646,14 @@ class ResultStore:
             self._close_handles()
             self._opened = False
             for shard, segment, records, problems in self._scan_readonly():
+                strays = [r for r in records if _result_task_id(r.body) is None]
+                if strays:
+                    records = [r for r in records if r not in strays]
+                    problems = sorted(problems + [
+                        ScanProblem(r.offset, r.end, "corrupt", _NOT_A_RESULT,
+                                    body=r.body)
+                        for r in strays
+                    ], key=lambda p: p.offset)
                 if not problems:
                     continue
                 corrupt = [p for p in problems if p.kind == "corrupt"]
@@ -655,7 +690,7 @@ class ResultStore:
         report: RepairReport,
     ) -> None:
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        task_id = self._problem_task_id(problem)
+        task_id = self._named_task_id(problem.body)
         stem = f"shard{shard:02d}-{segment.stem}-{problem.offset:08d}"
         raw = self.quarantine_dir / f"{stem}.bin"
         raw.write_bytes(data[problem.offset : problem.end])
@@ -716,14 +751,13 @@ class ResultStore:
                         )
                     for record in records:
                         record_count += 1
-                        try:
-                            task_id = json.loads(record.body)["task_id"]
-                        except (json.JSONDecodeError, TypeError, KeyError):
+                        task_id = _result_task_id(record.body)
+                        if task_id is None:
                             raise EngineError(
-                                f"shard {shard:02d} of {self.root} has an "
-                                "undecodable record body; run `repro store "
-                                "repair` before compacting"
-                            ) from None
+                                f"shard {shard:02d} of {self.root} has a "
+                                "record that is not a result record; run "
+                                "`repro store repair` before compacting"
+                            )
                         latest[task_id] = record.body
                 if record_count == len(latest) and len(segments) == 1:
                     continue  # nothing superseded, nothing to merge

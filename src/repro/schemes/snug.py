@@ -10,6 +10,12 @@ Per-slice state beyond a plain private L2:
   end of each Stage I sampling epoch;
 * per-line **CC** and **f** bits supporting the index-bit flipping grouper.
 
+A slice's shadow sets and monitors are Python objects built on the first
+read of either (``_SnugSlice.defer_state``): a run of the compiled kernel
+encodes new ones as constants and never reads them, and after the run it
+hands each slice a fill function over the kernel's arrays, so a run whose
+SNUG state nobody reads never builds it.
+
 Operation alternates between two globally-synchronized stages (Figure 5):
 
 * **Stage I (identify)** — ``identify_cycles`` long.  Demand monitors run;
@@ -50,7 +56,7 @@ results.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,18 +81,75 @@ STAGE_GROUP = "group"
 
 
 class _SnugSlice:
-    """Per-core SNUG metadata: shadow sets, monitors and the G/T vector."""
+    """Per-core SNUG metadata: shadow sets, monitors and the G/T vector.
 
-    __slots__ = ("shadows", "monitors", "gt_taker")
+    The per-set ``shadows`` and ``monitors`` are built on the first read of
+    either (:meth:`defer_state`); until then the slice is an
+    :class:`_UnbuiltSnugSlice`.  ``gt_taker`` is built at once.
+    """
+
+    __slots__ = ("shadows", "monitors", "gt_taker", "_shape", "_pending_fill")
 
     def __init__(self, num_sets: int, assoc: int, counter_bits: int, p: int) -> None:
-        self.shadows: List[ShadowSet] = [ShadowSet(assoc) for _ in range(num_sets)]
-        self.monitors: List[DemandMonitorCounter] = [
-            DemandMonitorCounter(counter_bits, p) for _ in range(num_sets)
-        ]
         # All-giver before the first identification epoch completes: no set
         # has demonstrated demand yet, so nothing spills.
         self.gt_taker: List[bool] = [False] * num_sets
+        self._shape = (num_sets, assoc, counter_bits, p)
+        self.defer_state(None)
+
+    def defer_state(
+        self,
+        fill: Optional[Callable[[], Tuple[List[ShadowSet], List[DemandMonitorCounter]]]],
+    ) -> None:
+        """Leave ``shadows`` and ``monitors`` unbuilt until something reads
+        one.  That first read stores both from ``fill()``, or new ones when
+        *fill* is ``None`` (a new slice)."""
+        try:
+            del self.shadows, self.monitors
+        except AttributeError:  # not built
+            pass
+        self._pending_fill = fill
+        self.__class__ = _UnbuiltSnugSlice
+
+
+class _UnbuiltSnugSlice(_SnugSlice):
+    """A :class:`_SnugSlice` from :meth:`~_SnugSlice.defer_state` (a new
+    slice included) until the first read of ``shadows`` or ``monitors``,
+    which builds both and makes it a plain :class:`_SnugSlice` again.
+
+    The ``__getattr__`` hook lives here, as on
+    :class:`~repro.cache.cache._UnbuiltSetsCache`, so the reference loop's
+    per-access reads of a built slice keep CPython's specialized
+    attribute reads.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self):
+        # The default state reads every slot, and reading the unbuilt ones
+        # would build them in the middle of a copy or pickle.
+        return None, {"gt_taker": self.gt_taker, "_shape": self._shape,
+                      "_pending_fill": self._pending_fill}
+
+    def __getattr__(self, name: str):
+        # Normal lookup missed: only the unbuilt per-set state is served
+        # here, and the slots are read for it alone, so copy and pickle,
+        # which probe an instance before its slots are restored, cannot
+        # recurse.
+        if name not in ("shadows", "monitors"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        fill = self._pending_fill
+        if fill is None:
+            num_sets, assoc, counter_bits, p = self._shape
+            state = ([ShadowSet(assoc) for _ in range(num_sets)],
+                     [DemandMonitorCounter(counter_bits, p) for _ in range(num_sets)])
+        else:
+            state = fill()
+        self.__class__ = _SnugSlice
+        self._pending_fill = None  # lets go of the kernel's arrays
+        self.shadows, self.monitors = state
+        return getattr(self, name)
 
 
 class OnlineDemandMonitor:

@@ -1,20 +1,59 @@
-"""Unit tests for the engine's task model and sharded segment result store."""
+"""Unit tests for the engine's task model and sharded segment result store.
 
+The record checksum has two steps, C and (without the kernel library)
+Python; the checksum, framing and scan tests run on both
+(:func:`on_both_checksum_steps`), and the Python step announces itself
+once per process.
+"""
+
+import functools
+import itertools
 import json
 
 import pytest
 
 from repro.common.config import tiny_config
 from repro.common.errors import EngineError
+from repro.core import _ckernel
 from repro.engine import ParallelRunner, ResultStore, SimTask, expand_mix_tasks
-from repro.engine.store import RECORD_OVERHEAD, STORE_VERSION, crc32c
+from repro.engine.store import (
+    RECORD_OVERHEAD,
+    STORE_VERSION,
+    canonical_body,
+    crc32c,
+    encode_record,
+)
 from repro.experiments.runner import RunPlan
 from repro.workloads.mixes import get_mix
+from tests.helpers import on_both_steps, stderr_notices
 
 
 def _segments(store_root):
     """Every segment file under a store root, sorted for determinism."""
     return sorted(store_root.glob("shards/*/seg-*.seg"))
+
+
+def on_both_checksum_steps(test):
+    """:func:`tests.helpers.on_both_steps` for a store test taking
+    ``tmp_path``: the records are checksummed in C, then in Python, and
+    each pass gets its own fresh directory under ``tmp_path``."""
+
+    @functools.wraps(test)
+    def run(self, tmp_path):
+        dirs = (tmp_path / f"pass{i}" for i in itertools.count())
+        on_both_steps(lambda: test(self, next(dirs)))()
+
+    return run
+
+
+def _append_record(store_root, task_id, record):
+    """Frame *record* and append it to the segment holding *task_id*'s
+    records, as a writer that checksums it correctly would."""
+    needle = f'"task_id":"{task_id}"'.encode()
+    [segment] = [seg for seg in _segments(store_root)
+                 if needle in seg.read_bytes()]
+    with open(segment, "ab") as handle:
+        handle.write(encode_record(canonical_body(record)))
 
 
 class TestSimTask:
@@ -52,12 +91,28 @@ class TestExpandMixTasks:
 
 
 class TestResultStore:
+    @on_both_steps
     def test_crc32c_known_vector(self):
         """Pin the checksum to real CRC32C (Castagnoli), not zlib's CRC32 —
         a wrong-but-self-consistent polynomial would verify its own
-        corruption."""
+        corruption.  (RFC 3720's check value.)"""
         assert crc32c(b"123456789") == 0xE3069283
 
+    @on_both_steps
+    def test_crc32c_empty_string_leaves_the_register(self):
+        assert crc32c(b"") == 0
+        assert crc32c(b"", 0xE3069283) == 0xE3069283
+
+    @on_both_steps
+    def test_crc32c_refuses_bad_arguments_before_either_step(self):
+        for data in (bytearray(b"abc"), memoryview(b"abc"), "abc", 3):
+            with pytest.raises(TypeError, match="crc32c takes bytes"):
+                crc32c(data)
+        for crc in (-1, 1 << 32, 1.0):
+            with pytest.raises(ValueError, match="not a 32-bit value"):
+                crc32c(b"abc", crc)
+
+    @on_both_checksum_steps
     def test_save_load_round_trip(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             store.initialize({"k": 1})
@@ -85,6 +140,7 @@ class TestResultStore:
         with pytest.raises(EngineError):
             store.load("nope")
 
+    @on_both_checksum_steps
     def test_resave_supersedes_last_wins(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             store.initialize({})
@@ -104,6 +160,7 @@ class TestResultStore:
         shard_dirs = {seg.parent.name for seg in _segments(tmp_path / "s")}
         assert len(shard_dirs) > 1  # sha256 partitioning actually spreads
 
+    @on_both_checksum_steps
     def test_bit_flip_detected_and_excluded(self, tmp_path):
         """A single flipped payload bit fails the CRC: verify() names the
         record, completed_ids() drops the task (so --resume recomputes it),
@@ -134,6 +191,7 @@ class TestResultStore:
             with pytest.raises(EngineError, match="no stored result"):
                 store.load("c4_0__l2p")
 
+    @on_both_checksum_steps
     def test_corruption_after_open_caught_on_load(self, tmp_path):
         """The checksum is re-verified on every read: damage landing while
         the store is open (so the index still lists the record) surfaces as
@@ -150,6 +208,7 @@ class TestResultStore:
         message = str(excinfo.value)
         assert "repro store repair" in message and "--resume" in message
 
+    @on_both_checksum_steps
     def test_repair_quarantines_exactly_the_corrupt_record(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             store.initialize({})
@@ -177,6 +236,7 @@ class TestResultStore:
         assert sidecar["kind"] == "corrupt"
         assert (tmp_path / "s" / "quarantine" / f"{sidecars[0].stem}.bin").exists()
 
+    @on_both_checksum_steps
     def test_torn_tail_truncated_on_reopen(self, tmp_path):
         """kill -9 mid-append leaves a half record with no commit marker;
         reopening loses exactly that record and keeps everything before it."""
@@ -194,6 +254,7 @@ class TestResultStore:
             assert store.verify().ok  # open already truncated the tail
         assert segment.stat().st_size == intact
 
+    @on_both_checksum_steps
     def test_compact_reclaims_superseded_records(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             store.initialize({})
@@ -211,6 +272,7 @@ class TestResultStore:
             assert reopened.load("t1") == {"v": 2}
             assert reopened.load("t2") == {"v": 9}
 
+    @on_both_checksum_steps
     def test_payload_bytes_identical_across_stores(self, tmp_path):
         """Two stores of the same sweep hold byte-identical record bodies —
         the store face of the bit-identical-merge contract."""
@@ -221,6 +283,49 @@ class TestResultStore:
                 store.save("t1", payload)
         with ResultStore(tmp_path / "a") as sa, ResultStore(tmp_path / "b") as sb:
             assert sa.payload_bytes("t1") == sb.payload_bytes("t1")
+
+    @on_both_checksum_steps
+    def test_record_without_payload_is_not_a_result(self, tmp_path):
+        """A clean record naming a task but carrying no payload (the
+        tombstones older stores wrote) is no result: the task is not
+        completed, loading it says so, and verify reports the record."""
+        with ResultStore(tmp_path / "s") as store:
+            store.initialize({})
+            store.save("t2", {"v": 2})
+        _append_record(tmp_path / "s", "t2",
+                       {"task_id": "t1", "scenario": None})
+        with ResultStore(tmp_path / "s") as store:
+            assert store.completed_ids() == {"t2"}
+            with pytest.raises(EngineError, match="no stored result for task 't1'"):
+                store.load("t1")
+            report = store.verify()
+            assert not report.ok
+            [problem] = report.problems
+            assert "checksums clean but is not a result record" in problem.reason
+            assert problem.task_id == "t1"
+            assert (report.records, report.live) == (2, 1)
+
+    @on_both_checksum_steps
+    def test_record_without_payload_leaves_earlier_result(self, tmp_path):
+        """Such a record after a task's result leaves that result indexed;
+        repair quarantines the record, after which verify passes and
+        compact runs."""
+        with ResultStore(tmp_path / "s") as store:
+            store.initialize({})
+            store.save("t1", {"v": 1})
+        _append_record(tmp_path / "s", "t1",
+                       {"task_id": "t1", "scenario": None})
+        with ResultStore(tmp_path / "s") as store:
+            assert store.completed_ids() == {"t1"}
+            assert store.load("t1") == {"v": 1}
+            assert not store.verify().ok
+            with pytest.raises(EngineError, match="not a result record"):
+                store.compact()
+            [quarantined] = store.repair().quarantined
+            assert quarantined.task_id == "t1"
+            assert store.verify().ok
+            store.compact()
+            assert store.load("t1") == {"v": 1}
 
     @pytest.mark.parametrize("version", [None, 1, STORE_VERSION + 1])
     def test_other_store_version_refused(self, tmp_path, version):
@@ -252,6 +357,41 @@ class TestResultStore:
         text = (store.root / "manifest.json").read_text()
         assert json.loads(text)["a"] == 1
         assert text.index('"a"') < text.index('"b"')
+
+
+class TestChecksumNotice:
+    """Without the kernel library the store's checksum says, once per
+    process, that it runs its Python step; with the library it says
+    nothing."""
+
+    #: Two stores, several saves and a scrub: every checksum takes the
+    #: same step.
+    SCRIPT = (
+        "import tempfile\n"
+        "from repro.engine import ResultStore\n"
+        "with tempfile.TemporaryDirectory() as root:\n"
+        "    for name in ('a', 'b'):\n"
+        "        with ResultStore(f'{root}/{name}') as store:\n"
+        "            store.initialize({})\n"
+        "            for i in range(3):\n"
+        "                store.save(f't{i}', {'v': i})\n"
+        "            assert store.verify().ok\n"
+        "            assert store.load('t2') == {'v': 2}\n"
+    )
+
+    def _notices(self, **env_knobs):
+        return stderr_notices(self.SCRIPT, "repro.store:", **env_knobs)
+
+    def test_python_step_announced_once(self):
+        assert self._notices(REPRO_NO_CKERNEL="1") == [
+            "repro.store: C kernel unavailable (disabled by "
+            "REPRO_NO_CKERNEL); using the Python step (bit-identical)"
+        ]
+
+    @pytest.mark.skipif(not _ckernel.lib_available(),
+                        reason="needs the C kernel library")
+    def test_c_step_is_silent(self):
+        assert self._notices() == []
 
 
 class TestScenarioStamp:

@@ -12,8 +12,9 @@ process.  :func:`corrupt_and_repair` drops stored task results the way an
 operator meets damage: a flipped byte, then ``repair``.
 
 :func:`hide_kernel_library` makes the native library look missing, with a
-named reason.  :func:`on_both_profiler_steps` runs a streaming-profiler test
-once per profiler step: the C step and the no-library Python step.
+named reason.  :func:`on_both_steps` runs a test once per step of each
+C-or-Python pair (the streaming profiler's step, the trace generator's
+step, the store's checksum): the C step, then the no-library step.
 :func:`stderr_notices` runs a script in a fresh interpreter and returns
 its fallback notices.
 :func:`spec_hist` is the profilers' oracle: the per-interval histograms of
@@ -108,12 +109,13 @@ def hide_kernel_library(mp: pytest.MonkeyPatch,
     mp.setattr(_ckernel, "_REASON", reason)
 
 
-def on_both_profiler_steps(test):
-    """Run *test* once per streaming-profiler step: the C step when the
-    kernel library is built, then the no-library Python step (forced by
-    :func:`hide_kernel_library`).  The test keeps its name and signature,
-    so fixtures and Hypothesis draws reach it; each draw is checked on
-    both steps."""
+def on_both_steps(test):
+    """Run *test* once with the C steps when the kernel library is built,
+    then once with the no-library steps (forced by
+    :func:`hide_kernel_library`): the profiler's and the store checksum's
+    Python steps and the generator's NumPy step.  The test keeps its name
+    and signature, so fixtures and Hypothesis draws reach it; each draw is
+    checked on both steps."""
 
     @functools.wraps(test)
     def run(*args, **kwargs):

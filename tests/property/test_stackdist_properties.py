@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cache.stackdist import StackDistanceProfiler
 from repro.cache.stackdist_stream import profile_chunks
-from tests.helpers import on_both_profiler_steps
+from tests.helpers import on_both_steps
 
 # Small address universes force deep reuse; large ones force long windows
 # and cold-miss-heavy streams — both profiler regimes get exercised.
@@ -31,7 +31,7 @@ streams = st.integers(2, 400).flatmap(
     chunk=st.integers(1, 600),
 )
 @settings(max_examples=80, deadline=None)
-@on_both_profiler_steps
+@on_both_steps
 def test_profile_chunks_bit_identical_to_spec(
     addrs, log_sets, depth, interval_accesses, chunk
 ):

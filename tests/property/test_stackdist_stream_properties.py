@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cache.stackdist import StackDistanceProfiler
 from repro.cache.stackdist_stream import StreamingProfiler, profile_chunks
-from tests.helpers import on_both_profiler_steps, spec_hist
+from tests.helpers import on_both_steps, spec_hist
 
 # Small universes force deep reuse (carry-heavy chunks); large ones force
 # cold-miss streams — both chunk-boundary regimes get exercised.
@@ -45,7 +45,7 @@ def cut_into_chunks(addrs, sizes):
     interval_accesses=st.integers(1, 120),
 )
 @settings(max_examples=80, deadline=None)
-@on_both_profiler_steps
+@on_both_steps
 def test_streaming_bit_identical_to_spec(addrs, sizes, log_sets, depth, interval_accesses):
     num_sets = 1 << log_sets
     addrs = np.array(addrs, dtype=np.int64)
@@ -66,7 +66,7 @@ def test_streaming_bit_identical_to_spec(addrs, sizes, log_sets, depth, interval
     max_intervals=st.integers(0, 8),
 )
 @settings(max_examples=40, deadline=None)
-@on_both_profiler_steps
+@on_both_steps
 def test_streaming_max_intervals_matches_spec(
     addrs, sizes, log_sets, depth, interval_accesses, max_intervals
 ):
@@ -93,7 +93,7 @@ def test_streaming_max_intervals_matches_spec(
     depth=st.integers(1, 24),
 )
 @settings(max_examples=40, deadline=None)
-@on_both_profiler_steps
+@on_both_steps
 def test_caller_cut_matches_reference_profiler(addrs, sizes, log_sets, depth):
     """cut() at arbitrary chunk boundaries == the spec's end_interval."""
     num_sets = 1 << log_sets

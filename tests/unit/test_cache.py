@@ -8,6 +8,7 @@ import pytest
 
 from repro.cache.block import CacheLine
 from repro.cache.cache import SetAssocCache
+from repro.cache.lruset import LruSet
 from repro.common.config import CacheGeometry
 
 
@@ -98,7 +99,8 @@ def _fill_dirty(addr, calls):
 
 
 class TestDeferredSets:
-    """``defer_sets`` leaves ``sets`` unbuilt until its first read."""
+    """``defer_sets`` leaves ``sets`` unbuilt until its first read, and a
+    new cache starts that way, with no sets built."""
 
     def deferred(self, calls):
         c = small_cache()
@@ -128,3 +130,27 @@ class TestDeferredSets:
         twin = clone(c)
         assert [line.addr for line in twin.resident()] == [5]
         assert [line.addr for line in c.resident()] == [5]
+
+    def test_new_cache_builds_no_set_until_read(self, monkeypatch):
+        built = []
+        init = LruSet.__init__
+
+        def counting_init(lruset, assoc):
+            built.append(assoc)
+            init(lruset, assoc)
+
+        monkeypatch.setattr(LruSet, "__init__", counting_init)
+        c = small_cache()
+        assert built == [] and "sets" not in c.__dict__
+        assert c.probe(5) is None
+        assert built == [4] * 16 and type(c) is SetAssocCache
+        assert c.occupancy() == 0 and len(built) == 16
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_of_a_new_cache_build_empty_sets(self, clone):
+        twin = clone(small_cache())
+        assert "sets" not in twin.__dict__
+        assert len(twin.sets) == 16 and twin.occupancy() == 0
+        assert type(twin) is SetAssocCache

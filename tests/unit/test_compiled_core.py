@@ -16,7 +16,13 @@ this file localizes regressions in the machinery *around* the kernel:
   the kernel skips no peer set there for hosting no line;
 * a kernel run builds no cache line until something reads a cache's
   ``sets``; the first read builds them once, as the reference loop leaves
-  them, and a second run's dispatch sees them;
+  them, and a second run's dispatch sees them without building them;
+* likewise a SNUG slice's shadow tags and monitors: a kernel run leaves
+  them in its arrays and the slice builds them on the first read of
+  either, as the reference loop leaves them; the decline check tells a
+  never-read slice from one holding state without building either, a
+  slice whose monitors were built before the run is encoded from them,
+  and a post-run scheme copies and pickles without building them;
 * every array slot (and the core count), and every trace column the
   kernel reads in place, is checked by name before the kernel runs, and
   every array of the streaming profiler's C step before that step runs;
@@ -37,6 +43,7 @@ import copy
 import cProfile
 import dataclasses
 import os
+import pickle
 import pstats
 import shutil
 
@@ -52,7 +59,7 @@ from repro.core.cmp import CmpSystem
 from repro.core.compiled import CompiledCmpSystem, kernel_mode
 from repro.experiments.runner import SIM_CORES, make_system
 from repro.schemes.factory import SCHEMES, make_scheme
-from repro.schemes.snug import OnlineDemandMonitor
+from repro.schemes.snug import OnlineDemandMonitor, _SnugSlice, _UnbuiltSnugSlice
 from repro.workloads.mixes import build_mix_traces, get_mix
 from repro.workloads.trace import Trace
 from tests.helpers import hide_kernel_library, live_state
@@ -396,6 +403,21 @@ class TestDeferredLines:
         assert _notices(capsys) == []
 
     @needs_kernel
+    def test_decline_check_reads_no_line(self, monkeypatch):
+        # Lines a kernel run left in its arrays hold state unread.  The
+        # write buffers are emptied, so only the lines can say so.
+        monkeypatch.setattr(_ckernel, "_fill_lines", lambda words, occ:
+                            pytest.fail("lines built by the decline check"))
+        config, scheme, traces = build("l2p")
+        CompiledCmpSystem(config, scheme, list(traces)).run(
+            4_000, warmup_instructions=500)
+        for wbuf in scheme.wbufs:
+            wbuf._entries.clear()
+        system = CompiledCmpSystem(config, scheme, list(traces))
+        kind = compiled._KERNEL_SCHEMES.index(type(scheme))
+        assert _ckernel.decline_reason(system, kind) == WARM_SCHEME
+
+    @needs_kernel
     def test_refused_run_leaves_the_notice_to_a_real_decline(self, capsys):
         # A refused second run prints nothing and uses up no notice: a new
         # system over the warm scheme is then declined, and says so once.
@@ -411,6 +433,80 @@ class TestDeferredLines:
             f"repro.compiled: {WARM_SCHEME}; using the reference loop "
             "(bit-identical)"
         ]
+
+
+#: The SNUG-family runs of :data:`KERNEL_RUNS`.
+SNUG_RUNS = [run for run in KERNEL_RUNS if run[0].startswith("snug")]
+
+
+class TestDeferredSnugState:
+    """A kernel run leaves each SNUG slice's shadow tags and monitors in its
+    arrays; the slice builds both on the first read of either, once,
+    exactly as the reference loop leaves them."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("scheme_name,prepare,kwargs", SNUG_RUNS)
+    def test_state_built_once_on_first_read(
+        self, monkeypatch, scheme_name, prepare, kwargs
+    ):
+        fills = []
+        fill_state = _ckernel._fill_snug_state
+
+        def counting_fill(*args):
+            fills.append(fill_state(*args))
+            return fills[-1]
+
+        monkeypatch.setattr(_ckernel, "_fill_snug_state", counting_fill)
+        _refuse_fallback(monkeypatch)
+        config, _, traces = build(scheme_name)
+        system, reference, out, ref = _run_pair(config, scheme_name, traces,
+                                                prepare, **kwargs)
+        assert out == ref
+        metas = system.scheme.meta
+        assert all(type(m) is _UnbuiltSnugSlice for m in metas) and fills == []
+        state = live_state(system.scheme)
+        assert state == live_state(reference.scheme)
+        assert any(tags for meta in state["snug"][4] for tags in meta[1])
+        assert len(fills) == len(metas)
+        assert [id(fill[1]) for fill in fills] == [id(m.monitors) for m in metas]
+        assert all(type(m) is _SnugSlice for m in metas)
+
+    @needs_kernel
+    def test_decline_check_builds_nothing(self):
+        config, scheme, traces = build("snug")
+        system = CompiledCmpSystem(config, scheme, traces)
+        kind = compiled._KERNEL_SCHEMES.index(type(scheme))
+        assert _ckernel.decline_reason(system, kind) is None
+        # A slice whose state a kernel run left in its arrays holds state.
+        scheme.meta[2].defer_state(lambda: pytest.fail("built by the check"))
+        assert _ckernel.decline_reason(system, kind) == WARM_SCHEME
+        assert not any("sets" in cache.__dict__ for cache in scheme.slices)
+        assert all(type(m) is _UnbuiltSnugSlice for m in scheme.meta)
+
+    @needs_kernel
+    def test_built_monitors_are_encoded_from_their_objects(self, monkeypatch):
+        def raise_a_counter(scheme):
+            scheme.meta[0].monitors[3].counter.value = 15
+
+        _refuse_fallback(monkeypatch)
+        config, _, traces = build("snug")
+        system, reference, out, ref = _run_pair(config, "snug", traces,
+                                                raise_a_counter)
+        assert out == ref
+        assert live_state(system.scheme) == live_state(reference.scheme)
+
+    @needs_kernel
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+    ], ids=["deepcopy", "pickle"])
+    def test_copies_of_a_post_run_scheme(self, clone):
+        config, _, traces = build("snug")
+        system, reference, _, _ = _run_pair(config, "snug", traces)
+        twin = clone(system.scheme)
+        assert all(type(m) is _UnbuiltSnugSlice for m in twin.meta)
+        assert all(type(m) is _UnbuiltSnugSlice for m in system.scheme.meta)
+        assert live_state(twin) == live_state(reference.scheme)
+        assert live_state(system.scheme) == live_state(reference.scheme)
 
 
 def _set_slot(name, corrupt):

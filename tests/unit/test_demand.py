@@ -15,7 +15,7 @@ from repro.common.errors import ConfigError
 from repro.core import _ckernel
 from repro.workloads.spec2000 import make_benchmark_trace
 from repro.workloads.trace import Trace
-from tests.helpers import on_both_profiler_steps
+from tests.helpers import on_both_steps
 
 
 class TestBuckets:
@@ -142,7 +142,7 @@ class TestCharacterizeMatchesSpec:
     @pytest.mark.parametrize("num_sets,intervals,interval_accesses",
                              [(64, 6, 2_000), (1_024, 7, 10_000)])
     @pytest.mark.parametrize("program", ["ammp", "vortex", "applu"])
-    @on_both_profiler_steps
+    @on_both_steps
     def test_equals_spec_distribution(self, program, num_sets, intervals,
                                       interval_accesses):
         trace = make_benchmark_trace(

@@ -1,11 +1,24 @@
 """Unit tests for the SNUG scheme (Section 3)."""
 
+import copy
+import pickle
 from dataclasses import replace
 
-from tests.helpers import addr, fill_set, tiny_system
+import pytest
 
+from tests.helpers import addr, fill_set, live_state, tiny_system
+
+from repro.cache.lruset import LruSet
+from repro.cache.satcounter import DemandMonitorCounter
+from repro.cache.shadowset import ShadowSet
 from repro.schemes.base import Outcome
-from repro.schemes.snug import STAGE_GROUP, STAGE_IDENTIFY, SnugCache
+from repro.schemes.snug import (
+    STAGE_GROUP,
+    STAGE_IDENTIFY,
+    SnugCache,
+    _SnugSlice,
+    _UnbuiltSnugSlice,
+)
 
 
 def make(**snug_overrides):
@@ -25,6 +38,54 @@ def enter_group_stage(scheme):
     """Advance past Stage I without touching monitors."""
     scheme._advance_stage(scheme.snug_cfg.identify_cycles)
     assert scheme.stage == STAGE_GROUP
+
+
+class TestDeferredState:
+    """A new SNUG scheme builds no per-set object: each slice's shadow sets
+    and monitors, like each cache's sets, are built on their first read."""
+
+    def count_builds(self, monkeypatch):
+        built = {LruSet: 0, ShadowSet: 0, DemandMonitorCounter: 0}
+        for cls in built:
+            def counting_init(obj, *args, _cls=cls, _init=cls.__init__):
+                built[_cls] += 1
+                _init(obj, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        return built
+
+    def test_new_scheme_builds_nothing_until_read(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        s = make()
+        assert set(built.values()) == {0}
+        assert all(type(meta) is _UnbuiltSnugSlice for meta in s.meta)
+        assert s.meta[1].gt_taker == [False] * 16  # built at once
+        assert len(s.meta[1].monitors) == 16
+        assert built == {LruSet: 0, ShadowSet: 16, DemandMonitorCounter: 16}
+        assert type(s.meta[1]) is _SnugSlice
+        assert [type(meta) for meta in s.meta].count(_UnbuiltSnugSlice) == 3
+        assert s.meta[1].monitors[0].value == 7  # reset value, 4-bit counter
+        assert s.meta[1].shadows[0].tags() == []
+
+    def test_first_access_builds_what_it_reads(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        s = make()
+        s.access(0, addr(0, 3, 0), False, 0)
+        # A miss reads core 0's shadow set, and its retrieval probe reads
+        # every peer's sets, but no peer's shadows or monitors.
+        assert built == {LruSet: 4 * 16, ShadowSet: 16, DemandMonitorCounter: 16}
+        assert type(s.meta[0]) is _SnugSlice
+        assert [type(meta) for meta in s.meta[1:]] == [_UnbuiltSnugSlice] * 3
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+    ], ids=["deepcopy", "pickle"])
+    def test_copies_of_a_new_scheme(self, clone):
+        s = make()
+        twin = clone(s)
+        assert all(type(meta) is _UnbuiltSnugSlice for meta in twin.meta)
+        assert live_state(twin) == live_state(s)
+        assert all(type(meta) is _SnugSlice for meta in twin.meta)
 
 
 class TestStageMachinery:

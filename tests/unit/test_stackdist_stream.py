@@ -20,7 +20,7 @@ from repro.cache.stackdist_stream import (
 )
 from repro.core import _ckernel, compiled
 from repro.workloads.spec2000 import make_benchmark_trace
-from tests.helpers import on_both_profiler_steps, spec_hist, stderr_notices
+from tests.helpers import on_both_steps, spec_hist, stderr_notices
 
 
 def chunked(addrs, size):
@@ -50,14 +50,14 @@ class TestValidation:
 
 
 class TestFixedIntervals:
-    @on_both_profiler_steps
+    @on_both_steps
     def test_matches_spec_on_benchmark_trace(self):
         trace = make_benchmark_trace("ammp", 16, 4_000, seed=3)
         want = spec_hist(trace.addrs, 16, 8, 500)
         got = profile_chunks(chunked(trace.addrs, 333), 16, 8, 500)
         assert (got.hist == want).all()
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_chunk_size_is_invisible(self):
         trace = make_benchmark_trace("vortex", 8, 2_000, seed=1)
         profiles = [
@@ -67,7 +67,7 @@ class TestFixedIntervals:
         for hist in profiles[1:]:
             assert (hist == profiles[0]).all()
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_partial_trailing_interval_never_emitted(self):
         prof = StreamingProfiler(2, 4, interval_accesses=10)
         out = prof.feed(np.zeros(25, dtype=np.int64))
@@ -75,7 +75,7 @@ class TestFixedIntervals:
         assert prof.emitted_intervals == 2
         assert prof.consumed == 25
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_interval_spanning_chunks(self):
         addrs = np.array([0, 0, 0, 0, 0, 0], dtype=np.int64)
         prof = StreamingProfiler(1, 2, interval_accesses=4)
@@ -85,7 +85,7 @@ class TestFixedIntervals:
         assert second.intervals == 1
         assert (second.hist == spec_hist(addrs, 1, 2, 4)).all()
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_max_intervals_stops_emission(self):
         trace = make_benchmark_trace("gcc", 8, 3_000, seed=2)
         want = spec_hist(trace.addrs, 8, 8, 200, max_intervals=5)
@@ -93,14 +93,14 @@ class TestFixedIntervals:
         assert got.intervals == 5
         assert (got.hist == want).all()
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_done_profiler_ignores_feeds(self):
         prof = StreamingProfiler(1, 2, interval_accesses=2, max_intervals=1)
         prof.feed(np.array([5, 5], dtype=np.int64))
         assert prof.done
         assert prof.feed(np.array([5, 5], dtype=np.int64)).intervals == 0
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_empty_chunk_is_noop(self):
         prof = StreamingProfiler(2, 4, interval_accesses=4)
         out = prof.feed(np.zeros(0, dtype=np.int64))
@@ -109,7 +109,7 @@ class TestFixedIntervals:
 
 
 class TestCarryAcrossChunks:
-    @on_both_profiler_steps
+    @on_both_steps
     def test_rereference_across_chunk_boundary_hits(self):
         # Same block in both chunks: the second reference must score as a
         # distance-1 hit even though its window spans the boundary.
@@ -118,7 +118,7 @@ class TestCarryAcrossChunks:
         out = prof.feed(np.array([9], dtype=np.int64))
         assert out.hist[0, 0].tolist() == [1, 0, 0, 0]
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_depth_truncation_across_boundary(self):
         # d distinct blocks push the first one exactly depth deep; a deeper
         # history (depth+1 blocks) must not resurrect it.
@@ -132,7 +132,7 @@ class TestCarryAcrossChunks:
 
 
 class TestCallerCutMode:
-    @on_both_profiler_steps
+    @on_both_steps
     def test_cut_matches_reference_end_interval(self):
         trace = make_benchmark_trace("parser", 8, 1_200, seed=4)
         spec = StackDistanceProfiler(8, 8)
@@ -142,7 +142,7 @@ class TestCallerCutMode:
             stream.feed(chunk)
             assert (stream.cut_block_required() == spec.end_interval()).all()
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_cut_resets_the_open_interval(self):
         prof = StreamingProfiler(1, 2)
         prof.feed(np.array([3, 3], dtype=np.int64))
@@ -170,7 +170,7 @@ class TestGoldenProfile:
         )
         return doc, trace, np.array(doc["hist"], dtype=np.int64)
 
-    @on_both_profiler_steps
+    @on_both_steps
     def test_streaming_kernel_matches_golden(self):
         doc, trace, want = self.load()
         for size in (173, 250, 1_000):
@@ -261,12 +261,12 @@ class TestFallbackNotice:
         assert self._notices() == []
 
     def test_forced_python_step_names_its_reason(self, capsys, monkeypatch):
-        """The no-library pass of :func:`on_both_profiler_steps` names the
+        """The no-library pass of :func:`on_both_steps` names the
         reason the library is hidden, never ``None``: for the profiler and
         for a trace generated inside the test."""
         monkeypatch.setattr(compiled, "_NOTICED", set())
 
-        @on_both_profiler_steps
+        @on_both_steps
         def profile_a_fresh_trace():
             trace = make_benchmark_trace("vortex", 16, 2000, 0)
             StreamingProfiler(16, 8, interval_accesses=100).feed(trace.addrs)
